@@ -45,6 +45,7 @@ from .system import (
     AdmissibilityError,
     ConvergenceReport,
     OrbitalFuzzySystem,
+    UnreachableToleranceError,
     invariant_domain_check,
 )
 
@@ -76,6 +77,7 @@ __all__ = [
     "SceneParseError",
     "StopRule",
     "SupportCapError",
+    "UnreachableToleranceError",
     "Word",
     "alpha_cut",
     "apply_grey",

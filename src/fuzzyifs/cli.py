@@ -67,9 +67,7 @@ def _render_spec(scene: Scene, args) -> RenderSpec:
     return RenderSpec(bbox=bbox, width=grid[0], height=grid[1])
 
 
-def _write_csv(path, trace, dimension):
-    if dimension != 2:
-        raise CliError("CSV output requires dimension 2")
+def _write_csv(path, trace):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "y", "level", "iteration"])
@@ -100,6 +98,11 @@ def _cmd_run(args) -> int:
     elif args.tol is not None:
         stop = StopRule(tolerance=Fraction(args.tol) if scene.exact else float(Fraction(args.tol)))
 
+    # Output options are checked before the iterations they would waste.
+    spec = _render_spec(scene, args) if args.out_image else None
+    if args.out_csv and scene.dimension != 2:
+        raise CliError("CSV output requires dimension 2")
+
     trace = [scene.initial]
     final, report = scene.system.iterate(
         scene.initial,
@@ -110,9 +113,9 @@ def _cmd_run(args) -> int:
     )
 
     if args.out_csv:
-        _write_csv(args.out_csv, trace, scene.dimension)
-    if args.out_image:
-        _write_image(args.out_image, final, _render_spec(scene, args))
+        _write_csv(args.out_csv, trace)
+    if spec is not None:
+        _write_image(args.out_image, final, spec)
     if args.report:
         doc = {
             "mode": scene.numeric_mode,
@@ -176,14 +179,13 @@ def _cmd_render(args) -> int:
     except SceneError:
         raise
     if is_scene:
-        trace = [scene.initial]
+        spec = _render_spec(scene, args)
         final, _ = scene.system.iterate(
             scene.initial,
             steps=scene.stop.steps,
             tolerance=scene.stop.tolerance,
             support_cap=scene.support_cap,
         )
-        spec = _render_spec(scene, args)
         _write_image(args.out_image, final, spec)
     else:
         u = _load_csv_points(source)

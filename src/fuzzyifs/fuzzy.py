@@ -8,10 +8,11 @@ semicontinuous, so no continuity bookkeeping is needed.
 The metric `d_infinity` is the supremum over alpha of the Hausdorff distance
 between alpha-cuts. On finite supports the supremum is attained on the
 finite set of occurring levels (cuts are constant between consecutive
-levels), which gives the level-sweep reference implementation. The default
-implementation uses the equivalent per-point form: for each support point x
-of u, the nearest point of v at level >= u(x), and symmetrically. Both are
-exposed so they can be checked against each other.
+levels), which gives the level-sweep reference implementation, kept as a
+test oracle. `d_infinity` uses the equivalent per-point form: for each
+support point x of u, the nearest point of v at level >= u(x), and
+symmetrically. It has one body for both numeric modes, built on the same
+nearest-neighbour kernel as the crisp `geometry.hausdorff`.
 """
 
 from __future__ import annotations
@@ -24,22 +25,18 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .geometry import (
     DimensionMismatchError,
     FinitePointSet,
     Point,
     as_point,
-    exact_directed_max_squared,
+    directed_max_squared,
     hausdorff,
     point_is_exact,
-    squared_distance,
+    tree_pays_off,
 )
 from .numeric import DEFAULT_TOL, Scalar, is_exact, sqrt_exact
-
-_LINEAR_SCAN_LIMIT = 20_000
-_CDIST_CHUNK_CELLS = 4_000_000
 
 
 class EmptyCutError(ValueError):
@@ -303,21 +300,6 @@ class FuzzySet:
             exact=False,
         )
 
-    def close_to(self, other: "FuzzySet", tol: float = DEFAULT_TOL) -> bool:
-        """Approximate equality: supports match within tol and so do levels."""
-        def one_way(a, b):
-            for p, l in a.items():
-                match = None
-                for q, m in b.items():
-                    if all(abs(float(x) - float(y)) <= tol for x, y in zip(p, q)):
-                        match = m
-                        break
-                if match is None or abs(float(l) - float(match)) > tol:
-                    return False
-            return True
-
-        return one_way(self, other) and one_way(other, self)
-
     def __eq__(self, other):
         if not isinstance(other, FuzzySet):
             return NotImplemented
@@ -393,16 +375,17 @@ def restrict(u: FuzzySet, s: FinitePointSet) -> FuzzySet:
     return FuzzySet(pairs, exact=u.exact)
 
 
-def _directed_pointwise_exact(u: FuzzySet, v: FuzzySet) -> Fraction:
-    """Squared directed part of d_infinity, exact.
+def _directed_max_squared(u: FuzzySet, v: FuzzySet) -> Scalar:
+    """Squared directed part of d_infinity, in either numeric mode.
 
     Points whose own position already sits in the other set's cut contribute
-    zero and are skipped up front, which makes consecutive-iterate distances
-    cheap. The rest are grouped by level and matched against the prefix of
-    the other support at that level or above, either by linear scan or
-    through a KD shortlist verified exactly.
+    zero and are skipped up front (Taha & Hanbury, IEEE TPAMI 37(11), 2015),
+    which makes consecutive-iterate distances cheap. The rest are grouped by
+    level; each group is one call of the geometry kernel against the prefix
+    of the other support at that level or above, with one KD-tree per prefix
+    length shared by the groups that need one.
     """
-    zero = Fraction(0)
+    zero = Fraction(0) if u.exact else 0.0
     vmap = v._support
     pending = [(p, lp) for p, lp in u.items() if vmap.get(p, zero) < lp]
     if not pending:
@@ -413,9 +396,6 @@ def _directed_pointwise_exact(u: FuzzySet, v: FuzzySet) -> Fraction:
     groups: Dict[Scalar, list] = {}
     for p, lp in pending:
         groups.setdefault(lp, []).append(p)
-    use_tree = (
-        len(pending) * len(v_items) > _LINEAR_SCAN_LIMIT and len(groups) <= 64
-    )
     v_arr = None
     trees: Dict[int, cKDTree] = {}
     best = zero
@@ -423,64 +403,22 @@ def _directed_pointwise_exact(u: FuzzySet, v: FuzzySet) -> Fraction:
         k = bisect.bisect_right(v_neg_levels, -lam)
         if k == 0:
             raise EmptyCutError(f"no point of the other set at level >= {lam}")
-        if use_tree:
-            if v_arr is None:
-                v_arr = np.array([[float(c) for c in p] for p in v_points])
+        tree = None
+        if tree_pays_off(len(pts), k, u.exact):
             tree = trees.get(k)
             if tree is None:
-                tree = trees.setdefault(k, cKDTree(v_arr[:k]))
-            query = np.array([[float(c) for c in p] for p in pts])
-            worst = exact_directed_max_squared(pts, tree, v_points[:k], query)
-        else:
-            worst = zero
-            candidates = v_points[:k]
-            for p in pts:
-                closest = min(squared_distance(p, q) for q in candidates)
-                if closest > worst:
-                    worst = closest
-        if worst > best:
-            best = worst
+                if v_arr is None:
+                    v_arr = np.array(v_points, dtype=float)
+                tree = trees[k] = cKDTree(v_arr[:k])
+        best = max(best, directed_max_squared(pts, v_points[:k], u.exact, tree))
     return best
 
 
-def _directed_pointwise_float(u_pts, u_lv, v_pts, v_lv) -> float:
-    """Squared directed part of d_infinity, float, vectorized."""
-    order = np.argsort(-v_lv, kind="stable")
-    vp = v_pts[order]
-    vl = v_lv[order]
-    ks = np.searchsorted(-vl, -u_lv, side="right")
-    if np.any(ks == 0):
-        raise EmptyCutError("no point of the other set at a high enough level")
-    best = 0.0
-    order_u = np.argsort(ks, kind="stable")
-    i = 0
-    while i < len(order_u):
-        k = ks[order_u[i]]
-        j = i
-        while j < len(order_u) and ks[order_u[j]] == k:
-            j += 1
-        rows = u_pts[order_u[i:j]]
-        chunk = max(1, _CDIST_CHUNK_CELLS // int(k))
-        for s in range(0, len(rows), chunk):
-            d2 = cdist(rows[s:s + chunk], vp[:k], "sqeuclidean")
-            best = max(best, float(d2.min(axis=1).max()))
-        i = j
-    return best
-
-
-def d_infinity(u: FuzzySet, v: FuzzySet, method: str = "auto"):
+def d_infinity(u: FuzzySet, v: FuzzySet):
     """Supremum over alpha of the Hausdorff distance between alpha-cuts."""
     _check_compatible(u, v)
-    if method == "sweep":
-        return d_infinity_level_sweep(u, v)
-    if u.exact:
-        best = max(_directed_pointwise_exact(u, v), _directed_pointwise_exact(v, u))
-        return sqrt_exact(best)
-    up, ul = u.points_array(), u.levels_array()
-    vp, vl = v.points_array(), v.levels_array()
-    best = max(_directed_pointwise_float(up, ul, vp, vl),
-               _directed_pointwise_float(vp, vl, up, ul))
-    return math.sqrt(best)
+    best = max(_directed_max_squared(u, v), _directed_max_squared(v, u))
+    return sqrt_exact(best) if u.exact else math.sqrt(best)
 
 
 def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):

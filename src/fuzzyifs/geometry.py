@@ -1,21 +1,20 @@
 """Points in R^D, finite point sets and the Hausdorff-Pompeiu metric.
 
 Compact sets are represented as finite, deduplicated point collections. The
-directed distance, Hausdorff distance and diameter all reduce to max/min
-scans over pairwise distances; a brute-force double loop is kept as the
-reference implementation and a KD-tree path accelerates large inputs. In
-exact mode the accelerated path only uses floats to shortlist candidate
-nearest neighbours, then verifies them with rational arithmetic, so results
-stay exact.
+directed and Hausdorff distances come from one nearest-neighbour kernel,
+`directed_max_squared`, which `fuzzy.d_infinity` shares. Float mode answers
+from a KD-tree. Exact mode compares candidates with integer arithmetic,
+taking every pair for small inputs and a float KD shortlist otherwise, so
+results stay exact. The brute-force double loop is kept as a test oracle.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
-
-import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,7 +23,8 @@ from .numeric import DEDUP_DECIMALS, Scalar, is_exact, sqrt_exact
 
 Point = Tuple[Scalar, ...]
 
-# Below this many pairwise distances the brute-force scan wins outright.
+# Up to this many point pairs the exact all-pairs scan is cheaper than a
+# KD-tree, whose fixed cost of building and querying dominates on small sets.
 _BRUTE_PAIR_LIMIT = 4096
 
 
@@ -186,26 +186,42 @@ def _squared_numden(p: Point, q: Point):
     return num, den
 
 
-def exact_directed_max_squared(points: Sequence[Point], tree: cKDTree,
-                               tree_points: Sequence[Point],
-                               query_arr: np.ndarray) -> Fraction:
-    """Exact max over the query points of the min squared distance into the
-    tree's point set.
+def tree_pays_off(n_points: int, n_targets: int, exact: bool) -> bool:
+    """Whether `directed_max_squared` answers through a KD-tree: always in
+    float mode, in exact mode above _BRUTE_PAIR_LIMIT point pairs."""
+    return not exact or n_points * n_targets > _BRUTE_PAIR_LIMIT
 
-    The KD-tree runs on float approximations and only shortlists candidates;
-    winners are chosen with exact integer arithmetic among every point whose
-    float distance falls within the rounding slack of the float nearest
-    neighbour. Only the final maximum is normalized into a Fraction.
+
+def directed_max_squared(points: Sequence[Point], targets: Sequence[Point], exact: bool,
+                         tree: Optional[cKDTree] = None) -> Scalar:
+    """Max over `points` of the min squared distance into `targets`.
+
+    The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
+    and `d_infinity`. `tree`, if given, must be a KD-tree over the float
+    coordinates of `targets`, in the same order. Float mode answers with the
+    tree's nearest neighbours. Exact mode compares candidates with integer
+    arithmetic: every target when the pairs are few and no tree is given,
+    otherwise the targets whose float distance lies within the rounding
+    slack of the float nearest neighbour. Only the final maximum is
+    normalized into a Fraction, so the result is exact either way.
     """
-    dist, _ = tree.query(query_arr, k=1)
-    slack = _nn_radius_slack(np.concatenate([query_arr, tree.data]))
-    balls = tree.query_ball_point(query_arr, dist + slack)
+    if tree is None and tree_pays_off(len(points), len(targets), exact):
+        tree = cKDTree(np.array(targets, dtype=float))
+    if tree is None:
+        candidates = itertools.repeat(range(len(targets)))
+    else:
+        query = np.array(points, dtype=float)
+        dist, _ = tree.query(query, k=1)
+        if not exact:
+            return float(dist.max()) ** 2
+        slack = _nn_radius_slack(np.concatenate([query, tree.data]))
+        candidates = tree.query_ball_point(query, dist + slack)
     worst_num, worst_den = 0, 1
-    for p, idxs in zip(points, balls):
-        best_num, best_den = _squared_numden(p, tree_points[idxs[0]])
+    for p, idxs in zip(points, candidates):
+        best_num, best_den = _squared_numden(p, targets[idxs[0]])
         if best_num:
             for j in idxs[1:]:
-                num, den = _squared_numden(p, tree_points[j])
+                num, den = _squared_numden(p, targets[j])
                 if num * best_den < best_num * den:
                     best_num, best_den = num, den
                     if not num:
@@ -215,29 +231,16 @@ def exact_directed_max_squared(points: Sequence[Point], tree: cKDTree,
     return Fraction(worst_num, worst_den)
 
 
-def directed_distance(a: FinitePointSet, b: FinitePointSet, method: str = "auto"):
-    """sup over a of inf distance into b. Not symmetric.
-
-    method: "auto" picks per size, "brute" forces the double loop, "fast"
-    forces the KD path.
-    """
+def directed_distance(a: FinitePointSet, b: FinitePointSet):
+    """sup over a of inf distance into b. Not symmetric."""
     _require_compatible(a, b)
-    if method not in ("auto", "brute", "fast"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "brute" or (method == "auto" and len(a) * len(b) <= _BRUTE_PAIR_LIMIT):
-        return directed_distance_brute(a, b)
-    a_arr = a.to_float_array()
-    b_arr = b.to_float_array()
-    tree = cKDTree(b_arr)
-    if not a.exact:
-        dist, _ = tree.query(a_arr, k=1)
-        return float(dist.max())
-    return sqrt_exact(exact_directed_max_squared(a.points, tree, b.points, a_arr))
+    best = directed_max_squared(a.points, b.points, a.exact)
+    return sqrt_exact(best) if a.exact else math.sqrt(best)
 
 
-def hausdorff(a: FinitePointSet, b: FinitePointSet, method: str = "auto"):
+def hausdorff(a: FinitePointSet, b: FinitePointSet):
     """max of the two directed distances; a metric on exact point sets."""
-    return max(directed_distance(a, b, method), directed_distance(b, a, method))
+    return max(directed_distance(a, b), directed_distance(b, a))
 
 
 def hausdorff_brute(a: FinitePointSet, b: FinitePointSet):

@@ -8,13 +8,12 @@ level per cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .fuzzy import FuzzySet, GreyLevelMap
+from .fuzzy import FuzzySet
 
 PGM_MAXVAL = 255
 
@@ -65,52 +64,6 @@ class GridFuzzySet:
             row = height - 1 - row_up
             levels[row, col] = max(levels[row, col], float(level))
         return g
-
-    def cell_center(self, row: int, col: int) -> Tuple[float, float]:
-        x = self.lo[0] + (col + 0.5) * (self.hi[0] - self.lo[0]) / self.width
-        y_up = self.height - 1 - row
-        y = self.lo[1] + (y_up + 0.5) * (self.hi[1] - self.lo[1]) / self.height
-        return x, y
-
-    def cell_diagonal(self) -> float:
-        dx = (self.hi[0] - self.lo[0]) / self.width
-        dy = (self.hi[1] - self.lo[1]) / self.height
-        return math.hypot(dx, dy)
-
-    def pushforward(self, f) -> "GridFuzzySet":
-        """Map occupied cell centers and deposit into the target cells.
-
-        The deposit position is off by at most the map's Lipschitz constant
-        times the cell diagonal, the usual raster error.
-        """
-        moved = GridFuzzySet.zeros(self.lo, self.hi, self.width, self.height)
-        levels = moved.levels
-        x0, y0 = self.lo
-        x1, y1 = self.hi
-        rows, cols = np.nonzero(self.levels)
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            x, y = f(self.cell_center(row, col))
-            x, y = float(x), float(y)
-            if not (x0 <= x <= x1 and y0 <= y <= y1):
-                continue
-            tcol = min(int((x - x0) / (x1 - x0) * self.width), self.width - 1)
-            trow = self.height - 1 - min(int((y - y0) / (y1 - y0) * self.height), self.height - 1)
-            levels[trow, tcol] = max(levels[trow, tcol], float(self.levels[row, col]))
-        return moved
-
-    def apply_grey(self, rho: GreyLevelMap) -> "GridFuzzySet":
-        if float(rho.value_at_zero) != 0.0:
-            raise ValueError("grey map with rho(0) != 0 would light up the whole grid")
-        return GridFuzzySet(lo=self.lo, hi=self.hi, width=self.width,
-                            height=self.height,
-                            levels=rho.eval_array(self.levels))
-
-    def join(self, other: "GridFuzzySet") -> "GridFuzzySet":
-        if (self.lo, self.hi, self.width, self.height) != (other.lo, other.hi, other.width, other.height):
-            raise ValueError("grids must share geometry")
-        return GridFuzzySet(lo=self.lo, hi=self.hi, width=self.width,
-                            height=self.height,
-                            levels=np.maximum(self.levels, other.levels))
 
     def to_pgm(self) -> bytes:
         """Binary PGM: pixel = round(maxval * level), row 0 first."""

@@ -18,7 +18,6 @@ from typing import Union
 # Float-mode points closer than this merge into one; quantization happens on
 # a fixed 1e-12 grid so it stays below every tolerance used in tests.
 DEDUP_DECIMALS = 12
-DEDUP_TOL = 10.0 ** -DEDUP_DECIMALS
 
 # Default absolute tolerance for float-mode assertions and comparisons.
 DEFAULT_TOL = 1e-9
@@ -53,10 +52,6 @@ def format_scalar(value) -> str:
     if isinstance(value, Fraction) or isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
-
-
-def as_float(value) -> float:
-    return float(value)
 
 
 def _exact_square(value) -> Fraction:

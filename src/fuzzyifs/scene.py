@@ -69,6 +69,11 @@ class Scene:
         return self.numeric_mode == "exact"
 
 
+def _is_integer(value) -> bool:
+    """JSON integers only: booleans are ints in Python but not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _reject_constant(token):
     raise SceneParseError(f"non-finite number {token!r} not allowed")
 
@@ -89,14 +94,14 @@ def load_scene_dict(raw: dict, mode_override: Optional[str] = None) -> Scene:
     exact = mode == "exact"
 
     dimension = raw.get("dimension", 2)
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_integer(dimension) or dimension < 1:
         violations.append("dimension must be a positive integer")
         dimension = 2
 
     def scalar_at(value, where):
         try:
             return parse_scalar(value, exact)
-        except (ValueError, ZeroDivisionError) as err:
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
             violations.append(f"{where}: {err}")
             return Fraction(0) if exact else 0.0
 
@@ -179,7 +184,7 @@ def load_scene_dict(raw: dict, mode_override: Optional[str] = None) -> Scene:
     if not isinstance(raw_stop, dict) or ("steps" in raw_stop) == ("tolerance" in raw_stop):
         violations.append("stop must be an object with exactly one of steps or tolerance")
     elif "steps" in raw_stop:
-        if not isinstance(raw_stop["steps"], int) or raw_stop["steps"] < 0:
+        if not _is_integer(raw_stop["steps"]) or raw_stop["steps"] < 0:
             violations.append("stop.steps must be an integer >= 0")
         else:
             stop = StopRule(steps=raw_stop["steps"])
@@ -200,16 +205,16 @@ def load_scene_dict(raw: dict, mode_override: Optional[str] = None) -> Scene:
             elif dimension != 2:
                 violations.append("render requires dimension 2")
             else:
-                width, height = int(r["width"]), int(r["height"])
-                if width < 1 or height < 1:
-                    violations.append("render resolution must be positive")
+                width, height = r["width"], r["height"]
+                if not (_is_integer(width) and _is_integer(height)) or width < 1 or height < 1:
+                    violations.append("render width and height must be positive integers")
                 else:
                     render = RenderSpec(bbox=bbox, width=width, height=height)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             violations.append(f"render: {err}")
 
     support_cap = raw.get("support_cap", DEFAULT_SUPPORT_CAP)
-    if not isinstance(support_cap, int) or support_cap < 1:
+    if not _is_integer(support_cap) or support_cap < 1:
         violations.append("support_cap must be a positive integer")
         support_cap = DEFAULT_SUPPORT_CAP
 

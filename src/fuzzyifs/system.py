@@ -37,6 +37,11 @@ from .numeric import DEDUP_DECIMALS, DEFAULT_TOL, Scalar, scale
 _MAX_TOLERANCE_STEPS = 10_000
 
 
+class UnreachableToleranceError(ValueError):
+    """No step count within the guard brings the a-priori bound down to the
+    requested tolerance."""
+
+
 class AdmissibilityError(ValueError):
     def __init__(self, violations):
         super().__init__("; ".join(violations))
@@ -159,10 +164,19 @@ class OrbitalFuzzySystem:
         c = self.ifs.contraction_constant
         supp = u.support_set()
         diam = diameter(supp.union(self.ifs.step(supp)))
+        # The bound diam * c^m / (1 - c), one multiplication by c per m.
+        # Exact mode compares squares, where every product stays rational.
+        if self.exact:
+            bound, ratio, limit = diam * diam / (1 - c) ** 2, c * c, tolerance * tolerance
+        else:
+            bound, ratio, limit = diam / (1 - c), c, tolerance
         for m in range(_MAX_TOLERANCE_STEPS + 1):
-            if scale(diam, c ** m / (1 - c)) <= tolerance:
+            if bound <= limit:
                 return m
-        raise RuntimeError("tolerance unreachable within the step guard")
+            bound *= ratio
+        raise UnreachableToleranceError(
+            f"tolerance {float(tolerance):g} needs more than {_MAX_TOLERANCE_STEPS} steps "
+            f"at contraction constant {float(c):g}")
 
     def iterate(
         self,

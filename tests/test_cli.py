@@ -158,3 +158,41 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "ran 1 iterations" in result.stdout
+
+
+def test_output_options_checked_before_iterating(tmp_path, monkeypatch):
+    from fuzzyifs.system import OrbitalFuzzySystem
+
+    def fail(*args, **kwargs):
+        raise AssertionError("iterate reached before the output options were checked")
+
+    monkeypatch.setattr(OrbitalFuzzySystem, "iterate", fail)
+    doc = json.loads(Path(SLICE).read_text())
+    del doc["render"]
+    norender = tmp_path / "norender.json"
+    norender.write_text(json.dumps(doc))
+    assert main(["run", str(norender), "--out-image", str(tmp_path / "x.pgm")]) == 1
+
+    line = {
+        "dimension": 1,
+        "contraction_constant": "1/2",
+        "maps": [{"linear": [["1/2"]], "offset": ["0"]}, {"linear": [["1/2"]], "offset": ["1/2"]}],
+        "grey_maps": [{"breakpoints": [["0", "0"], ["1", "1"]]}] * 2,
+        "initial": [[["0"], "1"]],
+        "stop": {"steps": 3},
+    }
+    line_path = tmp_path / "line.json"
+    line_path.write_text(json.dumps(line))
+    assert main(["run", str(line_path), "--out-csv", str(tmp_path / "x.csv")]) == 1
+    assert main(["render", str(norender), "--out-image", str(tmp_path / "y.pgm")]) == 1
+
+
+def test_unreachable_tolerance_is_a_one_line_error(tmp_path, capsys):
+    doc = json.loads(Path(SLICE).read_text())
+    doc["contraction_constant"] = "999/1000"
+    scene = tmp_path / "slow.json"
+    scene.write_text(json.dumps(doc))
+    for mode in ("exact", "float"):
+        assert main(["run", str(scene), "--tol", "1e-6", "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "more than 10000 steps" in err

@@ -19,7 +19,7 @@ from fuzzyifs.fuzzy import (
     restrict,
     zadeh_pushforward,
 )
-from fuzzyifs.geometry import FinitePointSet, euclid
+from fuzzyifs.geometry import _BRUTE_PAIR_LIMIT, FinitePointSet, euclid
 from fuzzyifs.ifs import AffineMap
 
 F = Fraction
@@ -232,6 +232,72 @@ class TestJoinRestrict:
             restrict(u, FinitePointSet.from_points([(F(9),)]))
 
 
+# Scaled cases of the d_infinity path tests: (points per set, level
+# denominator, trials, least pairs in one level group, least level groups in
+# one direction). "tree" puts more than _BRUTE_PAIR_LIMIT pairs in one level
+# group, so exact mode takes the KD shortlist; "levels" has more than 64
+# level groups.
+SCALED_CASES = [
+    pytest.param(150, 3, 3, _BRUTE_PAIR_LIMIT + 1, 0, id="tree"),
+    pytest.param(150, 128, 3, 0, 65, id="levels"),
+]
+
+
+def assert_scan_shape(u, v, min_pairs, min_groups):
+    """Check that d_infinity(u, v) does the work the case is meant to cover:
+    its largest level group meets at least min_pairs point pairs and one
+    direction has at least min_groups level groups."""
+    most_pairs = most_groups = 0
+    for a, b in ((u, v), (v, u)):
+        held = dict(b.items())
+        groups = {}
+        for p, level in a.items():
+            if held.get(p, 0) < level:
+                groups[level] = groups.get(level, 0) + 1
+        for level, count in groups.items():
+            prefix = sum(1 for m in held.values() if m >= level)
+            most_pairs = max(most_pairs, count * prefix)
+        most_groups = max(most_groups, len(groups))
+    assert most_pairs >= min_pairs and most_groups >= min_groups
+
+
+def check_paths_agree_exact(rng, sizes, denominator, trials, min_pairs=0, min_groups=0):
+    """Exact d_infinity equals the level sweep, is symmetric and agrees with
+    float mode within 1e-9."""
+    for _ in range(trials):
+        def mk():
+            n = rng.randrange(sizes[0], sizes[1] + 1)
+            pairs = [((F(rng.randrange(-12, 13), 4), F(rng.randrange(-12, 13), 4)),
+                      F(rng.randrange(1, denominator + 1), denominator)) for _ in range(n)]
+            k = rng.randrange(n)
+            pairs[k] = (pairs[k][0], F(1))
+            return FuzzySet(pairs)
+        u, v = mk(), mk()
+        assert_scan_shape(u, v, min_pairs, min_groups)
+        sweep = d_infinity_level_sweep(u, v)
+        assert d_infinity(u, v) == sweep
+        assert d_infinity(v, u) == sweep  # symmetry
+        assert abs(float(sweep) - d_infinity(u.to_float(), v.to_float())) <= 1e-9
+
+
+def check_paths_agree_float(rng, sizes, denominator, trials, min_pairs=0, min_groups=0):
+    """Float d_infinity equals the float level sweep. Levels are uniform
+    unless a denominator is given."""
+    for _ in range(trials):
+        def mk():
+            n = rng.randrange(sizes[0], sizes[1] + 1)
+            pairs = [((rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                      rng.randrange(1, denominator + 1) / denominator if denominator
+                      else rng.uniform(0.1, 1.0))
+                     for _ in range(n)]
+            k = rng.randrange(n)
+            pairs[k] = (pairs[k][0], 1.0)
+            return FuzzySet(pairs, exact=False)
+        u, v = mk(), mk()
+        assert_scan_shape(u, v, min_pairs, min_groups)
+        assert d_infinity(u, v) == pytest.approx(d_infinity_level_sweep(u, v), abs=1e-12)
+
+
 class TestDInfinity:
     def test_identity_and_singletons(self):
         u = fuzzy(((0, 0), 1), ((1, 1), F(1, 2)))
@@ -254,32 +320,20 @@ class TestDInfinity:
             d_infinity(tall, low)
 
     def test_paths_agree_exact(self):
-        rng = random.Random(21)
-        for _ in range(150):
-            def mk():
-                n = rng.randrange(1, 6)
-                pairs = [((F(rng.randrange(-12, 13), 4), F(rng.randrange(-12, 13), 4)),
-                          F(rng.randrange(1, 9), 8)) for _ in range(n)]
-                k = rng.randrange(n)
-                pairs[k] = (pairs[k][0], F(1))
-                return FuzzySet(pairs)
-            u, v = mk(), mk()
-            sweep = d_infinity_level_sweep(u, v)
-            assert d_infinity(u, v) == sweep
-            assert d_infinity(v, u) == sweep  # symmetry
+        check_paths_agree_exact(random.Random(21), (1, 5), 8, 150)
 
     def test_paths_agree_float(self):
-        rng = random.Random(22)
-        for _ in range(150):
-            def mk():
-                n = rng.randrange(1, 6)
-                pairs = [((rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0.1, 1.0))
-                         for _ in range(n)]
-                k = rng.randrange(n)
-                pairs[k] = (pairs[k][0], 1.0)
-                return FuzzySet(pairs, exact=False)
-            u, v = mk(), mk()
-            assert d_infinity(u, v) == pytest.approx(d_infinity_level_sweep(u, v), abs=1e-12)
+        check_paths_agree_float(random.Random(22), (1, 5), None, 150)
+
+    @pytest.mark.parametrize("n, denominator, trials, min_pairs, min_groups", SCALED_CASES)
+    def test_paths_agree_exact_scaled(self, n, denominator, trials, min_pairs, min_groups):
+        check_paths_agree_exact(random.Random(23), (n, n), denominator, trials,
+                                min_pairs, min_groups)
+
+    @pytest.mark.parametrize("n, denominator, trials, min_pairs, min_groups", SCALED_CASES)
+    def test_paths_agree_float_scaled(self, n, denominator, trials, min_pairs, min_groups):
+        check_paths_agree_float(random.Random(24), (n, n), denominator, trials,
+                                min_pairs, min_groups)
 
 
 def test_diameter_and_join_distance_bounds_small():

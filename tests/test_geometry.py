@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from scipy.spatial import cKDTree
 
 from fuzzyifs.geometry import (
     DimensionMismatchError,
@@ -10,6 +12,7 @@ from fuzzyifs.geometry import (
     diameter,
     directed_distance,
     directed_distance_brute,
+    directed_max_squared,
     euclid,
     hausdorff,
     hausdorff_brute,
@@ -83,13 +86,13 @@ def test_accelerated_hausdorff_matches_brute_force_exact():
     for _ in range(25):
         a = _random_set(rng)
         b = _random_set(rng)
-        assert hausdorff(a, b, method="auto") == hausdorff_brute(a, b)
-        # force the KD path regardless of size
+        assert hausdorff(a, b) == hausdorff_brute(a, b)
+        # a prebuilt tree forces the KD shortlist regardless of size
         fast = max(
-            directed_distance(a, b, method="fast"),
-            directed_distance(b, a, method="fast"),
+            directed_max_squared(a.points, b.points, True, cKDTree(b.to_float_array())),
+            directed_max_squared(b.points, a.points, True, cKDTree(a.to_float_array())),
         )
-        assert fast == hausdorff_brute(a, b)
+        assert sqrt_exact(fast) == hausdorff_brute(a, b)
 
 
 def test_accelerated_hausdorff_matches_brute_force_float():
@@ -99,8 +102,21 @@ def test_accelerated_hausdorff_matches_brute_force_float():
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
         b = FinitePointSet.from_points(
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
-        assert directed_distance(a, b, method="fast") == pytest.approx(
+        assert directed_distance(a, b) == pytest.approx(
             directed_distance_brute(a, b), abs=1e-12)
+        fast = directed_max_squared(a.points, b.points, False, cKDTree(b.to_float_array()))
+        assert math.sqrt(fast) == pytest.approx(directed_distance_brute(a, b), abs=1e-12)
+
+
+def test_exact_kernel_separates_float_ties():
+    # Both targets round to the same float point; only the exact comparison
+    # of the shortlisted candidates finds the nearer one, in either order.
+    near = (Fraction(1) - Fraction(1, 10 ** 20), Fraction(0))
+    far = (Fraction(1) + Fraction(1, 10 ** 20), Fraction(0))
+    origin = [(Fraction(0), Fraction(0))]
+    for targets in ([far, near], [near, far]):
+        tree = cKDTree([[float(c) for c in p] for p in targets])
+        assert directed_max_squared(origin, targets, True, tree) == near[0] ** 2
 
 
 def test_metric_axioms_exact():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzyifs.dyadic import band_start, reference_system
-from fuzzyifs.fuzzy import FuzzySet, GreyLevelMap
+from fuzzyifs.fuzzy import FuzzySet
 from fuzzyifs.grid import GridFuzzySet, parse_pgm
 
 F = Fraction
@@ -55,32 +55,6 @@ def test_from_exact_fuzzy_set():
     assert g.levels[15].max() == 1.0
     row_half = 16 - 1 - 8
     assert g.levels[row_half].max() == 0.75
-
-
-def test_grid_pushforward_and_grey():
-    base = GridFuzzySet.zeros((0, 0), (1, 1), 8, 8)
-    base.levels[7, 0] = 1.0  # world cell at (0.0625, 0.0625)
-    f = reference_system(exact=False).ifs.maps[1]  # halves y, lifts by 1/2
-    moved = base.pushforward(f)
-    occupied = np.nonzero(moved.levels)
-    assert len(occupied[0]) == 1
-    # y = 0.0625/2 + 0.5 = 0.53125 lands in row 8 - 1 - 4 = 3
-    assert (occupied[0][0], occupied[1][0]) == (3, 0)
-
-    dim = moved.apply_grey(GreyLevelMap.linear_ramp(0.75, exact=False))
-    assert dim.levels[3, 0] == 0.75
-    with pytest.raises(ValueError):
-        moved.apply_grey(GreyLevelMap.from_breakpoints([(0, 0.5), (1, 1)], exact=False))
-
-
-def test_join_requires_matching_geometry():
-    a = GridFuzzySet.zeros((0, 0), (1, 1), 4, 4)
-    b = GridFuzzySet.zeros((0, 0), (1, 1), 4, 4)
-    a.levels[0, 0] = 0.25
-    b.levels[0, 0] = 0.75
-    assert a.join(b).levels[0, 0] == 0.75
-    with pytest.raises(ValueError):
-        a.join(GridFuzzySet.zeros((0, 0), (2, 2), 4, 4))
 
 
 def test_validation():

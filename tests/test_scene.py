@@ -142,3 +142,33 @@ def test_render_validation():
     with pytest.raises(SceneError) as err:
         load_scene_dict(doc)
     assert any("bbox" in v for v in err.value.violations)
+
+
+def _set(doc, path, value):
+    *parents, key = path
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("dimension",), True, "dimension must be a positive integer", id="dimension"),
+    pytest.param(("stop", "steps"), True, "stop.steps must be an integer", id="steps"),
+    pytest.param(("support_cap",), True, "support_cap must be a positive integer",
+                 id="support_cap"),
+    pytest.param(("render", "width"), True, "render width and height must be positive",
+                 id="width"),
+    pytest.param(("render", "height"), True, "render width and height must be positive",
+                 id="height"),
+    pytest.param(("render", "bbox"), ["0", "0", "1e400", "1"], "render: ", id="bbox"),
+    pytest.param(("initial",), [[["1/2", "0"], "1"], [["1e400", "0"], "1/2"]], "initial point: ",
+                 id="initial"),
+])
+def test_field_violations_are_collected(path, value, message):
+    doc = slice_doc()
+    _set(doc, path, value)
+    _set(doc, ("contraction_constant",), "2")
+    with pytest.raises(SceneError) as err:
+        load_scene_dict(doc, mode_override="float")
+    text = "\n".join(err.value.violations)
+    assert message in text and "contraction_constant" in text
