@@ -125,7 +125,7 @@ def _cmd_run(args) -> int:
             "a_priori": float(report.a_priori),
             "certified_residual": float(report.certified_residual),
             "bound_trace": [
-                float(scene.system.a_priori_bound(scene.initial, m))
+                float(scene.system.scaled_bound(report.diameter, m))
                 for m in range(report.iterations + 1)
             ],
             "final_support": len(final),

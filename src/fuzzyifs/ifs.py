@@ -9,7 +9,7 @@ pairs and never claims a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -36,15 +36,31 @@ class SupportCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> linear @ x + offset."""
+    """x -> linear @ x + offset.
+
+    Construction builds a per-row plan: the nonzero entries of the row with
+    unit entries marked, and the offset, left out when it is exactly zero.
+    Applying the map then skips multiplying by 1 and adding a zero offset.
+    Float maps keep their offsets, because 0.0 + -0.0 is 0.0 and skipping the
+    addition would change the sign of a zero result.
+    """
 
     linear: Tuple[Tuple[Scalar, ...], ...]
     offset: Point
+    # Per row: (offset or None, ((column, entry or None for 1), ...)).
+    _rows: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         d = len(self.offset)
         if len(self.linear) != d or any(len(row) != d for row in self.linear):
             raise DimensionMismatchError("linear part must be DxD with offset of length D")
+        exact = self.exact
+        rows = []
+        for row, off in zip(self.linear, self.offset):
+            terms = tuple((j, None if entry == 1 else entry)
+                          for j, entry in enumerate(row) if entry)
+            rows.append((None if exact and terms and not off else off, terms))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @property
     def dimension(self) -> int:
@@ -63,12 +79,15 @@ class AffineMap:
     def __call__(self, p: Sequence) -> Point:
         if len(p) != self.dimension:
             raise DimensionMismatchError(f"point of dimension {len(p)}, map of {self.dimension}")
+        return self._apply(p)
+
+    def _apply(self, p: Sequence) -> Point:
+        """The image of p, for callers that checked its dimension already."""
         out = []
-        for row, off in zip(self.linear, self.offset):
-            acc = off
-            for entry, coord in zip(row, p):
-                if entry:
-                    acc = acc + entry * coord
+        for acc, terms in self._rows:
+            for j, entry in terms:
+                term = p[j] if entry is None else entry * p[j]
+                acc = term if acc is None else acc + term
             out.append(acc)
         return tuple(out)
 

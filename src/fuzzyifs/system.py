@@ -8,7 +8,8 @@ pointwise. Iterates form a Cauchy sequence whenever the declared contraction
 constant C is valid; the distance from the m-th iterate to the limit is at
 most C^m/(1-C) times the diameter of supp(u) together with its image, which
 is what `a_priori_bound` computes and what tolerance-mode iteration stops
-on. The stopping rule uses the bound rather than the residual alone, so the
+on; a run computes that diameter once and rescales it for every m. The
+stopping rule uses the bound rather than the residual alone, so the
 certificate stays sound even when consecutive iterates happen to coincide
 early.
 """
@@ -21,7 +22,10 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .fuzzy import (
+# apply_grey, join and zadeh_pushforward are the exact step's reference, not
+# its implementation; they stay names of this module for perfbench/tracing.py,
+# which times them here.
+from .fuzzy import (  # noqa: F401
     EmptySupportError,
     FuzzySet,
     GreyLevelMap,
@@ -30,7 +34,7 @@ from .fuzzy import (
     join,
     zadeh_pushforward,
 )
-from .geometry import FinitePointSet, diameter
+from .geometry import DimensionMismatchError, FinitePointSet, diameter
 from .ifs import DEFAULT_SUPPORT_CAP, IteratedFunctionSystem, SupportCapError
 from .numeric import DEDUP_DECIMALS, DEFAULT_TOL, Scalar, scale
 
@@ -54,13 +58,16 @@ class ConvergenceReport:
 
     d_history holds the distances between consecutive iterates;
     a_priori is the bound at the final step count; certified_residual is the
-    measured distance between the final iterate and its image.
+    measured distance between the final iterate and its image; diameter is
+    the diameter of the initial support together with its image, which every
+    a-priori bound of the run scales (see `OrbitalFuzzySystem.scaled_bound`).
     """
 
     iterations: int
     d_history: Tuple[Scalar, ...]
     a_priori: Scalar
     certified_residual: Scalar
+    diameter: Scalar
 
 
 @dataclass(frozen=True)
@@ -113,17 +120,41 @@ class OrbitalFuzzySystem:
             raise AdmissibilityError(violations)
 
     def step(self, u: FuzzySet) -> FuzzySet:
-        """One application of the fuzzy operator: join of the grey-weighted
-        images of u under every map."""
+        """One application of the fuzzy operator: the pointwise maximum of
+        the grey-weighted images of u under every map.
+
+        Exact mode makes one pass per map into one dict. Each grey map is
+        evaluated once per distinct level of u, and a point whose new level
+        is 0 is not mapped at all. The result equals
+        join([apply_grey(g, zadeh_pushforward(f, u)) for f, g in ...]), the
+        reference this step is tested against, except that a map whose part
+        the grey map erases adds nothing instead of raising: as in float
+        mode, only an empty join raises.
+        """
         self._require_admissible()
         if u.exact != self.exact:
             raise ValueError("fuzzy set and system use different numeric modes")
+        if u.dimension != self.dimension:
+            raise DimensionMismatchError(
+                f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
         if not u.exact:
             return self._step_float(u)
-        parts = []
+        items = u.items()
+        levels = {level for _, level in items}
+        merged: Dict = {}
         for f, g in zip(self.ifs.maps, self.grey_maps):
-            parts.append(apply_grey(g, zadeh_pushforward(f, u)))
-        return join(parts)
+            relit = {level: Fraction(g(level)) for level in levels}
+            apply = f._apply
+            for p, level in items:
+                new = relit[level]
+                if new:
+                    q = apply(p)
+                    old = merged.setdefault(q, new)
+                    if new > old:
+                        merged[q] = new
+        if not merged:
+            raise EmptySupportError("the operator erased the whole support")
+        return FuzzySet._from_dict(merged, exact=True, dimension=u.dimension)
 
     def _step_float(self, u: FuzzySet) -> FuzzySet:
         pts = u.points_array()
@@ -147,23 +178,25 @@ class OrbitalFuzzySystem:
         np.maximum.at(merged, inverse.reshape(-1), alll)
         return FuzzySet._from_float_arrays(uniq, merged)
 
-    def a_priori_bound(self, u: FuzzySet, m: int) -> Scalar:
-        """C^m/(1-C) times diam(image of supp(u) together with supp(u))."""
+    def reach_diameter(self, u: FuzzySet) -> Scalar:
+        """diam(supp(u) together with its image under every map)."""
+        supp = u.support_set()
+        return diameter(supp.union(self.ifs.step(supp)))
+
+    def scaled_bound(self, diam: Scalar, m: int) -> Scalar:
+        """C^m/(1-C) times diam: the a-priori bound at m for a start whose
+        reach diameter is diam."""
         if m < 0:
             raise ValueError("m must be >= 0")
         c = self.ifs.contraction_constant
-        supp = u.support_set()
-        reach = supp.union(self.ifs.step(supp))
-        diam = diameter(reach)
-        factor = c ** m / (1 - c)
-        return scale(diam, factor)
+        return scale(diam, c ** m / (1 - c))
 
-    def _steps_for_tolerance(self, u: FuzzySet, tolerance: Scalar) -> int:
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+    def a_priori_bound(self, u: FuzzySet, m: int) -> Scalar:
+        """C^m/(1-C) times diam(image of supp(u) together with supp(u))."""
+        return self.scaled_bound(self.reach_diameter(u), m)
+
+    def _steps_for_tolerance(self, diam: Scalar, tolerance: Scalar) -> int:
         c = self.ifs.contraction_constant
-        supp = u.support_set()
-        diam = diameter(supp.union(self.ifs.step(supp)))
         # The bound diam * c^m / (1 - c), one multiplication by c per m.
         # Exact mode compares squares, where every product stays rational.
         if self.exact:
@@ -199,7 +232,10 @@ class OrbitalFuzzySystem:
             raise ValueError("initial fuzzy set must be normal (some level 1)")
         if steps is not None and steps < 0:
             raise ValueError("steps must be >= 0")
-        m = steps if steps is not None else self._steps_for_tolerance(u0, tolerance)
+        if tolerance is not None and tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        diam = self.reach_diameter(u0)
+        m = steps if steps is not None else self._steps_for_tolerance(diam, tolerance)
         current = u0
         history = []
         for n in range(1, m + 1):
@@ -210,8 +246,9 @@ class OrbitalFuzzySystem:
                     partial=(current, ConvergenceReport(
                         iterations=n - 1,
                         d_history=tuple(history),
-                        a_priori=self.a_priori_bound(u0, n - 1),
+                        a_priori=self.scaled_bound(diam, n - 1),
                         certified_residual=None,
+                        diameter=diam,
                     )),
                 )
             history.append(d_infinity(current, nxt))
@@ -222,8 +259,9 @@ class OrbitalFuzzySystem:
         report = ConvergenceReport(
             iterations=m,
             d_history=tuple(history),
-            a_priori=self.a_priori_bound(u0, m),
+            a_priori=self.scaled_bound(diam, m),
             certified_residual=residual,
+            diameter=diam,
         )
         return current, report
 

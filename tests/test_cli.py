@@ -1,10 +1,13 @@
 import csv
 import json
+import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import fuzzyifs
 from fuzzyifs.cli import main
 from fuzzyifs.grid import parse_pgm
 
@@ -62,6 +65,8 @@ def test_run_band_tolerance_report(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["iterations"] == 8
     assert report["a_priori"] <= 0.01
+    # reach diameter sqrt(5)/2 and C = 1/2: the bound at m is sqrt(5) * 2^-m
+    assert report["bound_trace"] == [math.sqrt(5) * 2.0 ** -m for m in range(9)]
 
 
 def test_run_image_output(tmp_path):
@@ -152,9 +157,12 @@ def test_verify_failure_exit_code(monkeypatch):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(fuzzyifs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "fuzzyifs.cli", "run", SLICE, "--steps", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "ran 1 iterations" in result.stdout

@@ -149,3 +149,51 @@ def test_support_cap():
         sys_.iterate(singleton(F(1, 2), 0), steps=10, support_cap=100)
     with pytest.raises(SupportCapError):
         sys_.orbit(singleton(F(1, 2), 0), 10, support_cap=100)
+
+
+def _row_formula(f, p):
+    """The affine map row by row, adding every nonzero term to the offset."""
+    out = []
+    for row, off in zip(f.linear, f.offset):
+        acc = off
+        for entry, coord in zip(row, p):
+            if entry:
+                acc = acc + entry * coord
+        out.append(acc)
+    return tuple(out)
+
+
+def test_map_plan_matches_row_formula_exact():
+    rng = random.Random(31)
+    entries = (F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(5, 3))
+    offsets = (F(0), F(1, 2), F(-7, 3))
+    for _ in range(300):
+        dim = rng.choice((1, 2, 3))
+        f = AffineMap(
+            linear=tuple(tuple(rng.choice(entries) for _ in range(dim)) for _ in range(dim)),
+            offset=tuple(rng.choice(offsets) for _ in range(dim)),
+        )
+        p = tuple(F(rng.randrange(-9, 10), rng.choice((1, 2, 3, 8))) for _ in range(dim))
+        got = f(p)
+        assert got == _row_formula(f, p)
+        assert got == tuple(off + sum(e * c for e, c in zip(row, p))
+                            for row, off in zip(f.linear, f.offset))
+        assert all(type(c) is F for c in got)
+
+
+def test_map_plan_keeps_float_results_bit_identical():
+    rng = random.Random(32)
+    entries = (0.0, -0.0, 1.0, -1.0, 0.5, 1 / 3)
+    offsets = (0.0, -0.0, 0.25)
+    coords = (0.0, -0.0, 1.0, -2.5, 1 / 7)
+    for _ in range(300):
+        dim = rng.choice((1, 2, 3))
+        f = AffineMap(
+            linear=tuple(tuple(rng.choice(entries) for _ in range(dim)) for _ in range(dim)),
+            offset=tuple(rng.choice(offsets) for _ in range(dim)),
+        )
+        p = tuple(rng.choice(coords) for _ in range(dim))
+        # repr tells 0.0 from -0.0
+        assert repr(f(p)) == repr(_row_formula(f, p))
+    # 0.0 + -0.0 is 0.0: a float map keeps adding its zero offset
+    assert repr(AffineMap(linear=((1.0,),), offset=(0.0,))((-0.0,))) == "(0.0,)"

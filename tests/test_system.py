@@ -1,16 +1,31 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fuzzyifs.dyadic import band_start, reference_system, slice_start
-from fuzzyifs.fuzzy import FuzzySet, GreyLevelMap, d_infinity, join, restrict
-from fuzzyifs.geometry import FinitePointSet
+from fuzzyifs.fuzzy import (
+    EmptySupportError,
+    FuzzySet,
+    GreyLevelMap,
+    apply_grey,
+    d_infinity,
+    join,
+    restrict,
+    zadeh_pushforward,
+)
+from fuzzyifs.geometry import DimensionMismatchError, FinitePointSet
 from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem, SupportCapError
 from fuzzyifs.numeric import sqrt_exact
+from fuzzyifs.properties import _grey
+from fuzzyifs.scene import Scene, StopRule, load_scene_dict, scene_to_dict
 from fuzzyifs.system import AdmissibilityError, OrbitalFuzzySystem, invariant_domain_check
 
 F = Fraction
+
+
+STEP_AT_HALF = GreyLevelMap.from_breakpoints([(0, 0), (F(1, 2), 0), (F(1, 2), 1), (1, 1)])
 
 
 def identity_system(declared_c=F(1, 2)):
@@ -141,6 +156,23 @@ class TestBounds:
         bounds = [system.a_priori_bound(u0, m) for m in range(10)]
         assert all(b > n for b, n in zip(bounds, bounds[1:]))
 
+    def test_one_diameter_per_run(self, monkeypatch):
+        import fuzzyifs.system as system_module
+
+        system = reference_system()
+        u0 = band_start([0, F(1, 2), 1])
+        measured = []
+        real_diameter = system_module.diameter
+        monkeypatch.setattr(system_module, "diameter",
+                            lambda pts: measured.append(len(pts)) or real_diameter(pts))
+        _, report = system.iterate(u0, tolerance=F(1, 100))
+        assert measured == [6]  # three base points and their three images
+        monkeypatch.undo()
+        assert report.diameter == system.reach_diameter(u0) == sqrt_exact(F(5, 4))
+        for m in range(report.iterations + 1):
+            assert system.scaled_bound(report.diameter, m) == system.a_priori_bound(u0, m)
+        assert report.a_priori == system.a_priori_bound(u0, report.iterations)
+
     def test_constant_maps_give_zero_bound(self):
         const = AffineMap(linear=((F(0), F(0)), (F(0), F(0))), offset=(F(1), F(1)))
         system = OrbitalFuzzySystem(
@@ -244,9 +276,149 @@ class TestDecompositionAndMembership:
             assert invariant_domain_check(system, u, depth=4) == "yes"
 
 
-def test_operator_continuity_majorant_shrinks():
-    from fuzzyifs.fuzzy import zadeh_pushforward
+def random_system(rng, dim):
+    """1 to 3 maps with entries among 0, 1, -1 and non-unit rationals, zero
+    and nonzero offsets, and grey maps that may jump; map 0 reaches 1."""
+    entries = (F(0), F(0), F(1), F(-1), F(1, 2), F(-1, 3), F(3, 4), F(2))
+    offsets = (F(0), F(0), F(1, 2), F(-2, 3), F(3))
+    maps, greys = [], []
+    for i in range(rng.randrange(1, 4)):
+        maps.append(AffineMap(
+            linear=tuple(tuple(rng.choice(entries) for _ in range(dim)) for _ in range(dim)),
+            offset=tuple(rng.choice(offsets) for _ in range(dim)),
+        ))
+        greys.append(STEP_AT_HALF if rng.random() < 0.25 else _grey(rng, reach_one=i == 0))
+    return OrbitalFuzzySystem(
+        ifs=IteratedFunctionSystem(maps=tuple(maps), contraction_constant=F(1, 2)),
+        grey_maps=tuple(greys),
+    )
 
+
+def random_fuzzy(rng, dim, normal):
+    pairs = [(tuple(F(rng.randrange(-6, 7), rng.choice((1, 2, 3, 4))) for _ in range(dim)),
+              F(rng.randrange(1, 9), 8)) for _ in range(rng.randrange(1, 7))]
+    if normal:
+        pairs[0] = (pairs[0][0], F(1))
+    return FuzzySet(pairs)
+
+
+class TestStepReference:
+    """The one-pass exact step against join(apply_grey(zadeh_pushforward))."""
+
+    def test_matches_reference_composition(self):
+        rng = random.Random(41)
+        compared = erased = 0
+        for _ in range(400):
+            dim = rng.choice((1, 2))
+            system = random_system(rng, dim)
+            u = random_fuzzy(rng, dim, normal=rng.random() < 0.5)
+            pushed = [zadeh_pushforward(f, u) for f in system.ifs.maps]
+            parts = []
+            for g, image in zip(system.grey_maps, pushed):
+                try:
+                    parts.append(apply_grey(g, image))
+                except EmptySupportError:
+                    erased += 1
+            if not parts:
+                with pytest.raises(EmptySupportError):
+                    system.step(u)
+                continue
+            stepped = system.step(u)
+            reference = join(parts)
+            assert stepped == reference
+            if len(parts) == len(pushed):
+                compared += 1
+            if all(len(image) == len(u) for image in pushed):
+                # injective maps: the same support order, so the same CSV rows
+                assert list(stepped.support_points()) == list(reference.support_points())
+        assert compared > 300 and erased > 5
+
+    def test_erased_part_keeps_the_other_maps(self):
+        half = ((F(1, 2), F(0)), (F(0), F(1, 2)))
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(
+                maps=(AffineMap(half, (F(0), F(0))), AffineMap(half, (F(1, 2), F(0)))),
+                contraction_constant=F(1, 2)),
+            grey_maps=(GreyLevelMap.identity(), STEP_AT_HALF),
+        )
+        u = FuzzySet([((F(0), F(0)), F(1, 4)), ((F(1), F(0)), F(1, 4))])
+        exact = system.step(u)
+        assert dict(exact.items()) == {(F(0), F(0)): F(1, 4), (F(1, 2), F(0)): F(1, 4)}
+        assert system.to_float().step(u.to_float()) == exact.to_float()
+
+    def test_empty_join_raises_in_both_modes(self):
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(maps=(AffineMap.identity(1),), contraction_constant=F(0)),
+            grey_maps=(STEP_AT_HALF,),
+        )
+        u = FuzzySet([((F(0),), F(1, 4))])
+        for s, v in ((system, u), (system.to_float(), u.to_float())):
+            with pytest.raises(EmptySupportError):
+                s.step(v)
+
+    def test_dimension_mismatch_rejected(self):
+        # checked once per step: the maps then read coordinates unchecked
+        for p in ((F(0),), (F(0), F(0), F(0))):
+            with pytest.raises(DimensionMismatchError):
+                reference_system().step(FuzzySet([(p, F(1))]))
+
+
+def _assert_close_sets(exact, floated):
+    """The hypographs lie within 1e-9 of each other: every point of either
+    set has a point of the other within 1e-9 whose level is at least its
+    own minus 1e-9.
+
+    Float mode snaps points to a 1e-12 grid, so one exact point can come out
+    as two float points 1e-12 apart, one of them at a lower level; the
+    higher one covers it, so the sets still agree as fuzzy sets.
+    """
+    a = (exact.to_float().points_array(), exact.to_float().levels_array())
+    b = (floated.points_array(), floated.levels_array())
+    for (pts, levels), (other, other_levels) in ((a, b), (b, a)):
+        for p, level in zip(pts, levels):
+            near = np.abs(other - p).max(axis=1) <= 1e-9
+            assert np.any(near & (other_levels >= level - 1e-9))
+
+
+def test_modes_agree_on_random_scenes():
+    """Cross-mode differential check: random exact scenes, loaded once as
+    written and once with the float override, agree on every iterate and on
+    the report. Half of them stop on a tolerance, which both modes must turn
+    into the same step count."""
+    rng = random.Random(43)
+    for _ in range(60):
+        dim = rng.choice((1, 2))
+        system = random_system(rng, dim)
+        u0 = random_fuzzy(rng, dim, normal=True)
+        m = rng.randrange(0, 4)
+        if rng.random() < 0.5:
+            stop = StopRule(steps=m)
+        else:
+            # just above the bound at m, so below the bound at m - 1 (twice it)
+            bound = float(system.scaled_bound(system.reach_diameter(u0), m))
+            stop = StopRule(tolerance=F(bound) * F(1_000_001, 1_000_000))
+        doc = scene_to_dict(Scene(dimension=dim, numeric_mode="exact", system=system,
+                                  initial=u0, stop=stop, render=None))
+        runs = []
+        for mode in (None, "float"):
+            scene = load_scene_dict(doc, mode_override=mode)
+            iterates = [scene.initial]
+            final, report = scene.system.iterate(
+                scene.initial, steps=scene.stop.steps, tolerance=scene.stop.tolerance,
+                on_step=lambda n, u: iterates.append(u))
+            assert iterates[-1] is final
+            runs.append((iterates, report))
+        (exact_iterates, report), (float_iterates, freport) = runs
+        assert report.iterations == freport.iterations == m
+        for u, fu in zip(exact_iterates, float_iterates):
+            _assert_close_sets(u, fu)
+        for d, fd in zip(report.d_history, freport.d_history):
+            assert abs(float(d) - fd) <= 1e-9
+        for name in ("a_priori", "certified_residual", "diameter"):
+            assert abs(float(getattr(report, name)) - getattr(freport, name)) <= 1e-9
+
+
+def test_operator_continuity_majorant_shrinks():
     system = reference_system()
     u = slice_start(F(1, 2))
     previous = None
