@@ -7,15 +7,20 @@
     fuzzyifs render <scene-or-csv> --out-image F [--grid WxH] [--bbox ...]
 
 Exit codes: 0 success, 1 validation or parse error, 2 verification failure,
-3 resource cap exceeded.
+3 resource cap exceeded. Output files are created as temporary files next to
+their targets before any iteration and moved into place only when the
+command succeeds, so a failed run leaves existing outputs as they were.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from .fuzzy import FuzzySet
@@ -67,18 +72,55 @@ def _render_spec(scene: Scene, args) -> RenderSpec:
     return RenderSpec(bbox=bbox, width=grid[0], height=grid[1])
 
 
-def _write_csv(path, trace):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "level", "iteration"])
-        for iteration, u in enumerate(trace):
-            for p, level in u.items():
-                writer.writerow([
-                    format_scalar(p[0]),
-                    format_scalar(p[1]),
-                    format_scalar(level),
-                    iteration,
-                ])
+@contextlib.contextmanager
+def _staged_outputs(paths):
+    """Yield a temporary path next to each output path (None stays None).
+
+    The temporary files exist before the block runs, so an unwritable target
+    fails before any work. They replace their targets only when the block
+    succeeds and are removed otherwise.
+    """
+    mask = os.umask(0)
+    os.umask(mask)
+    staged = []
+    try:
+        for path in paths:
+            if path is None:
+                staged.append(None)
+                continue
+            if not path or os.path.isdir(path):
+                raise CliError(f"cannot write {path!r}: not a file name")
+            folder, name = os.path.split(os.path.abspath(path))
+            try:
+                fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
+            except OSError as err:
+                raise CliError(f"cannot write {path!r}: {err.strerror}") from err
+            os.close(fd)
+            staged.append(tmp)
+            # mkstemp's files are owner-only; give the mode open() would.
+            os.chmod(tmp, 0o666 & ~mask)
+        yield staged
+        for path, tmp in zip(paths, staged):
+            if tmp is not None:
+                os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            if tmp is not None and os.path.exists(tmp):
+                os.unlink(tmp)
+
+
+class _CsvTrace:
+    """Writes the x,y,level,iteration rows of each iterate as it arrives."""
+
+    def __init__(self, fh):
+        self._writer = csv.writer(fh, lineterminator="\n")
+        self._writer.writerow(["x", "y", "level", "iteration"])
+
+    def __call__(self, iteration, u: FuzzySet):
+        self._writer.writerows(
+            [format_scalar(p[0]), format_scalar(p[1]), format_scalar(level), iteration]
+            for p, level in u.items()
+        )
 
 
 def _write_image(path, u: FuzzySet, spec: RenderSpec):
@@ -103,36 +145,41 @@ def _cmd_run(args) -> int:
     if args.out_csv and scene.dimension != 2:
         raise CliError("CSV output requires dimension 2")
 
-    trace = [scene.initial]
-    final, report = scene.system.iterate(
-        scene.initial,
-        steps=stop.steps,
-        tolerance=stop.tolerance,
-        support_cap=scene.support_cap,
-        on_step=lambda n, u: trace.append(u),
-    )
-
-    if args.out_csv:
-        _write_csv(args.out_csv, trace)
-    if spec is not None:
-        _write_image(args.out_image, final, spec)
-    if args.report:
-        doc = {
-            "mode": scene.numeric_mode,
-            "stop": {"steps": stop.steps} if stop.steps is not None else {"tolerance": float(stop.tolerance)},
-            "iterations": report.iterations,
-            "d_history": [float(d) for d in report.d_history],
-            "a_priori": float(report.a_priori),
-            "certified_residual": float(report.certified_residual),
-            "bound_trace": [
-                float(scene.system.scaled_bound(report.diameter, m))
-                for m in range(report.iterations + 1)
-            ],
-            "final_support": len(final),
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    # The stack closes the CSV file before the staged outputs move into place.
+    with contextlib.ExitStack() as stack:
+        csv_tmp, image_tmp, report_tmp = stack.enter_context(
+            _staged_outputs([args.out_csv, args.out_image, args.report]))
+        on_step = None
+        if csv_tmp is not None:
+            on_step = _CsvTrace(stack.enter_context(
+                open(csv_tmp, "w", newline="", encoding="utf-8")))
+            on_step(0, scene.initial)
+        final, report = scene.system.iterate(
+            scene.initial,
+            steps=stop.steps,
+            tolerance=stop.tolerance,
+            support_cap=scene.support_cap,
+            on_step=on_step,
+        )
+        if spec is not None:
+            _write_image(image_tmp, final, spec)
+        if report_tmp is not None:
+            doc = {
+                "mode": scene.numeric_mode,
+                "stop": {"steps": stop.steps} if stop.steps is not None else {"tolerance": float(stop.tolerance)},
+                "iterations": report.iterations,
+                "d_history": [float(d) for d in report.d_history],
+                "a_priori": float(report.a_priori),
+                "certified_residual": float(report.certified_residual),
+                "bound_trace": [
+                    float(scene.system.scaled_bound(report.diameter, m))
+                    for m in range(report.iterations + 1)
+                ],
+                "final_support": len(final),
+            }
+            with open(report_tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
     print(
         f"ran {report.iterations} iterations, final support {len(final)} points, "
         f"a-priori bound {float(report.a_priori):.6g}, "
@@ -178,27 +225,28 @@ def _cmd_render(args) -> int:
         is_scene = False
     except SceneError:
         raise
-    if is_scene:
-        spec = _render_spec(scene, args)
-        final, _ = scene.system.iterate(
-            scene.initial,
-            steps=scene.stop.steps,
-            tolerance=scene.stop.tolerance,
-            support_cap=scene.support_cap,
-        )
-        _write_image(args.out_image, final, spec)
-    else:
-        u = _load_csv_points(source)
-        if args.bbox:
-            bbox = _parse_bbox(args.bbox)
+    with _staged_outputs([args.out_image]) as (image_tmp,):
+        if is_scene:
+            spec = _render_spec(scene, args)
+            final, _ = scene.system.iterate(
+                scene.initial,
+                steps=scene.stop.steps,
+                tolerance=scene.stop.tolerance,
+                support_cap=scene.support_cap,
+            )
+            _write_image(image_tmp, final, spec)
         else:
-            xs = [p[0] for p, _ in u.items()]
-            ys = [p[1] for p, _ in u.items()]
-            pad_x = max(1e-6, 0.05 * (max(xs) - min(xs) or 1.0))
-            pad_y = max(1e-6, 0.05 * (max(ys) - min(ys) or 1.0))
-            bbox = (min(xs) - pad_x, min(ys) - pad_y, max(xs) + pad_x, max(ys) + pad_y)
-        width, height = _parse_grid(args.grid) if args.grid else (64, 64)
-        _write_image(args.out_image, u, RenderSpec(bbox=bbox, width=width, height=height))
+            u = _load_csv_points(source)
+            if args.bbox:
+                bbox = _parse_bbox(args.bbox)
+            else:
+                xs = [p[0] for p, _ in u.items()]
+                ys = [p[1] for p, _ in u.items()]
+                pad_x = max(1e-6, 0.05 * (max(xs) - min(xs) or 1.0))
+                pad_y = max(1e-6, 0.05 * (max(ys) - min(ys) or 1.0))
+                bbox = (min(xs) - pad_x, min(ys) - pad_y, max(xs) + pad_x, max(ys) + pad_y)
+            width, height = _parse_grid(args.grid) if args.grid else (64, 64)
+            _write_image(image_tmp, u, RenderSpec(bbox=bbox, width=width, height=height))
     print(f"wrote {args.out_image}")
     return EXIT_OK
 

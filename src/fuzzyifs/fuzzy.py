@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -69,19 +69,6 @@ class GreyLevelMap:
     """
 
     nodes: Tuple[Tuple[Scalar, Scalar, Scalar], ...]
-    _ts: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _rights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _slopes: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        ts = np.array([float(t) for t, _, _ in self.nodes])
-        rights = np.array([float(r) for _, _, r in self.nodes])
-        lefts = np.array([float(l) for _, l, _ in self.nodes])
-        gaps = np.diff(ts)
-        slopes = (lefts[1:] - rights[:-1]) / gaps
-        object.__setattr__(self, "_ts", ts)
-        object.__setattr__(self, "_rights", rights)
-        object.__setattr__(self, "_slopes", slopes)
 
     @classmethod
     def from_breakpoints(cls, breakpoints: Sequence[Sequence], exact: bool = True) -> "GreyLevelMap":
@@ -172,14 +159,6 @@ class GreyLevelMap:
         value = right + (left_next - right) * (t - tk) / (tn - tk)
         return min(max(value, 0), 1)
 
-    def eval_array(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation."""
-        x = np.clip(values, 0.0, 1.0)
-        idx = np.clip(np.searchsorted(self._ts, x, side="right") - 1, 0, len(self._ts) - 2)
-        out = self._rights[idx] + self._slopes[idx] * (x - self._ts[idx])
-        out = np.where(x >= self._ts[-1], self._rights[-1], out)
-        return np.clip(out, 0.0, 1.0)
-
     def level_preimage(self, alpha: Scalar) -> Scalar:
         """Smallest argument whose value reaches alpha.
 
@@ -245,16 +224,6 @@ class FuzzySet:
         object.__setattr__(obj, "dimension", dimension)
         return obj
 
-    @classmethod
-    def _from_float_arrays(cls, points: np.ndarray, levels: np.ndarray) -> "FuzzySet":
-        keep = levels > 0.0
-        points = points[keep]
-        levels = levels[keep]
-        if not len(points):
-            raise EmptySupportError("all levels were zero")
-        support = {tuple(row): float(l) for row, l in zip(points.tolist(), levels.tolist())}
-        return cls._from_dict(support, exact=False, dimension=points.shape[1])
-
     def __setattr__(self, *args):
         raise AttributeError("FuzzySet is immutable")
 
@@ -285,12 +254,6 @@ class FuzzySet:
         if self.exact:
             return self.max_level == 1
         return self.max_level >= 1.0 - DEFAULT_TOL
-
-    def points_array(self) -> np.ndarray:
-        return np.array([[float(c) for c in p] for p in self._support], dtype=float)
-
-    def levels_array(self) -> np.ndarray:
-        return np.array([float(l) for l in self._support.values()], dtype=float)
 
     def to_float(self) -> "FuzzySet":
         if not self.exact:

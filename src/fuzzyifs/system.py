@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
-import numpy as np
-
-# apply_grey, join and zadeh_pushforward are the exact step's reference, not
-# its implementation; they stay names of this module for perfbench/tracing.py,
+# apply_grey, join and zadeh_pushforward are the step's reference, not its
+# implementation; they stay names of this module for perfbench/tracing.py,
 # which times them here.
 from .fuzzy import (  # noqa: F401
     EmptySupportError,
@@ -34,11 +32,16 @@ from .fuzzy import (  # noqa: F401
     join,
     zadeh_pushforward,
 )
-from .geometry import DimensionMismatchError, FinitePointSet, diameter
+from .geometry import DimensionMismatchError, FinitePointSet, as_point, diameter
 from .ifs import DEFAULT_SUPPORT_CAP, IteratedFunctionSystem, SupportCapError
-from .numeric import DEDUP_DECIMALS, DEFAULT_TOL, Scalar, scale
+from .numeric import DEFAULT_TOL, Scalar, scale
 
 _MAX_TOLERANCE_STEPS = 10_000
+
+
+def _snapped(apply):
+    """A float map's image function with its result on the dedup grid."""
+    return lambda p: as_point(apply(p), False)
 
 
 class UnreachableToleranceError(ValueError):
@@ -123,13 +126,14 @@ class OrbitalFuzzySystem:
         """One application of the fuzzy operator: the pointwise maximum of
         the grey-weighted images of u under every map.
 
-        Exact mode makes one pass per map into one dict. Each grey map is
-        evaluated once per distinct level of u, and a point whose new level
-        is 0 is not mapped at all. The result equals
+        Both numeric modes make one pass per map into one dict. Each grey
+        map is evaluated once per distinct level of u, and a point whose new
+        level is 0 is not mapped at all. Float images are snapped to the
+        dedup grid of `geometry.as_point`. The result equals
         join([apply_grey(g, zadeh_pushforward(f, u)) for f, g in ...]), the
         reference this step is tested against, except that a map whose part
-        the grey map erases adds nothing instead of raising: as in float
-        mode, only an empty join raises.
+        the grey map erases adds nothing instead of raising: only an empty
+        join raises.
         """
         self._require_admissible()
         if u.exact != self.exact:
@@ -137,46 +141,24 @@ class OrbitalFuzzySystem:
         if u.dimension != self.dimension:
             raise DimensionMismatchError(
                 f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
-        if not u.exact:
-            return self._step_float(u)
+        exact = u.exact
+        number = Fraction if exact else float
         items = u.items()
         levels = {level for _, level in items}
         merged: Dict = {}
         for f, g in zip(self.ifs.maps, self.grey_maps):
-            relit = {level: Fraction(g(level)) for level in levels}
-            apply = f._apply
+            relit = {level: number(g(level)) for level in levels}
+            image = f._apply if exact else _snapped(f._apply)
             for p, level in items:
                 new = relit[level]
                 if new:
-                    q = apply(p)
+                    q = image(p)
                     old = merged.setdefault(q, new)
                     if new > old:
                         merged[q] = new
         if not merged:
             raise EmptySupportError("the operator erased the whole support")
-        return FuzzySet._from_dict(merged, exact=True, dimension=u.dimension)
-
-    def _step_float(self, u: FuzzySet) -> FuzzySet:
-        pts = u.points_array()
-        lv = u.levels_array()
-        out_pts = []
-        out_lv = []
-        for f, g in zip(self.ifs.maps, self.grey_maps):
-            lin = np.array([[float(v) for v in row] for row in f.linear])
-            off = np.array([float(v) for v in f.offset])
-            moved = pts @ lin.T + off
-            relit = g.eval_array(lv)
-            keep = relit > 0.0
-            out_pts.append(moved[keep])
-            out_lv.append(relit[keep])
-        allp = np.round(np.vstack(out_pts), DEDUP_DECIMALS) + 0.0
-        alll = np.concatenate(out_lv)
-        if not len(allp):
-            raise EmptySupportError("the operator erased the whole support")
-        uniq, inverse = np.unique(allp, axis=0, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.maximum.at(merged, inverse.reshape(-1), alll)
-        return FuzzySet._from_float_arrays(uniq, merged)
+        return FuzzySet._from_dict(merged, exact=exact, dimension=u.dimension)
 
     def reach_diameter(self, u: FuzzySet) -> Scalar:
         """diam(supp(u) together with its image under every map)."""

@@ -46,6 +46,10 @@ def test_run_tolerance_mode_report(tmp_path):
     report_path = tmp_path / "report.json"
     assert main(["run", SLICE, "--tol", "0.01", "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
+    # the staged output gets the mode of a file made by open()
+    made = tmp_path / "made"
+    made.write_text("")
+    assert report_path.stat().st_mode == made.stat().st_mode
     # slice reach has diameter 1/2: bound 2^-m <= 1/100 first at m = 7
     expected_m = next(m for m in range(100) if 2 ** m >= 100)
     assert report["iterations"] == expected_m == 7
@@ -135,6 +139,15 @@ def test_exit_code_support_cap(tmp_path):
     capped.write_text(json.dumps(doc))
     assert main(["run", str(capped)]) == 3
 
+    # a failed run leaves existing outputs as they were, and no temporary files
+    outputs = [tmp_path / name for name in ("old.csv", "old.pgm", "old.json")]
+    for path in outputs:
+        path.write_text("previous run\n")
+    assert main(["run", str(capped), "--out-csv", str(outputs[0]),
+                 "--out-image", str(outputs[1]), "--report", str(outputs[2])]) == 3
+    assert all(path.read_text() == "previous run\n" for path in outputs)
+    assert len(list(tmp_path.iterdir())) == 4
+
 
 def test_image_without_render_spec_fails(tmp_path):
     doc = json.loads(Path(SLICE).read_text())
@@ -168,7 +181,7 @@ def test_console_script_entry_point(tmp_path):
     assert "ran 1 iterations" in result.stdout
 
 
-def test_output_options_checked_before_iterating(tmp_path, monkeypatch):
+def test_output_options_checked_before_iterating(tmp_path, monkeypatch, capsys):
     from fuzzyifs.system import OrbitalFuzzySystem
 
     def fail(*args, **kwargs):
@@ -193,6 +206,31 @@ def test_output_options_checked_before_iterating(tmp_path, monkeypatch):
     line_path.write_text(json.dumps(line))
     assert main(["run", str(line_path), "--out-csv", str(tmp_path / "x.csv")]) == 1
     assert main(["render", str(norender), "--out-image", str(tmp_path / "y.pgm")]) == 1
+
+    # targets that cannot be written: a missing directory, or a directory
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "out")
+    for argv in (["run", BAND, "--out-csv", missing],
+                 ["run", BAND, "--out-image", missing],
+                 ["run", BAND, "--report", missing],
+                 ["run", BAND, "--report", str(tmp_path)],
+                 ["render", BAND, "--out-image", missing]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["line.json", "norender.json"]
+
+
+def test_float_and_exact_csv_rows_agree(tmp_path):
+    # every value of the band is dyadic, so exact in floats
+    rows = {}
+    for mode in ("exact", "float"):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["run", BAND, "--steps", "3", "--mode", mode, "--out-csv", str(out)]) == 0
+        rows[mode] = [(F(r["x"]), F(r["y"]), F(r["level"]), int(r["iteration"]))
+                      for r in read_rows(out)]
+    assert len(rows["exact"]) == 65 * (2 ** 4 - 1)
+    assert rows["float"] == rows["exact"]
 
 
 def test_unreachable_tolerance_is_a_one_line_error(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from fuzzyifs.dyadic import reference_system, slice_start
@@ -68,19 +67,6 @@ class TestGreyLevelMap:
 
     def test_jump_round_trip(self):
         assert GreyLevelMap.from_breakpoints(STEP_AT_HALF.to_breakpoints()) == STEP_AT_HALF
-
-    def test_eval_array_matches_scalar(self):
-        rng = random.Random(2)
-        maps = [GreyLevelMap.identity(exact=False),
-                GreyLevelMap.linear_ramp(0.75, exact=False),
-                STEP_AT_HALF.to_float(),
-                GreyLevelMap.from_breakpoints(
-                    [(0, 0), (0.25, 0.1), (0.25, 0.5), (0.8, 0.6), (1, 1)], exact=False)]
-        ts = np.array([rng.random() for _ in range(200)] + [0.0, 0.25, 0.5, 0.8, 1.0])
-        for g in maps:
-            vector = g.eval_array(ts)
-            scalars = np.array([g(float(t)) for t in ts])
-            assert np.allclose(vector, scalars, atol=1e-12)
 
     def test_random_maps_evaluate_nondecreasing(self):
         from fuzzyifs.properties import _grey

@@ -303,35 +303,38 @@ def random_fuzzy(rng, dim, normal):
 
 
 class TestStepReference:
-    """The one-pass exact step against join(apply_grey(zadeh_pushforward))."""
+    """The one-pass step against join(apply_grey(zadeh_pushforward)), in
+    both numeric modes."""
 
     def test_matches_reference_composition(self):
         rng = random.Random(41)
         compared = erased = 0
         for _ in range(400):
             dim = rng.choice((1, 2))
-            system = random_system(rng, dim)
-            u = random_fuzzy(rng, dim, normal=rng.random() < 0.5)
-            pushed = [zadeh_pushforward(f, u) for f in system.ifs.maps]
-            parts = []
-            for g, image in zip(system.grey_maps, pushed):
-                try:
-                    parts.append(apply_grey(g, image))
-                except EmptySupportError:
-                    erased += 1
-            if not parts:
-                with pytest.raises(EmptySupportError):
-                    system.step(u)
-                continue
-            stepped = system.step(u)
-            reference = join(parts)
-            assert stepped == reference
-            if len(parts) == len(pushed):
-                compared += 1
-            if all(len(image) == len(u) for image in pushed):
-                # injective maps: the same support order, so the same CSV rows
-                assert list(stepped.support_points()) == list(reference.support_points())
-        assert compared > 300 and erased > 5
+            exact_system = random_system(rng, dim)
+            exact_u = random_fuzzy(rng, dim, normal=rng.random() < 0.5)
+            for system, u in ((exact_system, exact_u),
+                              (exact_system.to_float(), exact_u.to_float())):
+                pushed = [zadeh_pushforward(f, u) for f in system.ifs.maps]
+                parts = []
+                for g, image in zip(system.grey_maps, pushed):
+                    try:
+                        parts.append(apply_grey(g, image))
+                    except EmptySupportError:
+                        erased += 1
+                if not parts:
+                    with pytest.raises(EmptySupportError):
+                        system.step(u)
+                    continue
+                stepped = system.step(u)
+                reference = join(parts)
+                assert stepped == reference
+                if len(parts) == len(pushed):
+                    compared += 1
+                if all(len(image) == len(u) for image in pushed):
+                    # injective maps: the same support order, so the same CSV rows
+                    assert list(stepped.support_points()) == list(reference.support_points())
+        assert compared > 600 and erased > 10
 
     def test_erased_part_keeps_the_other_maps(self):
         half = ((F(1, 2), F(0)), (F(0), F(1, 2)))
@@ -372,8 +375,10 @@ def _assert_close_sets(exact, floated):
     as two float points 1e-12 apart, one of them at a lower level; the
     higher one covers it, so the sets still agree as fuzzy sets.
     """
-    a = (exact.to_float().points_array(), exact.to_float().levels_array())
-    b = (floated.points_array(), floated.levels_array())
+    a, b = (
+        (np.array([p for p, _ in u.items()]), np.array([l for _, l in u.items()]))
+        for u in (exact.to_float(), floated)
+    )
     for (pts, levels), (other, other_levels) in ((a, b), (b, a)):
         for p, level in zip(pts, levels):
             near = np.abs(other - p).max(axis=1) <= 1e-9
