@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import islice
 
 from .fuzzy import FuzzySet
 from .grid import GridFuzzySet
@@ -172,8 +173,8 @@ def _cmd_run(args) -> int:
                 "a_priori": float(report.a_priori),
                 "certified_residual": float(report.certified_residual),
                 "bound_trace": [
-                    float(scene.system.scaled_bound(report.diameter, m))
-                    for m in range(report.iterations + 1)
+                    float(bound) for bound in islice(
+                        scene.system.bounds(report.diameter), report.iterations + 1)
                 ],
                 "final_support": len(final),
             }

@@ -248,24 +248,21 @@ def hausdorff_brute(a: FinitePointSet, b: FinitePointSet):
 
 
 def diameter(a: FinitePointSet):
-    """Largest pairwise distance; zero for singletons."""
-    pts = a.points
-    if len(pts) == 1:
-        return Fraction(0) if a.exact else 0.0
-    if not a.exact and len(pts) > 256:
+    """Largest pairwise distance; zero for singletons.
+
+    Float mode takes one numpy row of distances per point. Exact mode
+    compares the pairs' squares as integer pairs (`_squared_numden`) and
+    normalizes only the largest.
+    """
+    if not a.exact:
         arr = a.to_float_array()
-        best = 0.0
-        for i in range(len(arr)):
-            d = np.linalg.norm(arr[i + 1:] - arr[i], axis=1)
-            if d.size:
-                best = max(best, float(d.max()))
-        return best
-    best = None
+        return max((float(np.linalg.norm(arr[i + 1:] - arr[i], axis=1).max())
+                    for i in range(len(arr) - 1)), default=0.0)
+    pts = a.points
+    best_num, best_den = 0, 1
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
-            sq = squared_distance(p, q)
-            if best is None or sq > best:
-                best = sq
-    if a.exact:
-        return sqrt_exact(best)
-    return math.sqrt(best)
+            num, den = _squared_numden(p, q)
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    return sqrt_exact(Fraction(best_num, best_den))

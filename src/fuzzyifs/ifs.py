@@ -138,6 +138,8 @@ class IteratedFunctionSystem:
         d = self.maps[0].dimension
         if any(m.dimension != d for m in self.maps):
             raise DimensionMismatchError("maps of mixed dimension")
+        if any(m.exact != self.maps[0].exact for m in self.maps):
+            raise ValueError("cannot mix numeric modes")
         if not (0 <= self.contraction_constant < 1):
             raise ValueError("contraction_constant out of range [0, 1)")
 

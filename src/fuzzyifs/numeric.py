@@ -69,10 +69,11 @@ class Radical:
     """Exact square root of a nonnegative rational.
 
     Construct through `sqrt_exact`, which returns a plain Fraction when the
-    root is rational. Comparisons against rationals and other radicals are
-    exact (performed on squares). Sums of radicals leave the representation,
-    so addition is deliberately not provided; `le_sum` covers the
-    triangle-inequality checks the tests need.
+    root is rational, or directly from a square known not to be a rational
+    square. Comparisons against rationals and other radicals are exact
+    (performed on squares). There is no arithmetic: sums leave the
+    representation, and products and quotients are taken on `square` by the
+    caller; `le_sum` covers the triangle-inequality checks the tests need.
     """
 
     __slots__ = ("square",)
@@ -137,33 +138,6 @@ class Radical:
             return NotImplemented
         return keys[0] >= keys[1]
 
-    def __mul__(self, other):
-        if is_exact(other):
-            if other < 0:
-                raise ValueError("distance values are nonnegative")
-            return sqrt_exact(self.square * Fraction(other) ** 2)
-        if isinstance(other, Radical):
-            return sqrt_exact(self.square * other.square)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if is_exact(other):
-            if other <= 0:
-                raise ZeroDivisionError("division by a nonpositive value")
-            return sqrt_exact(self.square / Fraction(other) ** 2)
-        if isinstance(other, Radical):
-            return sqrt_exact(self.square / other.square)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if is_exact(other):
-            if other < 0:
-                raise ValueError("distance values are nonnegative")
-            return sqrt_exact(Fraction(other) ** 2 / self.square)
-        return NotImplemented
-
 
 def sqrt_exact(value) -> Union[Fraction, Radical]:
     """Exact square root of a nonnegative rational."""
@@ -190,12 +164,3 @@ def le_sum(a, b, c) -> bool:
     if t <= 0:
         return True
     return t * t <= 4 * sb * sc
-
-
-def scale(value, factor):
-    """value * factor for a distance value and a nonnegative scalar."""
-    if isinstance(value, float) or isinstance(factor, float):
-        return float(value) * float(factor)
-    if isinstance(value, Radical):
-        return value * Fraction(factor)
-    return Fraction(value) * Fraction(factor)

@@ -8,17 +8,20 @@ pointwise. Iterates form a Cauchy sequence whenever the declared contraction
 constant C is valid; the distance from the m-th iterate to the limit is at
 most C^m/(1-C) times the diameter of supp(u) together with its image, which
 is what `a_priori_bound` computes and what tolerance-mode iteration stops
-on; a run computes that diameter once and rescales it for every m. The
-stopping rule uses the bound rather than the residual alone, so the
-certificate stays sound even when consecutive iterates happen to coincide
-early.
+on. A run computes that diameter once; one walk, `bounds`, then yields the
+bound for m = 0, 1, 2, ... with one multiplication per m, and the stop rule,
+the report and the CLI's bound trace all read it, so a certified bound and a
+reported one are the same number. The stopping rule uses the bound rather
+than the residual alone, so the certificate stays sound even when
+consecutive iterates happen to coincide early.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 # apply_grey, join and zadeh_pushforward are the step's reference, not its
 # implementation; they stay names of this module for perfbench/tracing.py,
@@ -34,7 +37,7 @@ from .fuzzy import (  # noqa: F401
 )
 from .geometry import DimensionMismatchError, FinitePointSet, as_point, diameter
 from .ifs import DEFAULT_SUPPORT_CAP, IteratedFunctionSystem, SupportCapError
-from .numeric import DEFAULT_TOL, Scalar, scale
+from .numeric import DEFAULT_TOL, Radical, Scalar
 
 _MAX_TOLERANCE_STEPS = 10_000
 
@@ -63,7 +66,7 @@ class ConvergenceReport:
     a_priori is the bound at the final step count; certified_residual is the
     measured distance between the final iterate and its image; diameter is
     the diameter of the initial support together with its image, which every
-    a-priori bound of the run scales (see `OrbitalFuzzySystem.scaled_bound`).
+    a-priori bound of the run scales (see `OrbitalFuzzySystem.bounds`).
     """
 
     iterations: int
@@ -165,33 +168,44 @@ class OrbitalFuzzySystem:
         supp = u.support_set()
         return diameter(supp.union(self.ifs.step(supp)))
 
+    def bounds(self, diam: Scalar) -> Iterator[Scalar]:
+        """The a-priori bound C^m/(1-C) times diam at m = 0, 1, 2, ... for a
+        start whose reach diameter is diam, one multiplication per m.
+
+        A Radical diameter is walked on squares: diam^2/(1-C)^2, then times
+        C^2 per m. For C > 0 the square times a rational square stays a
+        non-square, so each bound is a Radical with no square root taken; a
+        zero bound is Fraction(0).
+        """
+        c = self.ifs.contraction_constant
+        if isinstance(diam, Radical):
+            square, ratio = diam.square / (1 - c) ** 2, c * c
+            while True:
+                yield Radical(square) if square else Fraction(0)
+                square *= ratio
+        bound = diam / (1 - c)
+        while True:
+            yield bound
+            bound *= c
+
     def scaled_bound(self, diam: Scalar, m: int) -> Scalar:
-        """C^m/(1-C) times diam: the a-priori bound at m for a start whose
-        reach diameter is diam."""
+        """The bound at m of `bounds(diam)`."""
         if m < 0:
             raise ValueError("m must be >= 0")
-        c = self.ifs.contraction_constant
-        return scale(diam, c ** m / (1 - c))
+        return next(islice(self.bounds(diam), m, None))
 
     def a_priori_bound(self, u: FuzzySet, m: int) -> Scalar:
         """C^m/(1-C) times diam(image of supp(u) together with supp(u))."""
         return self.scaled_bound(self.reach_diameter(u), m)
 
-    def _steps_for_tolerance(self, diam: Scalar, tolerance: Scalar) -> int:
-        c = self.ifs.contraction_constant
-        # The bound diam * c^m / (1 - c), one multiplication by c per m.
-        # Exact mode compares squares, where every product stays rational.
-        if self.exact:
-            bound, ratio, limit = diam * diam / (1 - c) ** 2, c * c, tolerance * tolerance
-        else:
-            bound, ratio, limit = diam / (1 - c), c, tolerance
-        for m in range(_MAX_TOLERANCE_STEPS + 1):
-            if bound <= limit:
-                return m
-            bound *= ratio
+    def _steps_for_tolerance(self, diam: Scalar, tolerance: Scalar) -> Tuple[int, Scalar]:
+        """The first m whose bound is within the tolerance, and that bound."""
+        for m, bound in zip(range(_MAX_TOLERANCE_STEPS + 1), self.bounds(diam)):
+            if bound <= tolerance:
+                return m, bound
         raise UnreachableToleranceError(
             f"tolerance {float(tolerance):g} needs more than {_MAX_TOLERANCE_STEPS} steps "
-            f"at contraction constant {float(c):g}")
+            f"at contraction constant {float(self.ifs.contraction_constant):g}")
 
     def iterate(
         self,
@@ -217,7 +231,10 @@ class OrbitalFuzzySystem:
         if tolerance is not None and tolerance <= 0:
             raise ValueError("tolerance must be positive")
         diam = self.reach_diameter(u0)
-        m = steps if steps is not None else self._steps_for_tolerance(diam, tolerance)
+        if steps is None:
+            m, bound = self._steps_for_tolerance(diam, tolerance)
+        else:
+            m, bound = steps, self.scaled_bound(diam, steps)
         current = u0
         history = []
         for n in range(1, m + 1):
@@ -241,7 +258,7 @@ class OrbitalFuzzySystem:
         report = ConvergenceReport(
             iterations=m,
             d_history=tuple(history),
-            a_priori=self.scaled_bound(diam, m),
+            a_priori=bound,
             certified_residual=residual,
             diameter=diam,
         )

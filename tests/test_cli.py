@@ -10,6 +10,7 @@ from pathlib import Path
 import fuzzyifs
 from fuzzyifs.cli import main
 from fuzzyifs.grid import parse_pgm
+from fuzzyifs.numeric import sqrt_exact
 
 F = Fraction
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -169,16 +170,63 @@ def test_verify_failure_exit_code(monkeypatch):
     assert cli.main(["verify"]) == 2
 
 
-def test_console_script_entry_point(tmp_path):
-    # the child imports the same package as this process, installed or not
+def child_env():
+    """The environment of a child process that imports the same package as
+    this process, installed or not."""
     package_root = str(Path(fuzzyifs.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "fuzzyifs.cli", "run", SLICE, "--steps", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0
     assert "ran 1 iterations" in result.stdout
+
+
+def test_bound_trace_at_large_m(tmp_path):
+    """A declared C = 99/100 needs about a thousand steps; every entry of the
+    trace is the exact bound sqrt(diam^2 C^2m/(1-C)^2). The map is constant,
+    a valid map for any C, so the steps stay cheap."""
+    c = F(99, 100)
+    doc = json.loads(Path(SLICE).read_text())
+    doc.update(contraction_constant=str(c), initial=[[["0", "0"], "1"]],
+               maps=[{"linear": [["0", "0"], ["0", "0"]], "offset": ["1", "2"]}],
+               grey_maps=[{"breakpoints": [["0", "0"], ["1", "1"]]}])
+    scene_path = tmp_path / "slow_contraction.json"
+    scene_path.write_text(json.dumps(doc))
+    report_path = tmp_path / "report.json"
+    assert main(["run", str(scene_path), "--tol", "0.01", "--report", str(report_path)]) == 0
+    trace = json.loads(report_path.read_text())["bound_trace"]
+
+    def bound_square(m):  # (0, 0) and its image (1, 2): diam^2 = 5
+        return 5 * c ** (2 * m) / (1 - c) ** 2
+
+    last = len(trace) - 1
+    assert last > 900
+    for m in (0, 1, 2, 17, 500, last - 1, last):
+        assert trace[m] == float(sqrt_exact(bound_square(m)))
+    assert trace[last] <= 0.01
+    assert bound_square(last - 1) > F(1, 100) ** 2
+
+
+def test_traced_run_spans_the_library(tmp_path):
+    """perfbench/tracing.py wraps library names from outside; a run under it
+    exits 0 and records the layers the benchmark reports."""
+    spans_path = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(SCENES.parent / "perfbench" / "tracing.py"), str(spans_path),
+         "run", SLICE, "--steps", "2"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(spans_path.read_text())
+    assert doc["exit_code"] == 0
+    names = {span[0] for span in doc["spans"]}
+    assert {"system.step", "fuzzy.d_infinity", "geometry.diameter"} <= names
 
 
 def test_output_options_checked_before_iterating(tmp_path, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from fuzzyifs.geometry import (
     euclid,
     hausdorff,
     hausdorff_brute,
+    squared_distance,
 )
 from fuzzyifs.numeric import le_sum, sqrt_exact
 
@@ -56,6 +57,31 @@ def test_diameter():
         euclid(p, q) for i, p in enumerate(corners) for q in corners[i + 1:]
     )
     assert diameter(square) == expected == sqrt_exact(Fraction(2))
+
+
+def test_diameter_matches_brute_double_loop():
+    """Float sets of 257 to 400 points and exact sets of 1 to 60 points, in 1
+    to 3 dimensions, against the largest squared distance of a double loop:
+    float results bit for bit, exact ones exactly."""
+    rng = random.Random(17)
+
+    def brute(s):
+        best = max((squared_distance(p, q) for i, p in enumerate(s.points)
+                    for q in s.points[i + 1:]), default=0)
+        return sqrt_exact(best) if s.exact else math.sqrt(best)
+
+    for dim in (1, 2, 3):
+        for _ in range(2):
+            cloud = FinitePointSet.from_points(
+                [[rng.uniform(-3, 3) for _ in range(dim)] for _ in range(rng.randint(257, 400))],
+                exact=False)
+            assert len(cloud) > 256
+            assert diameter(cloud) == brute(cloud)
+        for n in range(1, 61, 3):
+            s = FinitePointSet.from_points(
+                [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(dim)]
+                 for _ in range(n)])
+            assert diameter(s) == brute(s)
 
 
 def test_empty_and_mode_errors():

@@ -36,6 +36,16 @@ def test_constructor_validation():
         IteratedFunctionSystem(maps=(AffineMap.identity(2),), contraction_constant=F(1))
 
 
+def test_mixed_numeric_modes_rejected():
+    # checked on construction, in either order: otherwise the exact step
+    # stores float points in an exact fuzzy set and d_infinity fails later
+    exact_map = AffineMap(linear=((F(1, 2),),), offset=(F(0),))
+    float_map = AffineMap(linear=((0.5,),), offset=(0.25,))
+    for maps in ((exact_map, float_map), (float_map, exact_map)):
+        with pytest.raises(ValueError, match="cannot mix numeric modes"):
+            IteratedFunctionSystem(maps=maps, contraction_constant=F(1, 2))
+
+
 def test_step():
     ident_sys = IteratedFunctionSystem(maps=(AffineMap.identity(2),), contraction_constant=F(0))
     k = FinitePointSet.from_points([(F(0), F(1)), (F(2), F(3))])

@@ -173,6 +173,40 @@ class TestBounds:
             assert system.scaled_bound(report.diameter, m) == system.a_priori_bound(u0, m)
         assert report.a_priori == system.a_priori_bound(u0, report.iterations)
 
+    def test_float_report_is_the_certified_bound(self):
+        """A float run reports the bound its stop rule compared with the
+        tolerance, not a recomputation that can land one ulp above it."""
+
+        def one_map_system(c, b):
+            return OrbitalFuzzySystem(
+                ifs=IteratedFunctionSystem(maps=(AffineMap(linear=((c,),), offset=(b,)),),
+                                           contraction_constant=c),
+                grey_maps=(GreyLevelMap.identity().to_float(),),
+            )
+
+        system = one_map_system(0.347084, 5.054997)
+        u0 = FuzzySet([((0.0,), 1.0)], exact=False)
+        tol = 0.001630573357116929
+        _, report = system.iterate(u0, tolerance=tol)
+        assert report.iterations == 8
+        assert report.a_priori <= tol
+        assert report.a_priori == system.scaled_bound(report.diameter, 8)
+
+        rng = random.Random(11)
+        for _ in range(200):
+            c = rng.uniform(0.05, 0.95)
+            system = one_map_system(c, rng.uniform(-9, 9))
+            u0 = FuzzySet([((rng.uniform(-9, 9),), 1.0)], exact=False)
+            m = rng.randrange(0, 30)
+            # the bound at m, walked by hand: diam/(1-C), then times C per step
+            tol = system.reach_diameter(u0) / (1 - c)
+            for _ in range(m):
+                tol *= c
+            _, report = system.iterate(u0, tolerance=tol)
+            assert report.iterations == m
+            assert report.a_priori <= tol
+            assert report.a_priori == system.scaled_bound(report.diameter, m)
+
     def test_constant_maps_give_zero_bound(self):
         const = AffineMap(linear=((F(0), F(0)), (F(0), F(0))), offset=(F(1), F(1)))
         system = OrbitalFuzzySystem(
