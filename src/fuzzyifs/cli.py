@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -110,17 +111,34 @@ def _staged_outputs(paths):
                 os.unlink(tmp)
 
 
+def _ratio(n: int, den: int) -> str:
+    """n/den written as str(Fraction(n, den)) writes it."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 class _CsvTrace:
-    """Writes the x,y,level,iteration rows of each iterate as it arrives."""
+    """Writes the x,y,level,iteration rows of each iterate as it arrives.
+
+    Exact rows come from the integer form: one gcd per coordinate and one
+    string per distinct level."""
 
     def __init__(self, fh):
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(["x", "y", "level", "iteration"])
 
     def __call__(self, iteration, u: FuzzySet):
+        if not u.exact:
+            self._writer.writerows(
+                [format_scalar(p[0]), format_scalar(p[1]), format_scalar(level), iteration]
+                for p, level in u.items()
+            )
+            return
+        den, levels, ranks = u.scaled()
+        labels = [str(level) for level in levels]
         self._writer.writerows(
-            [format_scalar(p[0]), format_scalar(p[1]), format_scalar(level), iteration]
-            for p, level in u.items()
+            [_ratio(x, den), _ratio(y, den), labels[r], iteration]
+            for (x, y), r in ranks.items()
         )
 
 

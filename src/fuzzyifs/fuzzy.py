@@ -5,6 +5,12 @@ A fuzzy set stores only its strictly positive levels; level zero means "not
 in the support". Finitely supported functions are automatically upper
 semicontinuous, so no continuity bookkeeping is needed.
 
+An exact set is held in integers: its points as numerator tuples over one
+common denominator, its levels as ranks in a table of the levels present
+(see `FuzzySet`). The operator step and `d_infinity` work on that form and
+hash only ints; `items()`, `level()`, `support_set()` and `level_values()`
+show Fractions at the boundary.
+
 The metric `d_infinity` is the supremum over alpha of the Hausdorff distance
 between alpha-cuts. On finite supports the supremum is attained on the
 finite set of occurring levels (cuts are constant between consecutive
@@ -12,7 +18,8 @@ levels), which gives the level-sweep reference implementation, kept as a
 test oracle. `d_infinity` uses the equivalent per-point form: for each
 support point x of u, the nearest point of v at level >= u(x), and
 symmetrically. It has one body for both numeric modes, built on the same
-nearest-neighbour kernel as the crisp `geometry.hausdorff`.
+nearest-neighbour kernel as the crisp `geometry.hausdorff`; exact pairs are
+first brought onto one denominator and one level table.
 """
 
 from __future__ import annotations
@@ -23,17 +30,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (
     DimensionMismatchError,
     FinitePointSet,
     Point,
+    as_float_array,
     as_point,
     directed_max_squared,
     hausdorff,
     point_is_exact,
+    scale_points,
     tree_pays_off,
 )
 from .numeric import DEFAULT_TOL, Scalar, is_exact, sqrt_exact
@@ -183,9 +191,20 @@ class GreyLevelMap:
 
 
 class FuzzySet:
-    """Finitely supported fuzzy subset of R^D with levels in (0, 1]."""
+    """Finitely supported fuzzy subset of R^D with levels in (0, 1].
 
-    __slots__ = ("_support", "exact", "dimension")
+    A float set maps each support point, snapped to the dedup grid, to its
+    level. An exact set holds integers: each support point is a tuple of
+    numerators over one common denominator D, the least one (the lcm of the
+    reduced denominators of its coordinates), and maps to the rank of its
+    level in an ascending table of exactly the levels present, preceded by 0
+    at rank 0. That form is canonical, so equal sets have equal
+    representations. `scaled()` gives it to the step, the metric and the
+    writers; `items()`, `level()`, `support_set()` and `level_values()` give
+    Fractions.
+    """
+
+    __slots__ = ("_support", "_den", "_levels", "_items", "exact", "dimension")
 
     def __init__(self, pairs: Iterable[Tuple[Sequence, Scalar]], exact: Optional[bool] = None):
         pairs = list(pairs)
@@ -195,59 +214,128 @@ class FuzzySet:
             p0, l0 = pairs[0]
             exact = point_is_exact(p0) and is_exact(l0)
         dimension = len(pairs[0][0])
-        support: Dict[Point, Scalar] = {}
+        kept = []
         for p, level in pairs:
             if len(p) != dimension:
                 raise DimensionMismatchError("support points of mixed dimension")
             if level < 0 or level > 1:
                 raise ValueError(f"level {level!r} outside [0, 1]")
-            if level == 0:
-                continue
-            level = Fraction(level) if exact else float(level)
-            key = as_point(p, exact)
+            if level:
+                if not exact:
+                    level = float(level)
+                elif type(level) is not Fraction:
+                    level = Fraction(level)
+                kept.append((as_point(p, exact), level))
+        if not kept:
+            raise EmptySupportError("all levels were zero")
+        den = None
+        keys = [p for p, _ in kept]
+        if exact:
+            den, (keys,) = scale_points(keys)
+        support: Dict = {}
+        for key, (_, level) in zip(keys, kept):
             old = support.get(key)
             if old is None or level > old:
                 support[key] = level
-        if not support:
-            raise EmptySupportError("all levels were zero")
+        levels = None
+        if exact:
+            levels = (Fraction(0), *sorted(set(support.values())))
+            rank = {level: i for i, level in enumerate(levels)}
+            support = {p: rank[level] for p, level in support.items()}
+        self._init(support, den, levels, dimension)
+
+    def _init(self, support, den, levels, dimension) -> None:
         object.__setattr__(self, "_support", support)
-        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_items", None)
+        object.__setattr__(self, "exact", den is not None)
         object.__setattr__(self, "dimension", dimension)
 
     @classmethod
-    def _from_dict(cls, support: Dict[Point, Scalar], exact: bool, dimension: int) -> "FuzzySet":
+    def _from_dict(cls, support: Dict[Point, float], dimension: int) -> "FuzzySet":
+        """A float set from snapped points and their positive levels."""
         if not support:
             raise EmptySupportError("fuzzy set needs a nonempty support")
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_support", support)
-        object.__setattr__(obj, "exact", exact)
-        object.__setattr__(obj, "dimension", dimension)
+        obj._init(support, None, None, dimension)
+        return obj
+
+    @classmethod
+    def _from_scaled(cls, ranks: Dict[Tuple[int, ...], int], den: int,
+                     levels: Tuple[Fraction, ...], dimension: int) -> "FuzzySet":
+        """An exact set from numerator tuples over den and their positive
+        ranks in levels, an ascending table starting with 0. The table is cut
+        to the ranks in use and den to the least common denominator, in one
+        pass each."""
+        if not ranks:
+            raise EmptySupportError("fuzzy set needs a nonempty support")
+        used = sorted(set(ranks.values()))
+        if len(used) < len(levels) - 1:
+            new_rank = dict(zip(used, range(1, len(used) + 1)))
+            levels = (levels[0], *(levels[r] for r in used))
+            ranks = {p: new_rank[r] for p, r in ranks.items()}
+        g = den
+        for p in ranks:
+            g = math.gcd(g, *p)
+            if g == 1:
+                break
+        else:
+            den //= g
+            ranks = {tuple(n // g for n in p): r for p, r in ranks.items()}
+        obj = object.__new__(cls)
+        obj._init(ranks, den, levels, dimension)
         return obj
 
     def __setattr__(self, *args):
         raise AttributeError("FuzzySet is immutable")
 
+    def scaled(self) -> Tuple[int, Tuple[Fraction, ...], Dict[Tuple[int, ...], int]]:
+        """The integer form of an exact set: (D, levels, ranks), where ranks
+        maps each support point times D, a tuple of ints, to the index of its
+        level in levels, the ascending table of the levels present preceded
+        by 0. The dict is the set's own; do not modify it."""
+        if not self.exact:
+            raise ValueError("only exact sets have an integer form")
+        return self._den, self._levels, self._support
+
     def items(self):
-        return self._support.items()
+        """(point, level) pairs in support order; Fractions in exact mode,
+        built on the first call and kept."""
+        if not self.exact:
+            return self._support.items()
+        if self._items is None:
+            den, levels = self._den, self._levels
+            object.__setattr__(self, "_items", tuple(
+                (tuple(Fraction(n, den) for n in p), levels[r]) for p, r in self._support.items()))
+        return self._items
 
     def support_points(self) -> Tuple[Point, ...]:
-        return tuple(self._support.keys())
+        return tuple(p for p, _ in self.items())
 
     def support_set(self) -> FinitePointSet:
-        return FinitePointSet(points=tuple(self._support.keys()), exact=self.exact)
+        return FinitePointSet(points=self.support_points(), exact=self.exact)
 
     def level(self, p: Sequence) -> Scalar:
-        key = as_point(p, self.exact)
-        zero = Fraction(0) if self.exact else 0.0
-        return self._support.get(key, zero)
+        if not self.exact:
+            return self._support.get(as_point(p, False), 0.0)
+        key = []
+        for c in as_point(p, True):
+            n, rest = divmod(c.numerator * self._den, c.denominator)
+            if rest:
+                return self._levels[0]
+            key.append(n)
+        return self._levels[self._support.get(tuple(key), 0)]
 
     def level_values(self):
         """Distinct occurring levels, ascending."""
+        if self.exact:
+            return list(self._levels[1:])
         return sorted(set(self._support.values()))
 
     @property
     def max_level(self) -> Scalar:
-        return max(self._support.values())
+        return self._levels[-1] if self.exact else max(self._support.values())
 
     @property
     def normal(self) -> bool:
@@ -258,8 +346,9 @@ class FuzzySet:
     def to_float(self) -> "FuzzySet":
         if not self.exact:
             return self
+        den, levels = self._den, self._levels
         return FuzzySet(
-            [(tuple(float(c) for c in p), float(l)) for p, l in self.items()],
+            [(tuple(n / den for n in p), float(levels[r])) for p, r in self._support.items()],
             exact=False,
         )
 
@@ -269,6 +358,8 @@ class FuzzySet:
         return (
             self.exact == other.exact
             and self.dimension == other.dimension
+            and self._den == other._den
+            and self._levels == other._levels
             and self._support == other._support
         )
 
@@ -319,14 +410,9 @@ def join(sets: Sequence[FuzzySet]) -> FuzzySet:
     if not sets:
         raise ValueError("join of an empty family")
     first = sets[0]
-    merged: Dict[Point, Scalar] = dict(first.items())
     for other in sets[1:]:
         _check_compatible(first, other)
-        for p, l in other.items():
-            old = merged.get(p)
-            if old is None or l > old:
-                merged[p] = l
-    return FuzzySet._from_dict(merged, exact=first.exact, dimension=first.dimension)
+    return FuzzySet([pair for u in sets for pair in u.items()], exact=first.exact)
 
 
 def restrict(u: FuzzySet, s: FinitePointSet) -> FuzzySet:
@@ -338,57 +424,81 @@ def restrict(u: FuzzySet, s: FinitePointSet) -> FuzzySet:
     return FuzzySet(pairs, exact=u.exact)
 
 
-def _directed_max_squared(u: FuzzySet, v: FuzzySet) -> Scalar:
-    """Squared directed part of d_infinity, in either numeric mode.
+def _directed_max_squared(u: Dict, v: Dict, den: Optional[int]):
+    """Squared directed part of d_infinity on two supports, each a dict from
+    point to level: float points and levels, or numerator tuples over den and
+    level ranks in one shared table, so that only ints are hashed.
 
     Points whose own position already sits in the other set's cut contribute
     zero and are skipped up front (Taha & Hanbury, IEEE TPAMI 37(11), 2015),
     which makes consecutive-iterate distances cheap. The rest are grouped by
     level; each group is one call of the geometry kernel against the prefix
     of the other support at that level or above, with one KD-tree per prefix
-    length shared by the groups that need one.
+    length shared by the groups that need one. The caller has checked that
+    both sets reach the same top level, so no prefix is empty.
     """
-    zero = Fraction(0) if u.exact else 0.0
-    vmap = v._support
-    pending = [(p, lp) for p, lp in u.items() if vmap.get(p, zero) < lp]
+    pending = [(p, lp) for p, lp in u.items() if v.get(p, 0) < lp]
     if not pending:
-        return zero
-    v_items = sorted(v.items(), key=lambda item: item[1], reverse=True)
-    v_points = [p for p, _ in v_items]
-    v_neg_levels = [-l for _, l in v_items]
+        return 0
+    v_points = sorted(v, key=v.__getitem__, reverse=True)
+    v_levels = sorted(v.values())
     groups: Dict[Scalar, list] = {}
     for p, lp in pending:
         groups.setdefault(lp, []).append(p)
+    exact = den is not None
     v_arr = None
     trees: Dict[int, cKDTree] = {}
-    best = zero
+    best = 0
     for lam, pts in groups.items():
-        k = bisect.bisect_right(v_neg_levels, -lam)
-        if k == 0:
-            raise EmptyCutError(f"no point of the other set at level >= {lam}")
+        k = len(v_levels) - bisect.bisect_left(v_levels, lam)
         tree = None
-        if tree_pays_off(len(pts), k, u.exact):
+        if tree_pays_off(len(pts), k, exact):
             tree = trees.get(k)
             if tree is None:
                 if v_arr is None:
-                    v_arr = np.array(v_points, dtype=float)
+                    v_arr = as_float_array(v_points, den)
                 tree = trees[k] = cKDTree(v_arr[:k])
-        best = max(best, directed_max_squared(pts, v_points[:k], u.exact, tree))
+        best = max(best, directed_max_squared(pts, v_points[:k], den, tree))
     return best
 
 
+def _on_common_scale(u: FuzzySet, den: int, rank: Dict[Fraction, int]) -> Dict:
+    """The support of an exact set as numerator tuples over den, a multiple
+    of its own denominator, valued by the ranks of its levels in a shared
+    table."""
+    factor = den // u._den
+    ranks = [rank[level] for level in u._levels]
+    if factor == 1 and ranks == list(range(len(ranks))):
+        return u._support
+    return {tuple(n * factor for n in p): ranks[r] for p, r in u._support.items()}
+
+
 def d_infinity(u: FuzzySet, v: FuzzySet):
-    """Supremum over alpha of the Hausdorff distance between alpha-cuts."""
+    """Supremum over alpha of the Hausdorff distance between alpha-cuts.
+
+    Exact sets are brought onto the lcm of their denominators and one merged
+    level table first, so the directed scans compare ints only.
+    """
     _check_compatible(u, v)
-    best = max(_directed_max_squared(u, v), _directed_max_squared(v, u))
-    return sqrt_exact(best) if u.exact else math.sqrt(best)
+    top_u, top_v = u.max_level, v.max_level
+    if top_u != top_v:
+        raise EmptyCutError(f"no point of the other set at level >= {max(top_u, top_v)}")
+    if not u.exact:
+        best = max(_directed_max_squared(u._support, v._support, None),
+                   _directed_max_squared(v._support, u._support, None))
+        return math.sqrt(best)
+    den = math.lcm(u._den, v._den)
+    rank = {level: i for i, level in enumerate(sorted(set(u._levels) | set(v._levels)))}
+    us, vs = _on_common_scale(u, den, rank), _on_common_scale(v, den, rank)
+    best = max(_directed_max_squared(us, vs, den), _directed_max_squared(vs, us, den))
+    return sqrt_exact(Fraction(best, den * den))
 
 
 def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):
     """Reference implementation: scan the occurring levels."""
     _check_compatible(u, v)
     best = None
-    for alpha in sorted(set(u._support.values()) | set(v._support.values())):
+    for alpha in sorted(set(u.level_values()) | set(v.level_values())):
         h = hausdorff(alpha_cut(u, alpha), alpha_cut(v, alpha))
         if best is None or h > best:
             best = h

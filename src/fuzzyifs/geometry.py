@@ -3,18 +3,19 @@
 Compact sets are represented as finite, deduplicated point collections. The
 directed and Hausdorff distances come from one nearest-neighbour kernel,
 `directed_max_squared`, which `fuzzy.d_infinity` shares. Float mode answers
-from a KD-tree. Exact mode compares candidates with integer arithmetic,
-taking every pair for small inputs and a float KD shortlist otherwise, so
-results stay exact. The brute-force double loop is kept as a test oracle.
+from a KD-tree. Exact mode works on integers: the points of both operands
+are brought onto one common denominator D (`scale_points`), and the kernel
+compares integer squared distances over D^2, taking every pair for small
+inputs and a float KD shortlist otherwise, so results stay exact. The
+brute-force double loop is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -47,7 +48,7 @@ def as_point(coords: Sequence, exact: bool) -> Point:
     noise points hash identically.
     """
     if exact:
-        return tuple(Fraction(c) for c in coords)
+        return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
     return tuple(round(float(c), DEDUP_DECIMALS) + 0.0 for c in coords)
 
 
@@ -169,21 +170,23 @@ def _nn_radius_slack(arr: np.ndarray) -> float:
     return 1e-9 * max(1.0, magnitude)
 
 
-def _squared_numden(p: Point, q: Point):
-    """Squared distance of exact points as an unnormalized integer pair.
+def scale_points(*groups: Sequence[Point]) -> Tuple[int, List[List[Tuple[int, ...]]]]:
+    """Exact point groups on one common denominator D, the least one: (D,
+    one list of numerator tuples per group), each point being its numerator
+    tuple divided by D."""
+    den = math.lcm(*{c.denominator for group in groups for p in group for c in p})
+    return den, [[tuple(c.numerator * (den // c.denominator) for c in p) for p in group]
+                 for group in groups]
 
-    Skipping Fraction's gcd normalization makes the exact candidate
-    comparison an order of magnitude faster.
-    """
-    num = 0
-    den = 1
-    for a, b in zip(p, q):
-        diff_num = a.numerator * b.denominator - b.numerator * a.denominator
-        diff_den = a.denominator * b.denominator
-        dd2 = diff_den * diff_den
-        num = num * dd2 + diff_num * diff_num * den
-        den = den * dd2
-    return num, den
+
+def as_float_array(points: Sequence[Point], den: Optional[int]) -> np.ndarray:
+    """Float coordinates of points, or of numerator tuples over den. n / den
+    is int true division, correctly rounded like float(Fraction(n, den)),
+    and stays in float range when n and den do not."""
+    if den is None:
+        return np.array(points, dtype=float)
+    flat = np.fromiter((n / den for p in points for n in p), float, len(points) * len(points[0]))
+    return flat.reshape(len(points), -1)
 
 
 def tree_pays_off(n_points: int, n_targets: int, exact: bool) -> bool:
@@ -192,55 +195,89 @@ def tree_pays_off(n_points: int, n_targets: int, exact: bool) -> bool:
     return not exact or n_points * n_targets > _BRUTE_PAIR_LIMIT
 
 
-def directed_max_squared(points: Sequence[Point], targets: Sequence[Point], exact: bool,
-                         tree: Optional[cKDTree] = None) -> Scalar:
+def _squared(p: Tuple[int, ...], q: Tuple[int, ...]) -> int:
+    total = 0
+    for a, b in zip(p, q):
+        total += (a - b) * (a - b)
+    return total
+
+
+def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int],
+                         tree: Optional[cKDTree] = None):
     """Max over `points` of the min squared distance into `targets`.
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
-    and `d_infinity`. `tree`, if given, must be a KD-tree over the float
-    coordinates of `targets`, in the same order. Float mode answers with the
-    tree's nearest neighbours. Exact mode compares candidates with integer
-    arithmetic: every target when the pairs are few and no tree is given,
-    otherwise the targets whose float distance lies within the rounding
-    slack of the float nearest neighbour. Only the final maximum is
-    normalized into a Fraction, so the result is exact either way.
+    and `d_infinity`. In float mode (`den` None) the points are float tuples
+    and the result is a float, answered with a KD-tree's nearest neighbours.
+    In exact mode the points are integer numerator tuples over the common
+    denominator `den`, and the result is the integer numerator of the squared
+    distance over den^2, found with integer arithmetic only:
+
+    - when the pairs are few and no tree is given, by scanning every target,
+      a point stopping once it has a target no farther than the largest
+      minimum so far, since it cannot raise it;
+    - otherwise through the float nearest neighbour of each point. Its exact
+      distance bounds the point's minimum from above, so only a point whose
+      bound exceeds the largest minimum so far scans the targets within the
+      rounding slack of its float distance, which hold its true nearest.
+      Points go in decreasing float distance, so few of them scan.
+
+    `tree`, if given, must be a KD-tree over `as_float_array(targets, den)`.
     """
+    exact = den is not None
     if tree is None and tree_pays_off(len(points), len(targets), exact):
-        tree = cKDTree(np.array(targets, dtype=float))
+        tree = cKDTree(as_float_array(targets, den))
+    worst = 0
     if tree is None:
-        candidates = itertools.repeat(range(len(targets)))
-    else:
-        query = np.array(points, dtype=float)
-        dist, _ = tree.query(query, k=1)
-        if not exact:
-            return float(dist.max()) ** 2
-        slack = _nn_radius_slack(np.concatenate([query, tree.data]))
-        candidates = tree.query_ball_point(query, dist + slack)
-    worst_num, worst_den = 0, 1
-    for p, idxs in zip(points, candidates):
-        best_num, best_den = _squared_numden(p, targets[idxs[0]])
-        if best_num:
-            for j in idxs[1:]:
-                num, den = _squared_numden(p, targets[j])
-                if num * best_den < best_num * den:
-                    best_num, best_den = num, den
-                    if not num:
-                        break
-        if best_num * worst_den > worst_num * best_den:
-            worst_num, worst_den = best_num, best_den
-    return Fraction(worst_num, worst_den)
+        for p in points:
+            best = None
+            for q in targets:
+                d = _squared(p, q)
+                if d <= worst:
+                    break
+                if best is None or d < best:
+                    best = d
+            else:
+                worst = best
+        return worst
+    query = as_float_array(points, den)
+    dist, nearest = tree.query(query, k=1)
+    if not exact:
+        return float(dist.max()) ** 2
+    radius = dist + _nn_radius_slack(np.concatenate([query, tree.data]))
+    nearest = nearest.tolist()
+    for i in np.argsort(-dist, kind="stable").tolist():
+        p = points[i]
+        if _squared(p, targets[nearest[i]]) > worst:
+            shortlist = tree.query_ball_point(query[i], radius[i])
+            worst = max(worst, min(_squared(p, targets[j]) for j in shortlist))
+    return worst
+
+
+def _max_squared(a: FinitePointSet, b: FinitePointSet, symmetric: bool):
+    """The kernel from a into b, and from b into a too when symmetric; exact
+    sets are scaled to their common denominator once for both."""
+    _require_compatible(a, b)
+    if not a.exact:
+        best = directed_max_squared(a.points, b.points, None)
+        if symmetric:
+            best = max(best, directed_max_squared(b.points, a.points, None))
+        return math.sqrt(best)
+    den, (points, targets) = scale_points(a.points, b.points)
+    best = directed_max_squared(points, targets, den)
+    if symmetric:
+        best = max(best, directed_max_squared(targets, points, den))
+    return sqrt_exact(Fraction(best, den * den))
 
 
 def directed_distance(a: FinitePointSet, b: FinitePointSet):
     """sup over a of inf distance into b. Not symmetric."""
-    _require_compatible(a, b)
-    best = directed_max_squared(a.points, b.points, a.exact)
-    return sqrt_exact(best) if a.exact else math.sqrt(best)
+    return _max_squared(a, b, symmetric=False)
 
 
 def hausdorff(a: FinitePointSet, b: FinitePointSet):
     """max of the two directed distances; a metric on exact point sets."""
-    return max(directed_distance(a, b), directed_distance(b, a))
+    return _max_squared(a, b, symmetric=True)
 
 
 def hausdorff_brute(a: FinitePointSet, b: FinitePointSet):
@@ -250,19 +287,19 @@ def hausdorff_brute(a: FinitePointSet, b: FinitePointSet):
 def diameter(a: FinitePointSet):
     """Largest pairwise distance; zero for singletons.
 
-    Float mode takes one numpy row of distances per point. Exact mode
-    compares the pairs' squares as integer pairs (`_squared_numden`) and
-    normalizes only the largest.
+    Float mode takes one numpy row of distances per point. Exact mode puts
+    the points on one common denominator (`scale_points`), compares integer
+    squared distances and normalizes only the largest.
     """
     if not a.exact:
         arr = a.to_float_array()
         return max((float(np.linalg.norm(arr[i + 1:] - arr[i], axis=1).max())
                     for i in range(len(arr) - 1)), default=0.0)
-    pts = a.points
-    best_num, best_den = 0, 1
+    den, (pts,) = scale_points(a.points)
+    best = 0
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
-            num, den = _squared_numden(p, q)
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-    return sqrt_exact(Fraction(best_num, best_den))
+            d = _squared(p, q)
+            if d > best:
+                best = d
+    return sqrt_exact(Fraction(best, den * den))

@@ -55,14 +55,19 @@ class GridFuzzySet:
         levels = g.levels
         x0, y0 = g.lo
         x1, y1 = g.hi
-        for p, level in u.items():
-            x, y = float(p[0]), float(p[1])
+        if u.exact:
+            den, table, ranks = u.scaled()
+            table = [float(level) for level in table]
+            pairs = (((x / den, y / den), table[r]) for (x, y), r in ranks.items())
+        else:
+            pairs = u.items()
+        for (x, y), level in pairs:
             if not (x0 <= x <= x1 and y0 <= y <= y1):
                 continue
             col = min(int((x - x0) / (x1 - x0) * width), width - 1)
             row_up = min(int((y - y0) / (y1 - y0) * height), height - 1)
             row = height - 1 - row_up
-            levels[row, col] = max(levels[row, col], float(level))
+            levels[row, col] = max(levels[row, col], level)
         return g
 
     def to_pgm(self) -> bytes:

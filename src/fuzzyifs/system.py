@@ -18,7 +18,7 @@ consecutive iterates happen to coincide early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -35,8 +35,8 @@ from .fuzzy import (  # noqa: F401
     join,
     zadeh_pushforward,
 )
-from .geometry import DimensionMismatchError, FinitePointSet, as_point, diameter
-from .ifs import DEFAULT_SUPPORT_CAP, IteratedFunctionSystem, SupportCapError
+from .geometry import DimensionMismatchError, FinitePointSet, as_point, diameter, scale_points
+from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
 from .numeric import DEFAULT_TOL, Radical, Scalar
 
 _MAX_TOLERANCE_STEPS = 10_000
@@ -82,12 +82,22 @@ class OrbitalFuzzySystem:
 
     ifs: IteratedFunctionSystem
     grey_maps: Tuple[GreyLevelMap, ...]
+    # Exact systems: (L, ((linear, offset), ...)), every map times the least
+    # common denominator L of all entries and offsets, in ints.
+    _scaled_maps: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if len(self.grey_maps) != len(self.ifs.maps):
             raise ValueError("need exactly one grey map per affine map")
         if any(g.exact != self.ifs.exact for g in self.grey_maps):
             raise ValueError("cannot mix numeric modes")
+        if self.exact:
+            den, (rows,) = scale_points([row for f in self.ifs.maps
+                                         for row in (*f.linear, f.offset)])
+            d = self.dimension
+            maps = tuple((tuple(rows[k:k + d]), rows[k + d])
+                         for k in range(0, len(rows), d + 1))
+            object.__setattr__(self, "_scaled_maps", (den, maps))
 
     @property
     def exact(self) -> bool:
@@ -125,18 +135,24 @@ class OrbitalFuzzySystem:
         if violations:
             raise AdmissibilityError(violations)
 
-    def step(self, u: FuzzySet) -> FuzzySet:
+    def step(self, u: FuzzySet, support_cap: int = DEFAULT_SUPPORT_CAP) -> FuzzySet:
         """One application of the fuzzy operator: the pointwise maximum of
         the grey-weighted images of u under every map.
 
-        Both numeric modes make one pass per map into one dict. Each grey
-        map is evaluated once per distinct level of u, and a point whose new
-        level is 0 is not mapped at all. Float images are snapped to the
-        dedup grid of `geometry.as_point`. The result equals
-        join([apply_grey(g, zadeh_pushforward(f, u)) for f, g in ...]), the
-        reference this step is tested against, except that a map whose part
-        the grey map erases adds nothing instead of raising: only an empty
-        join raises.
+        Both numeric modes make one pass per map into one dict, keeping the
+        highest level per image point. Each grey map is evaluated once per
+        distinct level of u, and a point whose new level is 0 is not mapped
+        at all. Float images are snapped to the dedup grid of
+        `geometry.as_point`. Exact sets are stepped in their integer form
+        (`FuzzySet.scaled`): the points over D go through every map times the
+        system's common map denominator L, in ints, to numerators over D*L,
+        and levels travel as ranks in the table of the new levels, 0 meaning
+        erased; the result is then cut to its least denominator. The result
+        equals join([apply_grey(g, zadeh_pushforward(f, u)) for f, g in
+        ...]), the reference this step is tested against, except that a map
+        whose part the grey map erases adds nothing instead of raising: only
+        an empty join raises. SupportCapError is raised as soon as the
+        points gathered after any map pass support_cap.
         """
         self._require_admissible()
         if u.exact != self.exact:
@@ -144,14 +160,23 @@ class OrbitalFuzzySystem:
         if u.dimension != self.dimension:
             raise DimensionMismatchError(
                 f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
-        exact = u.exact
-        number = Fraction if exact else float
-        items = u.items()
-        levels = {level for _, level in items}
+        if u.exact:
+            den, levels, ranks = u.scaled()
+            items = ranks.items()
+            grey = [[Fraction(g(level)) for level in levels] for g in self.grey_maps]
+            new_levels = tuple(sorted({level for row in grey for level in row}))
+            rank = {level: i for i, level in enumerate(new_levels)}
+            relits = [[rank[level] for level in row] for row in grey]
+            map_den, maps = self._scaled_maps
+            images = [AffineMap(linear, tuple(b * den for b in offset))._apply
+                      for linear, offset in maps]
+        else:
+            items = u.items()
+            levels = {level for _, level in items}
+            relits = [{level: float(g(level)) for level in levels} for g in self.grey_maps]
+            images = [_snapped(f._apply) for f in self.ifs.maps]
         merged: Dict = {}
-        for f, g in zip(self.ifs.maps, self.grey_maps):
-            relit = {level: number(g(level)) for level in levels}
-            image = f._apply if exact else _snapped(f._apply)
+        for image, relit in zip(images, relits):
             for p, level in items:
                 new = relit[level]
                 if new:
@@ -159,9 +184,13 @@ class OrbitalFuzzySystem:
                     old = merged.setdefault(q, new)
                     if new > old:
                         merged[q] = new
+            if len(merged) > support_cap:
+                raise SupportCapError(f"support grew past the cap of {support_cap} points")
         if not merged:
             raise EmptySupportError("the operator erased the whole support")
-        return FuzzySet._from_dict(merged, exact=exact, dimension=u.dimension)
+        if u.exact:
+            return FuzzySet._from_scaled(merged, den * map_den, new_levels, u.dimension)
+        return FuzzySet._from_dict(merged, dimension=u.dimension)
 
     def reach_diameter(self, u: FuzzySet) -> Scalar:
         """diam(supp(u) together with its image under every map)."""
@@ -238,18 +267,17 @@ class OrbitalFuzzySystem:
         current = u0
         history = []
         for n in range(1, m + 1):
-            nxt = self.step(current)
-            if len(nxt) > support_cap:
-                raise SupportCapError(
-                    f"support grew past the cap of {support_cap} points",
-                    partial=(current, ConvergenceReport(
-                        iterations=n - 1,
-                        d_history=tuple(history),
-                        a_priori=self.scaled_bound(diam, n - 1),
-                        certified_residual=None,
-                        diameter=diam,
-                    )),
-                )
+            try:
+                nxt = self.step(current, support_cap)
+            except SupportCapError as err:
+                err.partial = (current, ConvergenceReport(
+                    iterations=n - 1,
+                    d_history=tuple(history),
+                    a_priori=self.scaled_bound(diam, n - 1),
+                    certified_residual=None,
+                    diameter=diam,
+                ))
+                raise
             history.append(d_infinity(current, nxt))
             if on_step is not None:
                 on_step(n, nxt)

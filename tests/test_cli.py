@@ -7,10 +7,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 import fuzzyifs
 from fuzzyifs.cli import main
+from fuzzyifs.dyadic import enumerated_levels
 from fuzzyifs.grid import parse_pgm
+from fuzzyifs.ifs import AffineMap
 from fuzzyifs.numeric import sqrt_exact
+from fuzzyifs.system import OrbitalFuzzySystem
 
 F = Fraction
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -132,7 +137,7 @@ def test_exit_code_validation_error(tmp_path):
     assert main(["run", str(invalid)]) == 1
 
 
-def test_exit_code_support_cap(tmp_path):
+def test_exit_code_support_cap(tmp_path, monkeypatch):
     doc = json.loads(Path(SLICE).read_text())
     doc["support_cap"] = 4
     doc["stop"] = {"steps": 6}
@@ -148,6 +153,50 @@ def test_exit_code_support_cap(tmp_path):
                  "--out-image", str(outputs[1]), "--report", str(outputs[2])]) == 3
     assert all(path.read_text() == "previous run\n" for path in outputs)
     assert len(list(tmp_path.iterdir())) == 4
+
+    # The band starts on 65 points; under a cap of 10 the first map's image
+    # passes the cap, and the run exits 3 before the second map, the one
+    # with a nonzero offset, maps a single point.
+    doc = json.loads(Path(BAND).read_text())
+    doc["support_cap"] = 10
+    capped_band = tmp_path / "capped_band.json"
+    capped_band.write_text(json.dumps(doc))
+    offsets = []
+    real_apply = AffineMap._apply
+    monkeypatch.setattr(AffineMap, "_apply",
+                        lambda f, p: offsets.append(f.offset) or real_apply(f, p))
+    monkeypatch.setattr(OrbitalFuzzySystem, "reach_diameter", lambda self, u: F(1))
+    for mode in ("exact", "float"):
+        offsets.clear()
+        assert main(["run", str(capped_band), "--steps", "2", "--mode", mode]) == 3
+        assert len(offsets) == 65 and not any(any(o) for o in offsets)
+
+
+def test_band_outputs_match_the_oracle(tmp_path):
+    """The band at --tol 0.1 (m = 5) against the word enumeration: every
+    iterate in the CSV, the last one's levels at x = 1/2, the distances 2^-n
+    and the PGM drawn from the oracle levels."""
+    m = 5
+    csv_path, image, report_path = (tmp_path / name for name in ("b.csv", "b.pgm", "b.json"))
+    assert main(["run", BAND, "--tol", "0.1", "--out-csv", str(csv_path),
+                 "--out-image", str(image), "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["iterations"] == m
+    assert report["d_history"] == [2.0 ** -n for n in range(1, m + 1)]
+    rows = read_rows(csv_path)
+    assert len(rows) == 65 * (2 ** (m + 1) - 1)
+    oracle = enumerated_levels(m)
+    column = {F(r["y"]): F(r["level"]) for r in rows
+              if r["iteration"] == str(m) and r["x"] == "1/2"}
+    assert column == oracle
+    # The 65 base columns x = k/64 fill all 64 pixel columns with the same
+    # levels, so each pixel row holds the highest level among its heights.
+    pixels = np.zeros((64, 64))
+    for y, level in oracle.items():
+        row = 63 - min(int(float(y) * 64), 63)
+        pixels[row] = np.maximum(pixels[row], float(level))
+    raster = b"P5\n64 64\n255\n" + np.rint(pixels * 255).astype(np.uint8).tobytes()
+    assert image.read_bytes() == raster
 
 
 def test_image_without_render_spec_fails(tmp_path):

@@ -18,7 +18,13 @@ from fuzzyifs.fuzzy import (
     restrict,
     zadeh_pushforward,
 )
-from fuzzyifs.geometry import _BRUTE_PAIR_LIMIT, FinitePointSet, euclid
+from fuzzyifs.geometry import (
+    _BRUTE_PAIR_LIMIT,
+    FinitePointSet,
+    euclid,
+    hausdorff,
+    hausdorff_brute,
+)
 from fuzzyifs.ifs import AffineMap
 
 F = Fraction
@@ -320,6 +326,28 @@ class TestDInfinity:
     def test_paths_agree_float_scaled(self, n, denominator, trials, min_pairs, min_groups):
         check_paths_agree_float(random.Random(24), (n, n), denominator, trials,
                                 min_pairs, min_groups)
+
+
+def test_huge_denominators_on_the_kd_path():
+    """Coordinates over 3^700 in [-4, 4], so the numerators lie far past
+    float range: the KD shortlist must convert n / D, not n. Half of v sits
+    1/3^700 away from points of u, closer than floats can tell apart."""
+    den = 3 ** 700
+    rng = random.Random(71)
+
+    def coordinate():
+        return F(rng.randrange(-4 * den, 4 * den), den)
+
+    u_points = [(coordinate(), coordinate()) for _ in range(100)]
+    v_points = [(x + F(rng.choice((-1, 1)), den), y) for x, y in u_points[:50]]
+    v_points += [(coordinate(), coordinate()) for _ in range(50)]
+    u = FuzzySet([(p, F(1) if i % 10 else F(1, 2)) for i, p in enumerate(u_points)])
+    v = FuzzySet([(p, F(1) if i % 7 else F(1, 2)) for i, p in enumerate(v_points)])
+    assert max(abs(n) for p in u.scaled()[2] for n in p) > 2 ** 1024
+    assert_scan_shape(u, v, _BRUTE_PAIR_LIMIT + 1, 0)
+    assert d_infinity(u, v) == d_infinity(v, u) == d_infinity_level_sweep(u, v)
+    a, b = u.support_set(), v.support_set()
+    assert hausdorff(a, b) == hausdorff_brute(a, b)
 
 
 def test_diameter_and_join_distance_bounds_small():

@@ -16,6 +16,7 @@ from fuzzyifs.geometry import (
     euclid,
     hausdorff,
     hausdorff_brute,
+    scale_points,
     squared_distance,
 )
 from fuzzyifs.numeric import le_sum, sqrt_exact
@@ -114,11 +115,12 @@ def test_accelerated_hausdorff_matches_brute_force_exact():
         b = _random_set(rng)
         assert hausdorff(a, b) == hausdorff_brute(a, b)
         # a prebuilt tree forces the KD shortlist regardless of size
+        den, (pa, pb) = scale_points(a.points, b.points)
         fast = max(
-            directed_max_squared(a.points, b.points, True, cKDTree(b.to_float_array())),
-            directed_max_squared(b.points, a.points, True, cKDTree(a.to_float_array())),
+            directed_max_squared(pa, pb, den, cKDTree(b.to_float_array())),
+            directed_max_squared(pb, pa, den, cKDTree(a.to_float_array())),
         )
-        assert sqrt_exact(fast) == hausdorff_brute(a, b)
+        assert sqrt_exact(Fraction(fast, den * den)) == hausdorff_brute(a, b)
 
 
 def test_accelerated_hausdorff_matches_brute_force_float():
@@ -130,7 +132,7 @@ def test_accelerated_hausdorff_matches_brute_force_float():
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
         assert directed_distance(a, b) == pytest.approx(
             directed_distance_brute(a, b), abs=1e-12)
-        fast = directed_max_squared(a.points, b.points, False, cKDTree(b.to_float_array()))
+        fast = directed_max_squared(a.points, b.points, None, cKDTree(b.to_float_array()))
         assert math.sqrt(fast) == pytest.approx(directed_distance_brute(a, b), abs=1e-12)
 
 
@@ -142,7 +144,9 @@ def test_exact_kernel_separates_float_ties():
     origin = [(Fraction(0), Fraction(0))]
     for targets in ([far, near], [near, far]):
         tree = cKDTree([[float(c) for c in p] for p in targets])
-        assert directed_max_squared(origin, targets, True, tree) == near[0] ** 2
+        den, (points, scaled) = scale_points(origin, targets)
+        best = directed_max_squared(points, scaled, den, tree)
+        assert Fraction(best, den * den) == near[0] ** 2
 
 
 def test_metric_axioms_exact():

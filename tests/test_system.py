@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import pytest
 
 from fuzzyifs.dyadic import band_start, reference_system, slice_start
 from fuzzyifs.fuzzy import (
+    EmptyCutError,
     EmptySupportError,
     FuzzySet,
     GreyLevelMap,
     apply_grey,
     d_infinity,
+    d_infinity_level_sweep,
     join,
     restrict,
     zadeh_pushforward,
@@ -137,13 +140,46 @@ class TestIterate:
         with pytest.raises(ValueError):
             system.iterate(FuzzySet([((F(0), F(0)), F(1, 2))]), steps=1)
 
-    def test_support_cap_carries_partial_report(self):
+    def test_support_cap_carries_partial_report(self, monkeypatch):
         system = reference_system()
         with pytest.raises(SupportCapError) as err:
             system.iterate(slice_start(F(1, 2)), steps=12, support_cap=50)
         partial_set, partial_report = err.value.partial
         assert len(partial_set) <= 50
         assert partial_report.iterations == len(partial_report.d_history)
+
+        # A start of 5 points under a cap of 3: the image under the first map
+        # passes the cap, and the step stops before the second map, the one
+        # with a nonzero offset, maps a single point.
+        offsets = []
+        real_apply = AffineMap._apply
+        monkeypatch.setattr(AffineMap, "_apply",
+                            lambda f, p: offsets.append(f.offset) or real_apply(f, p))
+        monkeypatch.setattr(OrbitalFuzzySystem, "reach_diameter", lambda self, u: F(1))
+        xs = [0, F(1, 4), F(1, 2), F(3, 4), 1]
+        for s, u0 in ((system, band_start(xs)), (system.to_float(), band_start(xs, exact=False))):
+            offsets.clear()
+            with pytest.raises(SupportCapError) as err:
+                s.iterate(u0, steps=3, support_cap=3)
+            partial_set, partial_report = err.value.partial
+            assert partial_set == u0
+            assert partial_report.iterations == 0 and partial_report.d_history == ()
+            assert partial_report.a_priori == s.scaled_bound(partial_report.diameter, 0)
+            assert len(offsets) == len(xs) and not any(any(o) for o in offsets)
+
+    def test_slow_contraction_singleton(self):
+        """x -> 99/100 x + (1, 2) from the origin: the n-th iterate is the
+        point (1, 2)(1 - C^n)/(1 - C), so d_n = sqrt(5) C^(n-1) exactly, here
+        for 1,000 steps whose denominators reach 100^999."""
+        c = F(99, 100)
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(maps=(AffineMap(((c, F(0)), (F(0), c)), (F(1), F(2))),),
+                                       contraction_constant=c),
+            grey_maps=(GreyLevelMap.identity(),),
+        )
+        _, report = system.iterate(FuzzySet([((F(0), F(0)), F(1))]), steps=1000)
+        for n in (1, 2, 10, 500, 1000):
+            assert report.d_history[n - 1] == sqrt_exact(5 * c ** (2 * (n - 1)))
 
 
 class TestBounds:
@@ -398,6 +434,88 @@ class TestStepReference:
         for p in ((F(0),), (F(0), F(0), F(0))):
             with pytest.raises(DimensionMismatchError):
                 reference_system().step(FuzzySet([(p, F(1))]))
+
+
+def integer_form_system(rng, dim):
+    """1 to 3 maps whose entries and offsets mix halves and thirds, with
+    negative values, zero rows and singular matrices; map 0 reaches 1."""
+    entries = (F(0), F(1), F(-1), F(1, 2), F(-1, 3), F(2, 3), F(-5, 6), F(3, 2))
+    offsets = (F(0), F(-1, 2), F(1, 3), F(-7, 6), F(2))
+    maps, greys = [], []
+    for i in range(rng.randrange(1, 4)):
+        rows = [[rng.choice(entries) for _ in range(dim)] for _ in range(dim)]
+        shape = rng.random()
+        if shape < 0.2:
+            rows[-1] = [F(0)] * dim
+        elif shape < 0.4 and dim > 1:
+            rows[-1] = [F(-2, 3) * v for v in rows[0]]
+        maps.append(AffineMap(tuple(map(tuple, rows)),
+                              tuple(rng.choice(offsets) for _ in range(dim))))
+        greys.append(STEP_AT_HALF if rng.random() < 0.25 else _grey(rng, reach_one=i == 0))
+    return OrbitalFuzzySystem(
+        ifs=IteratedFunctionSystem(maps=tuple(maps), contraction_constant=F(1, 2)),
+        grey_maps=tuple(greys),
+    )
+
+
+def check_integer_form(u):
+    """The integer form of u is the canonical one and shows through the
+    Fraction-valued accessors: D is the lcm of the reduced denominators of
+    the support, the table holds exactly the levels present, every point is
+    its numerators over D, and rebuilding u from its pairs gives u."""
+    den, levels, ranks = u.scaled()
+    pairs = list(u.items())
+    assert den == math.lcm(*(c.denominator for p, _ in pairs for c in p))
+    assert levels[0] == 0 and list(levels[1:]) == sorted({level for _, level in pairs})
+    assert u.level_values() == list(levels[1:])
+    assert list(ranks) == [tuple(int(c * den) for c in p) for p, _ in pairs]
+    assert [levels[r] for r in ranks.values()] == [level for _, level in pairs]
+    assert FuzzySet(pairs) == u
+
+
+class TestIntegerForm:
+    """Exact sets held as integers over one denominator, against the
+    Fraction reference."""
+
+    def test_step_and_metric_match_the_reference(self):
+        rng = random.Random(61)
+        stepped_sets = swept = 0
+        for _ in range(300):
+            dim = rng.choice((1, 2, 3))
+            system = integer_form_system(rng, dim)
+            u = random_fuzzy(rng, dim, normal=rng.random() < 0.7)
+            check_integer_form(u)
+            for _ in range(2):
+                pushed = [zadeh_pushforward(f, u) for f in system.ifs.maps]
+                parts = []
+                for g, image in zip(system.grey_maps, pushed):
+                    try:
+                        parts.append(apply_grey(g, image))
+                    except EmptySupportError:
+                        pass
+                if not parts:
+                    break
+                reference = join(parts)
+                stepped = system.step(u)
+                stepped_sets += 1
+                check_integer_form(stepped)
+                assert stepped == reference
+                assert stepped.level_values() == reference.level_values()
+                for p, level in reference.items():
+                    assert stepped.level(p) == level
+                    assert stepped.level(tuple(c + F(1, 5) for c in p)) == reference.level(
+                        tuple(c + F(1, 5) for c in p))
+                if all(len(image) == len(u) for image in pushed):
+                    assert list(stepped.items()) == list(reference.items())
+                if stepped.max_level == u.max_level:
+                    assert d_infinity(u, stepped) == d_infinity(stepped, u) == (
+                        d_infinity_level_sweep(u, stepped))
+                    swept += 1
+                else:
+                    with pytest.raises(EmptyCutError):
+                        d_infinity(u, stepped)
+                u = stepped
+        assert stepped_sets > 400 and swept > 200
 
 
 def _assert_close_sets(exact, floated):
