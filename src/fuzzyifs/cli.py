@@ -28,7 +28,7 @@ from itertools import islice
 from .fuzzy import FuzzySet
 from .grid import GridFuzzySet
 from .ifs import SupportCapError
-from .numeric import format_scalar
+from .numeric import format_scalar, parse_scalar
 from .properties import run_all
 from .scene import RenderSpec, Scene, SceneError, SceneParseError, StopRule, load_scene
 
@@ -120,24 +120,20 @@ def _ratio(n: int, den: int) -> str:
 class _CsvTrace:
     """Writes the x,y,level,iteration rows of each iterate as it arrives.
 
-    Exact rows come from the integer form: one gcd per coordinate and one
-    string per distinct level."""
+    Rows come from the integer form: a coordinate is n/D written by `_ratio`
+    in exact mode and the float n / D in float mode, and each distinct level
+    is formatted once."""
 
     def __init__(self, fh):
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(["x", "y", "level", "iteration"])
 
     def __call__(self, iteration, u: FuzzySet):
-        if not u.exact:
-            self._writer.writerows(
-                [format_scalar(p[0]), format_scalar(p[1]), format_scalar(level), iteration]
-                for p, level in u.items()
-            )
-            return
         den, levels, ranks = u.scaled()
-        labels = [str(level) for level in levels]
+        coord = _ratio if u.exact else lambda n, den: format_scalar(n / den)
+        labels = [format_scalar(level) for level in levels]
         self._writer.writerows(
-            [_ratio(x, den), _ratio(y, den), labels[r], iteration]
+            [coord(x, den), coord(y, den), labels[r], iteration]
             for (x, y), r in ranks.items()
         )
 
@@ -157,7 +153,10 @@ def _cmd_run(args) -> int:
     if args.steps is not None:
         stop = StopRule(steps=args.steps)
     elif args.tol is not None:
-        stop = StopRule(tolerance=Fraction(args.tol) if scene.exact else float(Fraction(args.tol)))
+        try:
+            stop = StopRule(tolerance=parse_scalar(args.tol, scene.exact))
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            raise CliError(f"--tol expects a finite number, got {args.tol!r}") from err
 
     # Output options are checked before the iterations they would waste.
     spec = _render_spec(scene, args) if args.out_image else None
@@ -208,6 +207,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1 or args.depth < 0:
+        raise CliError("verify needs --trials >= 1 and --depth >= 0")
     results = run_all(trials=args.trials, depth=args.depth, seed=args.seed)
     failed = False
     for name, failures in results.items():
@@ -226,12 +227,12 @@ def _load_csv_points(path):
         rows = list(csv.DictReader(fh))
     if not rows:
         raise CliError(f"{path}: empty CSV")
-    last = max(int(r["iteration"]) for r in rows)
-    pairs = [
-        ((float(Fraction(r["x"])), float(Fraction(r["y"]))), float(Fraction(r["level"])))
-        for r in rows
-        if int(r["iteration"]) == last
-    ]
+    try:
+        last = max(int(r["iteration"]) for r in rows)
+        pairs = [((float(Fraction(r["x"])), float(Fraction(r["y"]))), float(Fraction(r["level"])))
+                 for r in rows if int(r["iteration"]) == last]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
+        raise CliError(f"{path}: not an x,y,level,iteration CSV ({type(err).__name__}: {err})") from err
     return FuzzySet(pairs, exact=False)
 
 

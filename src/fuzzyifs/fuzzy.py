@@ -5,11 +5,12 @@ A fuzzy set stores only its strictly positive levels; level zero means "not
 in the support". Finitely supported functions are automatically upper
 semicontinuous, so no continuity bookkeeping is needed.
 
-An exact set is held in integers: its points as numerator tuples over one
-common denominator, its levels as ranks in a table of the levels present
-(see `FuzzySet`). The operator step and `d_infinity` work on that form and
-hash only ints; `items()`, `level()`, `support_set()` and `level_values()`
-show Fractions at the boundary.
+A set of either numeric mode is held in integers: its points as numerator
+tuples over one common denominator (for a float set, the 1e-12 grid of
+`geometry.grid_key`), its levels as ranks in a table of the levels present
+(see `FuzzySet`). The step, `d_infinity`, the raster and the CSV work on that
+form and hash only ints; `items()`, `level()`, `support_set()` and
+`level_values()` show Fractions, or floats, at the boundary.
 
 The metric `d_infinity` is the supremum over alpha of the Hausdorff distance
 between alpha-cuts. On finite supports the supremum is attained on the
@@ -18,8 +19,8 @@ levels), which gives the level-sweep reference implementation, kept as a
 test oracle. `d_infinity` uses the equivalent per-point form: for each
 support point x of u, the nearest point of v at level >= u(x), and
 symmetrically. It has one body for both numeric modes, built on the same
-nearest-neighbour kernel as the crisp `geometry.hausdorff`; exact pairs are
-first brought onto one denominator and one level table.
+nearest-neighbour kernel as the crisp `geometry.hausdorff`; a pair is first
+brought onto one denominator and one level table.
 """
 
 from __future__ import annotations
@@ -28,17 +29,21 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from scipy.spatial import cKDTree
 
 from .geometry import (
+    GRID,
     DimensionMismatchError,
     FinitePointSet,
     Point,
     as_float_array,
     as_point,
     directed_max_squared,
+    grid_key,
+    grid_keys,
     hausdorff,
     point_is_exact,
     scale_points,
@@ -193,15 +198,15 @@ class GreyLevelMap:
 class FuzzySet:
     """Finitely supported fuzzy subset of R^D with levels in (0, 1].
 
-    A float set maps each support point, snapped to the dedup grid, to its
-    level. An exact set holds integers: each support point is a tuple of
-    numerators over one common denominator D, the least one (the lcm of the
-    reduced denominators of its coordinates), and maps to the rank of its
-    level in an ascending table of exactly the levels present, preceded by 0
-    at rank 0. That form is canonical, so equal sets have equal
-    representations. `scaled()` gives it to the step, the metric and the
-    writers; `items()`, `level()`, `support_set()` and `level_values()` give
-    Fractions.
+    Both numeric modes hold the same integer form: each support point is a
+    tuple of numerators over one common denominator D and maps to the rank of
+    its level in an ascending table of exactly the levels present, preceded
+    by 0 at rank 0. Exact sets take the least D (the lcm of the reduced
+    denominators of their coordinates); float sets take D = 10^12 and the
+    keys of `geometry.grid_key`. That form is canonical, so equal sets have
+    equal representations. `scaled()` gives it to the step, the metric and
+    the writers; `items()`, `level()`, `support_set()` and `level_values()`
+    give Fractions, or floats n / D.
     """
 
     __slots__ = ("_support", "_den", "_levels", "_items", "exact", "dimension")
@@ -214,7 +219,7 @@ class FuzzySet:
             p0, l0 = pairs[0]
             exact = point_is_exact(p0) and is_exact(l0)
         dimension = len(pairs[0][0])
-        kept = []
+        points, kept = [], []
         for p, level in pairs:
             if len(p) != dimension:
                 raise DimensionMismatchError("support points of mixed dimension")
@@ -225,49 +230,38 @@ class FuzzySet:
                     level = float(level)
                 elif type(level) is not Fraction:
                     level = Fraction(level)
-                kept.append((as_point(p, exact), level))
+                points.append(p)
+                kept.append(level)
         if not kept:
             raise EmptySupportError("all levels were zero")
-        den = None
-        keys = [p for p, _ in kept]
         if exact:
-            den, (keys,) = scale_points(keys)
+            den, (keys,) = scale_points([as_point(p, True) for p in points])
+        else:
+            den, keys = GRID, grid_keys(points)
         support: Dict = {}
-        for key, (_, level) in zip(keys, kept):
+        for key, level in zip(keys, kept):
             old = support.get(key)
             if old is None or level > old:
                 support[key] = level
-        levels = None
-        if exact:
-            levels = (Fraction(0), *sorted(set(support.values())))
-            rank = {level: i for i, level in enumerate(levels)}
-            support = {p: rank[level] for p, level in support.items()}
-        self._init(support, den, levels, dimension)
+        levels = (Fraction(0) if exact else 0.0, *sorted(set(support.values())))
+        rank = {level: i for i, level in enumerate(levels)}
+        self._init({p: rank[level] for p, level in support.items()}, den, levels, dimension, exact)
 
-    def _init(self, support, den, levels, dimension) -> None:
+    def _init(self, support, den, levels, dimension, exact) -> None:
         object.__setattr__(self, "_support", support)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_items", None)
-        object.__setattr__(self, "exact", den is not None)
+        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "dimension", dimension)
 
     @classmethod
-    def _from_dict(cls, support: Dict[Point, float], dimension: int) -> "FuzzySet":
-        """A float set from snapped points and their positive levels."""
-        if not support:
-            raise EmptySupportError("fuzzy set needs a nonempty support")
-        obj = object.__new__(cls)
-        obj._init(support, None, None, dimension)
-        return obj
-
-    @classmethod
     def _from_scaled(cls, ranks: Dict[Tuple[int, ...], int], den: int,
-                     levels: Tuple[Fraction, ...], dimension: int) -> "FuzzySet":
-        """An exact set from numerator tuples over den and their positive
-        ranks in levels, an ascending table starting with 0. The table is cut
-        to the ranks in use and den to the least common denominator, in one
-        pass each."""
+                     levels: Tuple[Scalar, ...], dimension: int, exact: bool) -> "FuzzySet":
+        """A set from numerator tuples over den and their positive ranks in
+        levels, an ascending table starting with 0. The table is cut to the
+        ranks in use, and an exact set's den to the least common denominator,
+        in one pass each."""
         if not ranks:
             raise EmptySupportError("fuzzy set needs a nonempty support")
         used = sorted(set(ranks.values()))
@@ -275,39 +269,38 @@ class FuzzySet:
             new_rank = dict(zip(used, range(1, len(used) + 1)))
             levels = (levels[0], *(levels[r] for r in used))
             ranks = {p: new_rank[r] for p, r in ranks.items()}
-        g = den
-        for p in ranks:
-            g = math.gcd(g, *p)
-            if g == 1:
-                break
-        else:
-            den //= g
-            ranks = {tuple(n // g for n in p): r for p, r in ranks.items()}
+        if exact:
+            g = den
+            for p in ranks:
+                g = math.gcd(g, *p)
+                if g == 1:
+                    break
+            else:
+                den //= g
+                ranks = {tuple(n // g for n in p): r for p, r in ranks.items()}
         obj = object.__new__(cls)
-        obj._init(ranks, den, levels, dimension)
+        obj._init(ranks, den, levels, dimension, exact)
         return obj
 
     def __setattr__(self, *args):
         raise AttributeError("FuzzySet is immutable")
 
-    def scaled(self) -> Tuple[int, Tuple[Fraction, ...], Dict[Tuple[int, ...], int]]:
-        """The integer form of an exact set: (D, levels, ranks), where ranks
-        maps each support point times D, a tuple of ints, to the index of its
-        level in levels, the ascending table of the levels present preceded
-        by 0. The dict is the set's own; do not modify it."""
-        if not self.exact:
-            raise ValueError("only exact sets have an integer form")
+    def scaled(self) -> Tuple[int, Tuple[Scalar, ...], Dict[Tuple[int, ...], int]]:
+        """The integer form: (D, levels, ranks), where ranks maps each
+        support point times D, a tuple of ints, to the index of its level in
+        levels, the ascending table of the levels present preceded by 0. The
+        dict is the set's own; do not modify it."""
         return self._den, self._levels, self._support
 
     def items(self):
-        """(point, level) pairs in support order; Fractions in exact mode,
-        built on the first call and kept."""
-        if not self.exact:
-            return self._support.items()
+        """(point, level) pairs in support order, built on the first call and
+        kept: Fraction coordinates n/D in exact mode, floats n / D (int true
+        division) in float mode."""
         if self._items is None:
             den, levels = self._den, self._levels
+            coord = Fraction if self.exact else truediv
             object.__setattr__(self, "_items", tuple(
-                (tuple(Fraction(n, den) for n in p), levels[r]) for p, r in self._support.items()))
+                (tuple([coord(n, den) for n in p]), levels[r]) for p, r in self._support.items()))
         return self._items
 
     def support_points(self) -> Tuple[Point, ...]:
@@ -317,8 +310,10 @@ class FuzzySet:
         return FinitePointSet(points=self.support_points(), exact=self.exact)
 
     def level(self, p: Sequence) -> Scalar:
+        """The level at p, 0 off the support; a float point is looked up at
+        its grid key."""
         if not self.exact:
-            return self._support.get(as_point(p, False), 0.0)
+            return self._levels[self._support.get(grid_key(p), 0)]
         key = []
         for c in as_point(p, True):
             n, rest = divmod(c.numerator * self._den, c.denominator)
@@ -329,13 +324,11 @@ class FuzzySet:
 
     def level_values(self):
         """Distinct occurring levels, ascending."""
-        if self.exact:
-            return list(self._levels[1:])
-        return sorted(set(self._support.values()))
+        return list(self._levels[1:])
 
     @property
     def max_level(self) -> Scalar:
-        return self._levels[-1] if self.exact else max(self._support.values())
+        return self._levels[-1]
 
     @property
     def normal(self) -> bool:
@@ -346,11 +339,7 @@ class FuzzySet:
     def to_float(self) -> "FuzzySet":
         if not self.exact:
             return self
-        den, levels = self._den, self._levels
-        return FuzzySet(
-            [(tuple(n / den for n in p), float(levels[r])) for p, r in self._support.items()],
-            exact=False,
-        )
+        return FuzzySet([(p, float(level)) for p, level in self.items()], exact=False)
 
     def __eq__(self, other):
         if not isinstance(other, FuzzySet):
@@ -424,10 +413,10 @@ def restrict(u: FuzzySet, s: FinitePointSet) -> FuzzySet:
     return FuzzySet(pairs, exact=u.exact)
 
 
-def _directed_max_squared(u: Dict, v: Dict, den: Optional[int]):
+def _directed_max_squared(u: Dict, v: Dict, den: int, exact: bool):
     """Squared directed part of d_infinity on two supports, each a dict from
-    point to level: float points and levels, or numerator tuples over den and
-    level ranks in one shared table, so that only ints are hashed.
+    numerator tuples over den to level ranks in one shared table, so that
+    only ints are hashed.
 
     Points whose own position already sits in the other set's cut contribute
     zero and are skipped up front (Taha & Hanbury, IEEE TPAMI 37(11), 2015),
@@ -445,7 +434,6 @@ def _directed_max_squared(u: Dict, v: Dict, den: Optional[int]):
     groups: Dict[Scalar, list] = {}
     for p, lp in pending:
         groups.setdefault(lp, []).append(p)
-    exact = den is not None
     v_arr = None
     trees: Dict[int, cKDTree] = {}
     best = 0
@@ -458,14 +446,13 @@ def _directed_max_squared(u: Dict, v: Dict, den: Optional[int]):
                 if v_arr is None:
                     v_arr = as_float_array(v_points, den)
                 tree = trees[k] = cKDTree(v_arr[:k])
-        best = max(best, directed_max_squared(pts, v_points[:k], den, tree))
+        best = max(best, directed_max_squared(pts, v_points[:k], den, exact, tree))
     return best
 
 
-def _on_common_scale(u: FuzzySet, den: int, rank: Dict[Fraction, int]) -> Dict:
-    """The support of an exact set as numerator tuples over den, a multiple
-    of its own denominator, valued by the ranks of its levels in a shared
-    table."""
+def _on_common_scale(u: FuzzySet, den: int, rank: Dict[Scalar, int]) -> Dict:
+    """The support of a set as numerator tuples over den, a multiple of its
+    own denominator, valued by the ranks of its levels in a shared table."""
     factor = den // u._den
     ranks = [rank[level] for level in u._levels]
     if factor == 1 and ranks == list(range(len(ranks))):
@@ -476,22 +463,21 @@ def _on_common_scale(u: FuzzySet, den: int, rank: Dict[Fraction, int]) -> Dict:
 def d_infinity(u: FuzzySet, v: FuzzySet):
     """Supremum over alpha of the Hausdorff distance between alpha-cuts.
 
-    Exact sets are brought onto the lcm of their denominators and one merged
-    level table first, so the directed scans compare ints only.
+    The pair is brought onto the lcm of its denominators and one merged
+    level table first, so the directed scans hash ints only. Exact mode
+    compares integer squares over that denominator; float mode takes the
+    KD-tree's float distances.
     """
     _check_compatible(u, v)
     top_u, top_v = u.max_level, v.max_level
     if top_u != top_v:
         raise EmptyCutError(f"no point of the other set at level >= {max(top_u, top_v)}")
-    if not u.exact:
-        best = max(_directed_max_squared(u._support, v._support, None),
-                   _directed_max_squared(v._support, u._support, None))
-        return math.sqrt(best)
     den = math.lcm(u._den, v._den)
     rank = {level: i for i, level in enumerate(sorted(set(u._levels) | set(v._levels)))}
     us, vs = _on_common_scale(u, den, rank), _on_common_scale(v, den, rank)
-    best = max(_directed_max_squared(us, vs, den), _directed_max_squared(vs, us, den))
-    return sqrt_exact(Fraction(best, den * den))
+    exact = u.exact
+    best = max(_directed_max_squared(us, vs, den, exact), _directed_max_squared(vs, us, den, exact))
+    return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
 
 
 def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):

@@ -1,7 +1,8 @@
 """Points in R^D, finite point sets and the Hausdorff-Pompeiu metric.
 
-Compact sets are represented as finite, deduplicated point collections. The
-directed and Hausdorff distances come from one nearest-neighbour kernel,
+Compact sets are represented as finite, deduplicated point collections;
+float points are snapped to the 1e-12 grid of `grid_key`. The directed and
+Hausdorff distances come from one nearest-neighbour kernel,
 `directed_max_squared`, which `fuzzy.d_infinity` shares. Float mode answers
 from a KD-tree. Exact mode works on integers: the points of both operands
 are brought onto one common denominator D (`scale_points`), and the kernel
@@ -37,19 +38,44 @@ class EmptySetError(ValueError):
     """An operation that needs a nonempty point set received an empty one."""
 
 
+class GridRangeError(ValueError):
+    """A float coordinate that the 1e-12 grid cannot hold."""
+
+
 def point_is_exact(p: Sequence) -> bool:
     return all(is_exact(c) for c in p)
 
 
-def as_point(coords: Sequence, exact: bool) -> Point:
-    """Normalize coordinates for the chosen mode.
+# Float points are held as integers over GRID, the 1e-12 grid.
+GRID = 10 ** DEDUP_DECIMALS
 
-    Float coordinates are snapped to the 1e-12 dedup grid, so equal-within-
-    noise points hash identically.
-    """
+
+def grid_key(coords: Sequence) -> Tuple[int, ...]:
+    """The float grid's key of a point, round(x * 10^12) per coordinate:
+    the one snapping rule of float mode, shared by `as_point` and
+    `FuzzySet`, so equal-within-noise points hash identically. An infinite
+    coordinate, or one whose x * 10^12 overflows, raises OverflowError, and
+    NaN raises ValueError."""
+    return tuple([round(float(c) * GRID) for c in coords])
+
+
+def grid_keys(points: Sequence[Sequence]) -> List[Tuple[int, ...]]:
+    """`grid_key` of every point; a coordinate off the grid raises
+    GridRangeError naming it."""
+    try:
+        return [grid_key(p) for p in points]
+    except (OverflowError, ValueError):
+        bad = next(c for p in points for c in p if not math.isfinite(float(c) * GRID))
+        raise GridRangeError(
+            f"float coordinate {bad} is off the 1e-12 grid: x * 10^12 must be finite") from None
+
+
+def as_point(coords: Sequence, exact: bool) -> Point:
+    """Normalize coordinates for the chosen mode: Fractions in exact mode,
+    the grid point key / GRID of `grid_key` in float mode."""
     if exact:
         return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-    return tuple(round(float(c), DEDUP_DECIMALS) + 0.0 for c in coords)
+    return tuple([n / GRID for n in grid_key(coords)])
 
 
 def _check_dimensions(p: Sequence, q: Sequence) -> None:
@@ -89,14 +115,11 @@ class FinitePointSet:
         if exact is None:
             exact = point_is_exact(raw[0])
         dim = len(raw[0])
-        seen = {}
-        for p in raw:
-            if len(p) != dim:
-                raise DimensionMismatchError("points of mixed dimension")
-            key = as_point(p, exact)
-            if key not in seen:
-                seen[key] = key
-        return cls(points=tuple(seen.values()), exact=exact)
+        if any(len(p) != dim for p in raw):
+            raise DimensionMismatchError("points of mixed dimension")
+        points = ([as_point(p, True) for p in raw] if exact
+                  else [tuple([n / GRID for n in key]) for key in grid_keys(raw)])
+        return cls(points=tuple(dict.fromkeys(points)), exact=exact)
 
     @property
     def dimension(self) -> int:
@@ -203,15 +226,15 @@ def _squared(p: Tuple[int, ...], q: Tuple[int, ...]) -> int:
 
 
 def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int],
-                         tree: Optional[cKDTree] = None):
+                         exact: bool, tree: Optional[cKDTree] = None):
     """Max over `points` of the min squared distance into `targets`.
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
-    and `d_infinity`. In float mode (`den` None) the points are float tuples
-    and the result is a float, answered with a KD-tree's nearest neighbours.
-    In exact mode the points are integer numerator tuples over the common
-    denominator `den`, and the result is the integer numerator of the squared
-    distance over den^2, found with integer arithmetic only:
+    and `d_infinity`. The points are float tuples (`den` None) or integer
+    numerator tuples over the common denominator `den`. In float mode the
+    result is a float, answered with a KD-tree's nearest neighbours. In exact
+    mode the result is the integer numerator of the squared distance over
+    den^2, found with integer arithmetic only:
 
     - when the pairs are few and no tree is given, by scanning every target,
       a point stopping once it has a target no farther than the largest
@@ -224,7 +247,6 @@ def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int]
 
     `tree`, if given, must be a KD-tree over `as_float_array(targets, den)`.
     """
-    exact = den is not None
     if tree is None and tree_pays_off(len(points), len(targets), exact):
         tree = cKDTree(as_float_array(targets, den))
     worst = 0
@@ -258,16 +280,12 @@ def _max_squared(a: FinitePointSet, b: FinitePointSet, symmetric: bool):
     """The kernel from a into b, and from b into a too when symmetric; exact
     sets are scaled to their common denominator once for both."""
     _require_compatible(a, b)
-    if not a.exact:
-        best = directed_max_squared(a.points, b.points, None)
-        if symmetric:
-            best = max(best, directed_max_squared(b.points, a.points, None))
-        return math.sqrt(best)
-    den, (points, targets) = scale_points(a.points, b.points)
-    best = directed_max_squared(points, targets, den)
+    exact = a.exact
+    den, (points, targets) = scale_points(a.points, b.points) if exact else (None, (a.points, b.points))
+    best = directed_max_squared(points, targets, den, exact)
     if symmetric:
-        best = max(best, directed_max_squared(targets, points, den))
-    return sqrt_exact(Fraction(best, den * den))
+        best = max(best, directed_max_squared(targets, points, den, exact))
+    return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
 
 
 def directed_distance(a: FinitePointSet, b: FinitePointSet):

@@ -55,13 +55,10 @@ class GridFuzzySet:
         levels = g.levels
         x0, y0 = g.lo
         x1, y1 = g.hi
-        if u.exact:
-            den, table, ranks = u.scaled()
-            table = [float(level) for level in table]
-            pairs = (((x / den, y / den), table[r]) for (x, y), r in ranks.items())
-        else:
-            pairs = u.items()
-        for (x, y), level in pairs:
+        den, table, ranks = u.scaled()
+        table = [float(level) for level in table]
+        for (x, y), r in ranks.items():
+            x, y, level = x / den, y / den, table[r]
             if not (x0 <= x <= x1 and y0 <= y <= y1):
                 continue
             col = min(int((x - x0) / (x1 - x0) * width), width - 1)

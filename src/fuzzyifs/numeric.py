@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
-# Float-mode points closer than this merge into one; quantization happens on
-# a fixed 1e-12 grid so it stays below every tolerance used in tests.
+# Float-mode points are snapped to a fixed 1e-12 grid (`geometry.grid_key`),
+# which stays below every tolerance used in tests.
 DEDUP_DECIMALS = 12
 
 # Default absolute tolerance for float-mode assertions and comparisons.

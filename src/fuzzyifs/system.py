@@ -35,16 +35,11 @@ from .fuzzy import (  # noqa: F401
     join,
     zadeh_pushforward,
 )
-from .geometry import DimensionMismatchError, FinitePointSet, as_point, diameter, scale_points
+from .geometry import DimensionMismatchError, FinitePointSet, diameter, grid_key, grid_keys, scale_points
 from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
 from .numeric import DEFAULT_TOL, Radical, Scalar
 
 _MAX_TOLERANCE_STEPS = 10_000
-
-
-def _snapped(apply):
-    """A float map's image function with its result on the dedup grid."""
-    return lambda p: as_point(apply(p), False)
 
 
 class UnreachableToleranceError(ValueError):
@@ -139,20 +134,20 @@ class OrbitalFuzzySystem:
         """One application of the fuzzy operator: the pointwise maximum of
         the grey-weighted images of u under every map.
 
-        Both numeric modes make one pass per map into one dict, keeping the
-        highest level per image point. Each grey map is evaluated once per
-        distinct level of u, and a point whose new level is 0 is not mapped
-        at all. Float images are snapped to the dedup grid of
-        `geometry.as_point`. Exact sets are stepped in their integer form
-        (`FuzzySet.scaled`): the points over D go through every map times the
-        system's common map denominator L, in ints, to numerators over D*L,
-        and levels travel as ranks in the table of the new levels, 0 meaning
-        erased; the result is then cut to its least denominator. The result
-        equals join([apply_grey(g, zadeh_pushforward(f, u)) for f, g in
-        ...]), the reference this step is tested against, except that a map
-        whose part the grey map erases adds nothing instead of raising: only
-        an empty join raises. SupportCapError is raised as soon as the
-        points gathered after any map pass support_cap.
+        Both numeric modes step the integer form of u (`FuzzySet.scaled`),
+        one pass per map into one dict that keeps the highest level rank per
+        image point. Each grey map is evaluated once per level of u's table;
+        a point whose new level is 0 is not mapped. Only the image differs:
+        an exact map times the system's common map denominator L, in ints,
+        takes numerators over D to numerators over D*L, cut back to the
+        least denominator at the end; a float map reads the grid point
+        n / D and snaps its image with `geometry.grid_key`, and an image off
+        the grid raises GridRangeError. The result equals
+        join([apply_grey(g, zadeh_pushforward(f, u)) for f, g in ...]), the
+        reference this step is tested against, except that a map whose part
+        the grey map erases adds nothing instead of raising: only an empty
+        join raises. SupportCapError is raised as soon as the points
+        gathered after any map pass support_cap.
         """
         self._require_admissible()
         if u.exact != self.exact:
@@ -160,37 +155,39 @@ class OrbitalFuzzySystem:
         if u.dimension != self.dimension:
             raise DimensionMismatchError(
                 f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
+        den, levels, ranks = u.scaled()
+        convert = Fraction if u.exact else float
+        grey = [[convert(g(level)) for level in levels] for g in self.grey_maps]
+        new_levels = tuple(sorted({level for row in grey for level in row}))
+        rank = {level: i for i, level in enumerate(new_levels)}
+        relits = [[rank[level] for level in row] for row in grey]
         if u.exact:
-            den, levels, ranks = u.scaled()
-            items = ranks.items()
-            grey = [[Fraction(g(level)) for level in levels] for g in self.grey_maps]
-            new_levels = tuple(sorted({level for row in grey for level in row}))
-            rank = {level: i for i, level in enumerate(new_levels)}
-            relits = [[rank[level] for level in row] for row in grey]
             map_den, maps = self._scaled_maps
             images = [AffineMap(linear, tuple(b * den for b in offset))._apply
                       for linear, offset in maps]
         else:
-            items = u.items()
-            levels = {level for _, level in items}
-            relits = [{level: float(g(level)) for level in levels} for g in self.grey_maps]
-            images = [_snapped(f._apply) for f in self.ifs.maps]
+            map_den = 1
+            images = [lambda p, apply=f._apply: grid_key(apply(tuple([n / den for n in p])))
+                      for f in self.ifs.maps]
         merged: Dict = {}
-        for image, relit in zip(images, relits):
-            for p, level in items:
-                new = relit[level]
-                if new:
-                    q = image(p)
-                    old = merged.setdefault(q, new)
-                    if new > old:
-                        merged[q] = new
-            if len(merged) > support_cap:
-                raise SupportCapError(f"support grew past the cap of {support_cap} points")
+        try:
+            for f, image, relit in zip(self.ifs.maps, images, relits):
+                for p, r in ranks.items():
+                    new = relit[r]
+                    if new:
+                        q = image(p)
+                        old = merged.setdefault(q, new)
+                        if new > old:
+                            merged[q] = new
+                if len(merged) > support_cap:
+                    raise SupportCapError(f"support grew past the cap of {support_cap} points")
+        except (OverflowError, ValueError):
+            # Only a float image fails here; name its coordinate off the grid.
+            grid_keys([f._apply(tuple(n / den for n in p))])
+            raise
         if not merged:
             raise EmptySupportError("the operator erased the whole support")
-        if u.exact:
-            return FuzzySet._from_scaled(merged, den * map_den, new_levels, u.dimension)
-        return FuzzySet._from_dict(merged, dimension=u.dimension)
+        return FuzzySet._from_scaled(merged, den * map_den, new_levels, u.dimension, u.exact)
 
     def reach_diameter(self, u: FuzzySet) -> Scalar:
         """diam(supp(u) together with its image under every map)."""

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fuzzyifs
 from fuzzyifs.cli import main
@@ -339,3 +340,53 @@ def test_unreachable_tolerance_is_a_one_line_error(tmp_path, capsys):
         assert main(["run", str(scene), "--tol", "1e-6", "--mode", mode]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "more than 10000 steps" in err
+
+
+@pytest.mark.parametrize("change, coordinate", [
+    # the initial point itself is off the grid: 1e300 * 10^12 overflows
+    ({"initial": [[[1e300, 1], 1]]}, "1e+300"),
+    # x -> 10^30 x takes (1/2, 0) past the grid in ten steps
+    ({"maps": [{"linear": [["1e30", "0"], ["0", "1e30"]], "offset": ["0", "0"]},
+               {"linear": [["1", "0"], ["0", "1/2"]], "offset": ["0", "1/2"]}],
+      "stop": {"steps": 12}}, "5e+299"),
+], ids=["initial-point", "image-point"])
+def test_float_coordinate_off_the_grid_is_a_one_line_error(tmp_path, capsys, change, coordinate):
+    doc = json.loads(Path(SLICE).read_text())
+    doc.update(numeric_mode="float", **change)
+    scene = tmp_path / "huge.json"
+    scene.write_text(json.dumps(doc))
+    assert main(["run", str(scene)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"float coordinate {coordinate} is off the 1e-12 grid" in err
+
+
+@pytest.mark.parametrize("tol, mode", [("1/0", "exact"), ("1/0", "float"), ("1e400", "float")])
+def test_run_tolerance_that_is_not_a_finite_number(capsys, tol, mode):
+    assert main(["run", BAND, "--tol", tol, "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --tol expects a finite number, got {tol!r}\n"
+
+
+@pytest.mark.parametrize("content, error", [
+    ("x,y,level\n0,0,1\n", "KeyError"),
+    ("x,y,level,iteration\n0,0,1,0\n0,0\n", "TypeError"),
+    ("x,y,level,iteration\n1e400,0,1,0\n", "OverflowError"),
+], ids=["no-iteration-column", "short-row", "x-past-float-range"])
+def test_render_rejects_a_malformed_csv(tmp_path, capsys, content, error):
+    source = tmp_path / "trace.csv"
+    source.write_text(content)
+    image = tmp_path / "out.pgm"
+    assert main(["render", str(source), "--out-image", str(image)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: not an x,y,level,iteration CSV") and err.count("\n") == 1
+    assert error in err and not image.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "-1", "--depth", "2"], ["--trials", "0"], ["--depth", "-1"]])
+def test_verify_rejects_runs_without_trials(capsys, argv):
+    assert main(["verify", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err == "error: verify needs --trials >= 1 and --depth >= 0\n"

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,12 +22,18 @@ from fuzzyifs.fuzzy import (
 )
 from fuzzyifs.geometry import (
     _BRUTE_PAIR_LIMIT,
+    GRID,
     FinitePointSet,
+    GridRangeError,
+    as_point,
     euclid,
+    grid_key,
     hausdorff,
     hausdorff_brute,
 )
-from fuzzyifs.ifs import AffineMap
+from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem
+from fuzzyifs.properties import _contractive_float_system
+from fuzzyifs.system import OrbitalFuzzySystem
 
 F = Fraction
 
@@ -138,6 +146,66 @@ class TestFuzzySet:
     def test_normal_flag(self):
         assert fuzzy(((0,), 1)).normal
         assert not fuzzy(((0,), F(1, 2))).normal
+
+
+class TestFloatGrid:
+    """A float set holds the integer form of an exact one over D = 10^12."""
+
+    def test_integer_form(self):
+        u = FuzzySet([((0.1, -2.5), 0.5), ((1 / 3, 0.0), 1.0), ((0.1, -2.5), 0.25)], exact=False)
+        den, levels, ranks = u.scaled()
+        assert den == GRID == 10 ** 12
+        assert levels == (0.0, 0.5, 1.0)
+        assert ranks == {(100_000_000_000, -2_500_000_000_000): 1, (333_333_333_333, 0): 2}
+        assert u.items() == tuple(
+            (tuple(n / 10 ** 12 for n in p), levels[r]) for p, r in ranks.items())
+        assert u.items()[0] == ((0.1, -2.5), 0.5)
+        assert u.level_values() == [0.5, 1.0] and u.max_level == 1.0
+
+    def test_level_looks_up_the_grid_key(self):
+        u = FuzzySet([((0.1, -2.5), 0.5), ((1 / 3, 0.0), 1.0)], exact=False)
+        assert u.level((0.1 + 3e-13, -2.5 - 3e-13)) == 0.5
+        assert u.level((1 / 3 - 3e-13, 3e-13)) == 1.0
+        assert u.level((0.1 + 7e-13, -2.5)) == 0.0
+
+    def test_stepped_set_equals_the_set_built_from_its_pairs(self):
+        # Both maps halve; the second one's levels (halved) lose every point
+        # to the first's, so level 0.25 drops out of the step's table.
+        half = AffineMap(linear=((0.5,),), offset=(0.0,))
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(maps=(half, half), contraction_constant=0.5),
+            grey_maps=(GreyLevelMap.identity(exact=False), GreyLevelMap.linear_ramp(0.5, exact=False)))
+        u = system.step(FuzzySet([((0.0,), 1.0), ((1.0,), 0.5)], exact=False))
+        assert u.scaled()[1] == (0.0, 0.5, 1.0)
+        assert FuzzySet(u.items(), exact=False) == u
+        rng = random.Random(11)
+        for _ in range(20):
+            system = _contractive_float_system(rng, rng.randrange(1, 4), 0.7)
+            u = FuzzySet([((rng.uniform(-1, 1), rng.uniform(-1, 1)), 1.0)], exact=False)
+            for _ in range(5):
+                u = system.step(u)
+                assert FuzzySet(u.items(), exact=False) == u
+
+    def test_point_sets_and_fuzzy_sets_snap_alike(self):
+        # 0.1234567890125 * 10^12 is the half-way point 123456789012.5.
+        half = 0.1234567890125
+        for c in (half, math.nextafter(half, 1), math.nextafter(half, 0),
+                  half * (1 + 1e-16), half * (1 - 1e-16), -half, -7.5931668937805):
+            snapped = grid_key((c,))[0] / GRID
+            assert FinitePointSet.from_points([(c, 0.0)]).points[0][0] == snapped
+            assert FuzzySet([((c, 0.0), 1.0)], exact=False).items()[0][0][0] == snapped
+            assert as_point((c,), False) == (snapped,)
+        assert grid_key((half,)) == (123_456_789_012,)
+        assert grid_key((math.nextafter(half, 1),)) == (123_456_789_013,)
+        # round(x, 12) gives -7.593166893781 here; the grid rule rounds x * 10^12.
+        assert as_point((-7.5931668937805,), False) == (-7.59316689378,)
+
+    def test_coordinates_off_the_grid(self):
+        for bad in (math.inf, math.nan, 1e297):
+            with pytest.raises(GridRangeError, match=re.escape(f"float coordinate {bad} is off")):
+                FuzzySet([((0.0, bad), 1.0)], exact=False)
+            with pytest.raises(GridRangeError):
+                FinitePointSet.from_points([(bad, 0.0)])
 
 
 class TestAlphaCut:

@@ -117,8 +117,8 @@ def test_accelerated_hausdorff_matches_brute_force_exact():
         # a prebuilt tree forces the KD shortlist regardless of size
         den, (pa, pb) = scale_points(a.points, b.points)
         fast = max(
-            directed_max_squared(pa, pb, den, cKDTree(b.to_float_array())),
-            directed_max_squared(pb, pa, den, cKDTree(a.to_float_array())),
+            directed_max_squared(pa, pb, den, True, cKDTree(b.to_float_array())),
+            directed_max_squared(pb, pa, den, True, cKDTree(a.to_float_array())),
         )
         assert sqrt_exact(Fraction(fast, den * den)) == hausdorff_brute(a, b)
 
@@ -132,7 +132,7 @@ def test_accelerated_hausdorff_matches_brute_force_float():
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
         assert directed_distance(a, b) == pytest.approx(
             directed_distance_brute(a, b), abs=1e-12)
-        fast = directed_max_squared(a.points, b.points, None, cKDTree(b.to_float_array()))
+        fast = directed_max_squared(a.points, b.points, None, False, cKDTree(b.to_float_array()))
         assert math.sqrt(fast) == pytest.approx(directed_distance_brute(a, b), abs=1e-12)
 
 
@@ -145,7 +145,7 @@ def test_exact_kernel_separates_float_ties():
     for targets in ([far, near], [near, far]):
         tree = cKDTree([[float(c) for c in p] for p in targets])
         den, (points, scaled) = scale_points(origin, targets)
-        best = directed_max_squared(points, scaled, den, tree)
+        best = directed_max_squared(points, scaled, den, True, tree)
         assert Fraction(best, den * den) == near[0] ** 2
 
 
