@@ -12,7 +12,6 @@ the operator engine, so the two can be checked against each other exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable
 
@@ -76,17 +75,6 @@ def count_twos(word: Word) -> int:
     return sum(1 for letter in word if letter == 2)
 
 
-@dataclass(frozen=True)
-class WordStats:
-    word: Word
-    value: Fraction
-    two_count: int
-
-
-def word_stats(word: Word) -> WordStats:
-    return WordStats(word=tuple(word), value=dyadic_value(word), two_count=count_twos(word))
-
-
 def enumerated_levels(n: int, decay: Fraction = REFERENCE_DECAY) -> Dict[Fraction, Fraction]:
     """Level per reachable dyadic value after n steps, by full enumeration of
     the 2^(n+1) - 1 words of length up to n."""
@@ -97,8 +85,3 @@ def enumerated_levels(n: int, decay: Fraction = REFERENCE_DECAY) -> Dict[Fractio
         if levels.get(value, Fraction(0)) < level:
             levels[value] = level
     return levels
-
-
-def enumerated_level(y, n: int, decay: Fraction = REFERENCE_DECAY) -> Fraction:
-    """Closed-form level at height y after n steps; zero when unreachable."""
-    return enumerated_levels(n, decay).get(Fraction(y), Fraction(0))

@@ -29,7 +29,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
+from operator import itemgetter, truediv
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from scipy.spatial import cKDTree
@@ -43,7 +43,6 @@ from .geometry import (
     as_point,
     directed_max_squared,
     grid_key,
-    grid_keys,
     hausdorff,
     point_is_exact,
     scale_points,
@@ -73,15 +72,14 @@ def _check_unit_interval(value, what: str):
 class GreyLevelMap:
     """Nondecreasing right-continuous map of [0, 1] into itself.
 
-    Stored as nodes (t, left value, right value) with strictly increasing t;
-    a node with left < right encodes a jump, and the value at the jump point
-    is the right value. Between nodes the graph is linear from one node's
-    right value to the next node's left value. Build instances through
-    `from_breakpoints`, where a jump is written as two breakpoints sharing
-    the same t.
+    Stored as its breakpoints ((t, v), ...), nondecreasing in t and in v,
+    from t = 0 to t = 1. A jump is two breakpoints sharing the same t, and
+    the value at the jump point is the second one's v. Between breakpoints
+    the graph is linear. Build instances through `from_breakpoints`, which
+    validates them and drops exact duplicates.
     """
 
-    nodes: Tuple[Tuple[Scalar, Scalar, Scalar], ...]
+    breakpoints: Tuple[Tuple[Scalar, Scalar], ...]
 
     @classmethod
     def from_breakpoints(cls, breakpoints: Sequence[Sequence], exact: bool = True) -> "GreyLevelMap":
@@ -100,17 +98,10 @@ class GreyLevelMap:
             raise GreyMapError("breakpoint positions must be nondecreasing")
         if any(b < a for a, b in zip(vs, vs[1:])):
             raise GreyMapError("breakpoint values must be nondecreasing")
-        nodes = []
-        i = 0
-        while i < len(pts):
-            j = i
-            while j + 1 < len(pts) and ts[j + 1] == ts[i]:
-                j += 1
-            if j - i >= 2:
-                raise GreyMapError(f"more than two breakpoints share t={ts[i]}")
-            nodes.append((ts[i], vs[i], vs[j]))
-            i = j + 1
-        return cls(nodes=tuple(nodes))
+        for a, c in zip(ts, ts[2:]):
+            if a == c:
+                raise GreyMapError(f"more than two breakpoints share t={a}")
+        return cls(breakpoints=tuple(dict.fromkeys(pts)))
 
     @classmethod
     def identity(cls, exact: bool = True) -> "GreyLevelMap":
@@ -123,32 +114,18 @@ class GreyLevelMap:
 
     @property
     def exact(self) -> bool:
-        return is_exact(self.nodes[0][0])
+        return is_exact(self.breakpoints[0][0])
 
     @property
     def value_at_zero(self) -> Scalar:
-        return self.nodes[0][2]
+        return self(0)
 
     @property
     def value_at_one(self) -> Scalar:
-        return self.nodes[-1][2]
-
-    @property
-    def is_nonzero(self) -> bool:
-        return self.value_at_one > 0
-
-    def to_breakpoints(self):
-        out = []
-        for t, left, right in self.nodes:
-            out.append((t, left))
-            if right != left:
-                out.append((t, right))
-        return out
+        return self.breakpoints[-1][1]
 
     def to_float(self) -> "GreyLevelMap":
-        return GreyLevelMap(
-            nodes=tuple((float(t), float(l), float(r)) for t, l, r in self.nodes)
-        )
+        return GreyLevelMap(breakpoints=tuple((float(t), float(v)) for t, v in self.breakpoints))
 
     def __call__(self, t: Scalar) -> Scalar:
         if -1e-12 <= t < 0:
@@ -157,19 +134,14 @@ class GreyLevelMap:
             t = 1
         if not (0 <= t <= 1):
             raise GreyMapError(f"grey map evaluated at {t!r}, outside [0, 1]")
-        nodes = self.nodes
-        lo, hi = 0, len(nodes) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if nodes[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        tk, _, right = nodes[lo]
-        if t == tk or lo == len(nodes) - 1:
-            return right
-        tn, left_next, _ = nodes[lo + 1]
-        value = right + (left_next - right) * (t - tk) / (tn - tk)
+        pts = self.breakpoints
+        # The last breakpoint at or before t: at a jump, the right value.
+        k = bisect.bisect_right(pts, t, key=itemgetter(0)) - 1
+        tk, vk = pts[k]
+        if t == tk:
+            return vk
+        tn, vn = pts[k + 1]
+        value = vk + (vn - vk) * (t - tk) / (tn - tk)
         return min(max(value, 0), 1)
 
     def level_preimage(self, alpha: Scalar) -> Scalar:
@@ -181,18 +153,18 @@ class GreyLevelMap:
         """
         if not (0 < alpha <= 1):
             raise GreyMapError(f"threshold {alpha!r} outside (0, 1]")
-        if self.value_at_one < alpha:
+        pts = self.breakpoints
+        if pts[-1][1] < alpha:
             raise GreyMapError(f"grey map never reaches {alpha}")
-        if alpha <= self.nodes[0][2]:
-            return self.nodes[0][0]
-        for k in range(1, len(self.nodes)):
-            prev_t, _, prev_right = self.nodes[k - 1]
-            t, left, right = self.nodes[k]
-            if prev_right < alpha <= left:
-                return prev_t + (alpha - prev_right) * (t - prev_t) / (left - prev_right)
-            if alpha <= right:
-                return t
-        raise GreyMapError(f"grey map never reaches {alpha}")  # unreachable
+        # The first breakpoint reaching alpha. Unless it is the first one, the
+        # graph rises to it from the previous one, which lies below alpha;
+        # at a jump prev_t == t, and the line gives t itself.
+        k = bisect.bisect_left(pts, alpha, key=itemgetter(1))
+        t, v = pts[k]
+        if k == 0:
+            return t
+        prev_t, prev_v = pts[k - 1]
+        return prev_t + (alpha - prev_v) * (t - prev_t) / (v - prev_v)
 
 
 class FuzzySet:
@@ -237,7 +209,7 @@ class FuzzySet:
         if exact:
             den, (keys,) = scale_points([as_point(p, True) for p in points])
         else:
-            den, keys = GRID, grid_keys(points)
+            den, keys = GRID, [grid_key(p) for p in points]
         support: Dict = {}
         for key, level in zip(keys, kept):
             old = support.get(key)
@@ -421,31 +393,30 @@ def _directed_max_squared(u: Dict, v: Dict, den: int, exact: bool):
     Points whose own position already sits in the other set's cut contribute
     zero and are skipped up front (Taha & Hanbury, IEEE TPAMI 37(11), 2015),
     which makes consecutive-iterate distances cheap. The rest are grouped by
-    level; each group is one call of the geometry kernel against the prefix
-    of the other support at that level or above, with one KD-tree per prefix
-    length shared by the groups that need one. The caller has checked that
-    both sets reach the same top level, so no prefix is empty.
+    k, the length of the prefix of the other support (highest levels first)
+    at their level or above; several levels can share one k. Each group is
+    one call of the geometry kernel against that prefix, with a KD-tree
+    built just for the call when one pays off, so at most one tree is alive
+    at a time. The caller has checked that both sets reach the same top
+    level, so no prefix is empty.
     """
     pending = [(p, lp) for p, lp in u.items() if v.get(p, 0) < lp]
     if not pending:
         return 0
     v_points = sorted(v, key=v.__getitem__, reverse=True)
     v_levels = sorted(v.values())
-    groups: Dict[Scalar, list] = {}
+    prefix = {lam: len(v_levels) - bisect.bisect_left(v_levels, lam) for lam in set(u.values())}
+    groups: Dict[int, list] = {}
     for p, lp in pending:
-        groups.setdefault(lp, []).append(p)
+        groups.setdefault(prefix[lp], []).append(p)
     v_arr = None
-    trees: Dict[int, cKDTree] = {}
     best = 0
-    for lam, pts in groups.items():
-        k = len(v_levels) - bisect.bisect_left(v_levels, lam)
+    for k, pts in groups.items():
         tree = None
         if tree_pays_off(len(pts), k, exact):
-            tree = trees.get(k)
-            if tree is None:
-                if v_arr is None:
-                    v_arr = as_float_array(v_points, den)
-                tree = trees[k] = cKDTree(v_arr[:k])
+            if v_arr is None:
+                v_arr = as_float_array(v_points, den)
+            tree = cKDTree(v_arr[:k])
         best = max(best, directed_max_squared(pts, v_points[:k], den, exact, tree))
     return best
 

@@ -53,19 +53,13 @@ GRID = 10 ** DEDUP_DECIMALS
 def grid_key(coords: Sequence) -> Tuple[int, ...]:
     """The float grid's key of a point, round(x * 10^12) per coordinate:
     the one snapping rule of float mode, shared by `as_point` and
-    `FuzzySet`, so equal-within-noise points hash identically. An infinite
-    coordinate, or one whose x * 10^12 overflows, raises OverflowError, and
-    NaN raises ValueError."""
-    return tuple([round(float(c) * GRID) for c in coords])
-
-
-def grid_keys(points: Sequence[Sequence]) -> List[Tuple[int, ...]]:
-    """`grid_key` of every point; a coordinate off the grid raises
-    GridRangeError naming it."""
+    `FuzzySet`, so equal-within-noise points hash identically. A coordinate
+    the grid cannot hold (infinite, NaN, or one whose x * 10^12 overflows)
+    raises GridRangeError naming it."""
     try:
-        return [grid_key(p) for p in points]
+        return tuple([round(float(c) * GRID) for c in coords])
     except (OverflowError, ValueError):
-        bad = next(c for p in points for c in p if not math.isfinite(float(c) * GRID))
+        bad = next(c for c in coords if not math.isfinite(float(c) * GRID))
         raise GridRangeError(
             f"float coordinate {bad} is off the 1e-12 grid: x * 10^12 must be finite") from None
 
@@ -117,9 +111,7 @@ class FinitePointSet:
         dim = len(raw[0])
         if any(len(p) != dim for p in raw):
             raise DimensionMismatchError("points of mixed dimension")
-        points = ([as_point(p, True) for p in raw] if exact
-                  else [tuple([n / GRID for n in key]) for key in grid_keys(raw)])
-        return cls(points=tuple(dict.fromkeys(points)), exact=exact)
+        return cls(points=tuple(dict.fromkeys(as_point(p, exact) for p in raw)), exact=exact)
 
     @property
     def dimension(self) -> int:

@@ -266,7 +266,7 @@ def scene_to_dict(scene: Scene) -> dict:
             for m in scene.system.ifs.maps
         ],
         "grey_maps": [
-            {"breakpoints": [[_emit_scalar(t), _emit_scalar(v)] for t, v in g.to_breakpoints()]}
+            {"breakpoints": [[_emit_scalar(t), _emit_scalar(v)] for t, v in g.breakpoints]}
             for g in scene.system.grey_maps
         ],
         "initial": [

@@ -35,7 +35,7 @@ from .fuzzy import (  # noqa: F401
     join,
     zadeh_pushforward,
 )
-from .geometry import DimensionMismatchError, FinitePointSet, diameter, grid_key, grid_keys, scale_points
+from .geometry import DimensionMismatchError, FinitePointSet, diameter, grid_key, scale_points
 from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
 from .numeric import DEFAULT_TOL, Radical, Scalar
 
@@ -117,7 +117,7 @@ class OrbitalFuzzySystem:
         """
         violations = []
         for i, g in enumerate(self.grey_maps):
-            if not g.is_nonzero:
+            if g.value_at_one == 0:
                 violations.append(f"grey map {i} is identically zero")
             if g.value_at_zero != 0:
                 violations.append(f"grey map {i} has rho(0) = {g.value_at_zero}, expected 0")
@@ -170,21 +170,16 @@ class OrbitalFuzzySystem:
             images = [lambda p, apply=f._apply: grid_key(apply(tuple([n / den for n in p])))
                       for f in self.ifs.maps]
         merged: Dict = {}
-        try:
-            for f, image, relit in zip(self.ifs.maps, images, relits):
-                for p, r in ranks.items():
-                    new = relit[r]
-                    if new:
-                        q = image(p)
-                        old = merged.setdefault(q, new)
-                        if new > old:
-                            merged[q] = new
-                if len(merged) > support_cap:
-                    raise SupportCapError(f"support grew past the cap of {support_cap} points")
-        except (OverflowError, ValueError):
-            # Only a float image fails here; name its coordinate off the grid.
-            grid_keys([f._apply(tuple(n / den for n in p))])
-            raise
+        for image, relit in zip(images, relits):
+            for p, r in ranks.items():
+                new = relit[r]
+                if new:
+                    q = image(p)
+                    old = merged.setdefault(q, new)
+                    if new > old:
+                        merged[q] = new
+            if len(merged) > support_cap:
+                raise SupportCapError(f"support grew past the cap of {support_cap} points")
         if not merged:
             raise EmptySupportError("the operator erased the whole support")
         return FuzzySet._from_scaled(merged, den * map_den, new_levels, u.dimension, u.exact)
@@ -245,7 +240,9 @@ class OrbitalFuzzySystem:
 
         In tolerance mode the run stops at the first m whose a-priori bound
         falls within the tolerance, which certifies that the final iterate is
-        that close to its limit.
+        that close to its limit. A step that passes support_cap, the residual
+        step included, raises SupportCapError with `partial` set to the last
+        iterate and its report, whose certified_residual is None.
         """
         if (steps is None) == (tolerance is None):
             raise ValueError("choose exactly one of steps or tolerance")
@@ -263,23 +260,25 @@ class OrbitalFuzzySystem:
             m, bound = steps, self.scaled_bound(diam, steps)
         current = u0
         history = []
-        for n in range(1, m + 1):
-            try:
+        try:
+            for n in range(1, m + 1):
                 nxt = self.step(current, support_cap)
-            except SupportCapError as err:
-                err.partial = (current, ConvergenceReport(
-                    iterations=n - 1,
-                    d_history=tuple(history),
-                    a_priori=self.scaled_bound(diam, n - 1),
-                    certified_residual=None,
-                    diameter=diam,
-                ))
-                raise
-            history.append(d_infinity(current, nxt))
-            if on_step is not None:
-                on_step(n, nxt)
-            current = nxt
-        residual = d_infinity(self.step(current), current)
+                history.append(d_infinity(current, nxt))
+                if on_step is not None:
+                    on_step(n, nxt)
+                current = nxt
+            residual = d_infinity(self.step(current, support_cap), current)
+        except SupportCapError as err:
+            # Whether a step or the residual step passed the cap, the partial
+            # result is the last iterate reached, with its bound.
+            err.partial = (current, ConvergenceReport(
+                iterations=len(history),
+                d_history=tuple(history),
+                a_priori=self.scaled_bound(diam, len(history)),
+                certified_residual=None,
+                diameter=diam,
+            ))
+            raise
         report = ConvergenceReport(
             iterations=m,
             d_history=tuple(history),

@@ -138,7 +138,7 @@ def test_exit_code_validation_error(tmp_path):
     assert main(["run", str(invalid)]) == 1
 
 
-def test_exit_code_support_cap(tmp_path, monkeypatch):
+def test_exit_code_support_cap(tmp_path, monkeypatch, capsys):
     doc = json.loads(Path(SLICE).read_text())
     doc["support_cap"] = 4
     doc["stop"] = {"steps": 6}
@@ -154,6 +154,20 @@ def test_exit_code_support_cap(tmp_path, monkeypatch):
                  "--out-image", str(outputs[1]), "--report", str(outputs[2])]) == 3
     assert all(path.read_text() == "previous run\n" for path in outputs)
     assert len(list(tmp_path.iterdir())) == 4
+
+    # The residual step counts too: two band steps reach 260 points under a
+    # cap of 300, and the residual step's image of 520 points passes it.
+    doc = json.loads(Path(BAND).read_text())
+    doc["support_cap"] = 300
+    doc["stop"] = {"steps": 2}
+    residual_capped = tmp_path / "residual_capped.json"
+    residual_capped.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", str(residual_capped), "--out-csv", str(outputs[0]),
+                 "--out-image", str(outputs[1]), "--report", str(outputs[2])]) == 3
+    assert capsys.readouterr().err == "error: support grew past the cap of 300 points\n"
+    assert all(path.read_text() == "previous run\n" for path in outputs)
+    assert len(list(tmp_path.iterdir())) == 5
 
     # The band starts on 65 points; under a cap of 10 the first map's image
     # passes the cap, and the run exits 3 before the second map, the one

@@ -7,10 +7,8 @@ from fuzzyifs.dyadic import (
     REFERENCE_DECAY,
     count_twos,
     dyadic_value,
-    enumerated_level,
     enumerated_levels,
     reference_system,
-    word_stats,
 )
 from fuzzyifs.properties import oracle_equivalence_failures
 
@@ -22,6 +20,7 @@ def test_dyadic_value():
     assert dyadic_value((2,)) == F(1, 2)
     assert dyadic_value((1, 2)) == F(1, 4)
     assert dyadic_value((2, 2)) == F(3, 4)
+    assert dyadic_value((2, 1, 2)) == F(1, 2) + F(1, 8)
     with pytest.raises(ValueError):
         dyadic_value((3,))
 
@@ -30,23 +29,21 @@ def test_count_twos():
     assert count_twos(()) == 0
     assert count_twos((2, 2)) == 2
     assert count_twos((1, 2, 1)) == 1
+    assert count_twos((2, 1, 2)) == 2
     with pytest.raises(ValueError):
         count_twos((0,))
 
 
-def test_word_stats():
-    s = word_stats((2, 1, 2))
-    assert s.value == F(1, 2) + F(1, 8)
-    assert s.two_count == 2
-
-
 def test_enumerated_level_reference_values():
-    assert enumerated_level(0, 0) == 1
-    assert enumerated_level(0, 7) == 1
-    assert enumerated_level(F(1, 2), 1) == F(3, 4)
-    assert enumerated_level(F(3, 4), 2) == F(9, 16)
-    assert enumerated_level(F(3, 4), 5) == F(9, 16)  # stable once reachable
-    assert enumerated_level(F(1, 3), 8) == 0  # non-dyadic values are unreachable
+    def level(y, n):
+        return enumerated_levels(n).get(F(y), 0)
+
+    assert level(0, 0) == 1
+    assert level(0, 7) == 1
+    assert level(F(1, 2), 1) == F(3, 4)
+    assert level(F(3, 4), 2) == F(9, 16)
+    assert level(F(3, 4), 5) == F(9, 16)  # stable once reachable
+    assert level(F(1, 3), 8) == 0  # non-dyadic values are unreachable
 
 
 def test_levels_equal_decay_to_the_popcount():

@@ -32,7 +32,7 @@ from fuzzyifs.geometry import (
     hausdorff_brute,
 )
 from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem
-from fuzzyifs.properties import _contractive_float_system
+from fuzzyifs.properties import _contractive_float_system, _grey
 from fuzzyifs.system import OrbitalFuzzySystem
 
 F = Fraction
@@ -43,6 +43,27 @@ def fuzzy(*pairs):
 
 
 STEP_AT_HALF = GreyLevelMap.from_breakpoints([(0, 0), (F(1, 2), 0), (F(1, 2), 1), (1, 1)])
+
+
+def _grey_maps_both_modes(seed):
+    """300 seeded maps of the property suites, a jump at t = 0 and a jump at
+    t = 1, then the float copy of each."""
+    rng = random.Random(seed)
+    maps = [GreyLevelMap.from_breakpoints([(0, 0), (0, F(1, 2)), (1, 1)]),
+            GreyLevelMap.from_breakpoints([(0, 0), (1, F(1, 2)), (1, 1)])]
+    maps += [_grey(rng, reach_one=rng.random() < 0.5) for _ in range(300)]
+    return maps + [g.to_float() for g in maps]
+
+
+def _scan_value(breakpoints, t):
+    """rho(t) by a linear scan: the last breakpoint at t if there is one,
+    otherwise the line between the breakpoints around t."""
+    at_t = [v for s, v in breakpoints if s == t]
+    if at_t:
+        return at_t[-1]
+    for (s0, v0), (s1, v1) in zip(breakpoints, breakpoints[1:]):
+        if s0 < t < s1:
+            return v0 + (v1 - v0) * (t - s0) / (s1 - s0)
 
 
 class TestGreyLevelMap:
@@ -80,7 +101,36 @@ class TestGreyLevelMap:
             GreyLevelMap.from_breakpoints([(0, 0), (1, 2)])  # value outside [0, 1]
 
     def test_jump_round_trip(self):
-        assert GreyLevelMap.from_breakpoints(STEP_AT_HALF.to_breakpoints()) == STEP_AT_HALF
+        assert GreyLevelMap.from_breakpoints(STEP_AT_HALF.breakpoints) == STEP_AT_HALF
+
+    def test_evaluation_matches_a_linear_scan(self):
+        rng = random.Random(31)
+        for g in _grey_maps_both_modes(30):
+            pts = g.breakpoints
+            ts = [0, 1, *(t for t, _ in pts), *(F(rng.randrange(0, 2 ** 10 + 1), 2 ** 10)
+                                                for _ in range(64))]
+            for t in ts:
+                if g.exact:
+                    assert g(t) == _scan_value(pts, t)
+                else:
+                    assert g(float(t)) == pytest.approx(_scan_value(pts, float(t)), abs=1e-12)
+
+    def test_level_preimage_is_the_first_argument_reaching_alpha(self):
+        rng = random.Random(33)
+        for g in _grey_maps_both_modes(32):
+            top = g.value_at_one
+            alphas = [v for _, v in g.breakpoints if v > 0]
+            alphas += [top * (F(rng.randrange(1, 2 ** 10 + 1), 2 ** 10) if g.exact
+                              else rng.uniform(1e-9, 1)) for _ in range(16)]
+            for alpha in alphas:
+                beta = g.level_preimage(alpha)
+                if not g.exact:
+                    # Interpolating there and back can lose one rounding.
+                    assert g(beta) >= alpha - 1e-12
+                    continue
+                assert g(beta) >= alpha
+                if beta > 0:
+                    assert g(max(beta - F(1, 2 ** 20), 0)) < alpha
 
     def test_random_maps_evaluate_nondecreasing(self):
         from fuzzyifs.properties import _grey

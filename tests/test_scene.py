@@ -11,6 +11,7 @@ from fuzzyifs.scene import (
     load_scene,
     load_scene_dict,
     save_scene,
+    scene_to_dict,
 )
 
 F = Fraction
@@ -44,6 +45,35 @@ def test_round_trip_float_mode(tmp_path):
     path = tmp_path / "copy.json"
     save_scene(scene, path)
     assert load_scene(path) == scene
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_grey_maps_round_trip_as_breakpoints(mode):
+    doc = slice_doc()
+    doc["grey_maps"] = [
+        {"breakpoints": [[0, 0], ["1/2", "1/4"], ["1/2", "3/4"], [1, 1]]},  # jump inside
+        {"breakpoints": [[0, 0], ["1/3", "1/2"], [1, "3/4"], [1, "7/8"]]},  # jump at t = 1
+    ]
+    scene = load_scene_dict(doc, mode_override=mode)
+    again = load_scene_dict(scene_to_dict(scene))
+    assert again.system.grey_maps == scene.system.grey_maps
+    assert scene_to_dict(again)["grey_maps"] == scene_to_dict(scene)["grey_maps"]
+
+
+def test_duplicated_breakpoint_loads_as_the_map_without_it():
+    doc = slice_doc()
+    doc["grey_maps"][1] = {"breakpoints": [[0, 0], ["1/2", "3/8"], ["1/2", "3/8"], [1, "3/4"]]}
+    with_duplicate = load_scene_dict(doc).system.grey_maps[1]
+    doc["grey_maps"][1] = {"breakpoints": [[0, 0], ["1/2", "3/8"], [1, "3/4"]]}
+    assert with_duplicate == load_scene_dict(doc).system.grey_maps[1]
+
+
+def test_three_breakpoints_at_one_t_rejected():
+    doc = slice_doc()
+    doc["grey_maps"][1] = {"breakpoints": [[0, 0], ["1/2", "1/4"], ["1/2", "1/4"], ["1/2", "1/2"],
+                                           [1, "3/4"]]}
+    with pytest.raises(SceneError, match=r"grey_maps\[1\]: more than two breakpoints share t=1/2"):
+        load_scene_dict(doc)
 
 
 def test_exact_mode_reads_decimals_exactly():

@@ -148,6 +148,18 @@ class TestIterate:
         assert len(partial_set) <= 50
         assert partial_report.iterations == len(partial_report.d_history)
 
+        # The residual step counts too: two steps of the slice fit a cap of 4
+        # points, and the residual step's image of 8 points does not.
+        _, full_report = system.iterate(slice_start(F(1, 2)), steps=2)
+        with pytest.raises(SupportCapError) as err:
+            system.iterate(slice_start(F(1, 2)), steps=2, support_cap=4)
+        partial_set, partial_report = err.value.partial
+        assert len(partial_set) == 4
+        assert partial_report.iterations == 2
+        assert partial_report.d_history == full_report.d_history
+        assert partial_report.a_priori == full_report.a_priori
+        assert partial_report.certified_residual is None
+
         # A start of 5 points under a cap of 3: the image under the first map
         # passes the cap, and the step stops before the second map, the one
         # with a nonzero offset, maps a single point.
