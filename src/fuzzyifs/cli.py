@@ -117,12 +117,25 @@ def _ratio(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
+class _Memo(dict):
+    """fn's value per key, computed on the first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
+
+
 class _CsvTrace:
     """Writes the x,y,level,iteration rows of each iterate as it arrives.
 
     Rows come from the integer form: a coordinate is n/D written by `_ratio`
-    in exact mode and the float n / D in float mode, and each distinct level
-    is formatted once."""
+    in exact mode and the float n / D in float mode. Each distinct numerator
+    and each distinct level is formatted once per iterate, since a grid of
+    points repeats its x and y values across rows."""
 
     def __init__(self, fh):
         self._writer = csv.writer(fh, lineterminator="\n")
@@ -130,10 +143,10 @@ class _CsvTrace:
 
     def __call__(self, iteration, u: FuzzySet):
         den, levels, ranks = u.scaled()
-        coord = _ratio if u.exact else lambda n, den: format_scalar(n / den)
+        coord = _Memo((lambda n: _ratio(n, den)) if u.exact else (lambda n: format_scalar(n / den)))
         labels = [format_scalar(level) for level in levels]
         self._writer.writerows(
-            [coord(x, den), coord(y, den), labels[r], iteration]
+            [coord[x], coord[y], labels[r], iteration]
             for (x, y), r in ranks.items()
         )
 

@@ -17,10 +17,11 @@ between alpha-cuts. On finite supports the supremum is attained on the
 finite set of occurring levels (cuts are constant between consecutive
 levels), which gives the level-sweep reference implementation, kept as a
 test oracle. `d_infinity` uses the equivalent per-point form: for each
-support point x of u, the nearest point of v at level >= u(x), and
-symmetrically. It has one body for both numeric modes, built on the same
-nearest-neighbour kernel as the crisp `geometry.hausdorff`; a pair is first
-brought onto one denominator and one level table.
+support point x of u, the nearest point of v at level >= u(x), a prefix of
+v sorted by level, and symmetrically. It has one body for both numeric
+modes, built on the same nearest-neighbour kernel as the crisp
+`geometry.hausdorff`; a pair is first brought onto one denominator and one
+level table.
 """
 
 from __future__ import annotations
@@ -32,21 +33,17 @@ from fractions import Fraction
 from operator import itemgetter, truediv
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from scipy.spatial import cKDTree
-
 from .geometry import (
     GRID,
     DimensionMismatchError,
     FinitePointSet,
     Point,
-    as_float_array,
     as_point,
     directed_max_squared,
     grid_key,
     hausdorff,
     point_is_exact,
     scale_points,
-    tree_pays_off,
 )
 from .numeric import DEFAULT_TOL, Scalar, is_exact, sqrt_exact
 
@@ -149,7 +146,10 @@ class GreyLevelMap:
 
         Right continuity makes the infimum attained: the returned beta
         satisfies rho(beta) >= alpha while rho(gamma) < alpha for gamma <
-        beta.
+        beta. In float mode the line through the breakpoints can round beta
+        just below the preimage, so beta is stepped up one float at a time
+        until rho(beta) >= alpha; it stays within a few ulps of the exact
+        preimage of the same breakpoints.
         """
         if not (0 < alpha <= 1):
             raise GreyMapError(f"threshold {alpha!r} outside (0, 1]")
@@ -164,7 +164,11 @@ class GreyLevelMap:
         if k == 0:
             return t
         prev_t, prev_v = pts[k - 1]
-        return prev_t + (alpha - prev_v) * (t - prev_t) / (v - prev_v)
+        beta = prev_t + (alpha - prev_v) * (t - prev_t) / (v - prev_v)
+        if not is_exact(beta):
+            while self(beta) < alpha:
+                beta = math.nextafter(beta, math.inf)
+        return beta
 
 
 class FuzzySet:
@@ -392,33 +396,19 @@ def _directed_max_squared(u: Dict, v: Dict, den: int, exact: bool):
 
     Points whose own position already sits in the other set's cut contribute
     zero and are skipped up front (Taha & Hanbury, IEEE TPAMI 37(11), 2015),
-    which makes consecutive-iterate distances cheap. The rest are grouped by
-    k, the length of the prefix of the other support (highest levels first)
-    at their level or above; several levels can share one k. Each group is
-    one call of the geometry kernel against that prefix, with a KD-tree
-    built just for the call when one pays off, so at most one tree is alive
-    at a time. The caller has checked that both sets reach the same top
-    level, so no prefix is empty.
+    which makes consecutive-iterate distances cheap. The rest go to one call
+    of the geometry kernel against v sorted by level, highest first, each
+    point limited to the prefix at its level or above; the kernel answers
+    every prefix from one KD-tree. The caller has checked that both sets
+    reach the same top level, so no prefix is empty.
     """
-    pending = [(p, lp) for p, lp in u.items() if v.get(p, 0) < lp]
+    pending = [p for p, lp in u.items() if v.get(p, 0) < lp]
     if not pending:
         return 0
     v_points = sorted(v, key=v.__getitem__, reverse=True)
     v_levels = sorted(v.values())
     prefix = {lam: len(v_levels) - bisect.bisect_left(v_levels, lam) for lam in set(u.values())}
-    groups: Dict[int, list] = {}
-    for p, lp in pending:
-        groups.setdefault(prefix[lp], []).append(p)
-    v_arr = None
-    best = 0
-    for k, pts in groups.items():
-        tree = None
-        if tree_pays_off(len(pts), k, exact):
-            if v_arr is None:
-                v_arr = as_float_array(v_points, den)
-            tree = cKDTree(v_arr[:k])
-        best = max(best, directed_max_squared(pts, v_points[:k], den, exact, tree))
-    return best
+    return directed_max_squared(pending, v_points, den, exact, [prefix[u[p]] for p in pending])
 
 
 def _on_common_scale(u: FuzzySet, den: int, rank: Dict[Scalar, int]) -> Dict:
@@ -435,7 +425,9 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
     """Supremum over alpha of the Hausdorff distance between alpha-cuts.
 
     The pair is brought onto the lcm of its denominators and one merged
-    level table first, so the directed scans hash ints only. Exact mode
+    level table first, so the directed scans hash ints only. Each directed
+    scan is one kernel call with per-point prefix limits, so it builds at
+    most one KD-tree however many levels the sets carry. Exact mode
     compares integer squares over that denominator; float mode takes the
     KD-tree's float distances.
     """

@@ -3,12 +3,13 @@
 Compact sets are represented as finite, deduplicated point collections;
 float points are snapped to the 1e-12 grid of `grid_key`. The directed and
 Hausdorff distances come from one nearest-neighbour kernel,
-`directed_max_squared`, which `fuzzy.d_infinity` shares. Float mode answers
-from a KD-tree. Exact mode works on integers: the points of both operands
-are brought onto one common denominator D (`scale_points`), and the kernel
-compares integer squared distances over D^2, taking every pair for small
-inputs and a float KD shortlist otherwise, so results stay exact. The
-brute-force double loop is kept as a test oracle.
+`directed_max_squared`, which `fuzzy.d_infinity` shares with per-point
+prefix limits. Float mode answers every prefix from one KD-tree. Exact mode
+works on integers: the points of both operands are brought onto one common
+denominator D (`scale_points`), and the kernel compares integer squared
+distances over D^2, scanning every prefix for small inputs and a float KD
+shortlist otherwise, so results stay exact. The brute-force double loop is
+kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -178,10 +180,10 @@ def directed_distance_brute(a: FinitePointSet, b: FinitePointSet):
     return math.sqrt(best)
 
 
-def _nn_radius_slack(arr: np.ndarray) -> float:
+def _nn_radius_slack(query: np.ndarray, data: np.ndarray) -> float:
     # Absolute slack dominating every float rounding error in the candidate
     # shortlist; scales with coordinate magnitude.
-    magnitude = float(np.abs(arr).max()) if arr.size else 1.0
+    magnitude = max(float(np.abs(query).max()), float(np.abs(data).max()))
     return 1e-9 * max(1.0, magnitude)
 
 
@@ -204,12 +206,6 @@ def as_float_array(points: Sequence[Point], den: Optional[int]) -> np.ndarray:
     return flat.reshape(len(points), -1)
 
 
-def tree_pays_off(n_points: int, n_targets: int, exact: bool) -> bool:
-    """Whether `directed_max_squared` answers through a KD-tree: always in
-    float mode, in exact mode above _BRUTE_PAIR_LIMIT point pairs."""
-    return not exact or n_points * n_targets > _BRUTE_PAIR_LIMIT
-
-
 def _squared(p: Tuple[int, ...], q: Tuple[int, ...]) -> int:
     total = 0
     for a, b in zip(p, q):
@@ -217,35 +213,71 @@ def _squared(p: Tuple[int, ...], q: Tuple[int, ...]) -> int:
     return total
 
 
+def _scan_prefix(data: np.ndarray, point: np.ndarray, k: int) -> Tuple[float, int]:
+    """Float distance and index of the nearest of data[:k] to point, by one
+    numpy pass: the KD-tree's arithmetic, a sum of squared differences and
+    its square root, overflowing to inf as silently."""
+    with np.errstate(over="ignore"):
+        squares = ((data[:k] - point) ** 2).sum(axis=1)
+    j = int(squares.argmin())
+    return float(np.sqrt(squares[j])), j
+
+
+def _prefix_nearest(tree: cKDTree, query: np.ndarray, limits: np.ndarray):
+    """Float distance and index of each query row's nearest point among the
+    first limits[i] points of the tree, in three rounds: the nearest overall;
+    for a row whose nearest lies past its limit, the first of its 8 nearest
+    inside the prefix; for a row still left, a scan of its own prefix."""
+    dist, nearest = tree.query(query, k=1)
+    outside = np.flatnonzero(nearest >= limits)
+    if outside.size:
+        # The k nearest are sorted by distance, so the first one inside the
+        # prefix is the nearest in it. There are at least two targets, since
+        # some row's limit is below its nearest's index.
+        near_dist, near_index = tree.query(query[outside], k=min(8, tree.n))
+        inside = near_index < limits[outside, None]
+        first = inside.argmax(axis=1)
+        found = inside[np.arange(outside.size), first]
+        rows = outside[found]
+        dist[rows] = near_dist[found, first[found]]
+        nearest[rows] = near_index[found, first[found]]
+        for i in outside[~found].tolist():
+            dist[i], nearest[i] = _scan_prefix(tree.data, query[i], limits[i])
+    return dist, nearest
+
+
 def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int],
-                         exact: bool, tree: Optional[cKDTree] = None):
-    """Max over `points` of the min squared distance into `targets`.
+                         exact: bool, limits: Optional[Sequence[int]] = None):
+    """Max over `points` of the min squared distance into `targets`, point i
+    looking only at the prefix targets[:limits[i]] (all of them when limits
+    is None; every limit is at least 1).
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
-    and `d_infinity`. The points are float tuples (`den` None) or integer
-    numerator tuples over the common denominator `den`. In float mode the
-    result is a float, answered with a KD-tree's nearest neighbours. In exact
-    mode the result is the integer numerator of the squared distance over
-    den^2, found with integer arithmetic only:
+    and `d_infinity`, whose per-point limits are level-sorted prefixes. The
+    points are float tuples (`den` None) or integer numerator tuples over
+    the common denominator `den`. Every prefix is answered from one KD-tree
+    over all targets, built once per call (see `_prefix_nearest`). In float
+    mode the result is a float, the largest of the tree's nearest distances.
+    In exact mode the result is the integer numerator of the squared
+    distance over den^2, found with integer arithmetic only:
 
-    - when the pairs are few and no tree is given, by scanning every target,
-      a point stopping once it has a target no farther than the largest
-      minimum so far, since it cannot raise it;
-    - otherwise through the float nearest neighbour of each point. Its exact
-      distance bounds the point's minimum from above, so only a point whose
-      bound exceeds the largest minimum so far scans the targets within the
-      rounding slack of its float distance, which hold its true nearest.
-      Points go in decreasing float distance, so few of them scan.
-
-    `tree`, if given, must be a KD-tree over `as_float_array(targets, den)`.
+    - when the pairs scanned (the sum of the limits) are few, without a
+      tree, by scanning each point's prefix, a point stopping once it has a
+      target no farther than the largest minimum so far, since it cannot
+      raise it;
+    - otherwise through the float nearest neighbour of each point in its
+      prefix. Its exact distance bounds the point's minimum from above, so
+      only a point whose bound exceeds the largest minimum so far scans the
+      prefix targets within the rounding slack of its float distance, which
+      hold its true nearest. Points go in decreasing float distance, so few
+      of them scan.
     """
-    if tree is None and tree_pays_off(len(points), len(targets), exact):
-        tree = cKDTree(as_float_array(targets, den))
+    limits = np.full(len(points), len(targets)) if limits is None else np.asarray(limits)
     worst = 0
-    if tree is None:
-        for p in points:
+    if exact and int(limits.sum()) <= _BRUTE_PAIR_LIMIT:
+        for p, k in zip(points, limits.tolist()):
             best = None
-            for q in targets:
+            for q in islice(targets, k):
                 d = _squared(p, q)
                 if d <= worst:
                     break
@@ -254,17 +286,18 @@ def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int]
             else:
                 worst = best
         return worst
+    tree = cKDTree(as_float_array(targets, den))
     query = as_float_array(points, den)
-    dist, nearest = tree.query(query, k=1)
+    dist, nearest = _prefix_nearest(tree, query, limits)
     if not exact:
         return float(dist.max()) ** 2
-    radius = dist + _nn_radius_slack(np.concatenate([query, tree.data]))
-    nearest = nearest.tolist()
-    for i in np.argsort(-dist, kind="stable").tolist():
+    radius = dist + _nn_radius_slack(query, tree.data)
+    for i in np.argsort(-dist, kind="stable"):
         p = points[i]
         if _squared(p, targets[nearest[i]]) > worst:
+            k = limits[i]
             shortlist = tree.query_ball_point(query[i], radius[i])
-            worst = max(worst, min(_squared(p, targets[j]) for j in shortlist))
+            worst = max(worst, min(_squared(p, targets[j]) for j in shortlist if j < k))
     return worst
 
 

@@ -14,6 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .fuzzy import FuzzySet
+from .geometry import as_float_array
 
 PGM_MAXVAL = 255
 
@@ -48,23 +49,25 @@ class GridFuzzySet:
     def from_fuzzy(cls, u: FuzzySet, lo, hi, width: int, height: int) -> "GridFuzzySet":
         """Rasterize: each support point lands in its containing cell,
         max-combined. Points outside the box are dropped; points on the top
-        or right edge fall into the last cell."""
+        or right edge fall into the last cell. One array pass over the
+        support: coordinates are the correctly rounded n / D of
+        `as_float_array`, and cells come from the same float operations a
+        point-by-point loop would do."""
         if u.dimension != 2:
             raise ValueError("grid rendering needs dimension 2")
         g = cls.zeros(lo, hi, width, height)
-        levels = g.levels
         x0, y0 = g.lo
         x1, y1 = g.hi
         den, table, ranks = u.scaled()
-        table = [float(level) for level in table]
-        for (x, y), r in ranks.items():
-            x, y, level = x / den, y / den, table[r]
-            if not (x0 <= x <= x1 and y0 <= y <= y1):
-                continue
-            col = min(int((x - x0) / (x1 - x0) * width), width - 1)
-            row_up = min(int((y - y0) / (y1 - y0) * height), height - 1)
-            row = height - 1 - row_up
-            levels[row, col] = max(levels[row, col], level)
+        xy = as_float_array(list(ranks), den)
+        table = np.array([float(level) for level in table])
+        level = table[np.fromiter(ranks.values(), np.intp, len(ranks))]
+        x, y = xy[:, 0], xy[:, 1]
+        inside = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+        x, y, level = x[inside], y[inside], level[inside]
+        col = np.minimum(((x - x0) / (x1 - x0) * width).astype(np.intp), width - 1)
+        row_up = np.minimum(((y - y0) / (y1 - y0) * height).astype(np.intp), height - 1)
+        np.maximum.at(g.levels, (height - 1 - row_up, col), level)
         return g
 
     def to_pgm(self) -> bytes:

@@ -4,7 +4,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from scipy.spatial import cKDTree
 
+from fuzzyifs import fuzzy as fuzzy_module
+from fuzzyifs import geometry
 from fuzzyifs.dyadic import reference_system, slice_start
 from fuzzyifs.fuzzy import (
     EmptyCutError,
@@ -124,13 +127,30 @@ class TestGreyLevelMap:
                               else rng.uniform(1e-9, 1)) for _ in range(16)]
             for alpha in alphas:
                 beta = g.level_preimage(alpha)
-                if not g.exact:
-                    # Interpolating there and back can lose one rounding.
-                    assert g(beta) >= alpha - 1e-12
-                    continue
                 assert g(beta) >= alpha
-                if beta > 0:
+                if g.exact and beta > 0:
                     assert g(max(beta - F(1, 2 ** 20), 0)) < alpha
+
+    def test_float_level_preimage_reaches_alpha(self):
+        """rho(beta) >= alpha holds in float mode too, where interpolating
+        there and back can lose a rounding, and beta stays within 4 ulps of
+        the exact preimage of the same breakpoints."""
+        from fuzzyifs.properties import _grey
+
+        rounded_down = GreyLevelMap.from_breakpoints(
+            [(0, 0), (0.25, 0), (0.9375, 0.9375), (1, 1)], exact=False)
+        cases = [(rounded_down, 0.35257846965651385)]
+        rng = random.Random(34)
+        for _ in range(300):
+            g = _grey(rng, reach_one=rng.random() < 0.5).to_float()
+            cases += [(g, v) for _, v in g.breakpoints if v > 0]
+            cases += [(g, g.value_at_one * rng.uniform(1e-9, 1)) for _ in range(16)]
+        for g, alpha in cases:
+            beta = g.level_preimage(alpha)
+            assert g(beta) >= alpha
+            exact = GreyLevelMap.from_breakpoints(
+                [(F(t), F(v)) for t, v in g.breakpoints]).level_preimage(F(alpha))
+            assert abs(F(beta) - exact) <= 4 * math.ulp(float(exact))
 
     def test_random_maps_evaluate_nondecreasing(self):
         from fuzzyifs.properties import _grey
@@ -345,8 +365,8 @@ class TestJoinRestrict:
 # Scaled cases of the d_infinity path tests: (points per set, level
 # denominator, trials, least pairs in one level group, least level groups in
 # one direction). "tree" puts more than _BRUTE_PAIR_LIMIT pairs in one level
-# group, so exact mode takes the KD shortlist; "levels" has more than 64
-# level groups.
+# group, so exact mode takes the KD shortlist; "levels" has at least 65
+# level groups, so one direction looks at 65 or more prefix lengths.
 SCALED_CASES = [
     pytest.param(150, 3, 3, _BRUTE_PAIR_LIMIT + 1, 0, id="tree"),
     pytest.param(150, 128, 3, 0, 65, id="levels"),
@@ -371,18 +391,22 @@ def assert_scan_shape(u, v, min_pairs, min_groups):
     assert most_pairs >= min_pairs and most_groups >= min_groups
 
 
+def random_exact_set(rng, n, denominator):
+    """n points on the quarter grid of [-3, 3]^2 at levels k / denominator,
+    one of them at level 1."""
+    pairs = [((F(rng.randrange(-12, 13), 4), F(rng.randrange(-12, 13), 4)),
+              F(rng.randrange(1, denominator + 1), denominator)) for _ in range(n)]
+    k = rng.randrange(n)
+    pairs[k] = (pairs[k][0], F(1))
+    return FuzzySet(pairs)
+
+
 def check_paths_agree_exact(rng, sizes, denominator, trials, min_pairs=0, min_groups=0):
     """Exact d_infinity equals the level sweep, is symmetric and agrees with
     float mode within 1e-9."""
     for _ in range(trials):
-        def mk():
-            n = rng.randrange(sizes[0], sizes[1] + 1)
-            pairs = [((F(rng.randrange(-12, 13), 4), F(rng.randrange(-12, 13), 4)),
-                      F(rng.randrange(1, denominator + 1), denominator)) for _ in range(n)]
-            k = rng.randrange(n)
-            pairs[k] = (pairs[k][0], F(1))
-            return FuzzySet(pairs)
-        u, v = mk(), mk()
+        u, v = (random_exact_set(rng, rng.randrange(sizes[0], sizes[1] + 1), denominator)
+                for _ in range(2))
         assert_scan_shape(u, v, min_pairs, min_groups)
         sweep = d_infinity_level_sweep(u, v)
         assert d_infinity(u, v) == sweep
@@ -444,6 +468,29 @@ class TestDInfinity:
     def test_paths_agree_float_scaled(self, n, denominator, trials, min_pairs, min_groups):
         check_paths_agree_float(random.Random(24), (n, n), denominator, trials,
                                 min_pairs, min_groups)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_d_infinity_builds_one_tree_per_direction(monkeypatch, exact):
+    """The "levels" case looks at 65 or more prefix lengths in one
+    direction, yet each directed scan answers them all from one KD-tree."""
+    n, denominator, _, _, min_groups = SCALED_CASES[1].values
+    rng = random.Random(25)
+    u, v = (random_exact_set(rng, n, denominator) for _ in range(2))
+    assert_scan_shape(u, v, 0, min_groups)
+    if not exact:
+        u, v = u.to_float(), v.to_float()
+    builds = []
+
+    def counting_tree(*args, **kwargs):
+        builds.append(1)
+        return cKDTree(*args, **kwargs)
+
+    # Every module of the package that could build a tree is watched.
+    for module in (geometry, fuzzy_module):
+        monkeypatch.setattr(module, "cKDTree", counting_tree, raising=False)
+    d_infinity(u, v)
+    assert len(builds) <= 2
 
 
 def test_huge_denominators_on_the_kd_path():

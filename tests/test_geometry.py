@@ -3,8 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from scipy.spatial import cKDTree
 
+from fuzzyifs import geometry
 from fuzzyifs.geometry import (
     DimensionMismatchError,
     EmptySetError,
@@ -108,19 +108,16 @@ def _random_set(rng, dim=2, max_points=50):
     )
 
 
-def test_accelerated_hausdorff_matches_brute_force_exact():
+def test_accelerated_hausdorff_matches_brute_force_exact(monkeypatch):
     rng = random.Random(42)
     for _ in range(25):
         a = _random_set(rng)
         b = _random_set(rng)
         assert hausdorff(a, b) == hausdorff_brute(a, b)
-        # a prebuilt tree forces the KD shortlist regardless of size
-        den, (pa, pb) = scale_points(a.points, b.points)
-        fast = max(
-            directed_max_squared(pa, pb, den, True, cKDTree(b.to_float_array())),
-            directed_max_squared(pb, pa, den, True, cKDTree(a.to_float_array())),
-        )
-        assert sqrt_exact(Fraction(fast, den * den)) == hausdorff_brute(a, b)
+        # no pair limit forces the KD shortlist regardless of size
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
+            assert hausdorff(a, b) == hausdorff_brute(a, b)
 
 
 def test_accelerated_hausdorff_matches_brute_force_float():
@@ -130,23 +127,105 @@ def test_accelerated_hausdorff_matches_brute_force_float():
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
         b = FinitePointSet.from_points(
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
+        # float mode always answers through the KD-tree
         assert directed_distance(a, b) == pytest.approx(
             directed_distance_brute(a, b), abs=1e-12)
-        fast = directed_max_squared(a.points, b.points, None, False, cKDTree(b.to_float_array()))
-        assert math.sqrt(fast) == pytest.approx(directed_distance_brute(a, b), abs=1e-12)
 
 
-def test_exact_kernel_separates_float_ties():
-    # Both targets round to the same float point; only the exact comparison
+def test_exact_kernel_separates_float_ties(monkeypatch):
+    # All targets round to the same float point; only the exact comparison
     # of the shortlisted candidates finds the nearer one, in either order.
+    # With a limit of 2, the shortlist must also drop a third target, exactly
+    # the nearest, that lies past the prefix.
+    monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
     near = (Fraction(1) - Fraction(1, 10 ** 20), Fraction(0))
     far = (Fraction(1) + Fraction(1, 10 ** 20), Fraction(0))
+    nearest = (Fraction(1) - Fraction(1, 10 ** 19), Fraction(0))
     origin = [(Fraction(0), Fraction(0))]
     for targets in ([far, near], [near, far]):
-        tree = cKDTree([[float(c) for c in p] for p in targets])
-        den, (points, scaled) = scale_points(origin, targets)
-        best = directed_max_squared(points, scaled, den, True, tree)
-        assert Fraction(best, den * den) == near[0] ** 2
+        for extra, limits in (([], None), ([nearest], [2])):
+            den, (points, scaled) = scale_points(origin, targets + extra)
+            best = directed_max_squared(points, scaled, den, True, limits)
+            assert Fraction(best, den * den) == near[0] ** 2
+
+
+def _prefix_brute(points, targets, limits):
+    return max(min(squared_distance(p, q) for q in targets[:k]) for p, k in zip(points, limits))
+
+
+@pytest.mark.parametrize("pair_limit", [geometry._BRUTE_PAIR_LIMIT, 0], ids=["scan", "tree"])
+def test_prefix_kernel_matches_brute_force_exact(monkeypatch, pair_limit):
+    monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
+    rng = random.Random(91)
+    for _ in range(60):
+        a, b = _random_set(rng), _random_set(rng)
+        den, (points, targets) = scale_points(a.points, b.points)
+        limits = [rng.randrange(1, len(targets) + 1) for _ in points]
+        assert directed_max_squared(points, targets, den, True, limits) == \
+            _prefix_brute(points, targets, limits)
+
+
+def test_prefix_kernel_matches_brute_force_float():
+    rng = random.Random(92)
+    for _ in range(60):
+        points, targets = (
+            [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))]
+            for _ in range(2))
+        limits = [rng.randrange(1, len(targets) + 1) for _ in points]
+        assert directed_max_squared(points, targets, None, False, limits) == pytest.approx(
+            _prefix_brute(points, targets, limits), abs=1e-12)
+
+
+class _Rounds:
+    """Counts the rounds of the prefix kernel: the k of every KD query
+    (1 for the nearest overall, more for the nearest few) and the prefix
+    scans of the points left after both."""
+
+    def __init__(self, monkeypatch):
+        self.queries, self.scans = [], 0
+        rounds, scan = self, geometry._scan_prefix
+
+        class CountingTree(geometry.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                rounds.queries.append(k)
+                return super().query(x, k, **kwargs)
+
+        def counting_scan(*args):
+            rounds.scans += 1
+            return scan(*args)
+
+        monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+        monkeypatch.setattr(geometry, "_scan_prefix", counting_scan)
+        monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
+
+
+def _rounds_case(case):
+    """One query point at the origin and targets in level order, the first
+    one alone in the prefix: "nearest" has it nearest of all; "few" puts one
+    lower-level target nearer; "scan" puts nine lower-level targets nearer,
+    more than the nearest few the tree is asked for. A last target, farther
+    than the first, gives every case at least two."""
+    lower = {"nearest": 0, "few": 1, "scan": 9}[case]
+    ring = [(math.cos(t), math.sin(t)) for t in (2 * math.pi * i / 9 for i in range(lower))]
+    targets = [(Fraction(5), Fraction(0))] + [tuple(Fraction(c) for c in p) for p in ring]
+    targets += [(Fraction(-6), Fraction(0))]
+    return [(Fraction(0), Fraction(0))], targets
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("case, queries, scans", [
+    ("nearest", [1], 0), ("few", [1, 3], 0), ("scan", [1, 8], 1)])
+def test_prefix_kernel_takes_each_round(monkeypatch, exact, case, queries, scans):
+    rounds = _Rounds(monkeypatch)
+    points, targets = _rounds_case(case)
+    if exact:
+        den, (points, targets) = scale_points(points, targets)
+        best = Fraction(directed_max_squared(points, targets, den, True, [1]), den * den)
+    else:
+        points, targets = ([tuple(map(float, p)) for p in group] for group in (points, targets))
+        best = directed_max_squared(points, targets, None, False, [1])
+    assert best == 25
+    assert rounds.queries == queries and rounds.scans == scans
 
 
 def test_metric_axioms_exact():

@@ -11,9 +11,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzyifs"
 ALLOWED_UNUSED = {("system", "apply_grey"), ("system", "join"), ("system", "zadeh_pushforward")}
 
 
-def unused_imports(source: str) -> set:
-    """Names bound by the imports of a module and never read in it; a name
-    listed in __all__ counts as read."""
+def imports_and_uses(source: str):
+    """The names bound by the imports of a module and the names read in it;
+    a name listed in __all__ counts as read."""
     tree = ast.parse(source)
     imported, used = set(), set()
     for node in ast.walk(tree):
@@ -26,6 +26,12 @@ def unused_imports(source: str) -> set:
         elif isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
             used.update(element.value for element in node.value.elts)
+    return imported, used
+
+
+def unused_imports(source: str) -> set:
+    """Names bound by the imports of a module and never read in it."""
+    imported, used = imports_and_uses(source)
     return imported - used
 
 
@@ -33,3 +39,10 @@ def test_every_imported_name_is_used():
     unused = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
               for name in unused_imports(path.read_text(encoding="utf-8"))}
     assert unused == ALLOWED_UNUSED
+
+
+def test_fuzzy_reaches_the_kd_tree_only_through_the_kernel():
+    """d_infinity hands every prefix to geometry's nearest-neighbour kernel,
+    which builds the one tree per directed scan."""
+    imported, _ = imports_and_uses((PACKAGE / "fuzzy.py").read_text(encoding="utf-8"))
+    assert not imported & {"cKDTree", "tree_pays_off", "as_float_array"}
