@@ -42,6 +42,16 @@ class CliError(ValueError):
     pass
 
 
+def _reported(value) -> float:
+    """A distance or bound of a run as the float that the report and the
+    summary line show; CliError when it lies past float range, as the
+    distances of a scene spread that wide do."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise CliError("a distance or bound of this run is too large for a float") from None
+
+
 def _parse_grid(text):
     try:
         w, h = text.lower().split("x")
@@ -192,6 +202,7 @@ def _cmd_run(args) -> int:
             support_cap=scene.support_cap,
             on_step=on_step,
         )
+        a_priori, residual = _reported(report.a_priori), _reported(report.certified_residual)
         if spec is not None:
             _write_image(image_tmp, final, spec)
         if report_tmp is not None:
@@ -199,11 +210,11 @@ def _cmd_run(args) -> int:
                 "mode": scene.numeric_mode,
                 "stop": {"steps": stop.steps} if stop.steps is not None else {"tolerance": float(stop.tolerance)},
                 "iterations": report.iterations,
-                "d_history": [float(d) for d in report.d_history],
-                "a_priori": float(report.a_priori),
-                "certified_residual": float(report.certified_residual),
+                "d_history": [_reported(d) for d in report.d_history],
+                "a_priori": a_priori,
+                "certified_residual": residual,
                 "bound_trace": [
-                    float(bound) for bound in islice(
+                    _reported(bound) for bound in islice(
                         scene.system.bounds(report.diameter), report.iterations + 1)
                 ],
                 "final_support": len(final),
@@ -213,8 +224,8 @@ def _cmd_run(args) -> int:
                 fh.write("\n")
     print(
         f"ran {report.iterations} iterations, final support {len(final)} points, "
-        f"a-priori bound {float(report.a_priori):.6g}, "
-        f"residual {float(report.certified_residual):.6g}"
+        f"a-priori bound {a_priori:.6g}, "
+        f"residual {residual:.6g}"
     )
     return EXIT_OK
 

@@ -389,47 +389,50 @@ def restrict(u: FuzzySet, s: FinitePointSet) -> FuzzySet:
     return FuzzySet(pairs, exact=u.exact)
 
 
-def _directed_max_squared(u: Dict, v: Dict, den: int, exact: bool):
+def _directed_max_squared(u: Dict, u_rank: Sequence[int], v: Dict, v_rank: Sequence[int],
+                          den: int, exact: bool):
     """Squared directed part of d_infinity on two supports, each a dict from
-    numerator tuples over den to level ranks in one shared table, so that
-    only ints are hashed.
+    numerator tuples over den to the set's own level ranks, read through
+    u_rank and v_rank, the increasing lists of their ranks in the pair's
+    merged level table, so that only ints are hashed.
 
     Points whose own position already sits in the other set's cut contribute
     zero and are skipped up front (Taha & Hanbury, IEEE TPAMI 37(11), 2015),
     which makes consecutive-iterate distances cheap. The rest go to one call
     of the geometry kernel against v sorted by level, highest first, each
     point limited to the prefix at its level or above; the kernel answers
-    every prefix from one KD-tree. The caller has checked that both sets
-    reach the same top level, so no prefix is empty.
+    every prefix from one grid of cells per round. The caller has checked
+    that both sets reach the same top level, so no prefix is empty.
     """
-    pending = [p for p, lp in u.items() if v.get(p, 0) < lp]
+    pending = [p for p, r in u.items() if v_rank[v.get(p, 0)] < u_rank[r]]
     if not pending:
         return 0
     v_points = sorted(v, key=v.__getitem__, reverse=True)
     v_levels = sorted(v.values())
-    prefix = {lam: len(v_levels) - bisect.bisect_left(v_levels, lam) for lam in set(u.values())}
+    prefix = {r: len(v_levels) - bisect.bisect_left(v_levels, bisect.bisect_left(v_rank, u_rank[r]))
+              for r in set(u.values())}
     return directed_max_squared(pending, v_points, den, exact, [prefix[u[p]] for p in pending])
 
 
-def _on_common_scale(u: FuzzySet, den: int, rank: Dict[Scalar, int]) -> Dict:
+def _on_scale(u: FuzzySet, den: int) -> Dict:
     """The support of a set as numerator tuples over den, a multiple of its
-    own denominator, valued by the ranks of its levels in a shared table."""
+    own denominator; the set's own dict when den is its denominator."""
     factor = den // u._den
-    ranks = [rank[level] for level in u._levels]
-    if factor == 1 and ranks == list(range(len(ranks))):
+    if factor == 1:
         return u._support
-    return {tuple(n * factor for n in p): ranks[r] for p, r in u._support.items()}
+    return {tuple(n * factor for n in p): r for p, r in u._support.items()}
 
 
 def d_infinity(u: FuzzySet, v: FuzzySet):
     """Supremum over alpha of the Hausdorff distance between alpha-cuts.
 
-    The pair is brought onto the lcm of its denominators and one merged
-    level table first, so the directed scans hash ints only. Each directed
-    scan is one kernel call with per-point prefix limits, so it builds at
-    most one KD-tree however many levels the sets carry. Exact mode
-    compares integer squares over that denominator; float mode takes the
-    KD-tree's float distances.
+    The pair is brought onto the lcm of its denominators, and each set's
+    level ranks are read through its list of ranks in the merged level
+    table, so the directed scans hash ints only and a set is copied only to
+    be rescaled. Each directed scan is one kernel call with per-point
+    prefix limits, however many levels the sets carry. Exact mode compares
+    integer squares over that denominator; float mode takes the kernel's
+    float distances.
     """
     _check_compatible(u, v)
     top_u, top_v = u.max_level, v.max_level
@@ -437,9 +440,11 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
         raise EmptyCutError(f"no point of the other set at level >= {max(top_u, top_v)}")
     den = math.lcm(u._den, v._den)
     rank = {level: i for i, level in enumerate(sorted(set(u._levels) | set(v._levels)))}
-    us, vs = _on_common_scale(u, den, rank), _on_common_scale(v, den, rank)
+    u_rank, v_rank = [rank[level] for level in u._levels], [rank[level] for level in v._levels]
+    us, vs = _on_scale(u, den), _on_scale(v, den)
     exact = u.exact
-    best = max(_directed_max_squared(us, vs, den, exact), _directed_max_squared(vs, us, den, exact))
+    best = max(_directed_max_squared(us, u_rank, vs, v_rank, den, exact),
+               _directed_max_squared(vs, v_rank, us, u_rank, den, exact))
     return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
 
 

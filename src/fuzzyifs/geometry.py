@@ -4,12 +4,16 @@ Compact sets are represented as finite, deduplicated point collections;
 float points are snapped to the 1e-12 grid of `grid_key`. The directed and
 Hausdorff distances come from one nearest-neighbour kernel,
 `directed_max_squared`, which `fuzzy.d_infinity` shares with per-point
-prefix limits. Float mode answers every prefix from one KD-tree. Exact mode
-works on integers: the points of both operands are brought onto one common
-denominator D (`scale_points`), and the kernel compares integer squared
-distances over D^2, scanning every prefix for small inputs and a float KD
-shortlist otherwise, so results stay exact. The brute-force double loop is
-kept as a test oracle.
+prefix limits. It finds float nearest neighbours in numpy, from a uniform
+grid of cells whose size is certified by the distances it finds (the cell
+method of Bentley, Stanat & Williams, Inf. Process. Lett. 6(6), 1977),
+or by scanning where such cells would cost more: few points, or few
+targets for their dimension. Float mode takes their distances. Exact mode
+works on integers: the points of both operands are brought onto one
+common denominator D (`scale_points`), and the kernel compares integer
+squared distances over D^2, scanning every prefix for small inputs and
+the float shortlist otherwise, so results stay exact. The brute-force
+double loop is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -17,18 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, cycle, islice, repeat
+from operator import sub, truediv
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .numeric import DEDUP_DECIMALS, Scalar, is_exact, sqrt_exact
 
 Point = Tuple[Scalar, ...]
 
-# Up to this many point pairs the exact all-pairs scan is cheaper than a
-# KD-tree, whose fixed cost of building and querying dominates on small sets.
+# Up to this many point pairs, scanning every pair is cheaper than the grid,
+# whose fixed cost of sorting and searching dominates on small sets: exact
+# mode scans them with integers, and the grid scans its last points in one
+# numpy pass.
 _BRUTE_PAIR_LIMIT = 4096
 
 
@@ -41,7 +47,8 @@ class EmptySetError(ValueError):
 
 
 class GridRangeError(ValueError):
-    """A float coordinate that the 1e-12 grid cannot hold."""
+    """A float coordinate that the 1e-12 grid cannot hold, or exact points
+    too far apart for their differences to be floats."""
 
 
 def point_is_exact(p: Sequence) -> bool:
@@ -196,14 +203,20 @@ def scale_points(*groups: Sequence[Point]) -> Tuple[int, List[List[Tuple[int, ..
                  for group in groups]
 
 
-def as_float_array(points: Sequence[Point], den: Optional[int]) -> np.ndarray:
-    """Float coordinates of points, or of numerator tuples over den. n / den
-    is int true division, correctly rounded like float(Fraction(n, den)),
-    and stays in float range when n and den do not."""
+def as_float_array(points: Sequence[Point], den: Optional[int],
+                   origin: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+    """Float coordinates of points, or of numerator tuples over den taken
+    relative to the integer point origin (0 when None). (n - o) / den is int
+    true division, correctly rounded like float(Fraction(n - o, den)), and
+    stays in float range when n and den do not; OverflowError when n - o is
+    too large for a float."""
     if den is None:
         return np.array(points, dtype=float)
-    flat = np.fromiter((n / den for p in points for n in p), float, len(points) * len(points[0]))
-    return flat.reshape(len(points), -1)
+    count = len(points) * len(points[0])
+    flat = chain.from_iterable(points)
+    if origin is not None:
+        flat = map(sub, flat, cycle(origin))
+    return np.fromiter(map(truediv, flat, repeat(den)), float, count).reshape(len(points), -1)
 
 
 def _squared(p: Tuple[int, ...], q: Tuple[int, ...]) -> int:
@@ -213,37 +226,171 @@ def _squared(p: Tuple[int, ...], q: Tuple[int, ...]) -> int:
     return total
 
 
-def _scan_prefix(data: np.ndarray, point: np.ndarray, k: int) -> Tuple[float, int]:
-    """Float distance and index of the nearest of data[:k] to point, by one
-    numpy pass: the KD-tree's arithmetic, a sum of squared differences and
-    its square root, overflowing to inf as silently."""
+def _squares(a: Iterable[np.ndarray], b: Iterable[np.ndarray]) -> np.ndarray:
+    """Float squared distances between points of a and b, each given by its
+    coordinate arrays in axis order, broadcast against each other: a sum of
+    squared differences in axis order, overflowing to inf silently."""
+    total = 0.0
     with np.errstate(over="ignore"):
-        squares = ((data[:k] - point) ** 2).sum(axis=1)
-    j = int(squares.argmin())
-    return float(np.sqrt(squares[j])), j
+        for x, y in zip(a, b):
+            total = total + (x - y) ** 2
+    return total
 
 
-def _prefix_nearest(tree: cKDTree, query: np.ndarray, limits: np.ndarray):
-    """Float distance and index of each query row's nearest point among the
-    first limits[i] points of the tree, in three rounds: the nearest overall;
-    for a row whose nearest lies past its limit, the first of its 8 nearest
-    inside the prefix; for a row still left, a scan of its own prefix."""
-    dist, nearest = tree.query(query, k=1)
-    outside = np.flatnonzero(nearest >= limits)
-    if outside.size:
-        # The k nearest are sorted by distance, so the first one inside the
-        # prefix is the nearest in it. There are at least two targets, since
-        # some row's limit is below its nearest's index.
-        near_dist, near_index = tree.query(query[outside], k=min(8, tree.n))
-        inside = near_index < limits[outside, None]
-        first = inside.argmax(axis=1)
-        found = inside[np.arange(outside.size), first]
-        rows = outside[found]
-        dist[rows] = near_dist[found, first[found]]
-        nearest[rows] = near_index[found, first[found]]
-        for i in outside[~found].tolist():
-            dist[i], nearest[i] = _scan_prefix(tree.data, query[i], limits[i])
-    return dist, nearest
+def _scan(query: np.ndarray, data: np.ndarray, limits: np.ndarray):
+    """Float squared distance and index of each query point's nearest
+    target among the first limits[i], by numpy passes over all pairs, each
+    of at most _BRUTE_PAIR_LIMIT pairs or one point."""
+    best, nearest = [], []
+    step = max(1, _BRUTE_PAIR_LIMIT // data.shape[1])
+    for rows in (slice(start, start + step) for start in range(0, query.shape[1], step)):
+        squares = _squares(data[:, None], query[:, rows, None])
+        squares[np.arange(data.shape[1]) >= limits[rows, None]] = np.inf
+        nearest.append(squares.argmin(axis=1))
+        best.append(squares[np.arange(len(nearest[-1])), nearest[-1]])
+    return np.concatenate(best), np.concatenate(nearest)
+
+
+# Cell coordinates and keys are integer-valued floats, exact up to 2^53; a
+# round whose cells would number more than this doubles h first.
+_MAX_CELLS = 2 ** 50
+
+# The candidate pairs a grid round holds at once, one point's aside: about
+# 1 MB of arrays. Blocks of _BRUTE_PAIR_LIMIT pairs took twice as long on
+# points whose cells hold thousands of targets; larger blocks than these
+# took at most a quarter less time, for several times the memory.
+_GRID_BLOCK = 4 * _BRUTE_PAIR_LIMIT
+
+
+def _key(cells: np.ndarray, strides: List[float]) -> np.ndarray:
+    """The key of each column of integer cell coordinates: their sum
+    weighted by the strides, exact in floats below 2^53."""
+    total = cells[0] * strides[0]
+    for k in range(1, len(strides)):
+        total += cells[k] * strides[k]
+    return total
+
+
+def _grid_round(query: np.ndarray, data: np.ndarray, limits: np.ndarray, h: float,
+                low: np.ndarray, high: np.ndarray):
+    """One round of the prefix search with cells of side 2h, h a power of
+    two: the float squared distance and index of each query point's
+    nearest target among the first limits[i] that lie in the 2^d cells
+    around the half cell holding the point, which hold every target within
+    h of it (inf and index 0 for a point with none); None when the box
+    [low, high] holding all points has more than _MAX_CELLS cells.
+
+    Cells are keyed by their integer coordinates relative to the corner
+    low, and the targets are sorted by key once. Dividing by a power of two
+    is exact, so the cells are too: a point whose half cell index along an
+    axis is j gets the cells (j + 1) // 2 - 1 and (j + 1) // 2 there,
+    which cover [x - h, x + h]. Only the targets of a cell inside a point's
+    prefix become its candidates: sorted by key and then by index, those
+    start the cell's run of targets. The points are taken in blocks of at
+    most _GRID_BLOCK candidate pairs, or one point, at a time."""
+    side = 2 * h
+    cell_low = np.floor(low / side)[:, None] - 1
+    strides = [1.0]
+    for width in (np.floor(high / side)[:, None] - cell_low + 2).ravel().tolist():
+        strides.append(strides[-1] * width)
+    if not strides.pop() <= _MAX_CELLS:
+        return None
+    keys = _key(np.floor(data / side) - cell_low, strides)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # Each target's cell number times the targets plus its index: a sorted
+    # array, in which a cell's targets inside a prefix are found by a search.
+    runs = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1]))) * len(order) + order
+    base = _key((np.floor(query / h) - 2 * cell_low + 1) // 2 - 1, strides)
+    # Searching the keys in sorted order keeps the binary searches local.
+    rows = np.argsort(base, kind="stable")
+    base = base[rows]
+    corners = [0.0]
+    for stride in strides:
+        corners += [c + stride for c in corners]
+    best = np.full(len(rows), np.inf)
+    nearest = np.zeros(len(rows), dtype=np.int64)
+    for corner in corners:
+        first = np.searchsorted(keys, base + corner, "left")
+        hit = np.flatnonzero(np.searchsorted(keys, base + corner, "right") > first)
+        start = first[hit]
+        counts = np.searchsorted(runs, runs[start] - order[start] + limits[rows[hit]]) - start
+        ends = counts.cumsum()
+        done = 0
+        while done < len(hit):
+            cap = ends[done] - counts[done] + _GRID_BLOCK
+            block = slice(done, max(done + 1, int(np.searchsorted(ends, cap, "right"))))
+            done = block.stop
+            taken = counts[block]
+            row = np.repeat(rows[hit[block]], taken)
+            index = np.arange(len(row))
+            index += np.repeat(start[block] - taken.cumsum() + taken, taken)
+            index = order[index]
+            squares = _squares((axis[index] for axis in data), (axis[row] for axis in query))
+            np.minimum.at(best, row, squares)
+            hit_best = squares == best[row]
+            nearest[row[hit_best]] = index[hit_best]
+    return best, nearest
+
+
+# The number of points whose exact minima set the first cell size.
+_SAMPLE = 8
+
+
+def _prefix_nearest(query: np.ndarray, data: np.ndarray, limits: np.ndarray):
+    """Float squared distance and index, per query point (a column), of a
+    target among the first limits[i] columns of data: its nearest, or one
+    no farther than a nearest found for another point, which is as good for
+    the max of the minima.
+
+    A sample of _SAMPLE points is scanned first (`_scan`); the median of
+    its positive minima sets h, and the other points go through rounds of
+    `_grid_round`, h doubling from round to round. A point whose best
+    candidate is no farther than h has its nearest: every target outside
+    its cells is farther than h along some axis, so its float squared
+    distance is at least h^2, h being a power of two. A point whose
+    candidate is no farther than a minimum already found keeps that
+    candidate, since it cannot raise the max of the minima (Taha & Hanbury,
+    IEEE TPAMI 37(11), 2015). Once h exceeds the extent of the data every
+    target is a candidate, so the rounds end there: such a round has at
+    most 4 cells per axis, 4^d in all, fewer than the targets and so never
+    too many to key. With 4^d targets or fewer, looking up the 2^d cells
+    around each point costs more than scanning every target (measured on
+    uniform points, from about d = 6 on), and all points are scanned; so
+    are the points left whenever they, small inputs from the start, have
+    at most _BRUTE_PAIR_LIMIT pairs with the targets."""
+    size = query.shape[1]
+    if size * data.shape[1] <= _BRUTE_PAIR_LIMIT or 4 ** len(data) >= data.shape[1]:
+        return _scan(query, data, limits)
+    best = np.full(size, np.inf)
+    nearest = np.zeros(size, dtype=np.int64)
+    sample = np.arange(0, size, -(-size // _SAMPLE))
+    best[sample], nearest[sample] = _scan(query[:, sample], data, limits[sample])
+    todo = np.delete(np.arange(size), sample)
+    minima = sorted(best[sample].tolist())
+    known = minima[-1]
+    positive = [square for square in minima if square > 0]
+    low = np.minimum(query.min(axis=1), data.min(axis=1))
+    high = np.maximum(query.max(axis=1), data.max(axis=1))
+    reach = float((high - low).max())
+    # A power of two at least the median positive minimum of the sample,
+    # below 2 reach, and no finer than the spacing of floats at the largest
+    # coordinate, so that every cell coordinate stays finite.
+    h = math.sqrt(positive[len(positive) // 2]) if positive else 0.0
+    h = max(min(h, reach), math.ulp(max(-low.min(), high.max(), 0.0)))
+    h = math.ldexp(1.0, math.frexp(h)[1])
+    while len(todo) * data.shape[1] > _BRUTE_PAIR_LIMIT:
+        found = _grid_round(query[:, todo], data, limits[todo], h, low, high)
+        if found is not None:
+            best[todo], nearest[todo] = found
+            done = (found[0] <= h * h) | (h > reach)
+            if done.any():
+                known = max(known, float(found[0][done].max()))
+            todo = todo[~(done | (found[0] <= known))]
+        h *= 2
+    if len(todo):
+        best[todo], nearest[todo] = _scan(query[:, todo], data, limits[todo])
+    return best, nearest
 
 
 def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int],
@@ -255,22 +402,25 @@ def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int]
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
     and `d_infinity`, whose per-point limits are level-sorted prefixes. The
     points are float tuples (`den` None) or integer numerator tuples over
-    the common denominator `den`. Every prefix is answered from one KD-tree
-    over all targets, built once per call (see `_prefix_nearest`). In float
-    mode the result is a float, the largest of the tree's nearest distances.
-    In exact mode the result is the integer numerator of the squared
-    distance over den^2, found with integer arithmetic only:
+    the common denominator `den`. Every prefix is answered from one uniform
+    grid of cells per round (see `_prefix_nearest`). In float mode the
+    result is a float, the largest of the nearest distances, each the square
+    root of a sum of squared differences. In exact mode the result is the
+    integer numerator of the squared distance over den^2, found with integer
+    arithmetic only:
 
-    - when the pairs scanned (the sum of the limits) are few, without a
-      tree, by scanning each point's prefix, a point stopping once it has a
+    - when the pairs scanned (the sum of the limits) are few, without the
+      grid, by scanning each point's prefix, a point stopping once it has a
       target no farther than the largest minimum so far, since it cannot
       raise it;
-    - otherwise through the float nearest neighbour of each point in its
-      prefix. Its exact distance bounds the point's minimum from above, so
-      only a point whose bound exceeds the largest minimum so far scans the
-      prefix targets within the rounding slack of its float distance, which
-      hold its true nearest. Points go in decreasing float distance, so few
-      of them scan.
+    - otherwise through a float near neighbour of each point in its prefix,
+      the coordinates taken relative to the first target so that only the
+      spread of the points must fit a float. Its exact distance bounds the
+      point's minimum from above, so only a point whose bound exceeds the
+      largest minimum so far scans the prefix targets within the rounding
+      slack of its float distance, which hold its true nearest. Points go
+      in decreasing float distance, so few of them scan. A spread too large
+      for floats raises GridRangeError.
     """
     limits = np.full(len(points), len(targets)) if limits is None else np.asarray(limits)
     worst = 0
@@ -286,18 +436,21 @@ def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int]
             else:
                 worst = best
         return worst
-    tree = cKDTree(as_float_array(targets, den))
-    query = as_float_array(points, den)
-    dist, nearest = _prefix_nearest(tree, query, limits)
+    origin = targets[0] if exact else None
+    try:
+        data, query = (as_float_array(group, den, origin).T.copy() for group in (targets, points))
+    except OverflowError:
+        raise GridRangeError("exact points too far apart for float coordinates") from None
+    best, nearest = _prefix_nearest(query, data, limits)
+    dist = np.sqrt(best)
     if not exact:
         return float(dist.max()) ** 2
-    radius = dist + _nn_radius_slack(query, tree.data)
+    radius = dist + _nn_radius_slack(query, data)
     for i in np.argsort(-dist, kind="stable"):
         p = points[i]
         if _squared(p, targets[nearest[i]]) > worst:
-            k = limits[i]
-            shortlist = tree.query_ball_point(query[i], radius[i])
-            worst = max(worst, min(_squared(p, targets[j]) for j in shortlist if j < k))
+            shortlist = np.flatnonzero(_squares(data[:, :limits[i]], query[:, i]) <= radius[i] ** 2)
+            worst = max(worst, min(_squared(p, targets[j]) for j in shortlist.tolist()))
     return worst
 
 

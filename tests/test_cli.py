@@ -375,6 +375,48 @@ def test_float_coordinate_off_the_grid_is_a_one_line_error(tmp_path, capsys, cha
     assert f"float coordinate {coordinate} is off the 1e-12 grid" in err
 
 
+def translated_band(shift):
+    """The band scene conjugated by the translation x -> x + (shift, shift):
+    each map A x + b becomes A x + b + (I - A) t, and the start moves by t."""
+    doc = json.loads(Path(BAND).read_text())
+    t = F(shift)
+    for f in doc["maps"]:
+        rows = [[F(a) for a in row] for row in f["linear"]]
+        f["offset"] = [str(F(b) + t - sum(row) * t) for b, row in zip(f["offset"], rows)]
+    doc["initial"] = [[[str(F(c) + t) for c in p], level] for p, level in doc["initial"]]
+    return doc
+
+
+def test_band_translated_past_float_range(tmp_path):
+    """Moved by (10^400, 10^400), the band's coordinates lie past float
+    range, yet the run reports the untranslated band's distances and bounds."""
+    reports = []
+    for shift in (0, 10 ** 400):
+        scene, report = tmp_path / f"band{len(reports)}.json", tmp_path / f"report{len(reports)}.json"
+        scene.write_text(json.dumps(translated_band(shift)))
+        assert main(["run", str(scene), "--steps", "3", "--report", str(report)]) == 0
+        reports.append(json.loads(report.read_text()))
+    for key in ("d_history", "a_priori", "certified_residual"):
+        assert reports[1][key] == reports[0][key]
+
+
+@pytest.mark.parametrize("count, message", [
+    (80, "exact points too far apart for float coordinates"),
+    (1, "a distance or bound of this run is too large for a float"),
+], ids=["kernel", "report"])
+def test_spread_past_float_range_is_a_one_line_error(tmp_path, capsys, count, message):
+    """Start points 10^400 apart: with 81 of them the kernel's float
+    shortlist cannot hold their differences; with 2 the kernel scans them
+    exactly, and the report cannot hold the distances."""
+    doc = json.loads(Path(BAND).read_text())
+    doc["initial"] = [[[str(i), "0"], "1"] for i in range(count)] + [[[str(10 ** 400), "0"], "1"]]
+    scene, report = tmp_path / "wide.json", tmp_path / "report.json"
+    scene.write_text(json.dumps(doc))
+    assert main(["run", str(scene), "--steps", "3", "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("tol, mode", [("1/0", "exact"), ("1/0", "float"), ("1e400", "float")])
 def test_run_tolerance_that_is_not_a_finite_number(capsys, tol, mode):
     assert main(["run", BAND, "--tol", tol, "--mode", mode]) == 1

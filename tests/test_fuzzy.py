@@ -4,10 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from scipy.spatial import cKDTree
 
-from fuzzyifs import fuzzy as fuzzy_module
-from fuzzyifs import geometry
 from fuzzyifs.dyadic import reference_system, slice_start
 from fuzzyifs.fuzzy import (
     EmptyCutError,
@@ -364,9 +361,10 @@ class TestJoinRestrict:
 
 # Scaled cases of the d_infinity path tests: (points per set, level
 # denominator, trials, least pairs in one level group, least level groups in
-# one direction). "tree" puts more than _BRUTE_PAIR_LIMIT pairs in one level
-# group, so exact mode takes the KD shortlist; "levels" has at least 65
-# level groups, so one direction looks at 65 or more prefix lengths.
+# one direction). "tree", the accelerated path, puts more than
+# _BRUTE_PAIR_LIMIT pairs in one level group, so exact mode takes the grid's
+# float shortlist; "levels" has at least 65 level groups, so one direction
+# looks at 65 or more prefix lengths.
 SCALED_CASES = [
     pytest.param(150, 3, 3, _BRUTE_PAIR_LIMIT + 1, 0, id="tree"),
     pytest.param(150, 128, 3, 0, 65, id="levels"),
@@ -471,31 +469,24 @@ class TestDInfinity:
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_d_infinity_builds_one_tree_per_direction(monkeypatch, exact):
+def test_d_infinity_sorts_once_per_round(kernel_counts, exact):
     """The "levels" case looks at 65 or more prefix lengths in one
-    direction, yet each directed scan answers them all from one KD-tree."""
+    direction, yet each directed scan is one kernel call that answers them
+    all in one grid round, sorting the targets and the points once."""
     n, denominator, _, _, min_groups = SCALED_CASES[1].values
     rng = random.Random(25)
     u, v = (random_exact_set(rng, n, denominator) for _ in range(2))
     assert_scan_shape(u, v, 0, min_groups)
     if not exact:
         u, v = u.to_float(), v.to_float()
-    builds = []
-
-    def counting_tree(*args, **kwargs):
-        builds.append(1)
-        return cKDTree(*args, **kwargs)
-
-    # Every module of the package that could build a tree is watched.
-    for module in (geometry, fuzzy_module):
-        monkeypatch.setattr(module, "cKDTree", counting_tree, raising=False)
     d_infinity(u, v)
-    assert len(builds) <= 2
+    assert kernel_counts.calls == len(kernel_counts.queries) == 2
+    assert kernel_counts.sorts == 2 * len(kernel_counts.queries) + 2 * exact
 
 
 def test_huge_denominators_on_the_kd_path():
     """Coordinates over 3^700 in [-4, 4], so the numerators lie far past
-    float range: the KD shortlist must convert n / D, not n. Half of v sits
+    float range: the grid's shortlist must convert n / D, not n. Half of v sits
     1/3^700 away from points of u, closer than floats can tell apart."""
     den = 3 ** 700
     rng = random.Random(71)

@@ -1,14 +1,18 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fuzzyifs import geometry
+from fuzzyifs.fuzzy import FuzzySet
 from fuzzyifs.geometry import (
     DimensionMismatchError,
     EmptySetError,
     FinitePointSet,
+    GridRangeError,
     diameter,
     directed_distance,
     directed_distance_brute,
@@ -20,6 +24,7 @@ from fuzzyifs.geometry import (
     squared_distance,
 )
 from fuzzyifs.numeric import le_sum, sqrt_exact
+from fuzzyifs.properties import _contractive_float_system
 
 
 def pts(*coords):
@@ -114,7 +119,7 @@ def test_accelerated_hausdorff_matches_brute_force_exact(monkeypatch):
         a = _random_set(rng)
         b = _random_set(rng)
         assert hausdorff(a, b) == hausdorff_brute(a, b)
-        # no pair limit forces the KD shortlist regardless of size
+        # no pair limit forces the grid's float shortlist regardless of size
         with monkeypatch.context() as patch:
             patch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
             assert hausdorff(a, b) == hausdorff_brute(a, b)
@@ -127,7 +132,7 @@ def test_accelerated_hausdorff_matches_brute_force_float():
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
         b = FinitePointSet.from_points(
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
-        # float mode always answers through the KD-tree
+        # float mode always answers through the grid kernel
         assert directed_distance(a, b) == pytest.approx(
             directed_distance_brute(a, b), abs=1e-12)
 
@@ -153,79 +158,204 @@ def _prefix_brute(points, targets, limits):
     return max(min(squared_distance(p, q) for q in targets[:k]) for p, k in zip(points, limits))
 
 
-@pytest.mark.parametrize("pair_limit", [geometry._BRUTE_PAIR_LIMIT, 0], ids=["scan", "tree"])
-def test_prefix_kernel_matches_brute_force_exact(monkeypatch, pair_limit):
+def _lattice(rng, n):
+    """n points of the band's dyadic lattice (i / 64, j / 256), which lie on
+    cell boundaries of every grid with power-of-two cells."""
+    return [(Fraction(rng.randrange(65), 64), Fraction(rng.randrange(257), 256)) for _ in range(n)]
+
+
+def _kernel_cases(rng):
+    """(points, targets, limits) with Fraction coordinates, beyond random
+    sets: the band's lattice; consecutive iterates of three maps with
+    c = 0.1 from the criterion-5 generator, each point limited to the
+    prefix of v by level at its own level; coordinates near the edge of the
+    1e-12 grid, whose squared distances overflow, and coordinates one grid
+    step apart; a tight cluster with a far point; every limit 1, with
+    points on targets outside their prefix; a single target; and points in
+    32 and in 3 dimensions."""
+    for _ in range(4):
+        points, targets = _lattice(rng, rng.randrange(1, 120)), _lattice(rng, rng.randrange(1, 120))
+        yield points, targets, [rng.randrange(1, len(targets) + 1) for _ in points]
+    for _ in range(3):
+        system = _contractive_float_system(rng, 3, 0.1)
+        v = FuzzySet([((rng.uniform(-1, 1), rng.uniform(-1, 1)), 1.0)], exact=False)
+        for _ in range(rng.randrange(2, 5)):
+            u, v = system.step(v), v
+        by_level = sorted(v.items(), key=lambda item: item[1], reverse=True)
+        yield ([tuple(map(Fraction, p)) for p, _ in u.items()],
+               [tuple(map(Fraction, q)) for q, _ in by_level],
+               [sum(1 for _, level in by_level if level >= lp) for _, lp in u.items()])
+    edge = 1.7e296  # x * 10^12 overflows past about 1.8e296
+    points, targets = ([(Fraction(rng.uniform(-edge, edge)), Fraction(edge)) for _ in range(30)]
+                       for _ in range(2))
+    yield points, targets, [rng.randrange(1, 31) for _ in points]
+    points, targets = ([(Fraction(1, 2) + Fraction(rng.randrange(40), 10 ** 12), Fraction(1, 4))
+                        for _ in range(40)] for _ in range(2))
+    yield points, targets, [rng.randrange(1, 41) for _ in points]
+    # a cluster 10^-10 wide and a point 1 away: the first cells are too
+    # many to key, so h doubles before the first round
+    points, targets = ([(Fraction(rng.randrange(1000), 10 ** 13), Fraction(0)) for _ in range(60)]
+                       + [(Fraction(1), Fraction(1))] for _ in range(2))
+    yield points, targets, [rng.randrange(1, 62) for _ in points]
+    targets = _lattice(rng, 40)
+    points = _lattice(rng, 40) + targets[1:]
+    yield points, targets, [1] * len(points)
+    yield points, targets[:1], [1] * len(points)
+    # 32 dimensions, whose 2^32 cells around a point would be too many to
+    # key or to search, so the kernel scans; 3, which the grid takes
+    for dim, sizes in ((32, (80, 80)), (3, (60, 200))):
+        points, targets = ([tuple(Fraction(rng.randrange(-99, 100), 32) for _ in range(dim))
+                            for _ in range(size)] for size in sizes)
+        yield points, targets, [rng.randrange(1, len(targets) + 1) for _ in points]
+
+
+@pytest.mark.parametrize("pair_limit, block", [
+    (geometry._BRUTE_PAIR_LIMIT, geometry._GRID_BLOCK), (0, geometry._GRID_BLOCK), (0, 1)],
+    ids=["scan", "tree", "tree-blocks"])
+def test_prefix_kernel_matches_brute_force_exact(monkeypatch, pair_limit, block):
+    """The "tree" cases send every call to the float shortlist of the grid,
+    "tree-blocks" with each grid round taking one point at a time."""
     monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
+    monkeypatch.setattr(geometry, "_GRID_BLOCK", block)
     rng = random.Random(91)
+    cases = []
     for _ in range(60):
         a, b = _random_set(rng), _random_set(rng)
-        den, (points, targets) = scale_points(a.points, b.points)
-        limits = [rng.randrange(1, len(targets) + 1) for _ in points]
+        cases.append((a.points, b.points, [rng.randrange(1, len(b) + 1) for _ in a.points]))
+    for points, targets, limits in cases + list(_kernel_cases(rng)):
+        den, (points, targets) = scale_points(points, targets)
         assert directed_max_squared(points, targets, den, True, limits) == \
             _prefix_brute(points, targets, limits)
 
 
-def test_prefix_kernel_matches_brute_force_float():
+def test_prefix_kernel_matches_brute_force_float(monkeypatch):
+    """Equal float distances, each the square root of the brute force's
+    float squared distance, with the default pair limit and with none,
+    which takes every point through the grid's rounds."""
     rng = random.Random(92)
+    cases = []
     for _ in range(60):
         points, targets = (
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))]
             for _ in range(2))
-        limits = [rng.randrange(1, len(targets) + 1) for _ in points]
-        assert directed_max_squared(points, targets, None, False, limits) == pytest.approx(
-            _prefix_brute(points, targets, limits), abs=1e-12)
+        cases.append((points, targets, [rng.randrange(1, len(targets) + 1) for _ in points]))
+    for points, targets, limits in _kernel_cases(rng):
+        cases.append(([tuple(map(float, p)) for p in points],
+                      [tuple(map(float, q)) for q in targets], limits))
+    for pair_limit in (geometry._BRUTE_PAIR_LIMIT, 0):
+        monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
+        for points, targets, limits in cases:
+            assert directed_max_squared(points, targets, None, False, limits) == \
+                math.sqrt(_prefix_brute(points, targets, limits)) ** 2
 
 
-class _Rounds:
-    """Counts the rounds of the prefix kernel: the k of every KD query
-    (1 for the nearest overall, more for the nearest few) and the prefix
-    scans of the points left after both."""
+def test_prefix_kernel_matches_kd_tree(monkeypatch):
+    """Equal float distances to scipy's KD-tree, one tree per prefix, on
+    random sets with prefix limits, with and without the pair limit."""
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = random.Random(93)
+    for pair_limit in (geometry._BRUTE_PAIR_LIMIT, 0):
+        monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
+        for _ in range(20):
+            points, targets = (
+                [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 200))]
+                for _ in range(2))
+            limits = [rng.randrange(1, len(targets) + 1) for _ in points]
+            trees = {k: spatial.cKDTree(targets[:k]) for k in set(limits)}
+            nearest = max(trees[k].query(p)[0] for p, k in zip(points, limits))
+            assert directed_max_squared(points, targets, None, False, limits) == nearest ** 2
 
-    def __init__(self, monkeypatch):
-        self.queries, self.scans = [], 0
-        rounds, scan = self, geometry._scan_prefix
 
-        class CountingTree(geometry.cKDTree):
-            def query(self, x, k=1, **kwargs):
-                rounds.queries.append(k)
-                return super().query(x, k, **kwargs)
+def _peak_kernel_bytes(points, targets, limits):
+    tracemalloc.start()
+    try:
+        best = directed_max_squared(points, targets, None, False, limits)
+        return best, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-        def counting_scan(*args):
-            rounds.scans += 1
-            return scan(*args)
 
-        monkeypatch.setattr(geometry, "cKDTree", CountingTree)
-        monkeypatch.setattr(geometry, "_scan_prefix", counting_scan)
-        monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
+def test_grid_rounds_hold_few_pairs_at_once():
+    """2000 points in a cluster 10^-3 wide. Limited to one far target, their
+    cells' other targets are no candidates; with every target on a unit
+    circle around them, each point's cells hold about all 2000, and a round
+    takes them in blocks. Either way the kernel's traced peak stays within
+    8 MB, where holding every candidate pair of a round at once takes tens
+    of MB."""
+    rng = random.Random(96)
+    cluster = [(rng.uniform(0, 1e-3), rng.uniform(0, 1e-3)) for _ in range(2000)]
+    circle = [(math.cos(t), math.sin(t)) for t in (2 * math.pi * k / 2000 for k in range(2000))]
+    best, peak = _peak_kernel_bytes(cluster, [(1000.0, 1000.0)] + cluster, [1] * len(cluster))
+    assert best == math.sqrt(max(squared_distance(p, (1000.0, 1000.0)) for p in cluster)) ** 2
+    assert peak < 8e6
+    best, peak = _peak_kernel_bytes(cluster, circle, None)
+    scan = geometry._scan(*(np.array(group).T.copy() for group in (cluster, circle)),
+                          np.full(len(cluster), len(circle)))[0]
+    assert best == math.sqrt(scan.max()) ** 2
+    assert peak < 8e6
+
+
+def test_exact_kernel_far_from_the_origin(monkeypatch):
+    """Moved by 10^400, the numerators lie past float range, yet the grid's
+    shortlist gives the same squares: its floats are taken relative to a
+    target. Points whose spread itself passes float range raise
+    GridRangeError."""
+    monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
+    rng = random.Random(94)
+    shift = Fraction(10 ** 400)
+    for _ in range(20):
+        a, b = _random_set(rng), _random_set(rng)
+        limits = [rng.randrange(1, len(b) + 1) for _ in a.points]
+        near = scale_points(a.points, b.points)
+        far = scale_points(*([tuple(c + shift for c in p) for p in s.points] for s in (a, b)))
+        assert far[0] == near[0]
+        assert directed_max_squared(*far[1], far[0], True, limits) == \
+            directed_max_squared(*near[1], near[0], True, limits)
+    den, (points, targets) = scale_points([(Fraction(0), Fraction(0))], [(shift, Fraction(0))])
+    with pytest.raises(GridRangeError, match="too far apart"):
+        directed_max_squared(points, targets, den, True)
+
+
+def test_grid_round_declines_too_many_cells():
+    """Cell keys are exact floats only below 2^53, so a round whose box
+    holds more than _MAX_CELLS cells returns None, and h doubles first."""
+    query, data, limits = np.zeros((2, 1)), np.ones((2, 1)), np.array([1])
+    low, high = np.zeros(2), np.ones(2)
+    assert geometry._grid_round(query, data, limits, 2.0 ** -30, low, high) is None
+    best, nearest = geometry._grid_round(query, data, limits, 2.0 ** -20, low, high)
+    assert best.tolist() == [math.inf] and nearest.tolist() == [0]
 
 
 def _rounds_case(case):
-    """One query point at the origin and targets in level order, the first
-    one alone in the prefix: "nearest" has it nearest of all; "few" puts one
-    lower-level target nearer; "scan" puts nine lower-level targets nearer,
-    more than the nearest few the tree is asked for. A last target, farther
-    than the first, gives every case at least two."""
-    lower = {"nearest": 0, "few": 1, "scan": 9}[case]
-    ring = [(math.cos(t), math.sin(t)) for t in (2 * math.pi * i / 9 for i in range(lower))]
-    targets = [(Fraction(5), Fraction(0))] + [tuple(Fraction(c) for c in p) for p in ring]
-    targets += [(Fraction(-6), Fraction(0))]
-    return [(Fraction(0), Fraction(0))], targets
+    """400 points on the x-axis, each with a target above it at height 1/4,
+    or 3/4 for `far` of them. The sample of 8 holds no far point, so its
+    minima set h = 1/2: a near point is certified in the first round, and a
+    far point's best candidate only in a round with h = 1. "nearest" has
+    no far point; "few" has 20, too many pairs for the final scan, so they
+    take a second round; "scan" has 5, which the final scan takes."""
+    far = {"nearest": 0, "few": 20, "scan": 5}[case]
+    points = [(Fraction(i), Fraction(0)) for i in range(400)]
+    targets = [(Fraction(i), Fraction(3 if 1 <= i <= far else 1, 4)) for i in range(400)]
+    return points, targets, Fraction(9 if far else 1, 16)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("case, queries, scans", [
-    ("nearest", [1], 0), ("few", [1, 3], 0), ("scan", [1, 8], 1)])
-def test_prefix_kernel_takes_each_round(monkeypatch, exact, case, queries, scans):
-    rounds = _Rounds(monkeypatch)
-    points, targets = _rounds_case(case)
+    ("nearest", [392], 0), ("few", [392, 20], 0), ("scan", [392], 1)])
+def test_prefix_kernel_takes_each_round(kernel_counts, exact, case, queries, scans):
+    """The points each round takes, the final scans, and two sorts per
+    round, the targets and the points by cell key; exact mode sorts once
+    more, the points by float distance for the shortlist."""
+    points, targets, expected = _rounds_case(case)
     if exact:
         den, (points, targets) = scale_points(points, targets)
-        best = Fraction(directed_max_squared(points, targets, den, True, [1]), den * den)
+        best = Fraction(directed_max_squared(points, targets, den, True), den * den)
     else:
         points, targets = ([tuple(map(float, p)) for p in group] for group in (points, targets))
-        best = directed_max_squared(points, targets, None, False, [1])
-    assert best == 25
-    assert rounds.queries == queries and rounds.scans == scans
+        best = directed_max_squared(points, targets, None, False)
+    assert best == expected
+    assert kernel_counts.queries == queries and kernel_counts.scans == scans
+    assert kernel_counts.sorts == 2 * len(queries) + exact
 
 
 def test_metric_axioms_exact():

@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+no module imports scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzyifs"
@@ -41,8 +45,32 @@ def test_every_imported_name_is_used():
     assert unused == ALLOWED_UNUSED
 
 
-def test_fuzzy_reaches_the_kd_tree_only_through_the_kernel():
-    """d_infinity hands every prefix to geometry's nearest-neighbour kernel,
-    which builds the one tree per directed scan."""
-    imported, _ = imports_and_uses((PACKAGE / "fuzzy.py").read_text(encoding="utf-8"))
-    assert not imported & {"cKDTree", "tree_pays_off", "as_float_array"}
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules a module imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_no_module_imports_scipy():
+    """Nearest neighbours come from geometry's numpy grid, so the package
+    needs numpy alone."""
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 if "scipy" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == []
+
+
+def test_a_band_run_leaves_scipy_unloaded():
+    """Not even lazily: after a full band run, scipy is not in sys.modules."""
+    band = PACKAGE.parent.parent / "scenes" / "dyadic_band.json"
+    code = ("import sys; from fuzzyifs.cli import main; "
+            "status = main(['run', sys.argv[1], '--steps', '6']); "
+            "print(status, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, str(band)], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout.splitlines()[-1] == "0 []"
