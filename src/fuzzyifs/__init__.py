@@ -43,6 +43,7 @@ from .numeric import DEFAULT_TOL, Radical, le_sum, sqrt_exact
 from .scene import RenderSpec, Scene, SceneError, SceneParseError, StopRule, load_scene, save_scene
 from .system import (
     AdmissibilityError,
+    ContractionViolationError,
     ConvergenceReport,
     OrbitalFuzzySystem,
     UnreachableToleranceError,
@@ -54,6 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap",
     "AdmissibilityError",
+    "ContractionViolationError",
     "CodeMetric",
     "ContractivityReport",
     "ConvergenceReport",

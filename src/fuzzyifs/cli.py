@@ -23,7 +23,9 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
+
+import numpy as np
 
 from .fuzzy import FuzzySet
 from .grid import GridFuzzySet
@@ -127,38 +129,27 @@ def _ratio(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-class _Memo(dict):
-    """fn's value per key, computed on the first lookup."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self._fn(key)
-        return value
-
-
 class _CsvTrace:
     """Writes the x,y,level,iteration rows of each iterate as it arrives.
 
     Rows come from the integer form: a coordinate is n/D written by `_ratio`
     in exact mode and the float n / D in float mode. Each distinct numerator
     and each distinct level is formatted once per iterate, since a grid of
-    points repeats its x and y values across rows."""
+    points repeats its x and y values across rows, and the columns are
+    picked from those strings by index."""
 
     def __init__(self, fh):
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(["x", "y", "level", "iteration"])
 
     def __call__(self, iteration, u: FuzzySet):
-        den, levels, ranks = u.scaled()
-        coord = _Memo((lambda n: _ratio(n, den)) if u.exact else (lambda n: format_scalar(n / den)))
-        labels = [format_scalar(level) for level in levels]
-        self._writer.writerows(
-            [coord[x], coord[y], labels[r], iteration]
-            for (x, y), r in ranks.items()
-        )
+        den, levels, points, ranks = u.scaled()
+        values, index = np.unique(points, return_inverse=True)
+        text = [_ratio(n, den) for n in values.tolist()] if u.exact else \
+            [format_scalar(n / den) for n in values.tolist()]
+        columns = np.array(text, dtype=object)[index.reshape(points.shape)].T.tolist()
+        labels = np.array([format_scalar(level) for level in levels], dtype=object)[ranks]
+        self._writer.writerows(zip(*columns, labels.tolist(), repeat(iteration)))
 
 
 def _write_image(path, u: FuzzySet, spec: RenderSpec):

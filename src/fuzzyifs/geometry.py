@@ -12,8 +12,12 @@ targets for their dimension. Float mode takes their distances. Exact mode
 works on integers: the points of both operands are brought onto one
 common denominator D (`scale_points`), and the kernel compares integer
 squared distances over D^2, scanning every prefix for small inputs and
-the float shortlist otherwise, so results stay exact. The brute-force
-double loop is kept as a test oracle.
+checking the float nearest neighbours otherwise, so results stay exact.
+The kernel takes its points as n x d arrays: integer numerators are int64
+while they stay below 2^62 in magnitude, so that a sum or difference of two
+cannot overflow, and Python ints in object arrays beyond (`int_array`);
+the same numpy code serves both. The brute-force double loop is kept as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice, repeat
-from operator import sub, truediv
+from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +60,46 @@ def point_is_exact(p: Sequence) -> bool:
 
 # Float points are held as integers over GRID, the 1e-12 grid.
 GRID = 10 ** DEDUP_DECIMALS
+
+# Integer arrays are int64 while every entry lies below INT64_BOUND in
+# magnitude, so that the sum or difference of two entries stays in int64;
+# object arrays of Python ints otherwise.
+INT64_BOUND = 2 ** 62
+
+
+def magnitude(values: np.ndarray) -> int:
+    """The largest |entry| of a nonempty integer array, as a Python int.
+    Unlike np.abs, exact at -2^63 and on Python ints."""
+    return max(int(np.maximum.reduce(values, axis=None)),
+               -int(np.minimum.reduce(values, axis=None)))
+
+
+def int_array(rows) -> np.ndarray:
+    """Rows of ints (lists, tuples or an array) as an n x d array: int64
+    when every entry lies below INT64_BOUND in magnitude, object otherwise."""
+    try:
+        array = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+    return array if magnitude(array) < INT64_BOUND else array.astype(object)
+
+
+def grid_keys(coords: np.ndarray) -> np.ndarray:
+    """The keys of `grid_key` for an array of float coordinates, with the
+    same rounding (half to even) and the same GridRangeError: int64 while
+    every key lies below INT64_BOUND in magnitude, Python ints in an object
+    array otherwise. Each key is a rounded double, so it reads back exactly
+    as a float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = np.rint(coords * GRID)
+    finite = np.isfinite(keys)
+    if not finite.all():
+        bad = coords[~finite].flat[0]
+        raise GridRangeError(
+            f"float coordinate {bad} is off the 1e-12 grid: x * 10^12 must be finite")
+    if np.abs(keys).max() < INT64_BOUND:
+        return keys.astype(np.int64)
+    return np.array([int(k) for k in keys.ravel().tolist()], dtype=object).reshape(keys.shape)
 
 
 def grid_key(coords: Sequence) -> Tuple[int, ...]:
@@ -203,27 +246,61 @@ def scale_points(*groups: Sequence[Point]) -> Tuple[int, List[List[Tuple[int, ..
                  for group in groups]
 
 
-def as_float_array(points: Sequence[Point], den: Optional[int],
-                   origin: Optional[Tuple[int, ...]] = None) -> np.ndarray:
-    """Float coordinates of points, or of numerator tuples over den taken
-    relative to the integer point origin (0 when None). (n - o) / den is int
-    true division, correctly rounded like float(Fraction(n - o, den)), and
-    stays in float range when n and den do not; OverflowError when n - o is
-    too large for a float."""
-    if den is None:
-        return np.array(points, dtype=float)
-    count = len(points) * len(points[0])
-    flat = chain.from_iterable(points)
+def as_float_array(points: np.ndarray, den: int,
+                   origin: Optional[np.ndarray] = None) -> np.ndarray:
+    """Float coordinates (n - origin) / den of an array of integer numerators
+    over den, origin an integer point (0 when None): the correctly rounded
+    quotient, like float(Fraction(n - o, den)), which stays in float range
+    when n and den do not. Floats divide when n - o and den are exact as
+    floats, an IEEE division being correctly rounded; Python's int true
+    division does otherwise. OverflowError when n - o is too large for a
+    float."""
     if origin is not None:
-        flat = map(sub, flat, cycle(origin))
-    return np.fromiter(map(truediv, flat, repeat(den)), float, count).reshape(len(points), -1)
+        points = points - origin
+    if points.dtype != object and den < 2 ** 1024 and float(den) == den:
+        floats = points.astype(float)
+        # A float past the int64 range casts to a wrong int, which fails
+        # the comparison as it should.
+        with np.errstate(invalid="ignore"):
+            if np.array_equal(floats.astype(np.int64), points):
+                return floats / den
+    return (points.astype(object) / den).astype(float)
 
 
-def _squared(p: Tuple[int, ...], q: Tuple[int, ...]) -> int:
+def _squared(p: Sequence[int], q: Sequence[int]) -> int:
     total = 0
     for a, b in zip(p, q):
         total += (a - b) * (a - b)
     return total
+
+
+def _exact_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact squared distances between the integer points of a and b (rows,
+    broadcast against each other): int64 when they fit, Python ints
+    otherwise."""
+    diff = a - b
+    if diff.dtype != object and magnitude(diff) > math.isqrt((2 ** 63 - 1) // diff.shape[-1]):
+        diff = diff.astype(object)
+    return (diff * diff).sum(axis=-1)
+
+
+def _scan_squared(points: Sequence, targets: Sequence, limits: Sequence[int]) -> int:
+    """The exact max over points of the min squared distance into the
+    prefix targets[:limits[i]], on rows of Python ints: each point scans
+    its prefix and stops once it has a target no farther than the largest
+    minimum so far, since it cannot raise it."""
+    worst = 0
+    for p, k in zip(points, limits):
+        best = None
+        for q in islice(targets, k):
+            d = _squared(p, q)
+            if d <= worst:
+                break
+            if best is None or d < best:
+                best = d
+        else:
+            worst = best
+    return worst
 
 
 def _squares(a: Iterable[np.ndarray], b: Iterable[np.ndarray]) -> np.ndarray:
@@ -393,64 +470,71 @@ def _prefix_nearest(query: np.ndarray, data: np.ndarray, limits: np.ndarray):
     return best, nearest
 
 
-def directed_max_squared(points: Sequence, targets: Sequence, den: Optional[int],
-                         exact: bool, limits: Optional[Sequence[int]] = None):
+def directed_max_squared(points, targets, den: Optional[int], exact: bool,
+                         limits: Optional[Sequence[int]] = None):
     """Max over `points` of the min squared distance into `targets`, point i
     looking only at the prefix targets[:limits[i]] (all of them when limits
     is None; every limit is at least 1).
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
     and `d_infinity`, whose per-point limits are level-sorted prefixes. The
-    points are float tuples (`den` None) or integer numerator tuples over
-    the common denominator `den`. Every prefix is answered from one uniform
-    grid of cells per round (see `_prefix_nearest`). In float mode the
-    result is a float, the largest of the nearest distances, each the square
-    root of a sum of squared differences. In exact mode the result is the
-    integer numerator of the squared distance over den^2, found with integer
-    arithmetic only:
+    points are rows of an array, or a sequence of tuples converted to one:
+    float coordinates (`den` None) or integer numerators over the common
+    denominator `den`, int64 or Python ints (`int_array`). Every prefix is
+    answered from one uniform grid of cells per round (see
+    `_prefix_nearest`). In float mode the result is a float, the largest of
+    the nearest distances, each the square root of a sum of squared
+    differences. In exact mode the result is the integer numerator of the
+    squared distance over den^2, found with integer arithmetic only:
 
     - when the pairs scanned (the sum of the limits) are few, without the
-      grid, by scanning each point's prefix, a point stopping once it has a
-      target no farther than the largest minimum so far, since it cannot
-      raise it;
+      grid, by `_scan_squared` on Python ints;
     - otherwise through a float near neighbour of each point in its prefix,
       the coordinates taken relative to the first target so that only the
-      spread of the points must fit a float. Its exact distance bounds the
-      point's minimum from above, so only a point whose bound exceeds the
-      largest minimum so far scans the prefix targets within the rounding
-      slack of its float distance, which hold its true nearest. Points go
-      in decreasing float distance, so few of them scan. A spread too large
-      for floats raises GridRangeError.
+      spread of the points must fit a float. Its exact squared distance,
+      computed for all points at once, bounds the point's minimum from
+      above, so only a point whose bound exceeds the largest minimum so far
+      compares exactly with the prefix targets within the rounding slack of
+      its float distance, which hold its true nearest. Points go in
+      decreasing float distance, so few of them do. A spread too large for
+      floats raises GridRangeError.
     """
+    if exact and (len(points) * len(targets) if limits is None else int(np.sum(limits))) \
+            <= _BRUTE_PAIR_LIMIT:
+        if isinstance(points, np.ndarray):
+            points, targets = points.tolist(), targets.tolist()
+        limits = [len(targets)] * len(points) if limits is None else np.asarray(limits).tolist()
+        return _scan_squared(points, targets, limits)
+    if den is None:
+        points, targets = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
+    elif not isinstance(points, np.ndarray):
+        points, targets = int_array(points), int_array(targets)
     limits = np.full(len(points), len(targets)) if limits is None else np.asarray(limits)
-    worst = 0
-    if exact and int(limits.sum()) <= _BRUTE_PAIR_LIMIT:
-        for p, k in zip(points, limits.tolist()):
-            best = None
-            for q in islice(targets, k):
-                d = _squared(p, q)
-                if d <= worst:
-                    break
-                if best is None or d < best:
-                    best = d
-            else:
-                worst = best
-        return worst
-    origin = targets[0] if exact else None
-    try:
-        data, query = (as_float_array(group, den, origin).T.copy() for group in (targets, points))
-    except OverflowError:
-        raise GridRangeError("exact points too far apart for float coordinates") from None
+    if den is None:
+        data, query = targets.T.copy(), points.T.copy()
+    else:
+        origin = targets[0] if exact else None
+        try:
+            data, query = (as_float_array(group, den, origin).T.copy() for group in (targets, points))
+        except OverflowError:
+            raise GridRangeError("exact points too far apart for float coordinates") from None
     best, nearest = _prefix_nearest(query, data, limits)
     dist = np.sqrt(best)
     if not exact:
         return float(dist.max()) ** 2
     radius = dist + _nn_radius_slack(query, data)
-    for i in np.argsort(-dist, kind="stable"):
-        p = points[i]
-        if _squared(p, targets[nearest[i]]) > worst:
-            shortlist = np.flatnonzero(_squares(data[:, :limits[i]], query[:, i]) <= radius[i] ** 2)
-            worst = max(worst, min(_squared(p, targets[j]) for j in shortlist.tolist()))
+
+    def exact_minimum(i: int) -> int:
+        shortlist = np.flatnonzero(_squares(data[:, :limits[i]], query[:, i]) <= radius[i] ** 2)
+        return int(_exact_squares(points[i], targets[shortlist]).min())
+
+    order = np.argsort(-dist, kind="stable")
+    upper = _exact_squares(points, targets[nearest])
+    worst = exact_minimum(order[0])
+    rest = order[1:][upper[order[1:]] > worst]
+    for i, bound in zip(rest.tolist(), upper[rest].tolist()):
+        if bound > worst:
+            worst = max(worst, exact_minimum(i))
     return worst
 
 

@@ -58,10 +58,9 @@ class GridFuzzySet:
         g = cls.zeros(lo, hi, width, height)
         x0, y0 = g.lo
         x1, y1 = g.hi
-        den, table, ranks = u.scaled()
-        xy = as_float_array(list(ranks), den)
-        table = np.array([float(level) for level in table])
-        level = table[np.fromiter(ranks.values(), np.intp, len(ranks))]
+        den, table, points, ranks = u.scaled()
+        xy = as_float_array(points, den)
+        level = np.array([float(level) for level in table])[ranks]
         x, y = xy[:, 0], xy[:, 1]
         inside = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
         x, y, level = x[inside], y[inside], level[inside]

@@ -13,15 +13,21 @@ bound for m = 0, 1, 2, ... with one multiplication per m, and the stop rule,
 the report and the CLI's bound trace all read it, so a certified bound and a
 reported one are the same number. The stopping rule uses the bound rather
 than the residual alone, so the certificate stays sound even when
-consecutive iterates happen to coincide early.
+consecutive iterates happen to coincide early. The bound holds only if the
+operator contracts by C along the run, so a run checks that on its own
+distances, d_n <= C d_(n-1) at every step from the second on and for the
+residual, and raises ContractionViolationError where they rule C out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 # apply_grey, join and zadeh_pushforward are the step's reference, not its
 # implementation; they stay names of this module for perfbench/tracing.py,
@@ -30,14 +36,25 @@ from .fuzzy import (  # noqa: F401
     EmptySupportError,
     FuzzySet,
     GreyLevelMap,
+    _merge_rows,
     apply_grey,
     d_infinity,
     join,
     zadeh_pushforward,
 )
-from .geometry import DimensionMismatchError, FinitePointSet, diameter, grid_key, scale_points
+from .geometry import (
+    GRID,
+    INT64_BOUND,
+    DimensionMismatchError,
+    FinitePointSet,
+    as_float_array,
+    diameter,
+    grid_keys,
+    magnitude,
+    scale_points,
+)
 from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
-from .numeric import DEFAULT_TOL, Radical, Scalar
+from .numeric import DEFAULT_TOL, Radical, Scalar, _exact_square
 
 _MAX_TOLERANCE_STEPS = 10_000
 
@@ -45,6 +62,17 @@ _MAX_TOLERANCE_STEPS = 10_000
 class UnreachableToleranceError(ValueError):
     """No step count within the guard brings the a-priori bound down to the
     requested tolerance."""
+
+
+class ContractionViolationError(ValueError):
+    """Measured distances of a run that the declared contraction constant C
+    rules out: d_n > C d_(n-1) for consecutive iterate distances, so C is
+    not a valid constant for the scene and its a-priori bound certifies
+    nothing. Carries the step n, the measured ratio and C."""
+
+    def __init__(self, message: str, step: int, ratio: float, constant: Scalar):
+        super().__init__(message)
+        self.step, self.ratio, self.constant = step, ratio, constant
 
 
 class AdmissibilityError(ValueError):
@@ -134,20 +162,25 @@ class OrbitalFuzzySystem:
         """One application of the fuzzy operator: the pointwise maximum of
         the grey-weighted images of u under every map.
 
-        Both numeric modes step the integer form of u (`FuzzySet.scaled`),
-        one pass per map into one dict that keeps the highest level rank per
-        image point. Each grey map is evaluated once per level of u's table;
-        a point whose new level is 0 is not mapped. Only the image differs:
-        an exact map times the system's common map denominator L, in ints,
-        takes numerators over D to numerators over D*L, cut back to the
-        least denominator at the end; a float map reads the grid point
-        n / D and snaps its image with `geometry.grid_key`, and an image off
-        the grid raises GridRangeError. The result equals
+        Both numeric modes step the integer form of u (`FuzzySet.scaled`)
+        with array operations per map: each grey map is evaluated once per
+        level of u's table, a point whose new level is 0 is not mapped, and
+        the images of all maps, concatenated in map order, are merged with
+        one stable lexsort, each point keeping its first position and its
+        highest level rank. Only the image differs: an exact map times the
+        system's common map denominator L, in ints, takes numerators over D
+        to numerators over D*L, cut back to the least denominator by one gcd
+        at the end, in int64 while a bound on the image numerators stays
+        below 2^62 and in Python ints otherwise; a float map reads the grid
+        point n / D, applies the float operations of `AffineMap._apply` in
+        its order and snaps the image with the rounding of
+        `geometry.grid_key`, and an image off the grid raises
+        GridRangeError. The result, support order included, equals
         join([apply_grey(g, zadeh_pushforward(f, u)) for f, g in ...]), the
         reference this step is tested against, except that a map whose part
         the grey map erases adds nothing instead of raising: only an empty
-        join raises. SupportCapError is raised as soon as the points
-        gathered after any map pass support_cap.
+        join raises. SupportCapError is raised as soon as the distinct
+        points gathered after any map pass support_cap.
         """
         self._require_admissible()
         if u.exact != self.exact:
@@ -155,34 +188,49 @@ class OrbitalFuzzySystem:
         if u.dimension != self.dimension:
             raise DimensionMismatchError(
                 f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
-        den, levels, ranks = u.scaled()
+        den, levels, points, ranks = u.scaled()
         convert = Fraction if u.exact else float
         grey = [[convert(g(level)) for level in levels] for g in self.grey_maps]
         new_levels = tuple(sorted({level for row in grey for level in row}))
         rank = {level: i for i, level in enumerate(new_levels)}
-        relits = [[rank[level] for level in row] for row in grey]
+        relits = [np.array([rank[level] for level in row]) for row in grey]
         if u.exact:
             map_den, maps = self._scaled_maps
+            # Every image numerator is below this bound, which picks int64
+            # or Python ints for the whole step.
+            top = max(magnitude(points), 1)
+            bound = max(top * sum(map(abs, row)) + abs(b) * den
+                        for linear, offset in maps for row, b in zip(linear, offset))
+            columns = list(points.astype(np.int64 if bound < INT64_BOUND else object, copy=False).T)
             images = [AffineMap(linear, tuple(b * den for b in offset))._apply
                       for linear, offset in maps]
         else:
             map_den = 1
-            images = [lambda p, apply=f._apply: grid_key(apply(tuple([n / den for n in p])))
-                      for f in self.ifs.maps]
-        merged: Dict = {}
+            columns = list(as_float_array(points, den).T)
+            images = [f._apply for f in self.ifs.maps]
+        parts, part_ranks, gathered = [], [], 0
         for image, relit in zip(images, relits):
-            for p, r in ranks.items():
-                new = relit[r]
-                if new:
-                    q = image(p)
-                    old = merged.setdefault(q, new)
-                    if new > old:
-                        merged[q] = new
-            if len(merged) > support_cap:
-                raise SupportCapError(f"support grew past the cap of {support_cap} points")
-        if not merged:
+            new = relit[ranks]
+            kept = np.flatnonzero(new)
+            if not len(kept):
+                continue
+            cols = columns if len(kept) == len(new) else [c[kept] for c in columns]
+            # A row of a map without linear terms gives a scalar component.
+            block = np.empty((len(kept), u.dimension), dtype=cols[0].dtype)
+            for k, component in enumerate(image(cols)):
+                block[:, k] = component
+            parts.append(block if u.exact else grid_keys(block))
+            part_ranks.append(new[kept])
+            gathered += len(kept)
+            if gathered > support_cap:
+                merged = _merge_rows(np.concatenate(parts), np.concatenate(part_ranks))
+                parts, part_ranks, gathered = [merged[0]], [merged[1]], len(merged[0])
+                if gathered > support_cap:
+                    raise SupportCapError(f"support grew past the cap of {support_cap} points")
+        if not parts:
             raise EmptySupportError("the operator erased the whole support")
-        return FuzzySet._from_scaled(merged, den * map_den, new_levels, u.dimension, u.exact)
+        return FuzzySet._from_images(np.concatenate(parts), np.concatenate(part_ranks),
+                                     den * map_den, new_levels, u.dimension, u.exact)
 
     def reach_diameter(self, u: FuzzySet) -> Scalar:
         """diam(supp(u) together with its image under every map)."""
@@ -228,6 +276,48 @@ class OrbitalFuzzySystem:
             f"tolerance {float(tolerance):g} needs more than {_MAX_TOLERANCE_STEPS} steps "
             f"at contraction constant {float(self.ifs.contraction_constant):g}")
 
+    def _rounding(self, largest: float) -> float:
+        """How far float mode's rounding can push d_n past C d_(n-1) for
+        iterates whose coordinates stay within `largest` in magnitude. By
+        the triangle inequality, d_n exceeds C d_(n-1) by at most the
+        distances of u_(n-1) and u_n from the exact images of their
+        predecessors. Per coordinate that is the grid snap (half of
+        1/GRID) and d + 4 roundings (reading the keys, the map's d + 1
+        operations, the product by GRID, the metric), each at most 2^-53 of
+        S = (1 + a) largest + b, a the largest row sum of |A| and b the
+        largest |offset|. Both terms are taken twice for margin; a point
+        moves sqrt(d) times its coordinate error."""
+        maps = self.ifs.maps
+        a = max(sum(map(abs, row)) for f in maps for row in f.linear)
+        b = max(abs(c) for f in maps for c in f.offset)
+        d = self.dimension
+        error = 1 / GRID + (d + 4) * 2.0 ** -52 * ((1 + a) * largest + b)
+        return 2 * math.sqrt(d) * error
+
+    def _check_decay(self, distances, largest: float = 0.0) -> None:
+        """The audit of the certificate: ContractionViolationError unless
+        the last of the consecutive iterate distances d_1, ..., d_n obeys
+        d_n <= C d_(n-1). Exact mode compares exactly, on squares; float
+        mode allows 1e-9 of C d_(n-1) and the rounding of iterates whose
+        coordinates stay within `largest` in magnitude (`_rounding`)."""
+        if len(distances) < 2:
+            return
+        *_, previous, d = distances
+        c = self.ifs.contraction_constant
+        if self.exact:
+            square, previous_square = _exact_square(d), _exact_square(previous)
+            if square <= c * c * previous_square:
+                return
+            ratio = math.sqrt(square / previous_square) if previous_square else math.inf
+        else:
+            if d <= c * previous * (1 + 1e-9) + self._rounding(largest):
+                return
+            ratio = d / previous if previous else math.inf
+        n = len(distances)
+        raise ContractionViolationError(
+            f"step {n} moved the iterate {ratio:.6g} times as far as step {n - 1}, more than "
+            f"the declared contraction constant {float(c):g}", n, ratio, c)
+
     def iterate(
         self,
         u0: FuzzySet,
@@ -240,9 +330,13 @@ class OrbitalFuzzySystem:
 
         In tolerance mode the run stops at the first m whose a-priori bound
         falls within the tolerance, which certifies that the final iterate is
-        that close to its limit. A step that passes support_cap, the residual
-        step included, raises SupportCapError with `partial` set to the last
-        iterate and its report, whose certified_residual is None.
+        that close to its limit. The certificate rests on the declared
+        contraction constant C, so every distance d_n from step 2 on, the
+        residual's included, is checked against C d_(n-1); a violation
+        raises ContractionViolationError before the step reaches on_step. A
+        step that passes support_cap, the residual step included, raises
+        SupportCapError with `partial` set to the last iterate and its
+        report, whose certified_residual is None.
         """
         if (steps is None) == (tolerance is None):
             raise ValueError("choose exactly one of steps or tolerance")
@@ -260,14 +354,21 @@ class OrbitalFuzzySystem:
             m, bound = steps, self.scaled_bound(diam, steps)
         current = u0
         history = []
+        # Float mode: the largest coordinate magnitude of the iterates so
+        # far, which scales the audit's rounding slack.
+        largest = 0.0 if self.exact else magnitude(u0.scaled()[2]) / GRID
         try:
             for n in range(1, m + 1):
                 nxt = self.step(current, support_cap)
                 history.append(d_infinity(current, nxt))
+                if not self.exact:
+                    largest = max(largest, magnitude(nxt.scaled()[2]) / GRID)
+                self._check_decay(history, largest)
                 if on_step is not None:
                     on_step(n, nxt)
                 current = nxt
             residual = d_infinity(self.step(current, support_cap), current)
+            self._check_decay(history + [residual], largest)
         except SupportCapError as err:
             # Whether a step or the residual step passed the cap, the partial
             # result is the last iterate reached, with its bound.
@@ -299,10 +400,12 @@ class OrbitalFuzzySystem:
         # The bound at m dominates the residual, so this cannot fire unless
         # the declared contraction constant is wrong for the scene.
         if report.certified_residual > tolerance:
-            raise RuntimeError(
-                "residual exceeds the certified tolerance; "
-                "the declared contraction constant looks invalid"
-            )
+            n = report.iterations + 1
+            ratio = float(report.certified_residual) / float(report.a_priori)
+            raise ContractionViolationError(
+                f"step {n}: the residual is {ratio:.6g} times the certified bound at the "
+                f"declared contraction constant {float(self.ifs.contraction_constant):g}",
+                n, ratio, self.ifs.contraction_constant)
         return final, report
 
 

@@ -13,9 +13,11 @@ import pytest
 import fuzzyifs
 from fuzzyifs.cli import main
 from fuzzyifs.dyadic import enumerated_levels
+from fuzzyifs.fuzzy import apply_grey, join, zadeh_pushforward
 from fuzzyifs.grid import parse_pgm
 from fuzzyifs.ifs import AffineMap
-from fuzzyifs.numeric import sqrt_exact
+from fuzzyifs.numeric import format_scalar, sqrt_exact
+from fuzzyifs.scene import load_scene
 from fuzzyifs.system import OrbitalFuzzySystem
 
 F = Fraction
@@ -170,8 +172,9 @@ def test_exit_code_support_cap(tmp_path, monkeypatch, capsys):
     assert len(list(tmp_path.iterdir())) == 5
 
     # The band starts on 65 points; under a cap of 10 the first map's image
-    # passes the cap, and the run exits 3 before the second map, the one
-    # with a nonzero offset, maps a single point.
+    # passes the cap, and the run exits 3 before the step applies the second
+    # map, the one with a nonzero offset. Each map is applied once, to all
+    # points.
     doc = json.loads(Path(BAND).read_text())
     doc["support_cap"] = 10
     capped_band = tmp_path / "capped_band.json"
@@ -184,7 +187,7 @@ def test_exit_code_support_cap(tmp_path, monkeypatch, capsys):
     for mode in ("exact", "float"):
         offsets.clear()
         assert main(["run", str(capped_band), "--steps", "2", "--mode", mode]) == 3
-        assert len(offsets) == 65 and not any(any(o) for o in offsets)
+        assert len(offsets) == 1 and not any(offsets[0])
 
 
 def test_band_outputs_match_the_oracle(tmp_path):
@@ -359,10 +362,11 @@ def test_unreachable_tolerance_is_a_one_line_error(tmp_path, capsys):
 @pytest.mark.parametrize("change, coordinate", [
     # the initial point itself is off the grid: 1e300 * 10^12 overflows
     ({"initial": [[[1e300, 1], 1]]}, "1e+300"),
-    # x -> 10^30 x takes (1/2, 0) past the grid in ten steps
-    ({"maps": [{"linear": [["1e30", "0"], ["0", "1e30"]], "offset": ["0", "0"]},
+    # x -> 10^150 x takes (1/2, 0) past the grid in two steps, before the
+    # run can find that d_2 > C d_1
+    ({"maps": [{"linear": [["1e150", "0"], ["0", "1e150"]], "offset": ["0", "0"]},
                {"linear": [["1", "0"], ["0", "1/2"]], "offset": ["0", "1/2"]}],
-      "stop": {"steps": 12}}, "5e+299"),
+      "stop": {"steps": 12}}, "4.9999999999999995e+299"),
 ], ids=["initial-point", "image-point"])
 def test_float_coordinate_off_the_grid_is_a_one_line_error(tmp_path, capsys, change, coordinate):
     doc = json.loads(Path(SLICE).read_text())
@@ -446,3 +450,46 @@ def test_verify_rejects_runs_without_trials(capsys, argv):
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err == "error: verify needs --trials >= 1 and --depth >= 0\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_csv_rows_follow_the_support_order(tmp_path, mode):
+    """Each iterate's rows come in the support order of the reference step,
+    the join of the grey-weighted images in map order: a point where it
+    first appears. For the band that order is not the sorted one."""
+    out = tmp_path / "trace.csv"
+    assert main(["run", BAND, "--steps", "5", "--mode", mode, "--out-csv", str(out)]) == 0
+    rows = [(r["x"], r["y"], r["level"], int(r["iteration"])) for r in read_rows(out)]
+    scene = load_scene(BAND, mode_override=mode)
+    system, u = scene.system, scene.initial
+    expected = []
+    for n in range(6):
+        if n:
+            u = join([apply_grey(g, zadeh_pushforward(f, u))
+                      for f, g in zip(system.ifs.maps, system.grey_maps)])
+        expected += [(*map(format_scalar, p), format_scalar(level), n) for p, level in u.items()]
+    assert rows == expected
+    last = [(F(x), F(y)) for x, y, _, n in rows if n == 5]
+    assert last != sorted(last)
+
+
+def test_violated_contraction_constant_is_a_one_line_error(tmp_path, capsys):
+    """The band declaring C = 1/4, while its steps halve the distance: its
+    a-priori bound would certify a tolerance that its residual misses. The
+    run stops at step 2 and leaves the existing outputs as they were."""
+    doc = json.loads(Path(BAND).read_text())
+    doc["contraction_constant"] = "1/4"
+    scene = tmp_path / "quarter.json"
+    scene.write_text(json.dumps(doc))
+    outputs = [tmp_path / name for name in ("old.csv", "old.pgm", "old.json")]
+    for path in outputs:
+        path.write_text("previous run\n")
+    for mode in ("exact", "float"):
+        assert main(["run", str(scene), "--tol", "0.005", "--mode", mode,
+                     "--out-csv", str(outputs[0]), "--out-image", str(outputs[1]),
+                     "--report", str(outputs[2])]) == 1
+        assert capsys.readouterr().err == (
+            "error: step 2 moved the iterate 0.5 times as far as step 1, more than the "
+            "declared contraction constant 0.25\n")
+        assert all(path.read_text() == "previous run\n" for path in outputs)
+        assert len(list(tmp_path.iterdir())) == 4

@@ -220,12 +220,14 @@ class TestFloatGrid:
 
     def test_integer_form(self):
         u = FuzzySet([((0.1, -2.5), 0.5), ((1 / 3, 0.0), 1.0), ((0.1, -2.5), 0.25)], exact=False)
-        den, levels, ranks = u.scaled()
+        den, levels, points, ranks = u.scaled()
         assert den == GRID == 10 ** 12
         assert levels == (0.0, 0.5, 1.0)
-        assert ranks == {(100_000_000_000, -2_500_000_000_000): 1, (333_333_333_333, 0): 2}
+        assert points.tolist() == [[100_000_000_000, -2_500_000_000_000], [333_333_333_333, 0]]
+        assert ranks.tolist() == [1, 2]
         assert u.items() == tuple(
-            (tuple(n / 10 ** 12 for n in p), levels[r]) for p, r in ranks.items())
+            (tuple(n / 10 ** 12 for n in p), levels[r])
+            for p, r in zip(points.tolist(), ranks.tolist()))
         assert u.items()[0] == ((0.1, -2.5), 0.5)
         assert u.level_values() == [0.5, 1.0] and u.max_level == 1.0
 
@@ -499,7 +501,7 @@ def test_huge_denominators_on_the_kd_path():
     v_points += [(coordinate(), coordinate()) for _ in range(50)]
     u = FuzzySet([(p, F(1) if i % 10 else F(1, 2)) for i, p in enumerate(u_points)])
     v = FuzzySet([(p, F(1) if i % 7 else F(1, 2)) for i, p in enumerate(v_points)])
-    assert max(abs(n) for p in u.scaled()[2] for n in p) > 2 ** 1024
+    assert max(abs(n) for p in u.scaled()[2].tolist() for n in p) > 2 ** 1024
     assert_scan_shape(u, v, _BRUTE_PAIR_LIMIT + 1, 0)
     assert d_infinity(u, v) == d_infinity(v, u) == d_infinity_level_sweep(u, v)
     a, b = u.support_set(), v.support_set()

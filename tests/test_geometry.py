@@ -358,6 +358,23 @@ def test_prefix_kernel_takes_each_round(kernel_counts, exact, case, queries, sca
     assert kernel_counts.sorts == 2 * len(queries) + exact
 
 
+def test_float_coordinates_are_correctly_rounded():
+    """as_float_array gives float(Fraction(n - o, den)) for int64 and
+    object numerators alike. Past 2^53 an int64 numerator need not be a
+    double: (2^53 + 1) / 3 is 3002399751580331 exactly, while converting
+    the numerator first and dividing in floats gives 3002399751580330.5."""
+    rng = random.Random(5)
+    rows = [[2 ** 53 + 1, -(2 ** 53 + 1)], [2 ** 62 - 1, 7], [-(2 ** 62) + 1, 2 ** 40 + 3]]
+    rows += [[rng.randrange(-2 ** 62 + 1, 2 ** 62), rng.randrange(-2 ** 55, 2 ** 55)] for _ in range(200)]
+    for points in (np.array(rows, dtype=np.int64), np.array(rows, dtype=object) * 2 ** 70):
+        for den in (1, 3, 10 ** 12, 2 ** 70, 3 ** 50):
+            for origin in (None, points[1]):
+                got = geometry.as_float_array(points, den, origin)
+                shift = [0, 0] if origin is None else origin.tolist()
+                assert got.tolist() == [[float(Fraction(int(n) - int(o), den)) for n, o in zip(p, shift)]
+                                        for p in points.tolist()]
+
+
 def test_metric_axioms_exact():
     rng = random.Random(3)
     for _ in range(200):

@@ -23,7 +23,12 @@ from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem, SupportCapError
 from fuzzyifs.numeric import sqrt_exact
 from fuzzyifs.properties import _grey
 from fuzzyifs.scene import Scene, StopRule, load_scene_dict, scene_to_dict
-from fuzzyifs.system import AdmissibilityError, OrbitalFuzzySystem, invariant_domain_check
+from fuzzyifs.system import (
+    AdmissibilityError,
+    ContractionViolationError,
+    OrbitalFuzzySystem,
+    invariant_domain_check,
+)
 
 F = Fraction
 
@@ -161,8 +166,9 @@ class TestIterate:
         assert partial_report.certified_residual is None
 
         # A start of 5 points under a cap of 3: the image under the first map
-        # passes the cap, and the step stops before the second map, the one
-        # with a nonzero offset, maps a single point.
+        # passes the cap, and the step stops before it applies the second
+        # map, the one with a nonzero offset. The step applies each map once,
+        # to all points.
         offsets = []
         real_apply = AffineMap._apply
         monkeypatch.setattr(AffineMap, "_apply",
@@ -177,7 +183,7 @@ class TestIterate:
             assert partial_set == u0
             assert partial_report.iterations == 0 and partial_report.d_history == ()
             assert partial_report.a_priori == s.scaled_bound(partial_report.diameter, 0)
-            assert len(offsets) == len(xs) and not any(any(o) for o in offsets)
+            assert len(offsets) == 1 and not any(offsets[0])
 
     def test_slow_contraction_singleton(self):
         """x -> 99/100 x + (1, 2) from the origin: the n-th iterate is the
@@ -192,6 +198,61 @@ class TestIterate:
         _, report = system.iterate(FuzzySet([((F(0), F(0)), F(1))]), steps=1000)
         for n in (1, 2, 10, 500, 1000):
             assert report.d_history[n - 1] == sqrt_exact(5 * c ** (2 * (n - 1)))
+
+
+    def test_audit_of_the_contraction_constant(self):
+        """From step 2 on, and for the residual, d_n <= C d_(n-1) must hold:
+        exactly in exact mode, on squares when the distances are Radicals,
+        and up to 1e-9 relative plus the rounding of the grid and the maps
+        in float mode. x -> x/2 from (1, 1) gives d_n = sqrt(2) / 2^n, half
+        of d_(n-1)."""
+        def halving(c, exact=True):
+            number = F if exact else float
+            half, zero = number(F(1, 2)), number(0)
+            return OrbitalFuzzySystem(
+                ifs=IteratedFunctionSystem(maps=(AffineMap(((half, zero), (zero, half)), (zero, zero)),),
+                                           contraction_constant=number(c)),
+                grey_maps=(GreyLevelMap.identity(exact),),
+            ), FuzzySet([((number(1), number(1)), number(1))], exact=exact)
+
+        system, u0 = halving(F(1, 2))
+        _, report = system.iterate(u0, steps=4)
+        assert report.d_history[1] == sqrt_exact(F(1, 8))
+        for steps, at in ((4, 2), (1, 2), (0, None)):
+            system, u0 = halving(F(1, 2) - F(1, 10 ** 30))
+            if at is None:
+                system.iterate(u0, steps=steps)
+                continue
+            with pytest.raises(ContractionViolationError) as err:
+                system.iterate(u0, steps=steps,
+                               on_step=lambda n, u: n < at or pytest.fail("audit too late"))
+            assert (err.value.step, err.value.ratio) == (at, 0.5)
+            assert err.value.constant == F(1, 2) - F(1, 10 ** 30)
+        system, u0 = halving(0.5, exact=False)
+        system.iterate(u0, steps=6)
+        system, u0 = halving(0.5 * (1 - 1e-7), exact=False)
+        with pytest.raises(ContractionViolationError, match="step 2 moved the iterate 0.5 times"):
+            system.iterate(u0, steps=6)
+
+    @pytest.mark.parametrize("shift", [0, 10 ** 4])
+    def test_float_audit_allows_for_rounding(self, shift):
+        """A float run of a true contraction never fails the audit, even
+        where the grid and the map's rounding, about 10^-12 per coordinate
+        at the origin and 2 * 10^-12 past |x| = 9007, where the keys pass
+        2^53, are most of each distance: x -> R x / 2 + b in the plane, R a
+        rotation, conjugated by a translation and run from one point to a
+        tolerance of 10^-9, with 40 angles."""
+        for i in range(40):
+            angle = 0.1 + 0.137 * i
+            cos, sin = math.cos(angle) / 2, math.sin(angle) / 2
+            linear = ((cos, -sin), (sin, cos))
+            offset = tuple(shift + 0.1 - sum(row) * shift for row in linear)
+            system = OrbitalFuzzySystem(
+                ifs=IteratedFunctionSystem(maps=(AffineMap(linear, offset),), contraction_constant=0.5),
+                grey_maps=(GreyLevelMap.identity(False),))
+            u0 = FuzzySet([((shift + 1.0, float(shift)), 1.0)], exact=False)
+            _, report = system.iterate(u0, tolerance=1e-9)
+            assert report.iterations > 25 and report.certified_residual <= 1e-9
 
 
 class TestBounds:
@@ -306,6 +367,20 @@ class TestFixedPoint:
         ys = [p[1] for p, _ in final.items()]
         assert all(-0.1 <= y <= 1.2 for y in ys)
         assert all(p[0] == 0.5 for p, _ in final.items())
+
+
+    def test_residual_past_the_tolerance_names_the_contraction_constant(self, monkeypatch):
+        """The band declaring C = 1/4, where its steps halve the distance,
+        with the audit of each step switched off: the residual misses the
+        tolerance that the bound certified."""
+        monkeypatch.setattr(OrbitalFuzzySystem, "_check_decay", lambda self, *args: None)
+        system = reference_system()
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(maps=system.ifs.maps, contraction_constant=F(1, 4)),
+            grey_maps=system.grey_maps)
+        with pytest.raises(ContractionViolationError, match="declared contraction constant 0.25") as err:
+            system.fixed_point(band_start([0, F(1, 2), 1]), F(1, 200))
+        assert err.value.step == 6 and err.value.ratio > 1
 
 
 class TestDecompositionAndMembership:
@@ -475,13 +550,13 @@ def check_integer_form(u):
     Fraction-valued accessors: D is the lcm of the reduced denominators of
     the support, the table holds exactly the levels present, every point is
     its numerators over D, and rebuilding u from its pairs gives u."""
-    den, levels, ranks = u.scaled()
+    den, levels, points, ranks = u.scaled()
     pairs = list(u.items())
     assert den == math.lcm(*(c.denominator for p, _ in pairs for c in p))
     assert levels[0] == 0 and list(levels[1:]) == sorted({level for _, level in pairs})
     assert u.level_values() == list(levels[1:])
-    assert list(ranks) == [tuple(int(c * den) for c in p) for p, _ in pairs]
-    assert [levels[r] for r in ranks.values()] == [level for _, level in pairs]
+    assert points.tolist() == [[int(c * den) for c in p] for p, _ in pairs]
+    assert [levels[r] for r in ranks.tolist()] == [level for _, level in pairs]
     assert FuzzySet(pairs) == u
 
 
@@ -530,6 +605,50 @@ class TestIntegerForm:
         assert stepped_sets > 400 and swept > 200
 
 
+def shifted_band(exact, shift=0, upper_offset=F(1, 2)):
+    """The reference band system conjugated by x -> x + (shift, shift), with
+    the upper map's y offset upper_offset, and its start on 17 base points
+    (k/16, 0) moved alike."""
+    number = F if exact else float
+    one, zero, half, t = number(1), number(0), number(F(1, 2)), number(shift)
+    linear = ((one, zero), (zero, half))
+    maps = (AffineMap(linear, (zero, t / 2)), AffineMap(linear, (zero, number(upper_offset) + t / 2)))
+    system = OrbitalFuzzySystem(
+        ifs=IteratedFunctionSystem(maps=maps, contraction_constant=half),
+        grey_maps=(GreyLevelMap.identity(exact), GreyLevelMap.linear_ramp(number(F(3, 4)), exact)))
+    return system, FuzzySet([((number(F(k, 16)) + t, t), one) for k in range(17)], exact=exact)
+
+
+@pytest.mark.parametrize("exact, shift, upper_offset, start, stepped_dtype", [
+    (True, 2 ** 70, F(1, 2), object, object),
+    (True, 0, F(1, 2) + F(1, 3 ** 40), np.int64, object),
+    (False, 10 ** 4, F(1, 2), np.int64, np.int64),
+    (False, 10 ** 7, F(1, 2), object, object),
+], ids=["exact-translated-2^70", "exact-denominator-3^40", "float-translated-10^4",
+        "float-translated-10^7"])
+def test_numerators_past_int64(exact, shift, upper_offset, start, stepped_dtype):
+    """Sets whose numerators leave int64 hold Python ints in object arrays,
+    and the step and the metric give what they give on int64: numerators
+    past 2^62 from the start, or from the first step, whose map denominator
+    3^40 takes every image past it; float keys past 2^62. Float keys past
+    2^53 (the band translated by 10^4) stay int64: each is a rounded
+    double, so n / 10^12 still reads the same as in Python. The iterates
+    match the reference composition, support order included, and
+    d_infinity the level sweep, from 34 points up to pairs of 136 and 272,
+    which take the array path."""
+    system, u = shifted_band(exact, shift, upper_offset)
+    assert u.scaled()[2].dtype == start
+    for _ in range(4):
+        reference = join([apply_grey(g, zadeh_pushforward(f, u))
+                          for f, g in zip(system.ifs.maps, system.grey_maps)])
+        stepped = system.step(u)
+        assert stepped.scaled()[2].dtype == stepped_dtype
+        assert stepped == reference and stepped.items() == reference.items()
+        assert d_infinity(u, stepped) == d_infinity(stepped, u) == d_infinity_level_sweep(u, stepped)
+        u = stepped
+    assert len(u) == 17 * 16
+
+
 def _assert_close_sets(exact, floated):
     """The hypographs lie within 1e-9 of each other: every point of either
     set has a point of the other within 1e-9 whose level is at least its
@@ -549,11 +668,9 @@ def _assert_close_sets(exact, floated):
             assert np.any(near & (other_levels >= level - 1e-9))
 
 
-def test_modes_agree_on_random_scenes():
-    """Cross-mode differential check: random exact scenes, loaded once as
-    written and once with the float override, agree on every iterate and on
-    the report. Half of them stop on a tolerance, which both modes must turn
-    into the same step count."""
+def random_scenes():
+    """60 random exact scene documents, half of them stopping on a
+    tolerance just above the bound at their step count."""
     rng = random.Random(43)
     for _ in range(60):
         dim = rng.choice((1, 2))
@@ -566,18 +683,39 @@ def test_modes_agree_on_random_scenes():
             # just above the bound at m, so below the bound at m - 1 (twice it)
             bound = float(system.scaled_bound(system.reach_diameter(u0), m))
             stop = StopRule(tolerance=F(bound) * F(1_000_001, 1_000_000))
-        doc = scene_to_dict(Scene(dimension=dim, numeric_mode="exact", system=system,
-                                  initial=u0, stop=stop, render=None))
-        runs = []
-        for mode in (None, "float"):
-            scene = load_scene_dict(doc, mode_override=mode)
-            iterates = [scene.initial]
+        yield m, scene_to_dict(Scene(dimension=dim, numeric_mode="exact", system=system,
+                                     initial=u0, stop=stop, render=None))
+
+
+def _run_both_modes(doc):
+    """(iterates, report or ContractionViolationError) of the scene as
+    written and with the float override."""
+    runs = []
+    for mode in (None, "float"):
+        scene = load_scene_dict(doc, mode_override=mode)
+        iterates = [scene.initial]
+        try:
             final, report = scene.system.iterate(
                 scene.initial, steps=scene.stop.steps, tolerance=scene.stop.tolerance,
                 on_step=lambda n, u: iterates.append(u))
-            assert iterates[-1] is final
-            runs.append((iterates, report))
-        (exact_iterates, report), (float_iterates, freport) = runs
+        except ContractionViolationError as err:
+            runs.append((iterates, err))
+            continue
+        assert iterates[-1] is final
+        runs.append((iterates, report))
+    return runs
+
+
+def test_modes_agree_on_random_scenes(monkeypatch):
+    """Cross-mode differential check: random exact scenes, loaded once as
+    written and once with the float override, agree on every iterate and on
+    the report. Half of them stop on a tolerance, which both modes must turn
+    into the same step count. Many of these systems are no contractions at
+    their declared C = 1/2, so the audit of d_n <= C d_(n-1) is switched off
+    here, and every run goes to its end."""
+    monkeypatch.setattr(OrbitalFuzzySystem, "_check_decay", lambda self, *args: None)
+    for m, doc in random_scenes():
+        (exact_iterates, report), (float_iterates, freport) = _run_both_modes(doc)
         assert report.iterations == freport.iterations == m
         for u, fu in zip(exact_iterates, float_iterates):
             _assert_close_sets(u, fu)
@@ -585,6 +723,27 @@ def test_modes_agree_on_random_scenes():
             assert abs(float(d) - fd) <= 1e-9
         for name in ("a_priori", "certified_residual", "diameter"):
             assert abs(float(getattr(report, name)) - getattr(freport, name)) <= 1e-9
+
+
+def test_modes_agree_on_contraction_violations():
+    """The same random scenes with the audit on: both modes finish, or both
+    stop at the same step with the same ratio, having agreed on every
+    iterate before it."""
+    finished = violated = 0
+    for _, doc in random_scenes():
+        (exact_iterates, report), (float_iterates, freport) = _run_both_modes(doc)
+        assert len(exact_iterates) == len(float_iterates)
+        for u, fu in zip(exact_iterates, float_iterates):
+            _assert_close_sets(u, fu)
+        if isinstance(report, ContractionViolationError):
+            assert isinstance(freport, ContractionViolationError)
+            assert report.step == freport.step == len(exact_iterates)
+            assert report.ratio == pytest.approx(freport.ratio, rel=1e-9)
+            violated += 1
+        else:
+            assert not isinstance(freport, ContractionViolationError)
+            finished += 1
+    assert finished > 20 and violated > 20
 
 
 def test_operator_continuity_majorant_shrinks():
