@@ -5,52 +5,51 @@ fuzzy sets carry the sup-over-cuts metric, and an affine system paired with
 grey level maps drives the fuzzy set operator whose iterates converge to a
 fuzzy attractor. Everything runs in either exact rational arithmetic or
 floats, selected per scene.
+
+The public names load on first use (PEP 562): ``import fuzzyifs`` imports
+none of the package's modules, nor numpy, and ``fuzzyifs.FuzzySet`` or
+``from fuzzyifs import FuzzySet`` imports the module that defines the name.
 """
 
-from .codespace import CodeMetric, Word, compose_word, prefix, words_of_length, words_up_to
-from .fuzzy import (
-    EmptyCutError,
-    EmptySupportError,
-    FuzzySet,
-    GreyLevelMap,
-    GreyMapError,
-    alpha_cut,
-    apply_grey,
-    d_infinity,
-    d_infinity_level_sweep,
-    join,
-    restrict,
-    zadeh_pushforward,
-)
-from .geometry import (
-    DimensionMismatchError,
-    EmptySetError,
-    FinitePointSet,
-    diameter,
-    directed_distance,
-    euclid,
-    hausdorff,
-)
-from .grid import GridFuzzySet, parse_pgm
-from .ifs import (
-    AffineMap,
-    ContractivityReport,
-    IteratedFunctionSystem,
-    OrbitApproximation,
-    SupportCapError,
-)
-from .numeric import DEFAULT_TOL, Radical, le_sum, sqrt_exact
-from .scene import RenderSpec, Scene, SceneError, SceneParseError, StopRule, load_scene, save_scene
-from .system import (
-    AdmissibilityError,
-    ContractionViolationError,
-    ConvergenceReport,
-    OrbitalFuzzySystem,
-    UnreachableToleranceError,
-    invariant_domain_check,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# The public names that each module of the package defines.
+_NAMES = {
+    "codespace": ("CodeMetric", "Word", "compose_word", "prefix", "words_of_length",
+                  "words_up_to"),
+    "fuzzy": ("EmptyCutError", "EmptySupportError", "FuzzySet", "GreyLevelMap", "GreyMapError",
+              "alpha_cut", "apply_grey", "d_infinity", "d_infinity_level_sweep", "join",
+              "restrict", "zadeh_pushforward"),
+    "geometry": ("DimensionMismatchError", "EmptySetError", "FinitePointSet", "diameter",
+                 "directed_distance", "euclid", "hausdorff"),
+    "grid": ("GridFuzzySet", "parse_pgm"),
+    "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "OrbitApproximation",
+            "SupportCapError"),
+    "numeric": ("DEFAULT_TOL", "Radical", "le_sum", "sqrt_exact"),
+    "scene": ("RenderSpec", "Scene", "SceneError", "SceneParseError", "StopRule", "load_scene",
+              "save_scene"),
+    "system": ("AdmissibilityError", "ContractionViolationError", "ConvergenceReport",
+               "OrbitalFuzzySystem", "UnreachableToleranceError", "invariant_domain_check"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def __getattr__(name):
+    """Import the module that defines a public name and keep the name here,
+    so later lookups skip this hook."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "AffineMap",

@@ -14,13 +14,22 @@ command succeeds, so a failed run leaves existing outputs as they were.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# fuzzyifs makes no BLAS call larger than 2 x 2, yet OpenBLAS starts a worker
+# thread per CPU as numpy loads it, and starting them slows every command.
+# So a CLI process loads it with one thread. A user's own
+# OPENBLAS_NUM_THREADS still wins, and a program that loaded numpy before
+# this module keeps its own setting.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import contextlib
 import csv
 import json
 import math
-import os
-import sys
 import tempfile
 from fractions import Fraction
 from itertools import islice, repeat
@@ -46,12 +55,16 @@ class CliError(ValueError):
 
 def _reported(value) -> float:
     """A distance or bound of a run as the float that the report and the
-    summary line show; CliError when it lies past float range, as the
-    distances of a scene spread that wide do."""
+    summary line show; CliError when it is not a finite float, as the
+    distances of a scene spread past float range are not, so that the
+    report stays JSON."""
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        raise CliError("a distance or bound of this run is too large for a float") from None
+        number = math.inf
+    if not math.isfinite(number):
+        raise CliError("a distance or bound of this run is too large for a float")
+    return number
 
 
 def _parse_grid(text):
@@ -136,20 +149,22 @@ class _CsvTrace:
     in exact mode and the float n / D in float mode. Each distinct numerator
     and each distinct level is formatted once per iterate, since a grid of
     points repeats its x and y values across rows, and the columns are
-    picked from those strings by index."""
+    picked from those strings by index. A row is joined from its fields
+    without the csv module: no numeral or fraction needs quoting."""
 
     def __init__(self, fh):
-        self._writer = csv.writer(fh, lineterminator="\n")
-        self._writer.writerow(["x", "y", "level", "iteration"])
+        self._fh = fh
+        fh.write("x,y,level,iteration\n")
 
     def __call__(self, iteration, u: FuzzySet):
         den, levels, points, ranks = u.scaled()
         values, index = np.unique(points, return_inverse=True)
         text = [_ratio(n, den) for n in values.tolist()] if u.exact else \
             [format_scalar(n / den) for n in values.tolist()]
-        columns = np.array(text, dtype=object)[index.reshape(points.shape)].T.tolist()
-        labels = np.array([format_scalar(level) for level in levels], dtype=object)[ranks]
-        self._writer.writerows(zip(*columns, labels.tolist(), repeat(iteration)))
+        x, y = np.array(text, dtype=object)[index.reshape(points.shape)].T.tolist()
+        tails = np.array([f",{format_scalar(level)},{iteration}\n" for level in levels],
+                         dtype=object)
+        self._fh.writelines(map("".join, zip(x, repeat(","), y, tails[ranks].tolist())))
 
 
 def _write_image(path, u: FuzzySet, spec: RenderSpec):

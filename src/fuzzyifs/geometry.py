@@ -567,14 +567,20 @@ def hausdorff_brute(a: FinitePointSet, b: FinitePointSet):
 def diameter(a: FinitePointSet):
     """Largest pairwise distance; zero for singletons.
 
-    Float mode takes one numpy row of distances per point. Exact mode puts
-    the points on one common denominator (`scale_points`), compares integer
-    squared distances and normalizes only the largest.
+    Float mode takes one numpy row of distances per point, scaled by the
+    power of two that brings the widest coordinate extent into [1/2, 1).
+    That extent bounds every difference and the diameter from below, so no
+    square overflows, and the scaling is exact: a diameter whose square is
+    a float comes out as it would unscaled. Exact mode puts the points on
+    one common denominator (`scale_points`), compares integer squared
+    distances and normalizes only the largest.
     """
     if not a.exact:
         arr = a.to_float_array()
-        return max((float(np.linalg.norm(arr[i + 1:] - arr[i], axis=1).max())
-                    for i in range(len(arr) - 1)), default=0.0)
+        _, e = math.frexp(float((arr.max(axis=0) - arr.min(axis=0)).max()))
+        scale = math.ldexp(1.0, -e)
+        return math.ldexp(max((float(np.linalg.norm((arr[i + 1:] - arr[i]) * scale, axis=1).max())
+                               for i in range(len(arr) - 1)), default=0.0), e)
     den, (pts,) = scale_points(a.points)
     best = 0
     for i, p in enumerate(pts):

@@ -85,7 +85,13 @@ class Radical:
         self.square = square
 
     def __float__(self):
-        return math.sqrt(float(self.square))
+        try:
+            return math.sqrt(float(self.square))
+        except OverflowError:
+            # A square past float range whose root may not be: the root of
+            # square / 4^k, near 1, times 2^k.
+            k = (self.square.numerator.bit_length() - self.square.denominator.bit_length()) // 2
+            return math.ldexp(math.sqrt(float(self.square / 4 ** k)), k)
 
     def __repr__(self):
         return f"sqrt({self.square})"

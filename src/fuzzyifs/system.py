@@ -108,12 +108,16 @@ class OrbitalFuzzySystem:
     # Exact systems: (L, ((linear, offset), ...)), every map times the least
     # common denominator L of all entries and offsets, in ints.
     _scaled_maps: tuple = field(init=False, repr=False, compare=False, default=None)
+    # The admissibility violations, found once; `validate` returns them and
+    # every step and iteration raises on them.
+    _violations: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         if len(self.grey_maps) != len(self.ifs.maps):
             raise ValueError("need exactly one grey map per affine map")
         if any(g.exact != self.ifs.exact for g in self.grey_maps):
             raise ValueError("cannot mix numeric modes")
+        object.__setattr__(self, "_violations", self._find_violations())
         if self.exact:
             den, (rows,) = scale_points([row for f in self.ifs.maps
                                          for row in (*f.linear, f.offset)])
@@ -141,8 +145,12 @@ class OrbitalFuzzySystem:
 
         Monotonicity and right continuity hold for every GreyLevelMap by
         construction, so the structural checks left are: nonzero maps,
-        rho(0) = 0 for all of them and rho(1) = 1 for at least one.
+        rho(0) = 0 for all of them and rho(1) = 1 for at least one. The
+        system is immutable, so they are found once, when it is built.
         """
+        return list(self._violations)
+
+    def _find_violations(self) -> tuple:
         violations = []
         for i, g in enumerate(self.grey_maps):
             if g.value_at_one == 0:
@@ -151,12 +159,11 @@ class OrbitalFuzzySystem:
                 violations.append(f"grey map {i} has rho(0) = {g.value_at_zero}, expected 0")
         if not any(g.value_at_one == 1 for g in self.grey_maps):
             violations.append("no grey map attains rho(1) = 1")
-        return violations
+        return tuple(violations)
 
     def _require_admissible(self):
-        violations = self.validate()
-        if violations:
-            raise AdmissibilityError(violations)
+        if self._violations:
+            raise AdmissibilityError(self._violations)
 
     def step(self, u: FuzzySet, support_cap: int = DEFAULT_SUPPORT_CAP) -> FuzzySet:
         """One application of the fuzzy operator: the pointwise maximum of

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import fuzzyifs
-from fuzzyifs.cli import main
+from fuzzyifs.cli import CliError, _reported, main
 from fuzzyifs.dyadic import enumerated_levels
 from fuzzyifs.fuzzy import apply_grey, join, zadeh_pushforward
 from fuzzyifs.grid import parse_pgm
@@ -419,6 +420,33 @@ def test_spread_past_float_range_is_a_one_line_error(tmp_path, capsys, count, me
     assert main(["run", str(scene), "--steps", "3", "--report", str(report)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not report.exists()
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_a_diameter_whose_square_overflows_is_reported(tmp_path, mode):
+    """Start points (0, 0) and (1e160, 0): the diameter, about 1e160, is a
+    float though its square is not, so the run warns of nothing and its
+    report is JSON, without Infinity."""
+    doc = json.loads(Path(SLICE).read_text())
+    doc["initial"] = [[["0", "0"], "1"], [["1e160", "0"], "1"]]
+    scene, report = tmp_path / "wide.json", tmp_path / "report.json"
+    scene.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["run", str(scene), "--mode", mode, "--steps", "2", "--report", str(report)])
+    assert status == 0 and caught == []
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(report.read_text(), parse_constant=reject)
+    assert doc["bound_trace"] == [2e160, 1e160, 5e159] and doc["a_priori"] == 5e159
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400])
+def test_reported_values_are_finite_floats(value):
+    with pytest.raises(CliError, match="too large for a float"):
+        _reported(value)
 
 
 @pytest.mark.parametrize("tol, mode", [("1/0", "exact"), ("1/0", "float"), ("1e400", "float")])

@@ -90,6 +90,17 @@ def test_diameter_matches_brute_double_loop():
             assert diameter(s) == brute(s)
 
 
+def test_float_diameter_past_the_square_range():
+    """Distances whose squares overflow a float, and a small diameter far
+    from the origin, come out as the float distance itself."""
+    far = FinitePointSet.from_points([(0.0, 0.0), (1e160, 0.0)], exact=False)
+    assert diameter(far) == 1e160
+    wide = FinitePointSet.from_points([(-1e200, 0.0), (1e200, 0.0), (0.0, 3e199)], exact=False)
+    assert diameter(wide) == 2e200
+    close = FinitePointSet.from_points([(1e280, 0.0), (1e280, 1e-12)], exact=False)
+    assert diameter(close) == 1e-12
+
+
 def test_empty_and_mode_errors():
     with pytest.raises(EmptySetError):
         FinitePointSet.from_points([])

@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is used in that module, and
-no module imports scipy."""
+"""Every name a module of the package imports is used in that module, no
+module imports scipy, the package's names load on first use, and only the
+command line sets OpenBLAS's thread count."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzyifs"
 
@@ -64,13 +67,84 @@ def test_no_module_imports_scipy():
     assert importers == []
 
 
+# What OpenBLAS reads for its thread count, in this order.
+BLAS_THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+THREADS = "len(os.listdir('/proc/self/task'))"
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="threads are counted in /proc/self/task")
+
+
+def run_python(code: str, *args: str, **env: str) -> str:
+    """The last line that code prints in a new interpreter, with the package
+    on its path and the OpenBLAS thread settings of this process left out,
+    replaced by those given in env."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    base = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_SETTINGS}
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                            env={**base, "PYTHONPATH": path, **env}, check=True)
+    return result.stdout.splitlines()[-1]
+
+
 def test_a_band_run_leaves_scipy_unloaded():
     """Not even lazily: after a full band run, scipy is not in sys.modules."""
     band = PACKAGE.parent.parent / "scenes" / "dyadic_band.json"
     code = ("import sys; from fuzzyifs.cli import main; "
             "status = main(['run', sys.argv[1], '--steps', '6']); "
             "print(status, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code, str(band)], capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert result.stdout.splitlines()[-1] == "0 []"
+    assert run_python(code, str(band)) == "0 []"
+
+
+def test_importing_the_package_loads_no_module():
+    """The package's names load on first use, so neither numpy nor any
+    module of the package is loaded by the import itself."""
+    code = ("import sys, fuzzyifs; "
+            "print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] in ('numpy', 'fuzzyifs')))")
+    assert run_python(code) == "['fuzzyifs']"
+
+
+def test_every_public_name_resolves():
+    code = """
+import fuzzyifs, importlib, sys
+from fuzzyifs import FuzzySet
+assert fuzzyifs.FuzzySet is FuzzySet is importlib.import_module("fuzzyifs.fuzzy").FuzzySet
+assert sorted(fuzzyifs._MODULE_OF) == sorted(fuzzyifs.__all__)
+for name in fuzzyifs.__all__:
+    value = getattr(fuzzyifs, name)
+    assert getattr(sys.modules[f"fuzzyifs.{fuzzyifs._MODULE_OF[name]}"], name) is value, name
+    assert name in dir(fuzzyifs)
+scope = {}
+exec("from fuzzyifs import *", scope)
+assert sorted(set(scope) - {"__builtins__"}) == sorted(fuzzyifs.__all__)
+try:
+    fuzzyifs.no_such_name
+except AttributeError as err:
+    print(err)
+"""
+    assert run_python(code) == "module 'fuzzyifs' has no attribute 'no_such_name'"
+
+
+@needs_proc
+def test_the_cli_loads_openblas_with_one_thread():
+    assert run_python(f"import os, fuzzyifs.cli; print({THREADS})") == "1"
+
+
+@needs_proc
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread per CPU")
+def test_the_users_openblas_thread_count_wins():
+    code = f"import os, fuzzyifs.cli; print({THREADS})"
+    assert run_python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_the_library_leaves_the_environment_alone():
+    """Only the command line sets the OpenBLAS default, and only for a
+    numpy it loads itself."""
+    code = """
+import os
+before = dict(os.environ)
+import fuzzyifs.fuzzy
+library = dict(os.environ) == before
+import fuzzyifs.cli
+print(library, dict(os.environ) == before)
+"""
+    assert run_python(code) == "True True"

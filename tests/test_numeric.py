@@ -19,6 +19,15 @@ def test_sqrt_exact_irrational_roots():
     assert float(r) == pytest.approx(2 ** 0.5)
 
 
+def test_radical_float_of_a_square_past_float_range():
+    """The root of a square that no float holds, when the root fits."""
+    assert float(Radical(Fraction(10 ** 320) + 1)) == 1e160
+    assert float(Radical(Fraction(2 * 10 ** 320, 3))) == pytest.approx(1e160 * (2 / 3) ** 0.5,
+                                                                rel=1e-15)
+    with pytest.raises(OverflowError):
+        float(Radical(Fraction(10 ** 800) + 1))
+
+
 def test_radical_comparisons_are_exact():
     r2 = sqrt_exact(Fraction(2))
     r3 = sqrt_exact(Fraction(3))

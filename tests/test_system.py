@@ -62,6 +62,21 @@ class TestValidate:
         bad = OrbitalFuzzySystem(ifs=base.ifs, grey_maps=(lifted, GreyLevelMap.identity()))
         assert any("rho(0)" in v for v in bad.validate())
 
+    def test_violations_are_found_once(self, monkeypatch):
+        """Built systems keep their violations: steps and iterations raise
+        on them without evaluating the grey maps again."""
+        good = reference_system()
+        ramp = GreyLevelMap.linear_ramp(F(3, 4))
+        bad = OrbitalFuzzySystem(ifs=good.ifs, grey_maps=(ramp, ramp))
+        monkeypatch.setattr(OrbitalFuzzySystem, "_find_violations",
+                            lambda self: pytest.fail("violations searched again"))
+        good.iterate(slice_start(F(1, 2)), steps=3)
+        with pytest.raises(AdmissibilityError) as caught:
+            bad.iterate(slice_start(F(1, 2)), steps=3)
+        assert caught.value.violations == bad.validate() == ["no grey map attains rho(1) = 1"]
+        bad.validate().clear()
+        assert bad.validate() != []
+
     def test_structure_errors(self):
         base = reference_system()
         with pytest.raises(ValueError):
