@@ -17,19 +17,17 @@ __version__ = "0.1.0"
 
 # The public names that each module of the package defines.
 _NAMES = {
-    "codespace": ("CodeMetric", "Word", "compose_word", "prefix", "words_of_length",
-                  "words_up_to"),
+    "codespace": ("CodeMetric", "Word", "compose_word", "words_of_length", "words_up_to"),
     "fuzzy": ("EmptyCutError", "EmptySupportError", "FuzzySet", "GreyLevelMap", "GreyMapError",
               "alpha_cut", "apply_grey", "d_infinity", "d_infinity_level_sweep", "join",
-              "restrict", "zadeh_pushforward"),
+              "zadeh_pushforward"),
     "geometry": ("DimensionMismatchError", "EmptySetError", "FinitePointSet", "diameter",
                  "directed_distance", "euclid", "hausdorff"),
     "grid": ("GridFuzzySet", "parse_pgm"),
     "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "OrbitApproximation",
             "SupportCapError"),
     "numeric": ("DEFAULT_TOL", "Radical", "le_sum", "sqrt_exact"),
-    "scene": ("RenderSpec", "Scene", "SceneError", "SceneParseError", "StopRule", "load_scene",
-              "save_scene"),
+    "scene": ("RenderSpec", "Scene", "SceneError", "SceneParseError", "StopRule", "load_scene"),
     "system": ("AdmissibilityError", "ContractionViolationError", "ConvergenceReport",
                "OrbitalFuzzySystem", "UnreachableToleranceError", "invariant_domain_check"),
 }
@@ -94,9 +92,6 @@ __all__ = [
     "le_sum",
     "load_scene",
     "parse_pgm",
-    "prefix",
-    "restrict",
-    "save_scene",
     "sqrt_exact",
     "words_of_length",
     "words_up_to",

@@ -7,9 +7,10 @@
     fuzzyifs render <scene-or-csv> --out-image F [--grid WxH] [--bbox ...]
 
 Exit codes: 0 success, 1 validation or parse error, 2 verification failure,
-3 resource cap exceeded. Output files are created as temporary files next to
-their targets before any iteration and moved into place only when the
-command succeeds, so a failed run leaves existing outputs as they were.
+3 resource cap exceeded or out of memory. Output files are created as
+temporary files next to their targets before any iteration and moved into
+place only when the command succeeds, so a failed run leaves existing
+outputs as they were.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def _parse_bbox(text):
         parts = [float(v) for v in text.split(",")]
     except ValueError as err:
         raise CliError(f"--bbox expects x0,y0,x1,y1, got {text!r}") from err
-    if len(parts) != 4 or not (parts[0] < parts[2] and parts[1] < parts[3]):
-        raise CliError("--bbox expects x0,y0,x1,y1 with x0 < x1 and y0 < y1")
+    if len(parts) != 4 or not all(map(math.isfinite, parts)) \
+            or not (parts[0] < parts[2] and parts[1] < parts[3]):
+        raise CliError("--bbox expects finite x0,y0,x1,y1 with x0 < x1 and y0 < y1")
     return tuple(parts)
 
 
@@ -344,6 +346,10 @@ def main(argv=None) -> int:
         return _cmd_render(args)
     except SupportCapError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as err:
+        print(f"error: out of memory ({err})" if str(err) else "error: out of memory",
+              file=sys.stderr)
         return EXIT_CAP
     except (SceneError, SceneParseError, CliError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -22,15 +22,6 @@ from .numeric import Scalar, is_exact
 
 Word = Tuple[int, ...]
 
-EMPTY_WORD: Word = ()
-
-
-def prefix(word: Word, n: int) -> Word:
-    """First n letters, or the whole word when it is shorter."""
-    if n < 0:
-        raise ValueError("prefix length must be >= 0")
-    return tuple(word[:n])
-
 
 def words_of_length(alphabet_size: int, length: int) -> Iterator[Word]:
     return itertools.product(range(1, alphabet_size + 1), repeat=length)

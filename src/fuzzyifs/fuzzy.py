@@ -439,15 +439,6 @@ def join(sets: Sequence[FuzzySet]) -> FuzzySet:
     return FuzzySet([pair for u in sets for pair in u.items()], exact=first.exact)
 
 
-def restrict(u: FuzzySet, s: FinitePointSet) -> FuzzySet:
-    """u on the given set, zero elsewhere."""
-    tol = 0.0 if u.exact else DEFAULT_TOL
-    pairs = [(p, l) for p, l in u.items() if s.contains(p, tol)]
-    if not pairs:
-        raise EmptySupportError("restriction has empty support")
-    return FuzzySet(pairs, exact=u.exact)
-
-
 def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
               target_ranks: np.ndarray, pending: np.ndarray, den: int, exact: bool):
     """Squared directed part of d_infinity from the pending points, those

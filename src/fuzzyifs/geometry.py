@@ -111,9 +111,13 @@ def grid_key(coords: Sequence) -> Tuple[int, ...]:
     try:
         return tuple([round(float(c) * GRID) for c in coords])
     except (OverflowError, ValueError):
-        bad = next(c for c in coords if not math.isfinite(float(c) * GRID))
-        raise GridRangeError(
-            f"float coordinate {bad} is off the 1e-12 grid: x * 10^12 must be finite") from None
+        for c in coords:
+            try:
+                round(float(c) * GRID)
+            except (OverflowError, ValueError):
+                raise GridRangeError(f"float coordinate {c} is off the 1e-12 grid: "
+                                     "x * 10^12 must be finite") from None
+        raise
 
 
 def as_point(coords: Sequence, exact: bool) -> Point:
@@ -197,14 +201,11 @@ class FinitePointSet:
             pts.extend(o.points)
         return FinitePointSet.from_points(pts, exact=self.exact)
 
-    def issubset(self, other: "FinitePointSet", tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            target = set(other.points)
-            return all(p in target for p in self.points)
-        return all(other.contains(p, tol) for p in self.points)
+    def issubset(self, other: "FinitePointSet") -> bool:
+        return other.point_lookup().issuperset(self.points)
 
-    def same_points(self, other: "FinitePointSet", tol: float = 0.0) -> bool:
-        return self.issubset(other, tol) and other.issubset(self, tol)
+    def same_points(self, other: "FinitePointSet") -> bool:
+        return self.issubset(other) and other.issubset(self)
 
     def to_float_array(self) -> np.ndarray:
         return np.array([[float(c) for c in p] for p in self.points], dtype=float)

@@ -8,6 +8,7 @@ level per cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -34,6 +35,9 @@ class GridFuzzySet:
             raise ValueError("grid resolution must be positive")
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
             raise ValueError("bounding box is degenerate")
+        if not all(map(math.isfinite, (*self.lo, *self.hi, self.hi[0] - self.lo[0],
+                                       self.hi[1] - self.lo[1]))):
+            raise ValueError("bounding box corners and extents must be finite")
         if self.levels.shape != (self.height, self.width):
             raise ValueError("levels array does not match the resolution")
         if np.any(self.levels < 0) or np.any(self.levels > 1):

@@ -1,5 +1,5 @@
-"""Affine self-maps, iterated function systems, orbits, the crisp set
-operator and attractor iteration.
+"""Affine self-maps, iterated function systems, orbits and the crisp set
+operator.
 
 Maps are restricted to affine form so exact-rational iteration stays closed
 and contractivity sampling is well defined. The contraction constant is a
@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .geometry import (
     DimensionMismatchError,
     FinitePointSet,
     Point,
-    hausdorff,
     point_is_exact,
     squared_distance,
 )
 from .numeric import DEFAULT_TOL, Scalar, sqrt_exact
 
 DEFAULT_SUPPORT_CAP = 10_000_000
+
+# check_contractivity compares every pair of at most this many orbit points.
+CONTRACTIVITY_SAMPLES = 64
 
 
 class SupportCapError(RuntimeError):
@@ -162,37 +164,6 @@ class IteratedFunctionSystem:
         images = [f(p) for f in self.maps for p in k.points]
         return FinitePointSet.from_points(images, exact=k.exact)
 
-    def iterate(
-        self,
-        k0: FinitePointSet,
-        steps: int,
-        tol: Optional[Scalar] = None,
-        support_cap: int = DEFAULT_SUPPORT_CAP,
-    ):
-        """Iterate the set operator.
-
-        Returns the final set together with the history of consecutive
-        Hausdorff distances h(K_n, K_{n+1}). With `tol` given, stops at the
-        first step whose distance falls within tol.
-        """
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        current = k0
-        history = []
-        for _ in range(steps):
-            nxt = self.step(current)
-            if len(nxt) > support_cap:
-                raise SupportCapError(
-                    f"support grew past the cap of {support_cap} points",
-                    partial=(current, history),
-                )
-            h = hausdorff(current, nxt)
-            history.append(h)
-            current = nxt
-            if tol is not None and h <= tol:
-                break
-        return current, history
-
     def orbit(self, base: FinitePointSet, depth: int,
               support_cap: int = DEFAULT_SUPPORT_CAP) -> OrbitApproximation:
         """Images of the base under every word of length <= depth."""
@@ -210,16 +181,15 @@ class IteratedFunctionSystem:
                 )
         return OrbitApproximation(base=base, depth=depth, points=acc)
 
-    def check_contractivity(self, base: FinitePointSet, depth: int,
-                            sample_limit: int = 64) -> ContractivityReport:
+    def check_contractivity(self, base: FinitePointSet, depth: int) -> ContractivityReport:
         """Sample orbit point pairs and compare image distances against the
         declared constant. A sampling check, not a proof."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
         pts = list(self.orbit(base, depth).points)
-        if len(pts) > sample_limit:
-            stride = (len(pts) - 1) / (sample_limit - 1)
-            pts = [pts[round(i * stride)] for i in range(sample_limit)]
+        if len(pts) > CONTRACTIVITY_SAMPLES:
+            stride = (len(pts) - 1) / (CONTRACTIVITY_SAMPLES - 1)
+            pts = [pts[round(i * stride)] for i in range(CONTRACTIVITY_SAMPLES)]
         exact = base.exact
         worst_sq = Fraction(0) if exact else 0.0
         pairs = 0

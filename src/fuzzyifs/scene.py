@@ -210,7 +210,7 @@ def load_scene_dict(raw: dict, mode_override: Optional[str] = None) -> Scene:
                     violations.append("render width and height must be positive integers")
                 else:
                     render = RenderSpec(bbox=bbox, width=width, height=height)
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
             violations.append(f"render: {err}")
 
     support_cap = raw.get("support_cap", DEFAULT_SUPPORT_CAP)
@@ -288,9 +288,3 @@ def scene_to_dict(scene: Scene) -> dict:
     if scene.support_cap != DEFAULT_SUPPORT_CAP:
         doc["support_cap"] = scene.support_cap
     return doc
-
-
-def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2)
-        fh.write("\n")

@@ -416,14 +416,10 @@ class OrbitalFuzzySystem:
         return final, report
 
 
-def invariant_domain_check(
-    system: OrbitalFuzzySystem,
-    u: FuzzySet,
-    depth: int = 6,
-    tol: Optional[float] = None,
-) -> str:
+def invariant_domain_check(system: OrbitalFuzzySystem, u: FuzzySet, depth: int = 6) -> str:
     """Best-effort test that every positive-level point sits in an orbit
-    closure that also carries a level-1 point.
+    closure that also carries a level-1 point; a float set's points match
+    within DEFAULT_TOL.
 
     Returns "yes" when witnesses were found for every support point, "no" on
     a certified obstruction (a non-normal set cannot qualify) and "unknown"
@@ -431,8 +427,7 @@ def invariant_domain_check(
     """
     if not u.normal:
         return "no"
-    if tol is None:
-        tol = 0.0 if u.exact else DEFAULT_TOL
+    tol = 0.0 if u.exact else DEFAULT_TOL
     one = Fraction(1) if u.exact else 1.0 - DEFAULT_TOL
     level_one_points = [p for p, l in u.items() if l >= one]
     orbits: Dict = {}

@@ -15,7 +15,7 @@ import fuzzyifs
 from fuzzyifs.cli import CliError, _reported, main
 from fuzzyifs.dyadic import enumerated_levels
 from fuzzyifs.fuzzy import apply_grey, join, zadeh_pushforward
-from fuzzyifs.grid import parse_pgm
+from fuzzyifs.grid import GridFuzzySet, parse_pgm
 from fuzzyifs.ifs import AffineMap
 from fuzzyifs.numeric import format_scalar, sqrt_exact
 from fuzzyifs.scene import load_scene
@@ -521,3 +521,39 @@ def test_violated_contraction_constant_is_a_one_line_error(tmp_path, capsys):
             "declared contraction constant 0.25\n")
         assert all(path.read_text() == "previous run\n" for path in outputs)
         assert len(list(tmp_path.iterdir())) == 4
+
+
+@pytest.mark.parametrize("render, argv, message", [
+    ({"bbox": [0, 0, 1, "1/0"], "width": 8, "height": 8}, [], "render: Fraction(1, 0)"),
+    (None, ["--bbox=-inf,0,inf,1", "--grid", "8x8"],
+     "--bbox expects finite x0,y0,x1,y1 with x0 < x1 and y0 < y1"),
+    ({"bbox": [-1e308, 0, 1e308, 1], "width": 8, "height": 8}, [],
+     "bounding box corners and extents must be finite"),
+], ids=["scene-bbox-1/0", "cli-bbox-inf", "scene-bbox-infinite-extent"])
+def test_a_render_box_that_is_not_finite_is_a_one_line_error(tmp_path, capsys, render, argv,
+                                                            message):
+    doc = json.loads(Path(BAND).read_text())
+    doc["render"] = render
+    scene = tmp_path / "box.json"
+    scene.write_text(json.dumps(doc))
+    image = tmp_path / "out.pgm"
+    assert main(["run", str(scene), "--steps", "2", *argv, "--out-image", str(image)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not image.exists()
+
+
+def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
+    """A grid too large to allocate, as --grid 100000x100000 is under a
+    3 GB address space, ends the run with one line and exit 3."""
+    def fail(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(GridFuzzySet, "zeros", fail)
+    report = tmp_path / "old.json"
+    report.write_text("previous run\n")
+    assert main(["run", BAND, "--steps", "1", "--grid", "100000x100000",
+                 "--out-image", str(tmp_path / "x.pgm"), "--report", str(report)]) == 3
+    assert capsys.readouterr().err == \
+        "error: out of memory (Unable to allocate 74.5 GiB for an array)\n"
+    assert report.read_text() == "previous run\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["old.json"]

@@ -3,16 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzyifs.codespace import CodeMetric, compose_word, prefix, words_up_to
+from fuzzyifs.codespace import CodeMetric, compose_word, words_up_to
 from fuzzyifs.dyadic import reference_system
-
-
-def test_prefix():
-    assert prefix((1, 2, 2), 2) == (1, 2)
-    assert prefix((1, 2), 5) == (1, 2)  # whole word when shorter
-    assert prefix((), 3) == ()
-    with pytest.raises(ValueError):
-        prefix((1,), -1)
 
 
 def test_code_metric_validation():

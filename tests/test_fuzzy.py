@@ -17,7 +17,6 @@ from fuzzyifs.fuzzy import (
     d_infinity,
     d_infinity_level_sweep,
     join,
-    restrict,
     zadeh_pushforward,
 )
 from fuzzyifs.geometry import (
@@ -276,6 +275,15 @@ class TestFloatGrid:
             with pytest.raises(GridRangeError):
                 FinitePointSet.from_points([(bad, 0.0)])
 
+    def test_exact_coordinates_past_float_range_are_off_the_grid(self):
+        # float(c) itself overflows here, not only float(c) * 10^12
+        huge = F(10 ** 400)
+        off_grid = re.escape(f"float coordinate {huge} is off the 1e-12 grid")
+        with pytest.raises(GridRangeError, match=off_grid):
+            FinitePointSet.from_points([(huge,)], exact=False)
+        with pytest.raises(GridRangeError, match=off_grid):
+            FuzzySet([((huge, F(0)), F(1))]).to_float()
+
 
 class TestAlphaCut:
     def test_reference_start(self):
@@ -349,16 +357,6 @@ class TestJoinRestrict:
         v = fuzzy(((0,), F(1, 2)), ((1,), F(1, 2)))
         j = join([u, v])
         assert j.level((F(0),)) == 1 and j.level((F(1),)) == F(1, 2)
-
-    def test_restrict(self):
-        u = fuzzy(((0,), 1), ((1,), F(1, 2)))
-        everything = FinitePointSet.from_points([(F(0),), (F(1),), (F(2),)])
-        assert restrict(u, everything) == u
-        only_one = FinitePointSet.from_points([(F(1),)])
-        r = restrict(u, only_one)
-        assert len(r) == 1 and r.level((F(1),)) == F(1, 2)
-        with pytest.raises(EmptySupportError):
-            restrict(u, FinitePointSet.from_points([(F(9),)]))
 
 
 # Scaled cases of the d_infinity path tests: (points per set, level

@@ -60,32 +60,24 @@ def test_step():
 
 def test_iterate_dyadic_grid_and_history_decay():
     sys_ = reference_system().ifs
-    k0 = singleton(F(1, 2), 0)
-    final, history = sys_.iterate(k0, steps=0)
-    assert final is k0 and history == []
-
-    for n in (1, 3, 5):
-        final, history = sys_.iterate(k0, steps=n)
-        expected = {dyadic_value(w) for w in words_of_length(2, n)}
-        assert {p[1] for p in final} == expected
-        assert len(history) == n
-        # declared C = 1/2 drives at least geometric decay
-        for a, b in zip(history, history[1:]):
-            assert b <= a * F(1, 2)
+    k, history = singleton(F(1, 2), 0), []
+    for n in range(1, 6):
+        k, previous = sys_.step(k), k
+        history.append(hausdorff(previous, k))
+        if n in (1, 3, 5):
+            assert {p[1] for p in k} == {dyadic_value(w) for w in words_of_length(2, n)}
+    # declared C = 1/2 drives at least geometric decay
+    for a, b in zip(history, history[1:]):
+        assert b <= a * F(1, 2)
 
 
 def test_iterate_single_map_shrinks_to_point():
     half = AffineMap(linear=((F(1, 2),),), offset=(F(0),))
     sys_ = IteratedFunctionSystem(maps=(half,), contraction_constant=F(1, 2))
-    final, _ = sys_.iterate(FinitePointSet.from_points([(F(1),)]), steps=3)
-    assert list(final) == [(F(1, 8),)]
-
-
-def test_iterate_tol_stopping():
-    sys_ = reference_system().ifs
-    final, history = sys_.iterate(singleton(F(1, 2), 0), steps=50, tol=F(1, 16))
-    assert history[-1] <= F(1, 16)
-    assert len(history) < 50
+    k = FinitePointSet.from_points([(F(1),)])
+    for _ in range(3):
+        k = sys_.step(k)
+    assert list(k) == [(F(1, 8),)]
 
 
 def test_orbit():
@@ -155,8 +147,6 @@ def test_step_monotone_and_union_bound_instance():
 
 def test_support_cap():
     sys_ = reference_system().ifs
-    with pytest.raises(SupportCapError):
-        sys_.iterate(singleton(F(1, 2), 0), steps=10, support_cap=100)
     with pytest.raises(SupportCapError):
         sys_.orbit(singleton(F(1, 2), 0), 10, support_cap=100)
 

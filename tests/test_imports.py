@@ -1,16 +1,19 @@
-"""Every name a module of the package imports is used in that module, no
-module imports scipy, the package's names load on first use, and only the
-command line sets OpenBLAS's thread count."""
+"""Every name a module of the package imports is used in that module, every
+public function has a caller, no module imports scipy, the package's names
+load on first use, and only the command line sets OpenBLAS's thread count."""
 
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzyifs"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fuzzyifs"
 
 # perfbench/tracing.py times these three under system's names, so system
 # imports them although its step no longer calls them. An allowance the code
@@ -46,6 +49,44 @@ def test_every_imported_name_is_used():
     unused = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
               for name in unused_imports(path.read_text(encoding="utf-8"))}
     assert unused == ALLOWED_UNUSED
+
+
+# Public functions that no module of the package, no perfbench script and
+# not the README's example calls, and why each stays. An allowance the code
+# no longer needs fails the test too.
+ALLOWED_UNCALLED = {
+    "compose_word": "the oracle of the orbit test: the image of every word",
+    "directed_distance": "the directed half of the Hausdorff metric, checked against brute force",
+    "invariant_domain_check": "the paper's invariant-domain condition on an orbital system",
+    "le_sum": "the exact triangle inequality check, since a Radical does not add",
+    "parse_pgm": "the tests read rendered images with it",
+}
+
+
+def names_read(source: str) -> set:
+    """The names and attribute names that a piece of python reads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_function_is_called():
+    """Each function of __all__ is read by a module of the package other
+    than __init__, by a perfbench script or by the README's example."""
+    import fuzzyifs
+
+    sources = [path.read_text(encoding="utf-8") for path in
+               [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+               if path != PACKAGE / "__init__.py"]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                          re.DOTALL)
+    read = set().union(*map(names_read, sources))
+    functions = {name for name in fuzzyifs.__all__ if inspect.isfunction(getattr(fuzzyifs, name))}
+    assert functions - read == set(ALLOWED_UNCALLED)
 
 
 def imported_modules(source: str) -> set:

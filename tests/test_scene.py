@@ -10,7 +10,6 @@ from fuzzyifs.scene import (
     StopRule,
     load_scene,
     load_scene_dict,
-    save_scene,
     scene_to_dict,
 )
 
@@ -32,19 +31,12 @@ def test_bundled_scenes_load_and_validate(tmp_path):
         assert scene.render.width == 64
 
 
-def test_round_trip(tmp_path):
-    scene = load_scene(SCENES / "dyadic_slice.json")
-    path = tmp_path / "copy.json"
-    save_scene(scene, path)
-    assert load_scene(path) == scene
-
-
-def test_round_trip_float_mode(tmp_path):
-    scene = load_scene(SCENES / "dyadic_slice.json", mode_override="float")
-    assert scene.numeric_mode == "float"
-    path = tmp_path / "copy.json"
-    save_scene(scene, path)
-    assert load_scene(path) == scene
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_round_trip(mode):
+    scene = load_scene(SCENES / "dyadic_slice.json", mode_override=mode)
+    assert scene.numeric_mode == mode
+    text = json.dumps(scene_to_dict(scene))
+    assert load_scene_dict(json.loads(text, parse_float=str)) == scene
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
