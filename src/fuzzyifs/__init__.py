@@ -23,11 +23,10 @@ _NAMES = {
               "zadeh_pushforward"),
     "geometry": ("DimensionMismatchError", "EmptySetError", "FinitePointSet", "diameter",
                  "directed_distance", "euclid", "hausdorff"),
-    "grid": ("GridFuzzySet", "parse_pgm"),
-    "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "OrbitApproximation",
-            "SupportCapError"),
+    "grid": ("GridFuzzySet", "RenderSpec", "parse_pgm"),
+    "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "SupportCapError"),
     "numeric": ("DEFAULT_TOL", "Radical", "le_sum", "sqrt_exact"),
-    "scene": ("RenderSpec", "Scene", "SceneError", "SceneParseError", "StopRule", "load_scene"),
+    "scene": ("Scene", "SceneError", "SceneParseError", "StopRule", "load_scene"),
     "system": ("AdmissibilityError", "ContractionViolationError", "ConvergenceReport",
                "OrbitalFuzzySystem", "UnreachableToleranceError", "invariant_domain_check"),
 }
@@ -67,7 +66,6 @@ __all__ = [
     "GreyMapError",
     "GridFuzzySet",
     "IteratedFunctionSystem",
-    "OrbitApproximation",
     "OrbitalFuzzySystem",
     "Radical",
     "RenderSpec",

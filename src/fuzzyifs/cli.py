@@ -6,11 +6,14 @@
     fuzzyifs verify [--trials N] [--depth D] [--seed S]
     fuzzyifs render <scene-or-csv> --out-image F [--grid WxH] [--bbox ...]
 
-Exit codes: 0 success, 1 validation or parse error, 2 verification failure,
-3 resource cap exceeded or out of memory. Output files are created as
-temporary files next to their targets before any iteration and moved into
-place only when the command succeeds, so a failed run leaves existing
-outputs as they were.
+Exit codes: 0 success, 1 validation, parse or usage error, 2 verification
+failure, 3 resource cap exceeded or out of memory. A --bbox whose x0 is
+negative is written --bbox=-1,0,1,1, since argparse reads -1,... as an
+option. The render box and raster size, from the scene or from --bbox and
+--grid, are checked by `grid.RenderSpec` before any iteration. Output files
+are created as temporary files next to their targets before any iteration
+and moved into place only when the command succeeds, so a failed run leaves
+existing outputs as they were.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from itertools import islice, repeat
 import numpy as np
 
 from .fuzzy import FuzzySet
-from .grid import GridFuzzySet
+from .grid import GridFuzzySet, RenderSpec
 from .ifs import SupportCapError
 from .numeric import format_scalar, parse_scalar
 from .properties import run_all
-from .scene import RenderSpec, Scene, SceneError, SceneParseError, StopRule, load_scene
+from .scene import Scene, SceneParseError, StopRule, load_scene
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -52,6 +55,14 @@ EXIT_CAP = 3
 
 class CliError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises CliError on a usage error, so that it exits 1 with one line
+    like any other bad input, not 2, the code of a failed verification."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _reported(value) -> float:
@@ -69,25 +80,20 @@ def _reported(value) -> float:
 
 
 def _parse_grid(text):
+    """(width, height) from WxH; `RenderSpec` checks the values."""
     try:
         w, h = text.lower().split("x")
-        w, h = int(w), int(h)
+        return int(w), int(h)
     except ValueError as err:
         raise CliError(f"--grid expects WxH, got {text!r}") from err
-    if w < 1 or h < 1:
-        raise CliError("--grid resolution must be positive")
-    return w, h
 
 
 def _parse_bbox(text):
+    """The numbers of x0,y0,x1,y1; `RenderSpec` checks the box."""
     try:
-        parts = [float(v) for v in text.split(",")]
+        return tuple(float(v) for v in text.split(","))
     except ValueError as err:
         raise CliError(f"--bbox expects x0,y0,x1,y1, got {text!r}") from err
-    if len(parts) != 4 or not all(map(math.isfinite, parts)) \
-            or not (parts[0] < parts[2] and parts[1] < parts[3]):
-        raise CliError("--bbox expects finite x0,y0,x1,y1 with x0 < x1 and y0 < y1")
-    return tuple(parts)
 
 
 def _render_spec(scene: Scene, args) -> RenderSpec:
@@ -275,8 +281,6 @@ def _cmd_render(args) -> int:
         is_scene = True
     except (SceneParseError, json.JSONDecodeError):
         is_scene = False
-    except SceneError:
-        raise
     with _staged_outputs([args.out_image]) as (image_tmp,):
         if is_scene:
             spec = _render_spec(scene, args)
@@ -304,7 +308,7 @@ def _cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuzzyifs",
         description="Iterate fuzzy function systems and verify their invariants.",
     )
@@ -336,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "verify":
@@ -351,7 +354,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory ({err})" if str(err) else "error: out of memory",
               file=sys.stderr)
         return EXIT_CAP
-    except (SceneError, SceneParseError, CliError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -46,6 +46,7 @@ from .geometry import (
     DimensionMismatchError,
     FinitePointSet,
     Point,
+    _require_compatible,
     _scan_squared,
     as_point,
     directed_max_squared,
@@ -394,13 +395,6 @@ def _cut_levels(levels: Tuple[Scalar, ...], ranks: np.ndarray):
     return levels, np.cumsum(present)[ranks]
 
 
-def _check_compatible(u: FuzzySet, v: FuzzySet) -> None:
-    if u.dimension != v.dimension:
-        raise DimensionMismatchError(f"dimension {u.dimension} vs {v.dimension}")
-    if u.exact != v.exact:
-        raise ValueError("cannot mix numeric modes")
-
-
 def alpha_cut(u: FuzzySet, alpha: Scalar) -> FinitePointSet:
     """Points at level >= alpha; alpha = 0 gives the support."""
     if not (0 <= alpha <= 1):
@@ -435,7 +429,7 @@ def join(sets: Sequence[FuzzySet]) -> FuzzySet:
         raise ValueError("join of an empty family")
     first = sets[0]
     for other in sets[1:]:
-        _check_compatible(first, other)
+        _require_compatible(first, other)
     return FuzzySet([pair for u in sets for pair in u.items()], exact=first.exact)
 
 
@@ -524,7 +518,7 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
     in arrays. Exact mode compares integer squares over the common
     denominator; float mode takes the kernel's float distances.
     """
-    _check_compatible(u, v)
+    _require_compatible(u, v)
     top_u, top_v = u.max_level, v.max_level
     if top_u != top_v:
         raise EmptyCutError(f"no point of the other set at level >= {max(top_u, top_v)}")
@@ -547,7 +541,7 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
 
 def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):
     """Reference implementation: scan the occurring levels."""
-    _check_compatible(u, v)
+    _require_compatible(u, v)
     best = None
     for alpha in sorted(set(u.level_values()) | set(v.level_values())):
         h = hausdorff(alpha_cut(u, alpha), alpha_cut(v, alpha))

@@ -211,7 +211,8 @@ class FinitePointSet:
         return np.array([[float(c) for c in p] for p in self.points], dtype=float)
 
 
-def _require_compatible(a: FinitePointSet, b: FinitePointSet) -> None:
+def _require_compatible(a, b) -> None:
+    """Two sets, crisp or fuzzy, of one dimension and one numeric mode."""
     if a.dimension != b.dimension:
         raise DimensionMismatchError(f"dimension {a.dimension} vs {b.dimension}")
     if a.exact != b.exact:

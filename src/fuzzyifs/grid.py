@@ -20,6 +20,29 @@ from .geometry import as_float_array
 PGM_MAXVAL = 255
 
 
+@dataclass(frozen=True)
+class RenderSpec:
+    """A render window: the box (x0, y0, x1, y1) and the raster size. Its
+    corners and extents are finite, x0 < x1 and y0 < y1, and the width and
+    height are positive ints. These rules live here alone: a scene's render
+    block, the CLI's --bbox and --grid and every grid build a RenderSpec,
+    so a bad box fails where it is read, before any iteration."""
+
+    bbox: Tuple[float, float, float, float]  # x0, y0, x1, y1
+    width: int
+    height: int
+
+    def __post_init__(self):
+        if len(self.bbox) != 4 or not all(map(math.isfinite, self.bbox)):
+            raise ValueError("render bbox must be four finite numbers x0, y0, x1, y1")
+        x0, y0, x1, y1 = self.bbox
+        if not (x0 < x1 and y0 < y1 and math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+            raise ValueError("render bbox needs x0 < x1, y0 < y1 and finite extents")
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                   for n in (self.width, self.height)):
+            raise ValueError("render width and height must be positive integers")
+
+
 @dataclass(frozen=True, eq=False)
 class GridFuzzySet:
     """Levels on a regular grid over an axis-aligned box (2-D)."""
@@ -31,13 +54,7 @@ class GridFuzzySet:
     levels: np.ndarray  # shape (height, width), row 0 = top
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid resolution must be positive")
-        if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
-            raise ValueError("bounding box is degenerate")
-        if not all(map(math.isfinite, (*self.lo, *self.hi, self.hi[0] - self.lo[0],
-                                       self.hi[1] - self.lo[1]))):
-            raise ValueError("bounding box corners and extents must be finite")
+        RenderSpec((*self.lo, *self.hi), self.width, self.height)  # the box and size rules
         if self.levels.shape != (self.height, self.width):
             raise ValueError("levels array does not match the resolution")
         if np.any(self.levels < 0) or np.any(self.levels > 1):

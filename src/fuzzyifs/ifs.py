@@ -112,19 +112,9 @@ class AffineMap:
 
 
 @dataclass(frozen=True)
-class OrbitApproximation:
-    """All images of the base set under words of length <= depth."""
-
-    base: FinitePointSet
-    depth: int
-    points: FinitePointSet
-
-
-@dataclass(frozen=True)
 class ContractivityReport:
     max_ratio: Scalar
     ok: bool
-    pairs_checked: int
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ class IteratedFunctionSystem:
         return FinitePointSet.from_points(images, exact=k.exact)
 
     def orbit(self, base: FinitePointSet, depth: int,
-              support_cap: int = DEFAULT_SUPPORT_CAP) -> OrbitApproximation:
+              support_cap: int = DEFAULT_SUPPORT_CAP) -> FinitePointSet:
         """Images of the base under every word of length <= depth."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
@@ -179,30 +169,28 @@ class IteratedFunctionSystem:
                     f"orbit grew past the cap of {support_cap} points",
                     partial=acc,
                 )
-        return OrbitApproximation(base=base, depth=depth, points=acc)
+        return acc
 
     def check_contractivity(self, base: FinitePointSet, depth: int) -> ContractivityReport:
         """Sample orbit point pairs and compare image distances against the
         declared constant. A sampling check, not a proof."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        pts = list(self.orbit(base, depth).points)
+        pts = list(self.orbit(base, depth))
         if len(pts) > CONTRACTIVITY_SAMPLES:
             stride = (len(pts) - 1) / (CONTRACTIVITY_SAMPLES - 1)
             pts = [pts[round(i * stride)] for i in range(CONTRACTIVITY_SAMPLES)]
         exact = base.exact
         worst_sq = Fraction(0) if exact else 0.0
-        pairs = 0
         for i, y in enumerate(pts):
             for z in pts[i + 1:]:
                 denom = squared_distance(y, z)
                 if not denom:
                     continue
-                pairs += 1
                 for f in self.maps:
                     ratio_sq = squared_distance(f(y), f(z)) / denom
                     if ratio_sq > worst_sq:
                         worst_sq = ratio_sq
         max_ratio = sqrt_exact(worst_sq) if exact else worst_sq ** 0.5
         limit = self.contraction_constant if exact else float(self.contraction_constant) + DEFAULT_TOL
-        return ContractivityReport(max_ratio=max_ratio, ok=bool(max_ratio <= limit), pairs_checked=pairs)
+        return ContractivityReport(max_ratio=max_ratio, ok=bool(max_ratio <= limit))

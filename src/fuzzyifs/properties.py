@@ -1,10 +1,11 @@
 """Randomized property suites and the closed-form oracle equivalence check.
 
 Every suite runs in exact arithmetic, so the inequalities under test are
-theorems and any reported failure is a genuine bug, not rounding noise. Each
-suite function takes its own RNG and a trial count and returns a list of
-failure descriptions, empty on success. The same functions back the CLI
-`verify` command and the acceptance tests.
+theorems and any reported failure is a genuine bug, not rounding noise. A
+suite is one check of a random case: it draws the case from the RNG it is
+given and returns a failure description, or None. `run_suite` and `run_all`
+run a suite over a number of trials and return the failures, empty on
+success; they back the CLI `verify` command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .fuzzy import (
 )
 from .geometry import FinitePointSet, diameter, hausdorff
 from .ifs import AffineMap, IteratedFunctionSystem
-from .system import OrbitalFuzzySystem
+from .system import ContractionViolationError, OrbitalFuzzySystem
 
 _MAX_REPORTED = 8
 
@@ -99,6 +100,7 @@ def _system(rng: random.Random, dim: int, max_maps: int = 3) -> OrbitalFuzzySyst
 
 def _collect(check: Callable[[random.Random], Optional[str]], rng: random.Random,
              trials: int) -> List[str]:
+    """The failures of `trials` cases of a check, at most _MAX_REPORTED."""
     failures = []
     for i in range(trials):
         message = check(rng)
@@ -111,180 +113,144 @@ def _collect(check: Callable[[random.Random], Optional[str]], rng: random.Random
 
 # --- geometry suites -------------------------------------------------------
 
-def union_bound_failures(rng: random.Random, trials: int) -> List[str]:
+def _union_bound(rng: random.Random) -> Optional[str]:
     """h(union A_i, union B_i) <= max_i h(A_i, B_i)."""
-
-    def check(rng):
-        dim = rng.choice((1, 2, 3))
-        k = rng.randrange(1, 5)
-        a_sets = [_point_set(rng, dim) for _ in range(k)]
-        b_sets = [_point_set(rng, dim) for _ in range(k)]
-        lhs = hausdorff(a_sets[0].union(*a_sets[1:]), b_sets[0].union(*b_sets[1:]))
-        rhs = max(hausdorff(a, b) for a, b in zip(a_sets, b_sets))
-        if not lhs <= rhs:
-            return f"h(unions) = {lhs!r} > max = {rhs!r}"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2, 3))
+    k = rng.randrange(1, 5)
+    a_sets = [_point_set(rng, dim) for _ in range(k)]
+    b_sets = [_point_set(rng, dim) for _ in range(k)]
+    lhs = hausdorff(a_sets[0].union(*a_sets[1:]), b_sets[0].union(*b_sets[1:]))
+    rhs = max(hausdorff(a, b) for a, b in zip(a_sets, b_sets))
+    if not lhs <= rhs:
+        return f"h(unions) = {lhs!r} > max = {rhs!r}"
+    return None
 
 
-def diam_bound_failures(rng: random.Random, trials: int) -> List[str]:
+def _diam_bound(rng: random.Random) -> Optional[str]:
     """h(A, B) <= diam(A union B)."""
-
-    def check(rng):
-        dim = rng.choice((1, 2, 3))
-        a = _point_set(rng, dim)
-        b = _point_set(rng, dim)
-        h = hausdorff(a, b)
-        d = diameter(a.union(b))
-        if not h <= d:
-            return f"h = {h!r} > diam = {d!r}"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2, 3))
+    a = _point_set(rng, dim)
+    b = _point_set(rng, dim)
+    h = hausdorff(a, b)
+    d = diameter(a.union(b))
+    if not h <= d:
+        return f"h = {h!r} > diam = {d!r}"
+    return None
 
 
 # --- fuzzy suites ----------------------------------------------------------
 
-def level_sweep_failures(rng: random.Random, trials: int) -> List[str]:
+def _level_sweep(rng: random.Random) -> Optional[str]:
     """The finite level sweep equals a dense alpha sweep and the fast path."""
-
-    def check(rng):
-        dim = rng.choice((1, 2))
-        u = _fuzzy(rng, dim)
-        v = _fuzzy(rng, dim)
-        by_levels = d_infinity_level_sweep(u, v)
-        fast = d_infinity(u, v)
-        levels = sorted(set(u.level_values()) | set(v.level_values()))
-        dense = set(levels)
-        dense.update(Fraction(k, 16) for k in range(1, 17))
-        dense.update((a + b) / 2 for a, b in zip(levels, levels[1:]))
-        swept = max(hausdorff(alpha_cut(u, a), alpha_cut(v, a)) for a in sorted(dense))
-        if not (by_levels == swept == fast):
-            return f"sweep {by_levels!r}, dense {swept!r}, fast {fast!r}"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2))
+    u = _fuzzy(rng, dim)
+    v = _fuzzy(rng, dim)
+    by_levels = d_infinity_level_sweep(u, v)
+    fast = d_infinity(u, v)
+    levels = sorted(set(u.level_values()) | set(v.level_values()))
+    dense = set(levels)
+    dense.update(Fraction(k, 16) for k in range(1, 17))
+    dense.update((a + b) / 2 for a, b in zip(levels, levels[1:]))
+    swept = max(hausdorff(alpha_cut(u, a), alpha_cut(v, a)) for a in sorted(dense))
+    if not (by_levels == swept == fast):
+        return f"sweep {by_levels!r}, dense {swept!r}, fast {fast!r}"
+    return None
 
 
-def dinf_diameter_failures(rng: random.Random, trials: int) -> List[str]:
+def _dinf_diameter(rng: random.Random) -> Optional[str]:
     """d_infinity(u, v) <= diam(supp u union supp v)."""
-
-    def check(rng):
-        dim = rng.choice((1, 2))
-        u = _fuzzy(rng, dim)
-        v = _fuzzy(rng, dim)
-        d = d_infinity(u, v)
-        bound = diameter(u.support_set().union(v.support_set()))
-        if not d <= bound:
-            return f"d_infinity = {d!r} > diam = {bound!r}"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2))
+    u = _fuzzy(rng, dim)
+    v = _fuzzy(rng, dim)
+    d = d_infinity(u, v)
+    bound = diameter(u.support_set().union(v.support_set()))
+    if not d <= bound:
+        return f"d_infinity = {d!r} > diam = {bound!r}"
+    return None
 
 
-def pushforward_join_exchange_failures(rng: random.Random, trials: int) -> List[str]:
+def _pushforward_join_exchange(rng: random.Random) -> Optional[str]:
     """Images of a pointwise max equal the pointwise max of the images."""
-
-    def check(rng):
-        dim = rng.choice((1, 2))
-        f = _affine(rng, dim)
-        family = [_fuzzy(rng, dim, normal=False) for _ in range(rng.randrange(1, 4))]
-        left = zadeh_pushforward(f, join(family))
-        right = join([zadeh_pushforward(f, u) for u in family])
-        if left != right:
-            return f"pushforward(join) != join(pushforwards) for {len(family)} sets"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2))
+    f = _affine(rng, dim)
+    family = [_fuzzy(rng, dim, normal=False) for _ in range(rng.randrange(1, 4))]
+    left = zadeh_pushforward(f, join(family))
+    right = join([zadeh_pushforward(f, u) for u in family])
+    if left != right:
+        return f"pushforward(join) != join(pushforwards) for {len(family)} sets"
+    return None
 
 
-def join_distance_failures(rng: random.Random, trials: int) -> List[str]:
+def _join_distance(rng: random.Random) -> Optional[str]:
     """d_infinity of joins is bounded by the worst member distance."""
-
-    def check(rng):
-        dim = rng.choice((1, 2))
-        k = rng.randrange(1, 4)
-        us = [_fuzzy(rng, dim) for _ in range(k)]
-        vs = [_fuzzy(rng, dim) for _ in range(k)]
-        lhs = d_infinity(join(us), join(vs))
-        rhs = max(d_infinity(u, v) for u, v in zip(us, vs))
-        if not lhs <= rhs:
-            return f"d(joins) = {lhs!r} > max member distance = {rhs!r}"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2))
+    k = rng.randrange(1, 4)
+    us = [_fuzzy(rng, dim) for _ in range(k)]
+    vs = [_fuzzy(rng, dim) for _ in range(k)]
+    lhs = d_infinity(join(us), join(vs))
+    rhs = max(d_infinity(u, v) for u, v in zip(us, vs))
+    if not lhs <= rhs:
+        return f"d(joins) = {lhs!r} > max member distance = {rhs!r}"
+    return None
 
 
-def grey_cut_identity_failures(rng: random.Random, trials: int) -> List[str]:
+def _grey_cut_identity(rng: random.Random) -> Optional[str]:
     """Cuts of a grey-composed set are cuts of the original at the preimage
     level, and cut distances never exceed d_infinity."""
-
-    def check(rng):
-        dim = rng.choice((1, 2))
-        rho = _grey(rng, reach_one=rng.random() < 0.5)
-        u = _fuzzy(rng, dim)
-        v = _fuzzy(rng, dim)
-        try:
-            ru = apply_grey(rho, u)
-            rv = apply_grey(rho, v)
-        except ValueError:
-            return None  # grey map erased a support; nothing to test
-        for alpha in ru.level_values():
-            beta = rho.level_preimage(alpha)
-            if alpha > rho.value_at_one:
-                continue
-            cut_left = alpha_cut(ru, alpha)
-            cut_right = alpha_cut(u, beta)
-            if not cut_left.same_points(cut_right):
-                return f"cut identity fails at alpha = {alpha}"
-            if rv.max_level >= alpha:
-                h = hausdorff(alpha_cut(ru, alpha), alpha_cut(rv, alpha))
-                if not h <= d_infinity(u, v):
-                    return f"cut distance at alpha = {alpha} exceeds d_infinity"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2))
+    rho = _grey(rng, reach_one=rng.random() < 0.5)
+    u = _fuzzy(rng, dim)
+    v = _fuzzy(rng, dim)
+    try:
+        ru = apply_grey(rho, u)
+        rv = apply_grey(rho, v)
+    except ValueError:
+        return None  # grey map erased a support; nothing to test
+    for alpha in ru.level_values():
+        beta = rho.level_preimage(alpha)
+        if alpha > rho.value_at_one:
+            continue
+        cut_left = alpha_cut(ru, alpha)
+        cut_right = alpha_cut(u, beta)
+        if not cut_left.same_points(cut_right):
+            return f"cut identity fails at alpha = {alpha}"
+        if rv.max_level >= alpha:
+            h = hausdorff(alpha_cut(ru, alpha), alpha_cut(rv, alpha))
+            if not h <= d_infinity(u, v):
+                return f"cut distance at alpha = {alpha} exceeds d_infinity"
+    return None
 
 
 # --- operator suites -------------------------------------------------------
 
-def support_image_inclusion_failures(rng: random.Random, trials: int) -> List[str]:
+def _support_image_inclusion(rng: random.Random) -> Optional[str]:
     """The support of a stepped set sits inside the set image of the support."""
-
-    def check(rng):
-        dim = rng.choice((1, 2))
-        system = _system(rng, dim)
-        u = _fuzzy(rng, dim)
-        stepped = system.step(u)
-        image = system.ifs.step(u.support_set())
-        if not stepped.support_set().issubset(image):
-            return "support of the stepped set escapes the image of the support"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2))
+    system = _system(rng, dim)
+    u = _fuzzy(rng, dim)
+    stepped = system.step(u)
+    image = system.ifs.step(u.support_set())
+    if not stepped.support_set().issubset(image):
+        return "support of the stepped set escapes the image of the support"
+    return None
 
 
-def step_majorant_failures(rng: random.Random, trials: int) -> List[str]:
+def _step_majorant(rng: random.Random) -> Optional[str]:
     """One operator step is nonexpansive against the worst per-map image
     distance: d_infinity(step(u), step(v)) <= max over maps f of
     d_infinity(f(u), f(v))."""
-
-    def check(rng):
-        dim = rng.choice((1, 2))
-        system = _system(rng, dim)
-        u = _fuzzy(rng, dim)
-        v = _fuzzy(rng, dim)
-        lhs = d_infinity(system.step(u), system.step(v))
-        rhs = max(
-            d_infinity(zadeh_pushforward(f, u), zadeh_pushforward(f, v))
-            for f in system.ifs.maps
-        )
-        if not lhs <= rhs:
-            return f"d(step(u), step(v)) = {lhs!r} > majorant = {rhs!r}"
-        return None
-
-    return _collect(check, rng, trials)
+    dim = rng.choice((1, 2))
+    system = _system(rng, dim)
+    u = _fuzzy(rng, dim)
+    v = _fuzzy(rng, dim)
+    lhs = d_infinity(system.step(u), system.step(v))
+    rhs = max(
+        d_infinity(zadeh_pushforward(f, u), zadeh_pushforward(f, v))
+        for f in system.ifs.maps
+    )
+    if not lhs <= rhs:
+        return f"d(step(u), step(v)) = {lhs!r} > majorant = {rhs!r}"
+    return None
 
 
 # --- bound checks ----------------------------------------------------------
@@ -319,7 +285,10 @@ def _contractive_float_system(rng: random.Random, n_maps: int, c_target: float) 
 
 def geometric_decay_failures(rng: random.Random, cases: int, n_max: int = 8) -> List[str]:
     """Consecutive iterate distances decay like C^n for starts supported
-    inside one orbit.
+    inside one orbit, and each step by C: a case runs `iterate` for n_max
+    steps, whose audit checks d_(n+1) <= C d_n at every step and the
+    residual, and its distances d_0, ..., d_(n_max) must stay within C^n
+    d_0.
 
     Systems are random float-mode affine contractions with spectral norms
     below the declared constant; the start set takes its support from an
@@ -332,26 +301,27 @@ def geometric_decay_failures(rng: random.Random, cases: int, n_max: int = 8) -> 
         c = rng.uniform(0.1, 0.9)
         system = _contractive_float_system(rng, n_maps, c)
         base = FinitePointSet.from_points([(rng.uniform(-1, 1), rng.uniform(-1, 1))], exact=False)
-        orbit_pts = list(system.ifs.orbit(base, 3).points)
+        orbit_pts = list(system.ifs.orbit(base, 3))
         size = rng.randrange(1, min(3, len(orbit_pts)) + 1)
         chosen = rng.sample(orbit_pts, size)
         pairs = [(p, rng.uniform(0.1, 1.0)) for p in chosen]
         pairs[0] = (pairs[0][0], 1.0)
-        u = FuzzySet(pairs, exact=False)
-        iterates = [u]
-        for _ in range(n_max + 1):
-            iterates.append(system.step(iterates[-1]))
-        d0 = d_infinity(iterates[1], iterates[0])
-        if d0 == 0.0:
-            continue  # already fixed; nothing to measure
-        for n in range(n_max + 1):
-            dn = d_infinity(iterates[n + 1], iterates[n])
-            allowed = (c ** n) * d0 * (1 + 1e-9)
-            if dn > allowed:
-                failures.append(
-                    f"case {case}: step {n} moved {dn:.3e} > C^n bound {allowed:.3e}"
-                )
-                break
+        try:
+            _, report = system.iterate(FuzzySet(pairs, exact=False), steps=n_max)
+        except ContractionViolationError as err:
+            failures.append(f"case {case}: {err}")
+        else:
+            distances = (*report.d_history, report.certified_residual)
+            d0 = distances[0]
+            if d0 == 0.0:
+                continue  # already fixed; nothing to measure
+            for n, dn in enumerate(distances):
+                allowed = (c ** n) * d0 * (1 + 1e-9)
+                if dn > allowed:
+                    failures.append(
+                        f"case {case}: step {n} moved {dn:.3e} > C^n bound {allowed:.3e}"
+                    )
+                    break
         if len(failures) >= _MAX_REPORTED:
             break
     return failures
@@ -410,15 +380,15 @@ def oracle_equivalence_failures(depth: int = 8, system: Optional[OrbitalFuzzySys
 
 
 _SUITES = (
-    ("union_bound", union_bound_failures),
-    ("diam_bound", diam_bound_failures),
-    ("level_sweep_equality", level_sweep_failures),
-    ("dinf_diameter_bound", dinf_diameter_failures),
-    ("pushforward_join_exchange", pushforward_join_exchange_failures),
-    ("join_distance_bound", join_distance_failures),
-    ("grey_cut_identity", grey_cut_identity_failures),
-    ("support_image_inclusion", support_image_inclusion_failures),
-    ("step_distance_majorant", step_majorant_failures),
+    ("union_bound", _union_bound),
+    ("diam_bound", _diam_bound),
+    ("level_sweep_equality", _level_sweep),
+    ("dinf_diameter_bound", _dinf_diameter),
+    ("pushforward_join_exchange", _pushforward_join_exchange),
+    ("join_distance_bound", _join_distance),
+    ("grey_cut_identity", _grey_cut_identity),
+    ("support_image_inclusion", _support_image_inclusion),
+    ("step_distance_majorant", _step_majorant),
 )
 
 
@@ -427,10 +397,7 @@ def suite_names():
 
 
 def run_suite(name: str, rng: random.Random, trials: int) -> List[str]:
-    for suite_name, fn in _SUITES:
-        if suite_name == name:
-            return fn(rng, trials)
-    raise KeyError(name)
+    return _collect(dict(_SUITES)[name], rng, trials)
 
 
 def run_all(trials: int = 200, depth: int = 8, seed: int = 0) -> Dict[str, List[str]]:
@@ -442,7 +409,7 @@ def run_all(trials: int = 200, depth: int = 8, seed: int = 0) -> Dict[str, List[
     master = random.Random(seed)
     results: Dict[str, List[str]] = {}
     for name, fn in _SUITES:
-        results[name] = fn(random.Random(master.randrange(2 ** 32)), trials)
+        results[name] = _collect(fn, random.Random(master.randrange(2 ** 32)), trials)
     results["geometric_decay"] = geometric_decay_failures(
         random.Random(master.randrange(2 ** 32)), cases=max(5, trials // 20), n_max=6
     )

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .fuzzy import FuzzySet, GreyLevelMap, GreyMapError
+from .grid import RenderSpec
 from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem
 from .numeric import Scalar, parse_scalar
 from .system import OrbitalFuzzySystem
@@ -45,13 +46,6 @@ class StopRule:
     def __post_init__(self):
         if (self.steps is None) == (self.tolerance is None):
             raise ValueError("stop rule needs exactly one of steps or tolerance")
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    bbox: Tuple[float, float, float, float]  # x0, y0, x1, y1
-    width: int
-    height: int
 
 
 @dataclass(frozen=True)
@@ -200,18 +194,16 @@ def load_scene_dict(raw: dict, mode_override: Optional[str] = None) -> Scene:
         try:
             r = raw["render"]
             bbox = tuple(float(parse_scalar(v, False)) for v in r["bbox"])
-            if len(bbox) != 4 or not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
-                violations.append("render.bbox must be [x0, y0, x1, y1] with x0 < x1 and y0 < y1")
-            elif dimension != 2:
-                violations.append("render requires dimension 2")
-            else:
-                width, height = r["width"], r["height"]
-                if not (_is_integer(width) and _is_integer(height)) or width < 1 or height < 1:
-                    violations.append("render width and height must be positive integers")
-                else:
-                    render = RenderSpec(bbox=bbox, width=width, height=height)
+            size = r["width"], r["height"]
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
             violations.append(f"render: {err}")
+        else:
+            if dimension != 2:
+                violations.append("render requires dimension 2")
+            try:
+                render = RenderSpec(bbox, *size)
+            except ValueError as err:
+                violations.append(str(err))
 
     support_cap = raw.get("support_cap", DEFAULT_SUPPORT_CAP)
     if not _is_integer(support_cap) or support_cap < 1:

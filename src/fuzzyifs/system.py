@@ -435,7 +435,7 @@ def invariant_domain_check(system: OrbitalFuzzySystem, u: FuzzySet, depth: int =
     def orbit_points(w):
         if w not in orbits:
             base = FinitePointSet(points=(w,), exact=u.exact)
-            orbits[w] = system.ifs.orbit(base, depth).points
+            orbits[w] = system.ifs.orbit(base, depth)
         return orbits[w]
 
     support = list(u.support_points())

@@ -111,7 +111,7 @@ def test_criterion_5_geometric_decay():
     _report(
         5,
         "200 random single-orbit starts decay like C^n times the first step size for n <= 8 "
-        "(multiplicative slack 1e-9)",
+        "(multiplicative slack 1e-9), and by C at every step (the run's contraction audit)",
         failures == [],
         f"{len(failures)} violations",
     )

@@ -526,12 +526,20 @@ def test_violated_contraction_constant_is_a_one_line_error(tmp_path, capsys):
 @pytest.mark.parametrize("render, argv, message", [
     ({"bbox": [0, 0, 1, "1/0"], "width": 8, "height": 8}, [], "render: Fraction(1, 0)"),
     (None, ["--bbox=-inf,0,inf,1", "--grid", "8x8"],
-     "--bbox expects finite x0,y0,x1,y1 with x0 < x1 and y0 < y1"),
+     "render bbox must be four finite numbers x0, y0, x1, y1"),
     ({"bbox": [-1e308, 0, 1e308, 1], "width": 8, "height": 8}, [],
-     "bounding box corners and extents must be finite"),
-], ids=["scene-bbox-1/0", "cli-bbox-inf", "scene-bbox-infinite-extent"])
-def test_a_render_box_that_is_not_finite_is_a_one_line_error(tmp_path, capsys, render, argv,
-                                                            message):
+     "render bbox needs x0 < x1, y0 < y1 and finite extents"),
+    (None, ["--bbox=-1e308,0,1e308,1", "--grid", "8x8"],
+     "render bbox needs x0 < x1, y0 < y1 and finite extents"),
+], ids=["scene-bbox-1/0", "cli-bbox-inf", "scene-bbox-infinite-extent",
+        "cli-bbox-infinite-extent"])
+def test_a_render_box_that_is_not_finite_is_a_one_line_error(tmp_path, capsys, monkeypatch,
+                                                            render, argv, message):
+    """The box fails where it is read, before the first step."""
+    def step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(OrbitalFuzzySystem, "step", step)
     doc = json.loads(Path(BAND).read_text())
     doc["render"] = render
     scene = tmp_path / "box.json"
@@ -539,7 +547,26 @@ def test_a_render_box_that_is_not_finite_is_a_one_line_error(tmp_path, capsys, r
     image = tmp_path / "out.pgm"
     assert main(["run", str(scene), "--steps", "2", *argv, "--out-image", str(image)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not image.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["box.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", BAND, "--steps", "x"], "argument --steps: invalid int value: 'x'"),
+    (["run", BAND, "--bbox", "-1,0,1,1", "--out-image", "f"],
+     "argument --bbox: expected one argument"),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["steps", "bbox-negative-x0", "unknown-flag"])
+def test_a_usage_error_is_a_one_line_error(capsys, argv, message):
+    """Exit 1 like any other bad input; 2 means a failed verification."""
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fuzzyifs")
 
 
 def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):

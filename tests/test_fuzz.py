@@ -94,13 +94,17 @@ BBOXES = st.lists(st.sampled_from(["0", "1", "-1", "0.5", "2", "inf", "-inf", "n
                                    "1e999"]), min_size=3, max_size=5).map(",".join)
 GRIDS = st.builds("{}x{}".format, st.integers(0, 64), st.integers(0, 64)) | \
     st.sampled_from(["x", "8x", "axb", "-1x4", "64"])
+# Words argparse rejects, too: a value that is not an int, a --bbox
+# argument that reads as an option and an unknown flag.
 RUN_OPTIONS = st.integers(-1, 3).map(lambda n: ["--steps", str(n)]) | \
     st.sampled_from(["exact", "float"]).map(lambda mode: ["--mode", mode]) | \
     GRIDS.map(lambda grid: ["--grid", grid]) | \
     BBOXES.map(lambda bbox: [f"--bbox={bbox}"]) | \
     st.sampled_from([["--out-image", "@out.pgm"], ["--out-csv", "@out.csv"],
-                     ["--report", "@report.json"]])
-SCENE_ARGS = st.sampled_from([SLICE, BAND, str(SCENES / "missing.json")])
+                     ["--report", "@report.json"], ["--steps", "x"], ["--bbox", "-1,0,1,1"],
+                     ["--bogus"]])
+# A missing file, and no scene argument at all.
+SCENE_ARGS = st.sampled_from([[SLICE], [BAND], [str(SCENES / "missing.json")], []])
 
 
 def command(name, first, options=None):
@@ -110,16 +114,22 @@ def command(name, first, options=None):
         lambda drawn: [name, *drawn[0], *(word for option in drawn[1] for word in option)])
 
 
-ARGV = command("run", SCENE_ARGS.map(lambda scene: [scene]), RUN_OPTIONS) | \
+ARGV = command("run", SCENE_ARGS, RUN_OPTIONS) | \
     command("verify", st.tuples(st.integers(0, 2), st.integers(-1, 2), st.integers(0, 3)).map(
         lambda t: ["--trials", str(t[0]), "--depth", str(t[1]), "--seed", str(t[2])])) | \
-    command("render", SCENE_ARGS.map(lambda scene: [scene, "--out-image", "@out.pgm"]),
-            GRIDS.map(lambda grid: ["--grid", grid]) | BBOXES.map(lambda b: [f"--bbox={b}"]))
+    command("render", SCENE_ARGS.map(lambda scene: [*scene, "--out-image", "@out.pgm"]),
+            GRIDS.map(lambda grid: ["--grid", grid]) | BBOXES.map(lambda b: [f"--bbox={b}"])) | \
+    st.just([])
 
 
+# --help is left out: it exits 0 through SystemExit by design.
 @FUZZ
 @given(argv=ARGV)
 @example(argv=["run", BAND, "--steps", "2", "--bbox=-inf,0,inf,1", "--out-image", "@out.pgm"])
+@example(argv=["run", BAND, "--steps", "2", "--bbox=-1e308,0,1e308,1", "--out-image", "@out.pgm"])
+@example(argv=["run", BAND, "--steps", "x"])
+@example(argv=["run", BAND, "--bbox", "-1,0,1,1", "--out-image", "@out.pgm"])
+@example(argv=["verify", "--bogus"])
 def test_the_command_line_ends_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as folder:
         argv = [os.path.join(folder, word[1:]) if word in OUTPUTS else word for word in argv]

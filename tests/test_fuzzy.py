@@ -361,12 +361,11 @@ class TestJoinRestrict:
 
 # Scaled cases of the d_infinity path tests: (points per set, level
 # denominator, trials, least pairs in one level group, least level groups in
-# one direction). "tree", the accelerated path, puts more than
-# _BRUTE_PAIR_LIMIT pairs in one level group, so exact mode takes the grid's
-# float shortlist; "levels" has at least 65 level groups, so one direction
+# one direction). "grid" puts more than _BRUTE_PAIR_LIMIT pairs in one level
+# group, so exact mode takes the grid's float shortlist; "levels" has at least 65 level groups, so one direction
 # looks at 65 or more prefix lengths.
 SCALED_CASES = [
-    pytest.param(150, 3, 3, _BRUTE_PAIR_LIMIT + 1, 0, id="tree"),
+    pytest.param(150, 3, 3, _BRUTE_PAIR_LIMIT + 1, 0, id="grid"),
     pytest.param(150, 128, 3, 0, 65, id="levels"),
 ]
 
@@ -484,7 +483,7 @@ def test_d_infinity_sorts_once_per_round(kernel_counts, exact):
     assert kernel_counts.sorts == 2 * len(kernel_counts.queries) + 2 * exact
 
 
-def test_huge_denominators_on_the_kd_path():
+def test_huge_denominators_on_the_grid_path():
     """Coordinates over 3^700 in [-4, 4], so the numerators lie far past
     float range: the grid's shortlist must convert n / D, not n. Half of v sits
     1/3^700 away from points of u, closer than floats can tell apart."""

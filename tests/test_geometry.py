@@ -125,18 +125,21 @@ def _random_set(rng, dim=2, max_points=50):
 
 
 def test_accelerated_hausdorff_matches_brute_force_exact(monkeypatch):
+    """The grid kernel's Hausdorff distance equals the double loop's, by
+    exact scan and through the grid's float shortlist."""
     rng = random.Random(42)
     for _ in range(25):
         a = _random_set(rng)
         b = _random_set(rng)
         assert hausdorff(a, b) == hausdorff_brute(a, b)
-        # no pair limit forces the grid's float shortlist regardless of size
+        # a pair limit of 0 sends every size to the grid's float shortlist
         with monkeypatch.context() as patch:
             patch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
             assert hausdorff(a, b) == hausdorff_brute(a, b)
 
 
 def test_accelerated_hausdorff_matches_brute_force_float():
+    """The grid kernel's directed distance equals the double loop's."""
     rng = random.Random(7)
     for _ in range(25):
         a = FinitePointSet.from_points(
@@ -222,10 +225,10 @@ def _kernel_cases(rng):
 
 @pytest.mark.parametrize("pair_limit, block", [
     (geometry._BRUTE_PAIR_LIMIT, geometry._GRID_BLOCK), (0, geometry._GRID_BLOCK), (0, 1)],
-    ids=["scan", "tree", "tree-blocks"])
+    ids=["scan", "grid", "grid-blocks"])
 def test_prefix_kernel_matches_brute_force_exact(monkeypatch, pair_limit, block):
-    """The "tree" cases send every call to the float shortlist of the grid,
-    "tree-blocks" with each grid round taking one point at a time."""
+    """The "grid" cases send every call to the float shortlist of the grid,
+    "grid-blocks" with each grid round taking one point at a time."""
     monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
     monkeypatch.setattr(geometry, "_GRID_BLOCK", block)
     rng = random.Random(91)

@@ -83,16 +83,16 @@ def test_iterate_single_map_shrinks_to_point():
 def test_orbit():
     sys_ = reference_system().ifs
     base = singleton(F(1, 2), 0)
-    assert sys_.orbit(base, 0).points.same_points(base)
+    assert sys_.orbit(base, 0).same_points(base)
     orb = sys_.orbit(base, 2)
-    assert {p[1] for p in orb.points} == {F(0), F(1, 4), F(1, 2), F(3, 4)}
+    assert {p[1] for p in orb} == {F(0), F(1, 4), F(1, 2), F(3, 4)}
     # nesting in depth and closure under the base
-    assert orb.points.issubset(sys_.orbit(base, 3).points)
-    assert base.issubset(orb.points)
+    assert orb.issubset(sys_.orbit(base, 3))
+    assert base.issubset(orb)
 
     ident_sys = IteratedFunctionSystem(maps=(AffineMap.identity(2),), contraction_constant=F(0))
     b = FinitePointSet.from_points([(F(1), F(2))])
-    assert ident_sys.orbit(b, 4).points.same_points(b)
+    assert ident_sys.orbit(b, 4).same_points(b)
 
 
 def test_orbit_contains_every_word_image():
@@ -104,7 +104,7 @@ def test_orbit_contains_every_word_image():
     for word in words_up_to(len(sys_.maps), depth):
         f = compose_word(sys_.maps, word)
         for p in base:
-            assert orb.points.contains(f(p))
+            assert orb.contains(f(p))
 
 
 def test_contractivity_check():

@@ -1,8 +1,10 @@
 """Every name a module of the package imports is used in that module, every
-public function has a caller, no module imports scipy, the package's names
-load on first use, and only the command line sets OpenBLAS's thread count."""
+public function has a caller, every field of a public dataclass has a
+reader, no module imports scipy, the package's names load on first use, and
+only the command line sets OpenBLAS's thread count."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -74,19 +76,49 @@ def names_read(source: str) -> set:
     return names
 
 
+def client_sources() -> list:
+    """The modules of the package other than __init__, the perfbench
+    scripts and the README's python example."""
+    sources = [path.read_text(encoding="utf-8") for path in
+               [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+               if path != PACKAGE / "__init__.py"]
+    return sources + re.findall(r"```python\n(.*?)```",
+                                (ROOT / "README.md").read_text(encoding="utf-8"), re.DOTALL)
+
+
 def test_every_public_function_is_called():
     """Each function of __all__ is read by a module of the package other
     than __init__, by a perfbench script or by the README's example."""
     import fuzzyifs
 
-    sources = [path.read_text(encoding="utf-8") for path in
-               [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-               if path != PACKAGE / "__init__.py"]
-    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
-                          re.DOTALL)
-    read = set().union(*map(names_read, sources))
+    read = set().union(*map(names_read, client_sources()))
     functions = {name for name in fuzzyifs.__all__ if inspect.isfunction(getattr(fuzzyifs, name))}
     assert functions - read == set(ALLOWED_UNCALLED)
+
+
+# Fields of the public dataclasses that nothing reads, as "Class.field", and
+# why each stays. An allowance the code no longer needs fails the test too.
+ALLOWED_UNREAD = {}
+
+
+def attributes_loaded(source: str) -> set:
+    """The attribute names that a piece of python reads, as in x.name."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_field_is_read():
+    """Each field of a dataclass of __all__ is read as an attribute by a
+    module of the package other than __init__, by a perfbench script or by
+    the README's example."""
+    import fuzzyifs
+
+    read = set().union(*map(attributes_loaded, client_sources()))
+    classes = [getattr(fuzzyifs, name) for name in fuzzyifs.__all__]
+    unread = {f"{cls.__name__}.{field.name}" for cls in classes
+              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+              for field in dataclasses.fields(cls) if field.name not in read}
+    assert unread == set(ALLOWED_UNREAD)
 
 
 def imported_modules(source: str) -> set:

@@ -401,8 +401,7 @@ class TestDecompositionAndMembership:
     def test_orbit_restriction_decomposition(self):
         system = reference_system()
         u3, _ = system.iterate(slice_start(F(1, 2)), steps=3)
-        orbit_pts = system.ifs.orbit(
-            FinitePointSet.from_points([(F(1, 2), F(0))]), 3).points
+        orbit_pts = system.ifs.orbit(FinitePointSet.from_points([(F(1, 2), F(0))]), 3)
         assert join([FuzzySet([pair]) for pair in u3.items()]) == u3
         assert u3.support_set().issubset(orbit_pts)
 
