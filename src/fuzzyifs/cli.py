@@ -279,7 +279,7 @@ def _cmd_render(args) -> int:
     try:
         scene = load_scene(source)
         is_scene = True
-    except (SceneParseError, json.JSONDecodeError):
+    except SceneParseError:
         is_scene = False
     with _staged_outputs([args.out_image]) as (image_tmp,):
         if is_scene:

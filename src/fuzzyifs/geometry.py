@@ -207,9 +207,6 @@ class FinitePointSet:
     def same_points(self, other: "FinitePointSet") -> bool:
         return self.issubset(other) and other.issubset(self)
 
-    def to_float_array(self) -> np.ndarray:
-        return np.array([[float(c) for c in p] for p in self.points], dtype=float)
-
 
 def _require_compatible(a, b) -> None:
     """Two sets, crisp or fuzzy, of one dimension and one numeric mode."""
@@ -566,28 +563,40 @@ def hausdorff_brute(a: FinitePointSet, b: FinitePointSet):
     return max(directed_distance_brute(a, b), directed_distance_brute(b, a))
 
 
-def diameter(a: FinitePointSet):
-    """Largest pairwise distance; zero for singletons.
+def diameter(points: np.ndarray, den: int, exact: bool) -> Scalar:
+    """The largest distance between rows of an n x d array of numerators
+    over den (float mode: grid keys over GRID); zero for one row.
 
-    Float mode takes one numpy row of distances per point, scaled by the
-    power of two that brings the widest coordinate extent into [1/2, 1).
-    That extent bounds every difference and the diameter from below, so no
-    square overflows, and the scaling is exact: a diameter whose square is
-    a float comes out as it would unscaled. Exact mode puts the points on
-    one common denominator (`scale_points`), compares integer squared
-    distances and normalizes only the largest.
+    A double sweep finds rows a and b at distance L; a longer pair has an
+    end farther than L/2 from their midpoint (Malandain & Boissonnat, IJCGA
+    12(6), 2002), so only such rows get a row of distances of their own.
+    Exact mode compares integer squares, in Python ints from 2^60 on so
+    that 2p - a - b fits in int64. Float mode takes the norms of the
+    differences of the floats n / den scaled by the power of two that
+    brings the widest coordinate extent into [1/2, 1), so none overflows,
+    and prunes with `_nn_radius_slack` of slack for their rounding.
     """
-    if not a.exact:
-        arr = a.to_float_array()
-        _, e = math.frexp(float((arr.max(axis=0) - arr.min(axis=0)).max()))
+    if exact:
+        if points.dtype != object and magnitude(points) >= 2 ** 60:
+            points = points.astype(object)
+        coords = points
+    else:
+        coords = as_float_array(points, den)
+        _, e = math.frexp(float((coords.max(axis=0) - coords.min(axis=0)).max()))
         scale = math.ldexp(1.0, -e)
-        return math.ldexp(max((float(np.linalg.norm((arr[i + 1:] - arr[i]) * scale, axis=1).max())
-                               for i in range(len(arr) - 1)), default=0.0), e)
-    den, (pts,) = scale_points(a.points)
-    best = 0
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            d = _squared(p, q)
-            if d > best:
-                best = d
-    return sqrt_exact(Fraction(best, den * den))
+
+    def lengths(p, q):
+        """Exact squared or scaled float distances between the rows of p and q."""
+        if exact:
+            return _exact_squares(p, q)
+        return np.linalg.norm((p - q) * scale, axis=1)
+    a = int(lengths(coords, coords[0]).argmax())
+    sweep = lengths(coords, coords[a])
+    b = int(sweep.argmax())
+    best = sweep[b]
+    # 2 (p - a) - (b - a) is twice p's offset from the midpoint of a and b.
+    centred = coords - coords[a]
+    slack = 0 if exact else _nn_radius_slack(centred * scale, centred[b] * scale)
+    for i in np.flatnonzero(lengths(2 * centred, centred[b]) > best - slack).tolist():
+        best = max(best, lengths(coords, coords[i]).max())
+    return sqrt_exact(Fraction(int(best), den * den)) if exact else math.ldexp(float(best), e)

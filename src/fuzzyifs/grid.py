@@ -69,17 +69,20 @@ class GridFuzzySet:
     @classmethod
     def from_fuzzy(cls, u: FuzzySet, lo, hi, width: int, height: int) -> "GridFuzzySet":
         """Rasterize: each support point lands in its containing cell,
-        max-combined. Points outside the box are dropped; points on the top
-        or right edge fall into the last cell. One array pass over the
-        support: coordinates are the correctly rounded n / D of
-        `as_float_array`, and cells come from the same float operations a
-        point-by-point loop would do."""
+        max-combined. Points outside the box or past float range are
+        dropped; points on the top or right edge fall into the last cell.
+        One array pass over the support: coordinates are the correctly
+        rounded n / D of `as_float_array`, and cells come from the same
+        float operations a point-by-point loop would do."""
         if u.dimension != 2:
             raise ValueError("grid rendering needs dimension 2")
         g = cls.zeros(lo, hi, width, height)
         x0, y0 = g.lo
         x1, y1 = g.hi
         den, table, points, ranks = u.scaled()
+        if points.dtype == object:  # a point whose float is infinite is outside every box
+            near = (np.abs(points) < den * (2 ** 1024 - 2 ** 970)).all(axis=1)
+            points, ranks = points[near], ranks[near]
         xy = as_float_array(points, den)
         level = np.array([float(level) for level in table])[ranks]
         x, y = xy[:, 0], xy[:, 1]

@@ -28,7 +28,7 @@ from .fuzzy import (
     join,
     zadeh_pushforward,
 )
-from .geometry import FinitePointSet, diameter, hausdorff
+from .geometry import FinitePointSet, diameter, hausdorff, int_array, scale_points
 from .ifs import AffineMap, IteratedFunctionSystem
 from .system import ContractionViolationError, OrbitalFuzzySystem
 
@@ -132,7 +132,8 @@ def _diam_bound(rng: random.Random) -> Optional[str]:
     a = _point_set(rng, dim)
     b = _point_set(rng, dim)
     h = hausdorff(a, b)
-    d = diameter(a.union(b))
+    den, (rows,) = scale_points(a.points + b.points)
+    d = diameter(int_array(rows), den, True)
     if not h <= d:
         return f"h = {h!r} > diam = {d!r}"
     return None
@@ -163,7 +164,8 @@ def _dinf_diameter(rng: random.Random) -> Optional[str]:
     u = _fuzzy(rng, dim)
     v = _fuzzy(rng, dim)
     d = d_infinity(u, v)
-    bound = diameter(u.support_set().union(v.support_set()))
+    den, (rows,) = scale_points(u.support_points() + v.support_points())
+    bound = diameter(int_array(rows), den, True)
     if not d <= bound:
         return f"d_infinity = {d!r} > diam = {bound!r}"
     return None

@@ -37,6 +37,7 @@ from .fuzzy import (  # noqa: F401
     FuzzySet,
     GreyLevelMap,
     _merge_rows,
+    _on_scale,
     apply_grey,
     d_infinity,
     join,
@@ -106,8 +107,8 @@ class OrbitalFuzzySystem:
     ifs: IteratedFunctionSystem
     grey_maps: Tuple[GreyLevelMap, ...]
     # Exact systems: (L, ((linear, offset), ...)), every map times the least
-    # common denominator L of all entries and offsets, in ints.
-    _scaled_maps: tuple = field(init=False, repr=False, compare=False, default=None)
+    # common denominator L of all entries and offsets, in ints; float: (1, ()).
+    _scaled_maps: tuple = field(init=False, repr=False, compare=False, default=(1, ()))
     # The admissibility violations, found once; `validate` returns them and
     # every step and iteration raises on them.
     _violations: tuple = field(init=False, repr=False, compare=False, default=())
@@ -174,59 +175,29 @@ class OrbitalFuzzySystem:
         level of u's table, a point whose new level is 0 is not mapped, and
         the images of all maps, concatenated in map order, are merged with
         one stable lexsort, each point keeping its first position and its
-        highest level rank. Only the image differs: an exact map times the
-        system's common map denominator L, in ints, takes numerators over D
-        to numerators over D*L, cut back to the least denominator by one gcd
-        at the end, in int64 while a bound on the image numerators stays
-        below 2^62 and in Python ints otherwise; a float map reads the grid
-        point n / D, applies the float operations of `AffineMap._apply` in
-        its order and snaps the image with the rounding of
-        `geometry.grid_key`, and an image off the grid raises
-        GridRangeError. The result, support order included, equals
-        join([apply_grey(g, zadeh_pushforward(f, u)) for f, g in ...]), the
-        reference this step is tested against, except that a map whose part
-        the grey map erases adds nothing instead of raising: only an empty
-        join raises. SupportCapError is raised as soon as the distinct
-        points gathered after any map pass support_cap.
+        highest level rank. Only the image differs (`_image`); an exact
+        result is cut back to its least denominator by one gcd, and a float
+        image off the grid raises GridRangeError. The result, support order
+        included, equals join([apply_grey(g, zadeh_pushforward(f, u)) for
+        f, g in ...]), the reference this step is tested against, except
+        that a map whose part the grey map erases adds nothing instead of
+        raising: only an empty join raises. SupportCapError is raised as
+        soon as the distinct points gathered after any map pass support_cap.
         """
         self._require_admissible()
-        if u.exact != self.exact:
-            raise ValueError("fuzzy set and system use different numeric modes")
-        if u.dimension != self.dimension:
-            raise DimensionMismatchError(
-                f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
-        den, levels, points, ranks = u.scaled()
+        den, levels, _, ranks = u.scaled()
         convert = Fraction if u.exact else float
         grey = [[convert(g(level)) for level in levels] for g in self.grey_maps]
         new_levels = tuple(sorted({level for row in grey for level in row}))
         rank = {level: i for i, level in enumerate(new_levels)}
         relits = [np.array([rank[level] for level in row]) for row in grey]
-        if u.exact:
-            map_den, maps = self._scaled_maps
-            # Every image numerator is below this bound, which picks int64
-            # or Python ints for the whole step.
-            top = max(magnitude(points), 1)
-            bound = max(top * sum(map(abs, row)) + abs(b) * den
-                        for linear, offset in maps for row, b in zip(linear, offset))
-            columns = list(points.astype(np.int64 if bound < INT64_BOUND else object, copy=False).T)
-            images = [AffineMap(linear, tuple(b * den for b in offset))._apply
-                      for linear, offset in maps]
-        else:
-            map_den = 1
-            columns = list(as_float_array(points, den).T)
-            images = [f._apply for f in self.ifs.maps]
         parts, part_ranks, gathered = [], [], 0
-        for image, relit in zip(images, relits):
+        for k, relit in enumerate(relits):
             new = relit[ranks]
             kept = np.flatnonzero(new)
             if not len(kept):
                 continue
-            cols = columns if len(kept) == len(new) else [c[kept] for c in columns]
-            # A row of a map without linear terms gives a scalar component.
-            block = np.empty((len(kept), u.dimension), dtype=cols[0].dtype)
-            for k, component in enumerate(image(cols)):
-                block[:, k] = component
-            parts.append(block if u.exact else grid_keys(block))
+            parts.append(self._image(u, k, slice(None) if len(kept) == len(new) else kept))
             part_ranks.append(new[kept])
             gathered += len(kept)
             if gathered > support_cap:
@@ -237,12 +208,43 @@ class OrbitalFuzzySystem:
         if not parts:
             raise EmptySupportError("the operator erased the whole support")
         return FuzzySet._from_images(np.concatenate(parts), np.concatenate(part_ranks),
-                                     den * map_den, new_levels, u.dimension, u.exact)
+                                     den * self._scaled_maps[0], new_levels, u.dimension, u.exact)
+
+    def _image(self, u: FuzzySet, k: int, rows=slice(None)) -> np.ndarray:
+        """The images under map k of u's rows after checking u's mode and
+        dimension: numerators over D*L for an exact map times L (see
+        `_scaled_maps`), in int64 while a bound on them allows; for a float
+        map, `grid_keys` of `AffineMap._apply` on the floats n / D."""
+        if u.exact != self.exact:
+            raise ValueError("fuzzy set and system use different numeric modes")
+        if u.dimension != self.dimension:
+            raise DimensionMismatchError(
+                f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
+        den, _, points, _ = u.scaled()
+        points = points[rows]
+        if u.exact:
+            linear, offset = self._scaled_maps[1][k]
+            # Every image numerator is below this bound.
+            top = max(magnitude(points), 1)
+            bound = max(top * sum(map(abs, row)) + abs(b) * den for row, b in zip(linear, offset))
+            columns = list(points.astype(np.int64 if bound < INT64_BOUND else object, copy=False).T)
+            image = AffineMap(linear, tuple(b * den for b in offset))._apply
+        else:
+            columns = list(as_float_array(points, den).T)
+            image = self.ifs.maps[k]._apply
+        # A row of a map without linear terms gives a scalar component.
+        block = np.empty((len(points), u.dimension), dtype=columns[0].dtype)
+        for j, component in enumerate(image(columns)):
+            block[:, j] = component
+        return block if u.exact else grid_keys(block)
 
     def reach_diameter(self, u: FuzzySet) -> Scalar:
-        """diam(supp(u) together with its image under every map)."""
-        supp = u.support_set()
-        return diameter(supp.union(self.ifs.step(supp)))
+        """diam(supp(u) together with its image under every map): u's rows and
+        the images of all of them, whatever their new level, each point once."""
+        den = u.scaled()[0] * self._scaled_maps[0]
+        reach = np.concatenate([_on_scale(u, den),
+                                *(self._image(u, k) for k in range(len(self.ifs.maps)))])
+        return diameter(_merge_rows(reach, np.zeros(len(reach), dtype=np.intp))[0], den, self.exact)
 
     def bounds(self, diam: Scalar) -> Iterator[Scalar]:
         """The a-priori bound C^m/(1-C) times diam at m = 0, 1, 2, ... for a

@@ -405,6 +405,24 @@ def test_band_translated_past_float_range(tmp_path):
         assert reports[1][key] == reports[0][key]
 
 
+def test_a_point_past_float_range_is_left_out_of_the_raster(tmp_path):
+    """A start point at x = 10^400 lies outside every finite render box, so
+    the raster drops it like any point outside the box: rendered beside the
+    slice's own start, the image is the slice's; run alone, it is blank."""
+    doc = json.loads(Path(SLICE).read_text())
+    far = [[["1e400", "0"], "1"]]
+    both, alone = tmp_path / "both.json", tmp_path / "far.json"
+    both.write_text(json.dumps({**doc, "initial": doc["initial"] + far}))
+    alone.write_text(json.dumps({**doc, "initial": far}))
+    images = [tmp_path / f"{name}.pgm" for name in ("slice", "both", "far")]
+    assert main(["render", SLICE, "--out-image", str(images[0])]) == 0
+    assert main(["render", str(both), "--out-image", str(images[1])]) == 0
+    assert main(["run", str(alone), "--steps", "2", "--out-image", str(images[2])]) == 0
+    slice_image, both_image, far_image = (path.read_bytes() for path in images)
+    assert both_image == slice_image and parse_pgm(slice_image)[3].any()
+    assert not parse_pgm(far_image)[3].any()
+
+
 @pytest.mark.parametrize("count, message", [
     (80, "exact points too far apart for float coordinates"),
     (1, "a distance or bound of this run is too large for a float"),

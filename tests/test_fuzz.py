@@ -90,6 +90,9 @@ def test_load_scene_dict_returns_a_scene_or_a_scene_error(raw, mode):
 
 # Output files are named by these placeholders and written to a new folder.
 OUTPUTS = {"@out.pgm", "@out.csv", "@report.json"}
+# A scene that an example writes to its folder first: the slice started at
+# x = 10^400, past float range.
+FAR, FAR_SCENE = "@far.json", {**BUNDLED[0], "initial": [[["1e400", "0"], "1"]]}
 BBOXES = st.lists(st.sampled_from(["0", "1", "-1", "0.5", "2", "inf", "-inf", "nan", "1/0",
                                    "1e999"]), min_size=3, max_size=5).map(",".join)
 GRIDS = st.builds("{}x{}".format, st.integers(0, 64), st.integers(0, 64)) | \
@@ -130,7 +133,12 @@ ARGV = command("run", SCENE_ARGS, RUN_OPTIONS) | \
 @example(argv=["run", BAND, "--steps", "x"])
 @example(argv=["run", BAND, "--bbox", "-1,0,1,1", "--out-image", "@out.pgm"])
 @example(argv=["verify", "--bogus"])
+@example(argv=["run", FAR, "--steps", "2", "--out-image", "@out.pgm"])
+@example(argv=["render", FAR, "--out-image", "@out.pgm"])
 def test_the_command_line_ends_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as folder:
-        argv = [os.path.join(folder, word[1:]) if word in OUTPUTS else word for word in argv]
+        if FAR in argv:
+            Path(folder, FAR[1:]).write_text(json.dumps(FAR_SCENE))
+        argv = [os.path.join(folder, word[1:]) if word in OUTPUTS or word == FAR else word
+                for word in argv]
         assert main(argv) in (0, 1, 2, 3)

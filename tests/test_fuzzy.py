@@ -507,7 +507,7 @@ def test_huge_denominators_on_the_grid_path():
 
 def test_diameter_and_join_distance_bounds_small():
     rng = random.Random(30)
-    from fuzzyifs.geometry import diameter
+    from fuzzyifs.geometry import diameter, int_array, scale_points
     for _ in range(100):
         def mk():
             n = rng.randrange(1, 5)
@@ -515,7 +515,8 @@ def test_diameter_and_join_distance_bounds_small():
             pairs[rng.randrange(n)] = (pairs[0][0], F(1))
             return FuzzySet(pairs)
         u, v = mk(), mk()
-        assert d_infinity(u, v) <= diameter(u.support_set().union(v.support_set()))
+        den, (rows,) = scale_points(u.support_points() + v.support_points())
+        assert d_infinity(u, v) <= diameter(int_array(rows), den, True)
         us = [mk() for _ in range(2)]
         vs = [mk() for _ in range(2)]
         assert d_infinity(join(us), join(vs)) <= max(

@@ -9,17 +9,21 @@ import pytest
 from fuzzyifs import geometry
 from fuzzyifs.fuzzy import FuzzySet
 from fuzzyifs.geometry import (
+    GRID,
     DimensionMismatchError,
     EmptySetError,
     FinitePointSet,
     GridRangeError,
+    as_float_array,
     diameter,
     directed_distance,
     directed_distance_brute,
     directed_max_squared,
     euclid,
+    grid_key,
     hausdorff,
     hausdorff_brute,
+    int_array,
     scale_points,
     squared_distance,
 )
@@ -53,16 +57,46 @@ def test_hausdorff_basic():
     assert hausdorff(a, a) == 0
 
 
+def exact_diameter_oracle(rows, den):
+    """The exact pair loop: the largest integer square over every pair of
+    rows of numerators over den."""
+    best = 0
+    for i, p in enumerate(rows):
+        for q in rows[i + 1:]:
+            best = max(best, sum((a - b) * (a - b) for a, b in zip(p, q)))
+    return sqrt_exact(Fraction(best, den * den))
+
+
+def float_diameter_oracle(arr):
+    """The float row loop: one row of norms per point, scaled by the power
+    of two that brings the widest coordinate extent into [1/2, 1)."""
+    _, e = math.frexp(float((arr.max(axis=0) - arr.min(axis=0)).max()))
+    scale = math.ldexp(1.0, -e)
+    return math.ldexp(max((float(np.linalg.norm((arr[i + 1:] - arr[i]) * scale, axis=1).max())
+                           for i in range(len(arr) - 1)), default=0.0), e)
+
+
+def exact_diameter(s: FinitePointSet):
+    """The diameter of an exact point set, on its integer form."""
+    den, (rows,) = scale_points(s.points)
+    return diameter(int_array(rows), den, True)
+
+
+def float_diameter(coords):
+    """The diameter of float points, on their grid keys."""
+    return diameter(int_array([grid_key(p) for p in coords]), GRID, False)
+
+
 def test_diameter():
-    assert diameter(pts((1, 5))) == 0
-    assert diameter(pts((0,), (3,))) == 3
+    assert exact_diameter(pts((1, 5))) == 0
+    assert exact_diameter(pts((0,), (3,))) == 3
     square = pts((0, 0), (0, 1), (1, 0), (1, 1))
     # oracle: largest of the six pairwise distances
     corners = list(square)
     expected = max(
         euclid(p, q) for i, p in enumerate(corners) for q in corners[i + 1:]
     )
-    assert diameter(square) == expected == sqrt_exact(Fraction(2))
+    assert exact_diameter(square) == expected == sqrt_exact(Fraction(2))
 
 
 def test_diameter_matches_brute_double_loop():
@@ -71,10 +105,10 @@ def test_diameter_matches_brute_double_loop():
     float results bit for bit, exact ones exactly."""
     rng = random.Random(17)
 
-    def brute(s):
-        best = max((squared_distance(p, q) for i, p in enumerate(s.points)
-                    for q in s.points[i + 1:]), default=0)
-        return sqrt_exact(best) if s.exact else math.sqrt(best)
+    def brute(points, exact):
+        best = max((squared_distance(p, q) for i, p in enumerate(points)
+                    for q in points[i + 1:]), default=0)
+        return sqrt_exact(best) if exact else math.sqrt(best)
 
     for dim in (1, 2, 3):
         for _ in range(2):
@@ -82,23 +116,102 @@ def test_diameter_matches_brute_double_loop():
                 [[rng.uniform(-3, 3) for _ in range(dim)] for _ in range(rng.randint(257, 400))],
                 exact=False)
             assert len(cloud) > 256
-            assert diameter(cloud) == brute(cloud)
+            assert float_diameter(cloud.points) == brute(cloud.points, False)
         for n in range(1, 61, 3):
             s = FinitePointSet.from_points(
                 [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(dim)]
                  for _ in range(n)])
-            assert diameter(s) == brute(s)
+            assert exact_diameter(s) == brute(s.points, True)
 
 
 def test_float_diameter_past_the_square_range():
     """Distances whose squares overflow a float, and a small diameter far
     from the origin, come out as the float distance itself."""
-    far = FinitePointSet.from_points([(0.0, 0.0), (1e160, 0.0)], exact=False)
-    assert diameter(far) == 1e160
-    wide = FinitePointSet.from_points([(-1e200, 0.0), (1e200, 0.0), (0.0, 3e199)], exact=False)
-    assert diameter(wide) == 2e200
-    close = FinitePointSet.from_points([(1e280, 0.0), (1e280, 1e-12)], exact=False)
-    assert diameter(close) == 1e-12
+    assert float_diameter([(0.0, 0.0), (1e160, 0.0)]) == 1e160
+    assert float_diameter([(-1e200, 0.0), (1e200, 0.0), (0.0, 3e199)]) == 2e200
+    assert float_diameter([(1e280, 0.0), (1e280, 1e-12)]) == 1e-12
+
+
+def lattice_ring(dim, r=5525):
+    """The lattice points of the circle x^2 + y^2 = r^2 (the x axis alone
+    in 1-D, zeros beyond 2-D): 5525^2 has many such points, so many pairs
+    tie exactly at the diameter and every point lies on the sweep's ball."""
+    ring = [(x, y) for x in range(-r, r + 1) for y in (math.isqrt(r * r - x * x),)
+            if x * x + y * y == r * r]
+    ring += [(x, -y) for x, y in ring if y]
+    return [[*p, *([0] * (dim - 2))][:dim] for p in ring]
+
+
+def diameter_shapes(rng, n, dim):
+    """Integer point sets that stress the sweep: a random cloud, lattice
+    points with many tied pairs, the lattice points of a circle, collinear
+    points and a singleton."""
+    yield [[rng.randint(-1000, 1000) for _ in range(dim)] for _ in range(n)]
+    yield [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(n)]
+    yield lattice_ring(dim)
+    step = [rng.randint(-9, 9) for _ in range(dim)]
+    yield [[k * c for c in step] for k in rng.sample(range(-500, 500), n)]
+    yield [[rng.randint(-9, 9) for _ in range(dim)]]
+
+
+@pytest.mark.parametrize("shift", [0, 2 ** 60 - 2 ** 20, 2 ** 61, 10 ** 30],
+                         ids=["int64", "int64-near-2^60", "object-from-2^60", "object"])
+def test_exact_diameter_matches_the_pair_loop(shift):
+    """Exact diameters equal the pair loop's, in value and type, on the
+    int64 path and on the Python-int path: rows shifted by 2^61 or 10^30
+    go to object arrays, rows of magnitude 2^60 too."""
+    rng = random.Random(shift % 1009)
+    for dim in (1, 2, 3):
+        for n in (2, 7, 40):
+            for shape in diameter_shapes(rng, n, dim):
+                rows = [[c + shift * (-1) ** k for k, c in enumerate(p)] for p in shape]
+                den = rng.choice((1, 3, 2 ** 40))
+                array = int_array(rows)
+                if shift >= 2 ** 62:
+                    assert array.dtype == object
+                got, want = diameter(array, den, True), exact_diameter_oracle(rows, den)
+                assert got == want and type(got) is type(want)
+
+
+def test_float_diameter_allows_for_rounding_in_the_ball_test():
+    """Keys on the 5525 ring, rotated so that the sweep starts at point 117:
+    every point lies on the sweep's ball in the reals, and the pair of the
+    largest float norm is dropped unless the ball test allows for rounding."""
+    ring = lattice_ring(2)
+    ring = ring[117:] + ring[:117]
+    keys = int_array([[1000000172898 + 525791235 * c for c in p] for p in ring])
+    want = float_diameter_oracle(as_float_array(keys, GRID))
+    assert diameter(keys, GRID, False) == want == 5.809993146750001
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e12, 1e280])
+def test_float_diameter_matches_the_row_loop(offset):
+    """Float diameters equal the row loop's bit for bit, on clouds of up to
+    400 points, rings whose pairs tie to within an ulp, lattice ties,
+    collinear points and singletons, near 0 and far from it. On the
+    lattice ring, in keys, pairs that tie exactly in the reals differ in
+    their float norms, and every point lies on the sweep's ball."""
+    rng = random.Random(int(math.log10(offset + 1)))
+    origin = grid_key([offset])[0]
+    for spread in {1.0, max(1.0, offset * 1e-6)}:
+        for dim in (1, 2, 3):
+            unit = max(1, round(spread * GRID / 5525))
+            keys = int_array([[origin + unit * c for c in p] for p in lattice_ring(dim)])
+            assert diameter(keys, GRID, False) == float_diameter_oracle(as_float_array(keys, GRID))
+            for n in (2, 9, 400):
+                shapes = [[[offset + spread * rng.uniform(-1, 1) for _ in range(dim)]
+                           for _ in range(n)],
+                          [[offset + spread * rng.randint(-2, 2) for _ in range(dim)]
+                           for _ in range(n)],
+                          [[offset + spread * c for c in (math.cos(t), math.sin(t), 0.0)[:dim]]
+                           for t in (2 * math.pi * k / n for k in range(n))],
+                          [[offset + spread * k * 1e-3 for _ in range(dim)] for k in range(n)],
+                          [[offset] * dim]]
+                for coords in shapes:
+                    keys = int_array([grid_key(p) for p in coords])
+                    got = diameter(keys, GRID, False)
+                    want = float_diameter_oracle(as_float_array(keys, GRID))
+                    assert got == want and type(got) is float
 
 
 def test_empty_and_mode_errors():
@@ -409,4 +522,4 @@ def test_union_bound_and_diam_bound_small():
         Bs = [_random_set(rng, max_points=4) for _ in range(k)]
         lhs = hausdorff(As[0].union(*As[1:]), Bs[0].union(*Bs[1:]))
         assert lhs <= max(hausdorff(x, y) for x, y in zip(As, Bs))
-        assert hausdorff(As[0], Bs[0]) <= diameter(As[0].union(Bs[0]))
+        assert hausdorff(As[0], Bs[0]) <= exact_diameter(As[0].union(Bs[0]))

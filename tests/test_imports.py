@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-public function has a caller, every field of a public dataclass has a
-reader, no module imports scipy, the package's names load on first use, and
-only the command line sets OpenBLAS's thread count."""
+public function has a caller, every field of a public dataclass and every
+public method has a reader, no module imports scipy, the package's names
+load on first use, and only the command line sets OpenBLAS's thread count."""
 
 import ast
 import dataclasses
@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,29 @@ def test_every_public_field_is_read():
               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
               for field in dataclasses.fields(cls) if field.name not in read}
     assert unread == set(ALLOWED_UNREAD)
+
+
+# Public methods and properties of the classes of __all__ that nothing
+# reads, as "Class.name", and why each stays. An allowance the code no longer
+# needs fails the test too.
+ALLOWED_UNREAD_METHODS = {
+    "OrbitalFuzzySystem.a_priori_bound": "perfbench/tracing.py wraps it by name",
+}
+
+
+def test_every_public_method_is_read():
+    """Each public method or property of a class of __all__ is read as an
+    attribute by a module of the package other than __init__, by a
+    perfbench script or by the README's example."""
+    import fuzzyifs
+
+    read = set().union(*map(attributes_loaded, client_sources()))
+    classes = [getattr(fuzzyifs, name) for name in fuzzyifs.__all__]
+    unread = {f"{cls.__name__}.{name}" for cls in classes if isinstance(cls, type)
+              for name, value in vars(cls).items()
+              if not name.startswith("_") and name not in read
+              and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))}
+    assert unread == set(ALLOWED_UNREAD_METHODS)
 
 
 def imported_modules(source: str) -> set:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,15 @@ from fuzzyifs.fuzzy import (
     join,
     zadeh_pushforward,
 )
-from fuzzyifs.geometry import DimensionMismatchError, FinitePointSet
+from fuzzyifs.geometry import (
+    GRID,
+    DimensionMismatchError,
+    FinitePointSet,
+    diameter,
+    grid_key,
+    int_array,
+    scale_points,
+)
 from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem, SupportCapError
 from fuzzyifs.numeric import sqrt_exact
 from fuzzyifs.properties import _grey
@@ -287,7 +296,7 @@ class TestBounds:
         measured = []
         real_diameter = system_module.diameter
         monkeypatch.setattr(system_module, "diameter",
-                            lambda pts: measured.append(len(pts)) or real_diameter(pts))
+                            lambda rows, *args: measured.append(len(rows)) or real_diameter(rows, *args))
         _, report = system.iterate(u0, tolerance=F(1, 100))
         assert measured == [6]  # three base points and their three images
         monkeypatch.undo()
@@ -355,6 +364,90 @@ class TestBounds:
                 factor = (c ** m - c ** n) / (1 - c)
                 rhs_sq = factor ** 2 * diam_sq
                 assert lhs ** 2 <= rhs_sq if isinstance(lhs, F) else lhs.square <= rhs_sq
+
+
+def crisp_reach_diameter(system, u):
+    """diam(supp u together with ifs.step(supp u)): the reach set built from
+    point tuples by the crisp operator, measured on its integer form."""
+    supp = u.support_set()
+    reach = supp.union(system.ifs.step(supp))
+    if u.exact:
+        den, (rows,) = scale_points(reach.points)
+        return diameter(int_array(rows), den, True)
+    return diameter(int_array([grid_key(p) for p in reach.points]), GRID, False)
+
+
+class TestReachDiameter:
+    """The reach diameter from the step's images of u's integer form."""
+
+    def test_matches_the_crisp_route(self):
+        """Random systems whose grey maps may erase levels, in both modes,
+        and bands whose numerators or keys pass int64."""
+        rng = random.Random(67)
+        erasing = 0
+        cases = [shifted_band(exact, shift) for exact, shift in ((True, 2 ** 70), (False, 10 ** 7))]
+        for _ in range(300):
+            dim = rng.choice((1, 2, 3))
+            system = random_system(rng, dim)
+            u = random_fuzzy(rng, dim, normal=rng.random() < 0.5)
+            erasing += any(g(level) == 0 for g in system.grey_maps for level in u.level_values())
+            cases += [(system, u), (system.to_float(), u.to_float())]
+        for system, u in cases:
+            got, want = system.reach_diameter(u), crisp_reach_diameter(system, u)
+            assert got == want and type(got) is type(want)
+        assert erasing > 50
+
+    def test_a_run_stays_on_the_integer_form(self, monkeypatch):
+        """iterate builds no FinitePointSet and never calls the crisp step."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run left the integer form")
+
+        monkeypatch.setattr(FinitePointSet, "__init__", forbidden)
+        monkeypatch.setattr(IteratedFunctionSystem, "step", forbidden)
+        system, u0 = reference_system(), band_start([F(k, 16) for k in range(17)])
+        for s, u, tol in ((system, u0, F(1, 100)), (system.to_float(), u0.to_float(), 0.01)):
+            s.iterate(u, tolerance=tol)
+            s.iterate(u, steps=3)
+
+    @pytest.mark.parametrize("system, start, error, message", [
+        ("exact", FuzzySet([((F(0),), F(1))]), DimensionMismatchError,
+         "fuzzy set of dimension 1, system of 2"),
+        ("exact", FuzzySet([((F(0), F(0), F(0)), F(1))]), DimensionMismatchError,
+         "fuzzy set of dimension 3, system of 2"),
+        ("exact", band_start([0, 1], exact=False), ValueError,
+         "fuzzy set and system use different numeric modes"),
+        ("float", band_start([0, 1]), ValueError,
+         "fuzzy set and system use different numeric modes"),
+    ], ids=["1-D", "3-D", "float-start", "exact-start"])
+    def test_a_wrong_start_fails_before_any_mapping(self, monkeypatch, system, start, error,
+                                                    message):
+        import fuzzyifs.system as system_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mapped before the checks")
+
+        s = reference_system() if system == "exact" else reference_system().to_float()
+        monkeypatch.setattr(AffineMap, "_apply", forbidden)
+        monkeypatch.setattr(system_module, "diameter", forbidden)
+        with pytest.raises(error) as raised:
+            s.iterate(start, steps=2)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_a_wide_band_is_measured_at_once(self, exact):
+        """4,097 columns x = k/4096: the reach set holds them and their
+        4,097 images at y = 1/2, and the sweep's ball test leaves few."""
+        system, u0 = reference_system(), band_start([F(k, 4096) for k in range(4097)])
+        if not exact:
+            system, u0 = system.to_float(), u0.to_float()
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            diam = system.reach_diameter(u0)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.1
+        assert diam == (sqrt_exact(F(5, 4)) if exact else pytest.approx(math.sqrt(1.25)))
 
 
 class TestFixedPoint:
