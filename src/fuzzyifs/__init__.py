@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 
 # The public names that each module of the package defines.
 _NAMES = {
-    "codespace": ("CodeMetric", "Word", "compose_word", "words_of_length", "words_up_to"),
     "fuzzy": ("EmptyCutError", "EmptySupportError", "FuzzySet", "GreyLevelMap", "GreyMapError",
               "alpha_cut", "apply_grey", "d_infinity", "d_infinity_level_sweep", "join",
               "zadeh_pushforward"),
     "geometry": ("DimensionMismatchError", "EmptySetError", "FinitePointSet", "diameter",
                  "directed_distance", "euclid", "hausdorff"),
     "grid": ("GridFuzzySet", "RenderSpec", "parse_pgm"),
-    "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "SupportCapError"),
+    "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "SupportCapError",
+            "Word", "compose_word", "words_of_length", "words_up_to"),
     "numeric": ("DEFAULT_TOL", "Radical", "le_sum", "sqrt_exact"),
     "scene": ("Scene", "SceneError", "SceneParseError", "StopRule", "load_scene"),
     "system": ("AdmissibilityError", "ContractionViolationError", "ConvergenceReport",
@@ -52,7 +52,6 @@ __all__ = [
     "AffineMap",
     "AdmissibilityError",
     "ContractionViolationError",
-    "CodeMetric",
     "ContractivityReport",
     "ConvergenceReport",
     "DEFAULT_TOL",

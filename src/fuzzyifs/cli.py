@@ -7,7 +7,9 @@
     fuzzyifs render <scene-or-csv> --out-image F [--grid WxH] [--bbox ...]
 
 Exit codes: 0 success, 1 validation, parse or usage error, 2 verification
-failure, 3 resource cap exceeded or out of memory. A --bbox whose x0 is
+failure, 3 resource cap exceeded or out of memory. verify exits 3 before
+any suite when the oracle's last iterate, 2^depth points, would pass the
+support cap, that is from --depth 24 on. A --bbox whose x0 is
 negative is written --bbox=-1,0,1,1, since argparse reads -1,... as an
 option. The render box and raster size, from the scene or from --bbox and
 --grid, are checked by `grid.RenderSpec` before any iteration. Output files
@@ -274,6 +276,15 @@ def _load_csv_points(path):
     return FuzzySet(pairs, exact=False)
 
 
+def _padded(values):
+    """(low, high) around the values, padded by 5% of their extent (0.05 on
+    a zero extent), and by at least 1e-6 and one ulp of the ends, so that
+    the box stays open next to coordinates as large as 1e16."""
+    low, high = min(values), max(values)
+    pad = max(1e-6, 0.05 * (high - low or 1.0), math.ulp(low), math.ulp(high))
+    return low - pad, high + pad
+
+
 def _cmd_render(args) -> int:
     source = args.source
     try:
@@ -296,11 +307,9 @@ def _cmd_render(args) -> int:
             if args.bbox:
                 bbox = _parse_bbox(args.bbox)
             else:
-                xs = [p[0] for p, _ in u.items()]
-                ys = [p[1] for p, _ in u.items()]
-                pad_x = max(1e-6, 0.05 * (max(xs) - min(xs) or 1.0))
-                pad_y = max(1e-6, 0.05 * (max(ys) - min(ys) or 1.0))
-                bbox = (min(xs) - pad_x, min(ys) - pad_y, max(xs) + pad_x, max(ys) + pad_y)
+                xs, ys = zip(*(p for p, _ in u.items()))
+                (x0, x1), (y0, y1) = _padded(xs), _padded(ys)
+                bbox = (x0, y0, x1, y1)
             width, height = _parse_grid(args.grid) if args.grid else (64, 64)
             _write_image(image_tmp, u, RenderSpec(bbox=bbox, width=width, height=height))
     print(f"wrote {args.out_image}")

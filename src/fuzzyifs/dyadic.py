@@ -15,9 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable
 
-from .codespace import Word, words_up_to
 from .fuzzy import FuzzySet, GreyLevelMap
-from .ifs import AffineMap, IteratedFunctionSystem
+from .ifs import AffineMap, IteratedFunctionSystem, Word, words_up_to
 from .system import OrbitalFuzzySystem
 
 REFERENCE_DECAY = Fraction(3, 4)

@@ -29,7 +29,7 @@ from .fuzzy import (
     zadeh_pushforward,
 )
 from .geometry import FinitePointSet, diameter, hausdorff, int_array, scale_points
-from .ifs import AffineMap, IteratedFunctionSystem
+from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
 from .system import ContractionViolationError, OrbitalFuzzySystem
 
 _MAX_REPORTED = 8
@@ -406,8 +406,14 @@ def run_all(trials: int = 200, depth: int = 8, seed: int = 0) -> Dict[str, List[
     """Every suite with per-suite RNGs derived from one seed.
 
     The geometric-decay check is far heavier per case than the rest, so it
-    runs at a reduced case count.
+    runs at a reduced case count. The oracle's last iterate holds 2^depth
+    points, so a depth at which that passes the support cap raises
+    SupportCapError before any suite runs; the comparison is by bit length,
+    so a huge depth builds no huge integer.
     """
+    if depth >= DEFAULT_SUPPORT_CAP.bit_length():
+        raise SupportCapError(f"oracle depth {depth}: the last iterate would hold "
+                              f"2^{depth} points, past the support cap of {DEFAULT_SUPPORT_CAP}")
     master = random.Random(seed)
     results: Dict[str, List[str]] = {}
     for name, fn in _SUITES:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fuzzyifs
+from fuzzyifs import properties
 from fuzzyifs.cli import CliError, _reported, main
 from fuzzyifs.dyadic import enumerated_levels
 from fuzzyifs.fuzzy import apply_grey, join, zadeh_pushforward
@@ -127,6 +128,33 @@ def test_render_scene_and_csv(tmp_path):
     w, h, _, pixels = parse_pgm(csv_image.read_bytes())
     assert (w, h) == (16, 16)
     assert pixels[15, 8] == 255
+
+
+@pytest.mark.parametrize("scene", [BAND, SLICE], ids=["band", "slice"])
+@pytest.mark.parametrize("window", [[], ["--grid", "16x8", "--bbox", "0.25,0,1,0.5"]],
+                         ids=["render-block", "grid-and-bbox"])
+def test_render_of_a_scene_writes_the_image_of_run(tmp_path, scene, window):
+    rendered, ran = tmp_path / "render.pgm", tmp_path / "run.pgm"
+    assert main(["render", scene, "--out-image", str(rendered), *window]) == 0
+    assert main(["run", scene, "--out-image", str(ran), *window]) == 0
+    assert rendered.read_bytes() == ran.read_bytes()
+
+
+@pytest.mark.parametrize("rows, lit", [
+    ("0,0,1,0\n1,1,0.5,0\n", {(61, 2): 255, (2, 61): 128}),
+    ("0.25,0,1,0\n0.25,1,0.5,0\n", {(61, 32): 255, (2, 32): 128}),
+    ("1e16,0.5,1,0\n", {(32, 32): 255}),
+], ids=["box-padded-by-5%", "one-x", "next-to-1e16"])
+def test_render_of_a_csv_finds_its_own_box(tmp_path, rows, lit):
+    """Without --bbox the box pads each axis by 5% of its extent, or by
+    0.05 around a single value, and at least by one ulp of its ends; the
+    grid is 64 x 64 without --grid."""
+    source, image = tmp_path / "trace.csv", tmp_path / "out.pgm"
+    source.write_text("x,y,level,iteration\n" + rows)
+    assert main(["render", str(source), "--out-image", str(image)]) == 0
+    w, h, _, pixels = parse_pgm(image.read_bytes())
+    assert (w, h) == (64, 64)
+    assert {tuple(cell): pixels[tuple(cell)] for cell in np.argwhere(pixels).tolist()} == lit
 
 
 def test_exit_code_validation_error(tmp_path):
@@ -496,6 +524,28 @@ def test_verify_rejects_runs_without_trials(capsys, argv):
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err == "error: verify needs --trials >= 1 and --depth >= 0\n"
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("verify started work on a depth past the support cap")
+
+
+def test_verify_refuses_a_depth_past_the_support_cap(monkeypatch, capsys):
+    """The oracle's last iterate at depth d holds 2^d points, past the cap
+    of 10,000,000 from d = 24 on, so verify exits 3 before any suite."""
+    monkeypatch.setattr(properties, "enumerated_levels", refuse_work)
+    monkeypatch.setattr(OrbitalFuzzySystem, "step", refuse_work)
+    assert main(["verify", "--trials", "1", "--depth", "24"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: oracle depth 24: the last iterate would hold 2^24 points, "
+                   "past the support cap of 10000000\n")
+
+
+def test_verify_runs_a_depth_under_the_support_cap(monkeypatch, capsys):
+    monkeypatch.setattr(properties, "oracle_equivalence_failures", lambda depth: [])
+    assert main(["verify", "--trials", "1", "--depth", "23"]) == 0
+    assert "PASS oracle_equivalence" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzyifs.codespace import words_up_to
 from fuzzyifs.dyadic import (
     REFERENCE_DECAY,
     count_twos,
@@ -10,6 +9,7 @@ from fuzzyifs.dyadic import (
     enumerated_levels,
     reference_system,
 )
+from fuzzyifs.ifs import words_up_to
 from fuzzyifs.properties import oracle_equivalence_failures
 
 F = Fraction

@@ -133,6 +133,7 @@ ARGV = command("run", SCENE_ARGS, RUN_OPTIONS) | \
 @example(argv=["run", BAND, "--steps", "x"])
 @example(argv=["run", BAND, "--bbox", "-1,0,1,1", "--out-image", "@out.pgm"])
 @example(argv=["verify", "--bogus"])
+@example(argv=["verify", "--trials", "1", "--depth", "1000000000"])
 @example(argv=["run", FAR, "--steps", "2", "--out-image", "@out.pgm"])
 @example(argv=["render", FAR, "--out-image", "@out.pgm"])
 def test_the_command_line_ends_in_an_exit_code(argv):

@@ -5,8 +5,14 @@ import pytest
 
 from fuzzyifs.dyadic import dyadic_value, reference_system
 from fuzzyifs.geometry import FinitePointSet, hausdorff
-from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem, SupportCapError
-from fuzzyifs.codespace import words_of_length
+from fuzzyifs.ifs import (
+    AffineMap,
+    IteratedFunctionSystem,
+    SupportCapError,
+    compose_word,
+    words_of_length,
+    words_up_to,
+)
 
 F = Fraction
 
@@ -100,7 +106,6 @@ def test_orbit_contains_every_word_image():
     base = FinitePointSet.from_points([(F(1, 3), F(1, 5)), (F(0), F(1))])
     depth = 3
     orb = sys_.orbit(base, depth)
-    from fuzzyifs.codespace import compose_word, words_up_to
     for word in words_up_to(len(sys_.maps), depth):
         f = compose_word(sys_.maps, word)
         for p in base:

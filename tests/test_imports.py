@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
-public function has a caller, every field of a public dataclass and every
-public method has a reader, no module imports scipy, the package's names
-load on first use, and only the command line sets OpenBLAS's thread count."""
+public function has a caller, every public class, every public function or
+class outside __all__, every field of a public dataclass and every public
+method has a reader, no module imports scipy, the package's names load on
+first use, and only the command line sets OpenBLAS's thread count."""
 
 import ast
 import dataclasses
@@ -66,15 +67,25 @@ ALLOWED_UNCALLED = {
 }
 
 
-def names_read(source: str) -> set:
-    """The names and attribute names that a piece of python reads."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+def names_read(source: str, attributes_only: bool = False) -> set:
+    """The names and attribute names that a piece of python reads, or its
+    attribute names alone. A read inside a function of the same name does
+    not count: a recursive call, or a to_float that calls the to_float of
+    its parts, is no caller."""
+    read = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.update({node.attr} - enclosing)
+        elif isinstance(node, ast.Name) and not attributes_only:
+            read.update({node.id} - enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return read
 
 
 def client_sources() -> list:
@@ -87,14 +98,52 @@ def client_sources() -> list:
                                 (ROOT / "README.md").read_text(encoding="utf-8"), re.DOTALL)
 
 
+def client_reads(attributes_only: bool = False) -> set:
+    return set().union(*(names_read(source, attributes_only) for source in client_sources()))
+
+
+def public_of_all(kind) -> dict:
+    """The names of __all__ whose values pass the test kind, with their
+    values."""
+    import fuzzyifs
+
+    values = {name: getattr(fuzzyifs, name) for name in fuzzyifs.__all__}
+    return {name: value for name, value in values.items() if kind(value)}
+
+
 def test_every_public_function_is_called():
     """Each function of __all__ is read by a module of the package other
     than __init__, by a perfbench script or by the README's example."""
+    assert public_of_all(inspect.isfunction).keys() - client_reads() == set(ALLOWED_UNCALLED)
+
+
+def test_every_public_class_is_read():
+    """Each class of __all__ is read as a name or an attribute by a client
+    source, as its functions are."""
+    assert public_of_all(inspect.isclass).keys() - client_reads() == set()
+
+
+# Public functions and classes that a module of the package defines outside
+# __all__ and that no client source reads, and why each stays. An allowance
+# the code no longer needs fails the test too.
+ALLOWED_UNREAD_OUTSIDE_ALL = {
+    "hausdorff_brute": "the brute-force Hausdorff oracle, a reference implementation kept for tests",
+    "run_suite": "acceptance criterion 6 runs each suite by name",
+    "scene_to_dict": "the scene round-trip tests use it",
+}
+
+
+def test_every_public_name_outside_all_is_read():
+    """Each public function or class that a module of the package defines
+    at its top level, and that __all__ leaves out, is read by a client
+    source."""
     import fuzzyifs
 
-    read = set().union(*map(names_read, client_sources()))
-    functions = {name for name in fuzzyifs.__all__ if inspect.isfunction(getattr(fuzzyifs, name))}
-    assert functions - read == set(ALLOWED_UNCALLED)
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_") and node.name not in fuzzyifs.__all__}
+    assert defined - client_reads() == set(ALLOWED_UNREAD_OUTSIDE_ALL)
 
 
 # Fields of the public dataclasses that nothing reads, as "Class.field", and
@@ -102,22 +151,14 @@ def test_every_public_function_is_called():
 ALLOWED_UNREAD = {}
 
 
-def attributes_loaded(source: str) -> set:
-    """The attribute names that a piece of python reads, as in x.name."""
-    return {node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-
-
 def test_every_public_field_is_read():
     """Each field of a dataclass of __all__ is read as an attribute by a
     module of the package other than __init__, by a perfbench script or by
     the README's example."""
-    import fuzzyifs
-
-    read = set().union(*map(attributes_loaded, client_sources()))
-    classes = [getattr(fuzzyifs, name) for name in fuzzyifs.__all__]
-    unread = {f"{cls.__name__}.{field.name}" for cls in classes
-              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    read = client_reads(attributes_only=True)
+    dataclass_types = public_of_all(lambda value: inspect.isclass(value)
+                                    and dataclasses.is_dataclass(value))
+    unread = {f"{cls.__name__}.{field.name}" for cls in dataclass_types.values()
               for field in dataclasses.fields(cls) if field.name not in read}
     assert unread == set(ALLOWED_UNREAD)
 
@@ -129,20 +170,25 @@ ALLOWED_UNREAD_METHODS = {
     "OrbitalFuzzySystem.a_priori_bound": "perfbench/tracing.py wraps it by name",
 }
 
+# Public methods that only a method of the same name reads, and why each
+# stays. An allowance the code no longer needs fails the test too.
+ALLOWED_SELF_READ_METHODS = dict.fromkeys(
+    ["AffineMap.to_float", "GreyLevelMap.to_float", "IteratedFunctionSystem.to_float",
+     "OrbitalFuzzySystem.to_float", "FuzzySet.to_float"],
+    "it builds the float twin of an exact object for the cross-mode tests")
+
 
 def test_every_public_method_is_read():
     """Each public method or property of a class of __all__ is read as an
     attribute by a module of the package other than __init__, by a
-    perfbench script or by the README's example."""
-    import fuzzyifs
-
-    read = set().union(*map(attributes_loaded, client_sources()))
-    classes = [getattr(fuzzyifs, name) for name in fuzzyifs.__all__]
-    unread = {f"{cls.__name__}.{name}" for cls in classes if isinstance(cls, type)
+    perfbench script or by the README's example, outside a method of the
+    same name."""
+    read = client_reads(attributes_only=True)
+    unread = {f"{cls.__name__}.{name}" for cls in public_of_all(inspect.isclass).values()
               for name, value in vars(cls).items()
               if not name.startswith("_") and name not in read
               and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))}
-    assert unread == set(ALLOWED_UNREAD_METHODS)
+    assert unread == {*ALLOWED_UNREAD_METHODS, *ALLOWED_SELF_READ_METHODS}
 
 
 def imported_modules(source: str) -> set:
