@@ -135,12 +135,16 @@ class GreyLevelMap:
         return GreyLevelMap(breakpoints=tuple((float(t), float(v)) for t, v in self.breakpoints))
 
     def __call__(self, t: Scalar) -> Scalar:
-        if -1e-12 <= t < 0:
-            t = 0
-        elif 1 < t <= 1 + 1e-12:
-            t = 1
+        # Rounding noise within 1e-12 of [0, 1] is clamped; the float bounds
+        # are tested only outside [0, 1], since comparing a Fraction with a
+        # float converts the float to a Fraction first.
         if not (0 <= t <= 1):
-            raise GreyMapError(f"grey map evaluated at {t!r}, outside [0, 1]")
+            if -1e-12 <= t < 0:
+                t = 0
+            elif 1 < t <= 1 + 1e-12:
+                t = 1
+            else:
+                raise GreyMapError(f"grey map evaluated at {t!r}, outside [0, 1]")
         pts = self.breakpoints
         # The last breakpoint at or before t: at a jump, the right value.
         k = bisect.bisect_right(pts, t, key=itemgetter(0)) - 1
@@ -188,15 +192,18 @@ class FuzzySet:
     numerators over one common denominator D, one row per support point in
     support order (the order in which the points first came), and an array
     of the ranks of their levels in an ascending table of exactly the levels
-    present, preceded by 0 at rank 0. Exact sets take the least D (the lcm
-    of the reduced denominators of their coordinates); float sets take
-    D = 10^12 and the keys of `geometry.grid_key`. The numerators are int64
-    while every one lies below 2^62 in magnitude (`geometry.INT64_BOUND`),
-    and Python ints in an object array otherwise.
+    present, preceded by 0 at rank 0. Ranks take the smallest unsigned
+    dtype that holds the table (`_rank_dtype`): uint8 up to 256 entries, so
+    one byte per point, then uint16, then intp. Exact sets take the least D
+    (the lcm of the reduced denominators of their coordinates); float sets
+    take D = 10^12 and the keys of `geometry.grid_key`. The numerators are
+    int64 while every one lies below 2^62 in magnitude
+    (`geometry.INT64_BOUND`), and Python ints in an object array otherwise.
     Equal sets hold the same rows and ranks up to their order, and `==`
-    compares them sorted. `scaled()` gives that form to the step, the metric
-    and the writers; `items()`, `level()`, `support_set()` and
-    `level_values()` give Fractions, or floats n / D.
+    compares their values sorted, whatever the dtypes. `scaled()` gives
+    that form to the step, the metric and the writers; `items()`,
+    `level()`, `support_set()` and `level_values()` give Fractions, or
+    floats n / D.
     """
 
     __slots__ = ("_points", "_ranks", "_den", "_levels", "_items", "_index", "exact",
@@ -243,8 +250,8 @@ class FuzzySet:
         rank_of = [0] * len(order)
         for r, i in enumerate(order, 1):
             rank_of[i] = r
-        ranks = np.array([rank_of[i] for i in ids], dtype=np.intp)
         levels = (Fraction(0) if exact else 0.0, *(distinct[i] for i in order))
+        ranks = np.array([rank_of[i] for i in ids], dtype=_rank_dtype(len(levels)))
         if len(set(zip(*[iter(coords)] * dimension))) < len(ids):
             points, ranks = _merge_rows(points, ranks)
             levels, ranks = _cut_levels(levels, ranks)
@@ -286,8 +293,9 @@ class FuzzySet:
         n x d array of the support's numerators over D in support order
         (int64, or Python ints in an object array), ranks the array of the
         index of each point's level in levels, the ascending table of the
-        levels present preceded by 0. The arrays are the set's own; do not
-        modify them."""
+        levels present preceded by 0: uint8 for a table of at most 256
+        entries, uint16 up to 65,536, intp beyond. The arrays are the set's
+        own; do not modify them."""
         return self._den, self._levels, self._points, self._ranks
 
     def items(self):
@@ -370,16 +378,33 @@ class FuzzySet:
         return f"FuzzySet({len(self)} points, max level {self.max_level})"
 
 
+def _rank_dtype(size: int):
+    """The smallest unsigned dtype for ranks into a level table of `size`
+    entries: uint8 up to 256, uint16 up to 65,536, intp beyond."""
+    return np.uint8 if size <= 256 else np.uint16 if size <= 65536 else np.intp
+
+
+def _sorted_runs(columns) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of rows given by their columns, the
+    first column leading, and whether each row along it but the first
+    equals the row before: compared a column at a time, without the sorted
+    rows. lexsort copies a strided column; a contiguous one it reads."""
+    order = np.lexsort(columns[::-1])
+    same = np.ones(len(order) - 1, dtype=bool)
+    for column in columns:
+        column = column[order]
+        same &= column[1:] == column[:-1]
+    return order, same
+
+
 def _merge_rows(points: np.ndarray, ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct rows of points in the order of their first occurrence,
     each with the highest of its ranks: one stable lexsort, so that a row's
     first occurrence leads its run, and one maximum per run."""
-    order = np.lexsort(points.T[::-1])
-    rows = points[order]
-    starts = np.logical_or.reduce(rows[1:] != rows[:-1], axis=1)
-    if np.count_nonzero(starts) == len(starts):
+    order, same = _sorted_runs(list(points.T))
+    if not same.any():
         return points, ranks
-    start = np.flatnonzero(np.concatenate(([True], starts)))
+    start = np.flatnonzero(np.concatenate(([True], ~same)))
     first = order[start]
     top = np.maximum.reduceat(ranks[order], start)
     keep = np.argsort(first)
@@ -387,12 +412,13 @@ def _merge_rows(points: np.ndarray, ranks: np.ndarray) -> Tuple[np.ndarray, np.n
 
 
 def _cut_levels(levels: Tuple[Scalar, ...], ranks: np.ndarray):
-    """The table cut to the ranks in use, and the ranks renumbered to it."""
+    """The table cut to the ranks in use, and the ranks renumbered to it in
+    the rank dtype of the cut table."""
     present = np.bincount(ranks, minlength=len(levels)) > 0
     if np.count_nonzero(present) == len(levels) - 1:
         return levels, ranks
     levels = (levels[0], *(level for level, kept in zip(levels[1:], present[1:].tolist()) if kept))
-    return levels, np.cumsum(present)[ranks]
+    return levels, np.cumsum(present, dtype=_rank_dtype(len(levels)))[ranks]
 
 
 def alpha_cut(u: FuzzySet, alpha: Scalar) -> FinitePointSet:
@@ -440,13 +466,15 @@ def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
     the geometry kernel against the targets sorted by level, highest first,
     each point limited to the prefix at its level or above; the kernel
     answers every prefix from one grid of cells per round. Ranks are in the
-    pair's merged level table. The caller has checked that both sets reach
-    the same top level, so no prefix is empty."""
+    pair's merged level table, unsigned, so the descending order sorts
+    top - ranks. The kernel reads the pending points and the sorted targets
+    from the sets' own arrays through their indices. The caller has checked
+    that both sets reach the same top level, so no prefix is empty."""
     if not len(pending):
         return 0
-    order = np.argsort(-target_ranks, kind="stable")
+    order = np.argsort(target_ranks.max() - target_ranks, kind="stable")
     limits = len(targets) - np.searchsorted(target_ranks[order][::-1], ranks[pending])
-    return directed_max_squared(points[pending], targets[order], den, exact, limits)
+    return directed_max_squared(points, targets, den, exact, limits, pending, order)
 
 
 def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: bool):
@@ -470,11 +498,10 @@ def _uncovered(us: np.ndarray, ur: np.ndarray, vs: np.ndarray, vr: np.ndarray):
     """The indices of the points of each set that the other set does not
     hold at their rank or above. One lexsort of both sets finds the points
     they share: a shared point's row in u directly precedes its row in v,
-    since a set holds each point once and the sort is stable."""
-    both = np.concatenate((us, vs))
-    order = np.lexsort(both.T[::-1])
-    rows = both[order]
-    shared = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+    since a set holds each point once and the sort is stable. Both sets are
+    joined a column at a time, so that the sort reads contiguous columns."""
+    order, same = _sorted_runs([np.concatenate(pair) for pair in zip(us.T, vs.T)])
+    shared = np.flatnonzero(same)
     in_u, in_v = order[shared], order[shared + 1] - len(us)
     u_other, v_other = np.zeros_like(ur), np.zeros_like(vr)
     u_other[in_u], v_other[in_v] = vr[in_v], ur[in_u]
@@ -531,7 +558,8 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
                   for w, w_rank in ((u, u_rank), (v, v_rank)))
         best = max(_directed_small(us, vs, den, exact), _directed_small(vs, us, den, exact))
     else:
-        ur, vr = np.array(u_rank)[u._ranks], np.array(v_rank)[v._ranks]
+        dtype = _rank_dtype(len(rank))
+        ur, vr = np.array(u_rank, dtype=dtype)[u._ranks], np.array(v_rank, dtype=dtype)[v._ranks]
         us, vs = _on_scale(u, den), _on_scale(v, den)
         u_pending, v_pending = _uncovered(us, ur, vs, vr)
         best = max(_directed(us, ur, vs, vr, u_pending, den, exact),

@@ -231,8 +231,8 @@ def directed_distance_brute(a: FinitePointSet, b: FinitePointSet):
 
 def _nn_radius_slack(query: np.ndarray, data: np.ndarray) -> float:
     # Absolute slack dominating every float rounding error in the candidate
-    # shortlist; scales with coordinate magnitude.
-    magnitude = max(float(np.abs(query).max()), float(np.abs(data).max()))
+    # shortlist; scales with coordinate magnitude, the largest |entry|.
+    magnitude = max(float(query.max()), -float(query.min()), float(data.max()), -float(data.min()))
     return 1e-9 * max(1.0, magnitude)
 
 
@@ -247,22 +247,19 @@ def scale_points(*groups: Sequence[Point]) -> Tuple[int, List[List[Tuple[int, ..
 
 def as_float_array(points: np.ndarray, den: int,
                    origin: Optional[np.ndarray] = None) -> np.ndarray:
-    """Float coordinates (n - origin) / den of an array of integer numerators
-    over den, origin an integer point (0 when None): the correctly rounded
-    quotient, like float(Fraction(n - o, den)), which stays in float range
-    when n and den do not. Floats divide when n - o and den are exact as
-    floats, an IEEE division being correctly rounded; Python's int true
+    """Float coordinates (n - origin) / den of a nonempty array of integer
+    numerators over den, origin an integer point (0 when None): the
+    correctly rounded quotient, like float(Fraction(n - o, den)), which
+    stays in float range when n and den do not. Floats divide when n - o
+    and den are exact as floats, as every integer of magnitude at most 2^53
+    is, an IEEE division being correctly rounded; Python's int true
     division does otherwise. OverflowError when n - o is too large for a
     float."""
     if origin is not None:
         points = points - origin
-    if points.dtype != object and den < 2 ** 1024 and float(den) == den:
-        floats = points.astype(float)
-        # A float past the int64 range casts to a wrong int, which fails
-        # the comparison as it should.
-        with np.errstate(invalid="ignore"):
-            if np.array_equal(floats.astype(np.int64), points):
-                return floats / den
+    if points.dtype != object and den < 2 ** 1024 and float(den) == den \
+            and magnitude(points) <= 2 ** 53:
+        return points / float(den)
     return (points.astype(object) / den).astype(float)
 
 
@@ -334,79 +331,100 @@ _MAX_CELLS = 2 ** 50
 # The candidate pairs a grid round holds at once, one point's aside: about
 # 1 MB of arrays. Blocks of _BRUTE_PAIR_LIMIT pairs took twice as long on
 # points whose cells hold thousands of targets; larger blocks than these
-# took at most a quarter less time, for several times the memory.
+# took at most a quarter less time, for several times the memory. A round
+# takes its points in blocks of a quarter as many, whose dozen or so arrays
+# of one entry per point then hold less than a block of pairs; the exact
+# check takes its upper bounds in blocks of _GRID_BLOCK points.
 _GRID_BLOCK = 4 * _BRUTE_PAIR_LIMIT
 
 
-def _key(cells: np.ndarray, strides: List[float]) -> np.ndarray:
-    """The key of each column of integer cell coordinates: their sum
-    weighted by the strides, exact in floats below 2^53."""
-    total = cells[0] * strides[0]
-    for k in range(1, len(strides)):
-        total += cells[k] * strides[k]
+def _key(cells: Iterable[np.ndarray], strides: List[float]) -> np.ndarray:
+    """The key of each point from its integer cell coordinates, given one
+    axis at a time: their sum weighted by the strides, exact in floats
+    below 2^53."""
+    axes = zip(cells, strides)
+    column, stride = next(axes)
+    total = column * stride
+    for column, stride in axes:
+        total += column * stride
     return total
 
 
-def _grid_round(query: np.ndarray, data: np.ndarray, limits: np.ndarray, h: float,
-                low: np.ndarray, high: np.ndarray):
+def _grid_round(query: np.ndarray, data: np.ndarray, limits: np.ndarray, todo: np.ndarray,
+                h: float, low: np.ndarray, high: np.ndarray, best: np.ndarray,
+                nearest: np.ndarray) -> bool:
     """One round of the prefix search with cells of side 2h, h a power of
-    two: the float squared distance and index of each query point's
-    nearest target among the first limits[i] that lie in the 2^d cells
-    around the half cell holding the point, which hold every target within
-    h of it (inf and index 0 for a point with none); None when the box
-    [low, high] holding all points has more than _MAX_CELLS cells.
+    two: writes to best and nearest, for each query point i in todo, the
+    float squared distance and index of its nearest target among the first
+    limits[i] that lie in the 2^d cells around the half cell holding the
+    point, which hold every target within h of it (inf and index 0 for a
+    point with none). False, with nothing written, when the box [low, high]
+    holding all points has more than _MAX_CELLS cells.
 
     Cells are keyed by their integer coordinates relative to the corner
-    low, and the targets are sorted by key once. Dividing by a power of two
-    is exact, so the cells are too: a point whose half cell index along an
-    axis is j gets the cells (j + 1) // 2 - 1 and (j + 1) // 2 there,
-    which cover [x - h, x + h]. Only the targets of a cell inside a point's
-    prefix become its candidates: sorted by key and then by index, those
-    start the cell's run of targets. The points are taken in blocks of at
-    most _GRID_BLOCK candidate pairs, or one point, at a time."""
+    low, and the targets are sorted by key once per round. Dividing by a
+    power of two is exact, so the cells are too: a point whose half cell
+    index along an axis is j gets the cells (j + 1) // 2 - 1 and
+    (j + 1) // 2 there, which cover [x - h, x + h]. Only the targets of a
+    cell inside a point's prefix become its candidates: sorted by key and
+    then by index, those start the cell's run of targets. The points todo
+    go in blocks of _GRID_BLOCK // 4 points, whose coordinates are gathered
+    an axis at a time, so that apart from the targets' keys, order and runs
+    only best and nearest hold an entry per query point. A block's
+    candidates are taken in blocks of at most _GRID_BLOCK pairs, or one
+    point, at a time."""
     side = 2 * h
-    cell_low = np.floor(low / side)[:, None] - 1
+    cell_low = np.floor(low / side) - 1
     strides = [1.0]
-    for width in (np.floor(high / side)[:, None] - cell_low + 2).ravel().tolist():
+    for width in (np.floor(high / side) - cell_low + 2).tolist():
         strides.append(strides[-1] * width)
     if not strides.pop() <= _MAX_CELLS:
-        return None
-    keys = _key(np.floor(data / side) - cell_low, strides)
+        return False
+    cell_low = cell_low.tolist()
+    keys = _key((np.floor(axis / side) - c for axis, c in zip(data, cell_low)), strides)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # Each target's cell number times the targets plus its index: a sorted
     # array, in which a cell's targets inside a prefix are found by a search.
-    runs = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1]))) * len(order) + order
-    base = _key((np.floor(query / h) - 2 * cell_low + 1) // 2 - 1, strides)
-    # Searching the keys in sorted order keeps the binary searches local.
-    rows = np.argsort(base, kind="stable")
-    base = base[rows]
+    runs = np.zeros(len(order), dtype=np.int64)
+    np.cumsum(keys[1:] != keys[:-1], out=runs[1:])
+    runs *= len(order)
+    runs += order
     corners = [0.0]
     for stride in strides:
         corners += [c + stride for c in corners]
-    best = np.full(len(rows), np.inf)
-    nearest = np.zeros(len(rows), dtype=np.int64)
-    for corner in corners:
-        first = np.searchsorted(keys, base + corner, "left")
-        hit = np.flatnonzero(np.searchsorted(keys, base + corner, "right") > first)
-        start = first[hit]
-        counts = np.searchsorted(runs, runs[start] - order[start] + limits[rows[hit]]) - start
-        ends = counts.cumsum()
-        done = 0
-        while done < len(hit):
-            cap = ends[done] - counts[done] + _GRID_BLOCK
-            block = slice(done, max(done + 1, int(np.searchsorted(ends, cap, "right"))))
-            done = block.stop
-            taken = counts[block]
-            row = np.repeat(rows[hit[block]], taken)
-            index = np.arange(len(row))
-            index += np.repeat(start[block] - taken.cumsum() + taken, taken)
-            index = order[index]
-            squares = _squares((axis[index] for axis in data), (axis[row] for axis in query))
-            np.minimum.at(best, row, squares)
-            hit_best = squares == best[row]
-            nearest[row[hit_best]] = index[hit_best]
-    return best, nearest
+    step = max(1, _GRID_BLOCK // 4)
+    for chunk in (todo[start:start + step] for start in range(0, len(todo), step)):
+        base = _key(((np.floor(query[k, chunk] / h) - 2 * c + 1) // 2 - 1
+                     for k, c in enumerate(cell_low)), strides)
+        # Searching the keys in sorted order keeps the binary searches local.
+        rows = np.argsort(base, kind="stable")
+        base = base[rows]
+        rows = chunk[rows]
+        best[rows] = np.inf
+        nearest[rows] = 0
+        for corner in corners:
+            first = np.searchsorted(keys, base + corner, "left")
+            hit = np.flatnonzero(np.searchsorted(keys, base + corner, "right") > first)
+            start = first[hit]
+            hit = rows[hit]
+            counts = np.searchsorted(runs, runs[start] - order[start] + limits[hit]) - start
+            ends = counts.cumsum()
+            done = 0
+            while done < len(hit):
+                cap = ends[done] - counts[done] + _GRID_BLOCK
+                block = slice(done, max(done + 1, int(np.searchsorted(ends, cap, "right"))))
+                done = block.stop
+                taken = counts[block]
+                row = np.repeat(hit[block], taken)
+                index = np.arange(len(row))
+                index += np.repeat(start[block] - taken.cumsum() + taken, taken)
+                index = order[index]
+                squares = _squares((axis[index] for axis in data), (axis[row] for axis in query))
+                np.minimum.at(best, row, squares)
+                hit_best = squares == best[row]
+                nearest[row[hit_best]] = index[hit_best]
+    return True
 
 
 # The number of points whose exact minima set the first cell size.
@@ -421,7 +439,10 @@ def _prefix_nearest(query: np.ndarray, data: np.ndarray, limits: np.ndarray):
 
     A sample of _SAMPLE points is scanned first (`_scan`); the median of
     its positive minima sets h, and the other points go through rounds of
-    `_grid_round`, h doubling from round to round. A point whose best
+    `_grid_round`, h doubling from round to round. The points left are
+    ordered by their last coordinate once, and each round takes them in
+    blocks of that order, so that only the results and the indices of the
+    points left hold an entry per query point. A point whose best
     candidate is no farther than h has its nearest: every target outside
     its cells is farther than h along some axis, so its float squared
     distance is at least h^2, h being a power of two. A point whose
@@ -442,7 +463,10 @@ def _prefix_nearest(query: np.ndarray, data: np.ndarray, limits: np.ndarray):
     nearest = np.zeros(size, dtype=np.int64)
     sample = np.arange(0, size, -(-size // _SAMPLE))
     best[sample], nearest[sample] = _scan(query[:, sample], data, limits[sample])
+    # The other points by their last coordinate, which leads the cell keys,
+    # so that the points of a block search a narrow range of the keys.
     todo = np.delete(np.arange(size), sample)
+    todo = todo[np.argsort(query[-1, todo], kind="stable")]
     minima = sorted(best[sample].tolist())
     known = minima[-1]
     positive = [square for square in minima if square > 0]
@@ -456,24 +480,42 @@ def _prefix_nearest(query: np.ndarray, data: np.ndarray, limits: np.ndarray):
     h = max(min(h, reach), math.ulp(max(-low.min(), high.max(), 0.0)))
     h = math.ldexp(1.0, math.frexp(h)[1])
     while len(todo) * data.shape[1] > _BRUTE_PAIR_LIMIT:
-        found = _grid_round(query[:, todo], data, limits[todo], h, low, high)
-        if found is not None:
-            best[todo], nearest[todo] = found
-            done = (found[0] <= h * h) | (h > reach)
+        if _grid_round(query, data, limits, todo, h, low, high, best, nearest):
+            found = best[todo]
+            done = (found <= h * h) | (h > reach)
             if done.any():
-                known = max(known, float(found[0][done].max()))
-            todo = todo[~(done | (found[0] <= known))]
+                known = max(known, float(found[done].max()))
+            todo = todo[~(done | (found <= known))]
         h *= 2
     if len(todo):
         best[todo], nearest[todo] = _scan(query[:, todo], data, limits[todo])
     return best, nearest
 
 
+def _float_columns(group: np.ndarray, index: np.ndarray, den: int,
+                   origin: Optional[np.ndarray]) -> np.ndarray:
+    """The float coordinates (n - origin) / den of the rows group[index] of
+    integer numerators over den, origin an integer point (0 when None), as
+    a d x n array built one column at a time by `as_float_array`."""
+    columns = np.empty((group.shape[1], len(index)))
+    for k, column in enumerate(columns):
+        # A one-entry slice of the origin, not its entry: an int64 column
+        # minus a Python int past int64 overflows, where arrays of int64 and
+        # Python ints subtract in Python ints.
+        column[:] = as_float_array(group[index, k], den, None if origin is None else origin[k:k + 1])
+    return columns
+
+
 def directed_max_squared(points, targets, den: Optional[int], exact: bool,
-                         limits: Optional[Sequence[int]] = None):
-    """Max over `points` of the min squared distance into `targets`, point i
-    looking only at the prefix targets[:limits[i]] (all of them when limits
-    is None; every limit is at least 1).
+                         limits: Optional[Sequence[int]] = None,
+                         rows: Optional[np.ndarray] = None, order: Optional[np.ndarray] = None):
+    """Max over the points of the min squared distance into the targets,
+    point i looking only at the prefix of the first limits[i] targets (all
+    of them when limits is None; every limit is at least 1). For arrays,
+    the index arrays rows and order select the points points[rows] and the
+    targets targets[order] (all rows, in order, when None); the kernel reads
+    them through the indices, a column or a block at a time, and holds no
+    gathered copy of either.
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
     and `d_infinity`, whose per-point limits are level-sorted prefixes. The
@@ -490,50 +532,59 @@ def directed_max_squared(points, targets, den: Optional[int], exact: bool,
       grid, by `_scan_squared` on Python ints;
     - otherwise through a float near neighbour of each point in its prefix,
       the coordinates taken relative to the first target so that only the
-      spread of the points must fit a float. Its exact squared distance,
-      computed for all points at once, bounds the point's minimum from
-      above, so only a point whose bound exceeds the largest minimum so far
-      compares exactly with the prefix targets within the rounding slack of
-      its float distance, which hold its true nearest. Points go in
-      decreasing float distance, so few of them do. A spread too large for
-      floats raises GridRangeError.
+      spread of the points must fit a float. Its exact squared distance
+      bounds the point's minimum from above, so only a point whose bound
+      exceeds the largest minimum so far compares exactly with the prefix
+      targets within the rounding slack of its float distance, which hold
+      its true nearest. Points go in decreasing float distance, so few of
+      them do, and their bounds are computed a block of _GRID_BLOCK points
+      at a time, from just the rows of the points and of their near
+      neighbours. A spread too large for floats raises GridRangeError.
     """
-    if exact and (len(points) * len(targets) if limits is None else int(np.sum(limits))) \
-            <= _BRUTE_PAIR_LIMIT:
+    size = len(points) if rows is None else len(rows)
+    count = len(targets) if order is None else len(order)
+    if exact and (size * count if limits is None else int(np.sum(limits))) <= _BRUTE_PAIR_LIMIT:
         if isinstance(points, np.ndarray):
-            points, targets = points.tolist(), targets.tolist()
-        limits = [len(targets)] * len(points) if limits is None else np.asarray(limits).tolist()
+            points = (points if rows is None else points[rows]).tolist()
+            targets = (targets if order is None else targets[order]).tolist()
+        limits = [count] * size if limits is None else np.asarray(limits).tolist()
         return _scan_squared(points, targets, limits)
     if den is None:
         points, targets = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
     elif not isinstance(points, np.ndarray):
         points, targets = int_array(points), int_array(targets)
-    limits = np.full(len(points), len(targets)) if limits is None else np.asarray(limits)
+    rows = np.arange(size) if rows is None else rows
+    order = np.arange(count) if order is None else order
+    limits = np.full(size, count) if limits is None else np.asarray(limits)
     if den is None:
-        data, query = targets.T.copy(), points.T.copy()
+        data, query = targets[order].T.copy(), points[rows].T.copy()
     else:
-        origin = targets[0] if exact else None
+        origin = targets[order[0]] if exact else None
         try:
-            data, query = (as_float_array(group, den, origin).T.copy() for group in (targets, points))
+            data, query = (_float_columns(group, index, den, origin)
+                           for group, index in ((targets, order), (points, rows)))
         except OverflowError:
             raise GridRangeError("exact points too far apart for float coordinates") from None
     best, nearest = _prefix_nearest(query, data, limits)
-    dist = np.sqrt(best)
+    dist = np.sqrt(best, out=best)
     if not exact:
         return float(dist.max()) ** 2
-    radius = dist + _nn_radius_slack(query, data)
+    slack = _nn_radius_slack(query, data)
 
     def exact_minimum(i: int) -> int:
-        shortlist = np.flatnonzero(_squares(data[:, :limits[i]], query[:, i]) <= radius[i] ** 2)
-        return int(_exact_squares(points[i], targets[shortlist]).min())
+        radius = dist[i] + slack
+        shortlist = np.flatnonzero(_squares(data[:, :limits[i]], query[:, i]) <= radius ** 2)
+        return int(_exact_squares(points[rows[i]], targets[order[shortlist]]).min())
 
-    order = np.argsort(-dist, kind="stable")
-    upper = _exact_squares(points, targets[nearest])
-    worst = exact_minimum(order[0])
-    rest = order[1:][upper[order[1:]] > worst]
-    for i, bound in zip(rest.tolist(), upper[rest].tolist()):
-        if bound > worst:
-            worst = max(worst, exact_minimum(i))
+    by_distance = np.argsort(-dist, kind="stable")
+    worst = exact_minimum(by_distance[0])
+    for start in range(1, size, _GRID_BLOCK):
+        block = by_distance[start:start + _GRID_BLOCK]
+        upper = _exact_squares(points[rows[block]], targets[order[nearest[block]]])
+        ahead = np.flatnonzero(upper > worst)
+        for i, bound in zip(block[ahead].tolist(), upper[ahead].tolist()):
+            if bound > worst:
+                worst = max(worst, exact_minimum(i))
     return worst
 
 

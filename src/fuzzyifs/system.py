@@ -38,6 +38,7 @@ from .fuzzy import (  # noqa: F401
     GreyLevelMap,
     _merge_rows,
     _on_scale,
+    _rank_dtype,
     apply_grey,
     d_infinity,
     join,
@@ -106,8 +107,10 @@ class OrbitalFuzzySystem:
 
     ifs: IteratedFunctionSystem
     grey_maps: Tuple[GreyLevelMap, ...]
-    # Exact systems: (L, ((linear, offset), ...)), every map times the least
-    # common denominator L of all entries and offsets, in ints; float: (1, ()).
+    # Exact systems: (L, ((linear map, offset), ...)), every map times the
+    # least common denominator L of all entries and offsets, in ints, its
+    # linear part an AffineMap with a zero offset whose plan is built here
+    # once; float: (1, ()).
     _scaled_maps: tuple = field(init=False, repr=False, compare=False, default=(1, ()))
     # The admissibility violations, found once; `validate` returns them and
     # every step and iteration raises on them.
@@ -123,7 +126,8 @@ class OrbitalFuzzySystem:
             den, (rows,) = scale_points([row for f in self.ifs.maps
                                          for row in (*f.linear, f.offset)])
             d = self.dimension
-            maps = tuple((tuple(rows[k:k + d]), rows[k + d])
+            zero = (0,) * d
+            maps = tuple((AffineMap(tuple(rows[k:k + d]), zero), rows[k + d])
                          for k in range(0, len(rows), d + 1))
             object.__setattr__(self, "_scaled_maps", (den, maps))
 
@@ -190,7 +194,8 @@ class OrbitalFuzzySystem:
         grey = [[convert(g(level)) for level in levels] for g in self.grey_maps]
         new_levels = tuple(sorted({level for row in grey for level in row}))
         rank = {level: i for i, level in enumerate(new_levels)}
-        relits = [np.array([rank[level] for level in row]) for row in grey]
+        dtype = _rank_dtype(len(new_levels))
+        relits = [np.array([rank[level] for level in row], dtype=dtype) for row in grey]
         parts, part_ranks, gathered = [], [], 0
         for k, relit in enumerate(relits):
             new = relit[ranks]
@@ -207,14 +212,18 @@ class OrbitalFuzzySystem:
                     raise SupportCapError(f"support grew past the cap of {support_cap} points")
         if not parts:
             raise EmptySupportError("the operator erased the whole support")
-        return FuzzySet._from_images(np.concatenate(parts), np.concatenate(part_ranks),
-                                     den * self._scaled_maps[0], new_levels, u.dimension, u.exact)
+        # The parts go before the merge, whose sort needs about as much again.
+        points, point_ranks = np.concatenate(parts), np.concatenate(part_ranks)
+        del parts, part_ranks
+        return FuzzySet._from_images(points, point_ranks, den * self._scaled_maps[0], new_levels,
+                                     u.dimension, u.exact)
 
     def _image(self, u: FuzzySet, k: int, rows=slice(None)) -> np.ndarray:
         """The images under map k of u's rows after checking u's mode and
         dimension: numerators over D*L for an exact map times L (see
-        `_scaled_maps`), in int64 while a bound on them allows; for a float
-        map, `grid_keys` of `AffineMap._apply` on the floats n / D."""
+        `_scaled_maps`), its linear part applied to the numerators and its
+        offset times D added, in int64 while a bound on them allows; for a
+        float map, `grid_keys` of `AffineMap._apply` on the floats n / D."""
         if u.exact != self.exact:
             raise ValueError("fuzzy set and system use different numeric modes")
         if u.dimension != self.dimension:
@@ -223,18 +232,18 @@ class OrbitalFuzzySystem:
         den, _, points, _ = u.scaled()
         points = points[rows]
         if u.exact:
-            linear, offset = self._scaled_maps[1][k]
+            plan, offset = self._scaled_maps[1][k]
             # Every image numerator is below this bound.
             top = max(magnitude(points), 1)
-            bound = max(top * sum(map(abs, row)) + abs(b) * den for row, b in zip(linear, offset))
+            bound = max(top * sum(map(abs, row)) + abs(b) * den for row, b in zip(plan.linear, offset))
             columns = list(points.astype(np.int64 if bound < INT64_BOUND else object, copy=False).T)
-            image = AffineMap(linear, tuple(b * den for b in offset))._apply
+            image = [c + b * den if b else c for c, b in zip(plan._apply(columns), offset)]
         else:
             columns = list(as_float_array(points, den).T)
-            image = self.ifs.maps[k]._apply
+            image = self.ifs.maps[k]._apply(columns)
         # A row of a map without linear terms gives a scalar component.
         block = np.empty((len(points), u.dimension), dtype=columns[0].dtype)
-        for j, component in enumerate(image(columns)):
+        for j, component in enumerate(image):
             block[:, j] = component
         return block if u.exact else grid_keys(block)
 
@@ -244,7 +253,7 @@ class OrbitalFuzzySystem:
         den = u.scaled()[0] * self._scaled_maps[0]
         reach = np.concatenate([_on_scale(u, den),
                                 *(self._image(u, k) for k in range(len(self.ifs.maps)))])
-        return diameter(_merge_rows(reach, np.zeros(len(reach), dtype=np.intp))[0], den, self.exact)
+        return diameter(_merge_rows(reach, np.zeros(len(reach), dtype=np.uint8))[0], den, self.exact)
 
     def bounds(self, diam: Scalar) -> Iterator[Scalar]:
         """The a-priori bound C^m/(1-C) times diam at m = 0, 1, 2, ... for a

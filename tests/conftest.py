@@ -23,11 +23,11 @@ class KernelCounts:
                 counts.sorts += 1
                 return np.argsort(*args, **kwargs)
 
-        def counting_round(query, *args):
-            found = grid_round(query, *args)
-            if found is not None:
-                counts.queries.append(query.shape[1])
-            return found
+        def counting_round(query, data, limits, todo, *args):
+            taken = grid_round(query, data, limits, todo, *args)
+            if taken:
+                counts.queries.append(len(todo))
+            return taken
 
         def counting_scan(*args):
             counts.scans += 1

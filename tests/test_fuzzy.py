@@ -1,10 +1,14 @@
+import io
 import math
 import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fuzzyifs import fuzzy as fuzzy_module
+from fuzzyifs.cli import _CsvTrace
 from fuzzyifs.dyadic import reference_system, slice_start
 from fuzzyifs.fuzzy import (
     EmptyCutError,
@@ -12,6 +16,7 @@ from fuzzyifs.fuzzy import (
     FuzzySet,
     GreyLevelMap,
     GreyMapError,
+    _rank_dtype,
     alpha_cut,
     apply_grey,
     d_infinity,
@@ -30,6 +35,7 @@ from fuzzyifs.geometry import (
     hausdorff,
     hausdorff_brute,
 )
+from fuzzyifs.grid import GridFuzzySet
 from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem
 from fuzzyifs.properties import _contractive_float_system, _grey
 from fuzzyifs.system import OrbitalFuzzySystem
@@ -85,6 +91,25 @@ class TestGreyLevelMap:
             ident(F(3, 2))
         with pytest.raises(GreyMapError):
             ident(-F(1, 2))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_clamp_edges(self, exact):
+        """Within 1e-12 of [0, 1], rounding noise is clamped to the end; past
+        that the call raises. The edges are the float bounds, so an exact
+        argument meets them as the Fractions of those floats."""
+        ramp = GreyLevelMap.linear_ramp(F(3, 4), exact=exact)
+        scalar = F if exact else float
+        below, above = scalar(-1e-12), scalar(1 + 1e-12)
+        assert ramp(below) == 0 and ramp(above) == ramp.value_at_one == scalar(F(3, 4))
+        assert ramp(scalar(0)) == 0 and ramp(scalar(1)) == scalar(F(3, 4))
+        assert ramp(scalar(F(1, 2))) == scalar(F(3, 8))
+        if exact:
+            outside = (below - F(1, 10 ** 30), above + F(1, 10 ** 30))
+        else:
+            outside = (math.nextafter(below, -1), math.nextafter(above, 2))
+        for t in outside:
+            with pytest.raises(GreyMapError, match="outside"):
+                ramp(t)
 
     def test_breakpoint_validation(self):
         with pytest.raises(GreyMapError):
@@ -212,6 +237,78 @@ class TestFuzzySet:
     def test_normal_flag(self):
         assert fuzzy(((0,), 1)).normal
         assert not fuzzy(((0,), F(1, 2))).normal
+
+
+class TestRankDtypes:
+    """Ranks take the smallest unsigned dtype that holds the level table."""
+
+    def test_dtype_follows_the_table(self):
+        assert [_rank_dtype(size) for size in (2, 256, 257, 65536, 65537)] == \
+            [np.uint8, np.uint8, np.uint16, np.uint16, np.intp]
+        pairs = [((F(i), F(0)), F(i + 1, 300)) for i in range(300)]
+        u = FuzzySet(pairs)
+        assert len(u.scaled()[1]) == 301 and u.scaled()[3].dtype == np.uint16
+        assert [u.level(p) for p, _ in pairs] == [level for _, level in pairs]
+        assert FuzzySet(pairs[:255]).scaled()[3].dtype == np.uint8
+
+    def test_merged_table_past_one_byte(self, monkeypatch):
+        """Each set ranks its 141 or 137 levels in one byte; their merged
+        table has 278 entries, so d_infinity ranks the pair in two bytes, and
+        still equals the level sweep."""
+        rng = random.Random(41)
+
+        def spread(parity):
+            pairs = [((F(rng.randrange(-40, 41), 8), F(rng.randrange(-40, 41), 8)),
+                      F(2 * i + parity, 284)) for i in range(1, 141)]
+            return FuzzySet(pairs + [((F(11), F(11)), F(1))])
+
+        u, v = spread(1), spread(2)
+        assert u.scaled()[3].dtype == v.scaled()[3].dtype == np.uint8
+        assert len(set(u.level_values()) | set(v.level_values())) + 1 > 256
+        assert len(u) * len(v) > _BRUTE_PAIR_LIMIT
+        seen = []
+        directed = fuzzy_module._directed
+
+        def spy(points, ranks, *args):
+            seen.append(ranks.dtype)
+            return directed(points, ranks, *args)
+
+        monkeypatch.setattr(fuzzy_module, "_directed", spy)
+        assert d_infinity(u, v) == d_infinity(v, u) == d_infinity_level_sweep(u, v)
+        assert seen and set(seen) == {np.dtype(np.uint16)}
+
+    def test_directed_sorts_unsigned_ranks_descending(self, monkeypatch):
+        """The targets go highest rank first, ties in index order, over the
+        whole table: negating an unsigned rank 0 would put it first."""
+        seen = []
+        monkeypatch.setattr(fuzzy_module, "directed_max_squared", lambda *args: seen.append(args) or 0)
+        ranks = np.array([2, 5, 0, 5, 3, 2, 1], dtype=np.uint8)
+        points = np.zeros((7, 2), dtype=np.int64)
+        fuzzy_module._directed(points, ranks, points, ranks, np.array([0, 1, 4, 6]), 1, True)
+        (*_, limits, rows, order), = seen
+        assert order.tolist() == [1, 3, 4, 0, 5, 6, 2]
+        assert order.tolist() == np.argsort(-ranks.astype(np.intp), kind="stable").tolist()
+        assert limits.tolist() == [5, 2, 3, 6] and rows.tolist() == [0, 1, 4, 6]
+
+    def test_equal_sets_whose_rank_dtypes_differ(self):
+        u = fuzzy(((0, 0), F(1, 2)), ((1, 0), 1), ((0, 1), F(1, 3)))
+        den, levels, points, ranks = u.scaled()
+        wide = FuzzySet._from_images(points[::-1].copy(), ranks[::-1].astype(np.intp), den, levels,
+                                     2, True)
+        assert ranks.dtype == np.uint8 and wide.scaled()[3].dtype == np.intp
+        assert wide == u and u == wide
+
+    def test_writers_give_the_same_bytes_for_every_rank_dtype(self):
+        u = fuzzy(((0, 0), F(1, 2)), ((F(1, 2), 0), 1), ((0, F(1, 4)), F(1, 3)))
+        den, levels, points, ranks = u.scaled()
+        pgm = b"P5\n4 4\n255\n" + bytes([0] * 8 + [85, 0, 0, 0] + [128, 0, 255, 0])
+        for dtype in (np.uint8, np.uint16, np.intp):
+            w = FuzzySet._from_images(points.copy(), ranks.astype(dtype), den, levels, 2, True)
+            assert w.scaled()[3].dtype == dtype
+            text = io.StringIO()
+            _CsvTrace(text)(3, w)
+            assert text.getvalue() == "x,y,level,iteration\n0,0,1/2,3\n1/2,0,1,3\n0,1/4,1/3,3\n"
+            assert GridFuzzySet.from_fuzzy(w, (0, 0), (1, 1), 4, 4).to_pgm() == pgm
 
 
 class TestFloatGrid:
@@ -471,7 +568,8 @@ class TestDInfinity:
 def test_d_infinity_sorts_once_per_round(kernel_counts, exact):
     """The "levels" case looks at 65 or more prefix lengths in one
     direction, yet each directed scan is one kernel call that answers them
-    all in one grid round, sorting the targets and the points once."""
+    all in one grid round, sorting the targets and the points by cell key
+    once, after one sort of the points by their last coordinate."""
     n, denominator, _, _, min_groups = SCALED_CASES[1].values
     rng = random.Random(25)
     u, v = (random_exact_set(rng, n, denominator) for _ in range(2))
@@ -480,7 +578,7 @@ def test_d_infinity_sorts_once_per_round(kernel_counts, exact):
         u, v = u.to_float(), v.to_float()
     d_infinity(u, v)
     assert kernel_counts.calls == len(kernel_counts.queries) == 2
-    assert kernel_counts.sorts == 2 * len(kernel_counts.queries) + 2 * exact
+    assert kernel_counts.sorts == kernel_counts.calls + 2 * len(kernel_counts.queries) + 2 * exact
 
 
 def test_huge_denominators_on_the_grid_path():

@@ -2,12 +2,13 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fuzzyifs import geometry
-from fuzzyifs.fuzzy import FuzzySet
+from fuzzyifs.fuzzy import FuzzySet, d_infinity
 from fuzzyifs.geometry import (
     GRID,
     DimensionMismatchError,
@@ -29,6 +30,9 @@ from fuzzyifs.geometry import (
 )
 from fuzzyifs.numeric import le_sum, sqrt_exact
 from fuzzyifs.properties import _contractive_float_system
+from fuzzyifs.scene import load_scene
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def pts(*coords):
@@ -393,13 +397,18 @@ def test_prefix_kernel_matches_kd_tree(monkeypatch):
             assert directed_max_squared(points, targets, None, False, limits) == nearest ** 2
 
 
-def _peak_kernel_bytes(points, targets, limits):
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated, traced."""
     tracemalloc.start()
     try:
-        best = directed_max_squared(points, targets, None, False, limits)
-        return best, tracemalloc.get_traced_memory()[1]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_kernel_bytes(points, targets, limits):
+    return _traced_peak(directed_max_squared, points, targets, None, False, limits)
 
 
 def test_grid_rounds_hold_few_pairs_at_once():
@@ -420,6 +429,25 @@ def test_grid_rounds_hold_few_pairs_at_once():
                           np.full(len(cluster), len(circle)))[0]
     assert best == math.sqrt(scan.max()) ** 2
     assert peak < 8e6
+
+
+def test_residual_pair_peaks_per_point():
+    """The band at --tol 0.005 stops after 9 steps, so its residual pair
+    holds 33,280 and 66,560 points. Traced above the sets it holds, the
+    residual step peaks within 60 B per point it makes and the residual
+    d_infinity within 67 B per point of the pair: ranks take one byte, and
+    the kernel holds its per-point arrays in blocks. With int64 ranks and
+    per-point arrays for a whole round they take 83 B and 101 B."""
+    scene = load_scene(SCENES / "dyadic_band.json")
+    system, u = scene.system, scene.initial
+    for _ in range(9):
+        u = system.step(u)
+    stepped, step_peak = _traced_peak(system.step, u)
+    distance, peak = _traced_peak(d_infinity, stepped, u)
+    assert (len(u), len(stepped)) == (33280, 66560)
+    assert distance == Fraction(1, 1024)
+    assert step_peak <= 60 * len(stepped)
+    assert peak <= 67 * (len(u) + len(stepped))
 
 
 def test_exact_kernel_far_from_the_origin(monkeypatch):
@@ -445,11 +473,14 @@ def test_exact_kernel_far_from_the_origin(monkeypatch):
 
 def test_grid_round_declines_too_many_cells():
     """Cell keys are exact floats only below 2^53, so a round whose box
-    holds more than _MAX_CELLS cells returns None, and h doubles first."""
-    query, data, limits = np.zeros((2, 1)), np.ones((2, 1)), np.array([1])
+    holds more than _MAX_CELLS cells returns False and writes nothing, and
+    h doubles first."""
+    query, data, limits, todo = np.zeros((2, 1)), np.ones((2, 1)), np.array([1]), np.array([0])
     low, high = np.zeros(2), np.ones(2)
-    assert geometry._grid_round(query, data, limits, 2.0 ** -30, low, high) is None
-    best, nearest = geometry._grid_round(query, data, limits, 2.0 ** -20, low, high)
+    best, nearest = np.array([5.0]), np.array([7])
+    assert not geometry._grid_round(query, data, limits, todo, 2.0 ** -30, low, high, best, nearest)
+    assert best.tolist() == [5.0] and nearest.tolist() == [7]
+    assert geometry._grid_round(query, data, limits, todo, 2.0 ** -20, low, high, best, nearest)
     assert best.tolist() == [math.inf] and nearest.tolist() == [0]
 
 
@@ -470,7 +501,8 @@ def _rounds_case(case):
 @pytest.mark.parametrize("case, queries, scans", [
     ("nearest", [392], 0), ("few", [392, 20], 0), ("scan", [392], 1)])
 def test_prefix_kernel_takes_each_round(kernel_counts, exact, case, queries, scans):
-    """The points each round takes, the final scans, and two sorts per
+    """The points each round takes, the final scans, one sort of the points
+    by their last coordinate before the first round, and two sorts per
     round, the targets and the points by cell key; exact mode sorts once
     more, the points by float distance for the shortlist."""
     points, targets, expected = _rounds_case(case)
@@ -482,7 +514,7 @@ def test_prefix_kernel_takes_each_round(kernel_counts, exact, case, queries, sca
         best = directed_max_squared(points, targets, None, False)
     assert best == expected
     assert kernel_counts.queries == queries and kernel_counts.scans == scans
-    assert kernel_counts.sorts == 2 * len(queries) + exact
+    assert kernel_counts.sorts == 1 + 2 * len(queries) + exact
 
 
 def test_float_coordinates_are_correctly_rounded():
@@ -500,6 +532,16 @@ def test_float_coordinates_are_correctly_rounded():
                 shift = [0, 0] if origin is None else origin.tolist()
                 assert got.tolist() == [[float(Fraction(int(n) - int(o), den)) for n, o in zip(p, shift)]
                                         for p in points.tolist()]
+
+
+@pytest.mark.parametrize("n", [2 ** 53, 2 ** 53 + 1, 2 ** 62], ids=["2^53", "2^53+1", "2^62"])
+def test_float_coordinates_at_the_edge_of_doubles(n):
+    """Up to 2^53 every int64 numerator is a double and floats divide; past
+    it Python ints divide. Either way the quotient is correctly rounded."""
+    points = np.array([[n, -n], [n - 1, 1 - n]], dtype=np.int64)
+    for den in (1, 3, 10 ** 12, 2 ** 70, 3 ** 50):
+        assert geometry.as_float_array(points, den).tolist() == \
+            [[float(Fraction(c, den)) for c in row] for row in points.tolist()]
 
 
 def test_metric_axioms_exact():
