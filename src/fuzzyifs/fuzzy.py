@@ -22,10 +22,11 @@ test oracle. `d_infinity` uses the equivalent per-point form: for each
 support point x of u, the nearest point of v at level >= u(x), a prefix of
 v sorted by level, and symmetrically. It has one body for both numeric
 modes, built on the same nearest-neighbour kernel as the crisp
-`geometry.hausdorff`; a pair is first brought onto one denominator and one
-level table. Pairs of at most `_BRUTE_PAIR_LIMIT` point pairs leave the
-arrays for Python lists and dicts, where numpy's fixed cost per call would
-dominate.
+`geometry.hausdorff`, and its first side may be the pointwise maximum of
+several parts, which the operator's residual gives map by map; a pair is
+first brought onto one denominator and one level table. Pairs of at most
+`_BRUTE_PAIR_LIMIT` point pairs leave the arrays for Python lists and
+dicts, where numpy's fixed cost per call would dominate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -531,40 +532,84 @@ def _on_scale(u: FuzzySet, den: int) -> np.ndarray:
     return points * factor
 
 
+def _pair_scale(u_den: int, u_levels: Tuple[Scalar, ...], v_den: int,
+                v_levels: Tuple[Scalar, ...]):
+    """The preamble of `d_infinity` for a pair given by its denominators
+    and level tables: EmptyCutError unless both tables reach the same top
+    level, then the lcm of the denominators and each table's ranks in the
+    merged table of both, as arrays of the merged table's rank dtype."""
+    top_u, top_v = u_levels[-1], v_levels[-1]
+    if top_u != top_v:
+        raise EmptyCutError(f"no point of the other set at level >= {max(top_u, top_v)}")
+    rank = {level: i for i, level in enumerate(sorted(set(u_levels) | set(v_levels)))}
+    dtype = _rank_dtype(len(rank))
+    return math.lcm(u_den, v_den), *(np.array([rank[level] for level in levels], dtype=dtype)
+                                     for levels in (u_levels, v_levels))
+
+
+def _sup_distance(parts: Callable[[], Iterable[Tuple[np.ndarray, np.ndarray]]], size: int,
+                  v: FuzzySet, v_rank: np.ndarray, den: int, exact: bool):
+    """The body of `d_infinity`: the distance between v and the pointwise
+    maximum of the parts that parts() gives, each (points, ranks) with
+    every point once, on den and in the merged table into which v_rank
+    ranks v's levels (`_pair_scale`); size is their points together. The
+    alpha-cut of a pointwise maximum is the union of the parts' alpha-cuts
+    (Cabrelli, Forte, Molter & Vrscay, J. Math. Anal. Appl. 171, 1992), so
+    the parts' side is the largest of their directed distances into v, and
+    a point of v that some part holds at its level or above contributes
+    zero. The points of v that no part holds are scanned against all parts
+    together, for which parts() is called again, only when such points
+    exist. Up to _BRUTE_PAIR_LIMIT point pairs, size times |v|, the parts
+    are joined into a dict and both directions go through Python dicts."""
+    if size * len(v) <= _BRUTE_PAIR_LIMIT:
+        us = {}
+        for points, ranks in parts():
+            for p, r in zip(map(tuple, points.tolist()), ranks.tolist()):
+                if us.get(p, 0) < r:
+                    us[p] = r
+        vs = dict(zip(_scaled_rows(v, den), v_rank[v._ranks].tolist()))
+        best = max(_directed_small(us, vs, den, exact), _directed_small(vs, us, den, exact))
+    else:
+        vs, vr = _on_scale(v, den), v_rank[v._ranks]
+        left = np.ones(len(vs), dtype=bool)
+        best = 0
+        for points, ranks in parts():
+            pending, missed = _uncovered(points, ranks, vs, vr)
+            held = np.zeros_like(left)
+            held[missed] = True
+            left &= held
+            del missed, held
+            best = max(best, _directed(points, ranks, vs, vr, pending, den, exact))
+            del points, ranks, pending
+        missed = np.flatnonzero(left)
+        if len(missed):
+            every = list(parts())
+            points, ranks = every[0] if len(every) == 1 else map(np.concatenate, zip(*every))
+            del every
+            best = max(best, _directed(vs, vr, points, ranks, missed, den, exact))
+    return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
+
+
 def d_infinity(u: FuzzySet, v: FuzzySet):
     """Supremum over alpha of the Hausdorff distance between alpha-cuts.
 
     The pair is brought onto the lcm of its denominators and its ranks onto
-    the merged level table of both sets. Points that the other set holds at
-    their level or above contribute zero and are skipped up front (Taha &
-    Hanbury, IEEE TPAMI 37(11), 2015), which makes consecutive-iterate
-    distances cheap. Each directed scan of the others is one kernel call
-    with per-point prefix limits, however many levels the sets carry. A
-    pair of at most _BRUTE_PAIR_LIMIT point pairs goes through Python lists
-    and dicts, where numpy's fixed costs would dominate; larger pairs stay
-    in arrays. Exact mode compares integer squares over the common
-    denominator; float mode takes the kernel's float distances.
+    the merged level table of both sets (`_pair_scale`), and u is the one
+    part of `_sup_distance`, the metric's body, which the operator's
+    residual shares. Points that the other set holds at their level or
+    above contribute zero and are skipped up front (Taha & Hanbury, IEEE
+    TPAMI 37(11), 2015), which makes consecutive-iterate distances cheap.
+    Each directed scan of the others is one kernel call with per-point
+    prefix limits, however many levels the sets carry. A pair of at most
+    _BRUTE_PAIR_LIMIT point pairs goes through Python lists and dicts,
+    where numpy's fixed costs would dominate; larger pairs stay in arrays.
+    Exact mode compares integer squares over the common denominator; float
+    mode takes the kernel's float distances.
     """
     _require_compatible(u, v)
-    top_u, top_v = u.max_level, v.max_level
-    if top_u != top_v:
-        raise EmptyCutError(f"no point of the other set at level >= {max(top_u, top_v)}")
-    den = math.lcm(u._den, v._den)
-    rank = {level: i for i, level in enumerate(sorted(set(u._levels) | set(v._levels)))}
-    u_rank, v_rank = [rank[level] for level in u._levels], [rank[level] for level in v._levels]
-    exact = u.exact
-    if len(u) * len(v) <= _BRUTE_PAIR_LIMIT:
-        us, vs = (dict(zip(_scaled_rows(w, den), [w_rank[r] for r in w._ranks.tolist()]))
-                  for w, w_rank in ((u, u_rank), (v, v_rank)))
-        best = max(_directed_small(us, vs, den, exact), _directed_small(vs, us, den, exact))
-    else:
-        dtype = _rank_dtype(len(rank))
-        ur, vr = np.array(u_rank, dtype=dtype)[u._ranks], np.array(v_rank, dtype=dtype)[v._ranks]
-        us, vs = _on_scale(u, den), _on_scale(v, den)
-        u_pending, v_pending = _uncovered(us, ur, vs, vr)
-        best = max(_directed(us, ur, vs, vr, u_pending, den, exact),
-                   _directed(vs, vr, us, ur, v_pending, den, exact))
-    return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
+    den, u_rank, v_rank = _pair_scale(u._den, u._levels, v._den, v._levels)
+    part = _on_scale(u, den), u_rank[u._ranks]
+    return _sup_distance(lambda: (part,), len(u), v, v_rank, den, u.exact)
 
 
 def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):

@@ -54,12 +54,15 @@ class AffineMap:
     offset: Point
     # Per row: (offset or None, ((column, entry or None for 1), ...)).
     _rows: tuple = field(init=False, repr=False, compare=False, default=None)
+    # Whether every entry is exact, found once; `exact` returns it.
+    _exact: bool = field(init=False, repr=False, compare=False, default=True)
 
     def __post_init__(self):
         d = len(self.offset)
         if len(self.linear) != d or any(len(row) != d for row in self.linear):
             raise DimensionMismatchError("linear part must be DxD with offset of length D")
-        exact = self.exact
+        exact = point_is_exact(self.offset) and all(point_is_exact(r) for r in self.linear)
+        object.__setattr__(self, "_exact", exact)
         rows = []
         for row, off in zip(self.linear, self.offset):
             terms = tuple((j, None if entry == 1 else entry)
@@ -73,7 +76,7 @@ class AffineMap:
 
     @property
     def exact(self) -> bool:
-        return point_is_exact(self.offset) and all(point_is_exact(r) for r in self.linear)
+        return self._exact
 
     @classmethod
     def identity(cls, dimension: int, exact: bool = True) -> "AffineMap":

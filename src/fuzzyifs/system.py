@@ -17,6 +17,10 @@ consecutive iterates happen to coincide early. The bound holds only if the
 operator contracts by C along the run, so a run checks that on its own
 distances, d_n <= C d_(n-1) at every step from the second on and for the
 residual, and raises ContractionViolationError where they rule C out.
+
+The residual d_infinity(T u_m, u_m) of the last iterate u_m is taken one
+map at a time (`_residual`), so a run of m steps makes m steps and never
+holds T u_m, whose N |u_m| image points would be its largest array.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, starmap
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -38,7 +42,9 @@ from .fuzzy import (  # noqa: F401
     GreyLevelMap,
     _merge_rows,
     _on_scale,
+    _pair_scale,
     _rank_dtype,
+    _sup_distance,
     apply_grey,
     d_infinity,
     join,
@@ -189,22 +195,12 @@ class OrbitalFuzzySystem:
         soon as the distinct points gathered after any map pass support_cap.
         """
         self._require_admissible()
-        den, levels, _, ranks = u.scaled()
-        convert = Fraction if u.exact else float
-        grey = [[convert(g(level)) for level in levels] for g in self.grey_maps]
-        new_levels = tuple(sorted({level for row in grey for level in row}))
-        rank = {level: i for i, level in enumerate(new_levels)}
-        dtype = _rank_dtype(len(new_levels))
-        relits = [np.array([rank[level] for level in row], dtype=dtype) for row in grey]
+        new_levels, relits = self._relit(u)
         parts, part_ranks, gathered = [], [], 0
-        for k, relit in enumerate(relits):
-            new = relit[ranks]
-            kept = np.flatnonzero(new)
-            if not len(kept):
-                continue
-            parts.append(self._image(u, k, slice(None) if len(kept) == len(new) else kept))
-            part_ranks.append(new[kept])
-            gathered += len(kept)
+        for image, image_ranks in self._images(u, relits):
+            parts.append(image)
+            part_ranks.append(image_ranks)
+            gathered += len(image)
             if gathered > support_cap:
                 merged = _merge_rows(np.concatenate(parts), np.concatenate(part_ranks))
                 parts, part_ranks, gathered = [merged[0]], [merged[1]], len(merged[0])
@@ -214,9 +210,66 @@ class OrbitalFuzzySystem:
             raise EmptySupportError("the operator erased the whole support")
         # The parts go before the merge, whose sort needs about as much again.
         points, point_ranks = np.concatenate(parts), np.concatenate(part_ranks)
-        del parts, part_ranks
-        return FuzzySet._from_images(points, point_ranks, den * self._scaled_maps[0], new_levels,
-                                     u.dimension, u.exact)
+        del parts, part_ranks, image, image_ranks
+        return FuzzySet._from_images(points, point_ranks, u.scaled()[0] * self._scaled_maps[0],
+                                     new_levels, u.dimension, u.exact)
+
+    def _relit(self, u: FuzzySet) -> Tuple[Tuple[Scalar, ...], list]:
+        """The step's level tables: the ascending table of the new levels,
+        preceded by 0, and per map the rank in it of each level of u's
+        table under the map's grey map, each grey map evaluated once per
+        level."""
+        levels = u.scaled()[1]
+        convert = Fraction if u.exact else float
+        grey = [[convert(g(level)) for level in levels] for g in self.grey_maps]
+        new_levels = tuple(sorted({level for row in grey for level in row}))
+        rank = {level: i for i, level in enumerate(new_levels)}
+        dtype = _rank_dtype(len(new_levels))
+        return new_levels, [np.array([rank[level] for level in row], dtype=dtype) for row in grey]
+
+    def _images(self, u: FuzzySet, relits) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Per map, in map order, the images of u's points that its relit
+        table keeps (a point whose new rank is 0 is not mapped) and their
+        new ranks; a map that keeps no point yields nothing."""
+        ranks = u.scaled()[3]
+        for k, relit in enumerate(relits):
+            new = relit[ranks]
+            count = np.count_nonzero(new)
+            if count == len(new):
+                yield self._image(u, k), new
+            elif count:
+                kept = np.flatnonzero(new)
+                yield self._image(u, k, kept), new[kept]
+
+    def _residual(self, u: FuzzySet, support_cap: int = DEFAULT_SUPPORT_CAP) -> Scalar:
+        """d_infinity(self.step(u, support_cap), u), the same value of the
+        same type, taken without building the step's result: each map's
+        grey-relit images of u, merged onto their distinct rows, are one
+        part of the metric's body (`fuzzy._sup_distance`), made one at a
+        time, and made again only for the points of u that no map's image
+        holds at their level or above. The pair sits on D*L, the images'
+        denominator before the step cuts it, a multiple of the one that
+        d_infinity would take.
+
+        When the maps keep more than support_cap points together, the step
+        is made just for its cap check, so SupportCapError comes where the
+        step raises it. The step's other errors come in its order too,
+        except that EmptyCutError, for a top level of u that its image does
+        not reach, comes before any image is made.
+        """
+        self._require_admissible()
+        new_levels, relits = self._relit(u)
+        u_den, levels, _, ranks = u.scaled()
+        kept = sum(int(np.count_nonzero(relit[ranks])) for relit in relits)
+        if not kept:
+            raise EmptySupportError("the operator erased the whole support")
+        if kept > support_cap:
+            self.step(u, support_cap)
+        den, image_rank, u_rank = _pair_scale(u_den * self._scaled_maps[0], new_levels,
+                                              u_den, levels)
+        relits = [image_rank[relit] for relit in relits]
+        return _sup_distance(lambda: starmap(_merge_rows, self._images(u, relits)), kept,
+                             u, u_rank, den, u.exact)
 
     def _image(self, u: FuzzySet, k: int, rows=slice(None)) -> np.ndarray:
         """The images under map k of u's rows after checking u's mode and
@@ -241,8 +294,10 @@ class OrbitalFuzzySystem:
         else:
             columns = list(as_float_array(points, den).T)
             image = self.ifs.maps[k]._apply(columns)
-        # A row of a map without linear terms gives a scalar component.
-        block = np.empty((len(points), u.dimension), dtype=columns[0].dtype)
+        # A row of a map without linear terms gives a scalar component. The
+        # block is column-major, so that the merge's sort reads contiguous
+        # columns.
+        block = np.empty((len(points), u.dimension), dtype=columns[0].dtype, order="F")
         for j, component in enumerate(image):
             block[:, j] = component
         return block if u.exact else grid_keys(block)
@@ -351,10 +406,14 @@ class OrbitalFuzzySystem:
         that close to its limit. The certificate rests on the declared
         contraction constant C, so every distance d_n from step 2 on, the
         residual's included, is checked against C d_(n-1); a violation
-        raises ContractionViolationError before the step reaches on_step. A
-        step that passes support_cap, the residual step included, raises
-        SupportCapError with `partial` set to the last iterate and its
-        report, whose certified_residual is None.
+        raises ContractionViolationError before the step reaches on_step.
+        The residual, d_infinity(self.step(u_m), u_m) for the last iterate
+        u_m, makes no step: `_residual` takes it one map at a time. A step
+        that passes support_cap raises SupportCapError with `partial` set to
+        the last iterate and its report, whose certified_residual is None,
+        and so does the residual when the step of u_m would pass it: when
+        the maps' images of u_m number more than support_cap, the residual
+        makes that step just for its cap check.
         """
         if (steps is None) == (tolerance is None):
             raise ValueError("choose exactly one of steps or tolerance")
@@ -385,11 +444,11 @@ class OrbitalFuzzySystem:
                 if on_step is not None:
                     on_step(n, nxt)
                 current = nxt
-            residual = d_infinity(self.step(current, support_cap), current)
+            residual = self._residual(current, support_cap)
             self._check_decay(history + [residual], largest)
         except SupportCapError as err:
-            # Whether a step or the residual step passed the cap, the partial
-            # result is the last iterate reached, with its bound.
+            # Whether a step or the residual's cap check passed the cap, the
+            # partial result is the last iterate reached, with its bound.
             err.partial = (current, ConvergenceReport(
                 iterations=len(history),
                 d_history=tuple(history),

@@ -431,23 +431,45 @@ def test_grid_rounds_hold_few_pairs_at_once():
     assert peak < 8e6
 
 
-def test_residual_pair_peaks_per_point():
-    """The band at --tol 0.005 stops after 9 steps, so its residual pair
-    holds 33,280 and 66,560 points. Traced above the sets it holds, the
-    residual step peaks within 60 B per point it makes and the residual
-    d_infinity within 67 B per point of the pair: ranks take one byte, and
-    the kernel holds its per-point arrays in blocks. With int64 ranks and
-    per-point arrays for a whole round they take 83 B and 101 B."""
+def _band_after_nine_steps():
+    """The band's system and its iterate after 9 steps, 33,280 points: the
+    last iterate of the band at --tol 0.005."""
     scene = load_scene(SCENES / "dyadic_band.json")
     system, u = scene.system, scene.initial
     for _ in range(9):
         u = system.step(u)
+    return system, u
+
+
+def test_residual_pair_peaks_per_point():
+    """The step of the band's last iterate at --tol 0.005 and the pair it
+    makes, 33,280 and 66,560 points. Traced above the sets it holds, the
+    step peaks within 40 B per point it makes and d_infinity of the pair
+    within 67 B per point of the pair: ranks take one byte, the images are
+    column-major, so the merge's sort copies no column, and the kernel
+    holds its per-point arrays in blocks. With int64 ranks and per-point
+    arrays for a whole round they took 83 B and 101 B, and with row-major
+    images the step took 46 B."""
+    system, u = _band_after_nine_steps()
     stepped, step_peak = _traced_peak(system.step, u)
     distance, peak = _traced_peak(d_infinity, stepped, u)
     assert (len(u), len(stepped)) == (33280, 66560)
     assert distance == Fraction(1, 1024)
-    assert step_peak <= 60 * len(stepped)
+    assert step_peak <= 40 * len(stepped)
     assert peak <= 67 * (len(u) + len(stepped))
+
+
+def test_residual_peaks_per_point_of_the_last_iterate(monkeypatch):
+    """The residual of a run whose last iterate is the band after 9 steps,
+    traced above that iterate, peaks within 155 B per point of it: taken
+    map by map, the residual never holds the step's 66,560 points. Making
+    that step and holding it through d_infinity takes 180 B. The reach
+    diameter is stubbed, so the run makes the residual alone."""
+    system, u = _band_after_nine_steps()
+    monkeypatch.setattr(type(system), "reach_diameter", lambda self, u: Fraction(1))
+    (_, report), peak = _traced_peak(system.iterate, u, 0)
+    assert report.certified_residual == Fraction(1, 1024)
+    assert peak <= 155 * len(u)
 
 
 def test_exact_kernel_far_from_the_origin(monkeypatch):

@@ -2,10 +2,12 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fuzzyifs import fuzzy, geometry
 from fuzzyifs.dyadic import band_start, reference_system, slice_start
 from fuzzyifs.fuzzy import (
     EmptyCutError,
@@ -28,9 +30,9 @@ from fuzzyifs.geometry import (
     scale_points,
 )
 from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem, SupportCapError
-from fuzzyifs.numeric import sqrt_exact
+from fuzzyifs.numeric import Radical, sqrt_exact
 from fuzzyifs.properties import _grey
-from fuzzyifs.scene import Scene, StopRule, load_scene_dict, scene_to_dict
+from fuzzyifs.scene import Scene, StopRule, load_scene, load_scene_dict, scene_to_dict
 from fuzzyifs.system import (
     AdmissibilityError,
     ContractionViolationError,
@@ -708,6 +710,149 @@ class TestIntegerForm:
         assert stepped_sets > 400 and swept > 200
 
 
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, SupportCapError) as err:
+        return type(err), str(err)
+
+
+def assert_residual_is_the_reference(system, u, support_cap=10_000_000):
+    """The residual taken map by map gives d_infinity(step(u), u): the same
+    value of the same type, or the same error with the same message. Returns
+    the outcome."""
+    expected = _outcome(lambda: d_infinity(system.step(u, support_cap), u))
+    got = _outcome(system._residual, u, support_cap)
+    assert got == expected and type(got) is type(expected)
+    return got
+
+
+ONE_AT_A_QUARTER = GreyLevelMap.from_breakpoints([(0, 0), (F(1, 4), 1), (1, 1)])
+
+
+class TestResidual:
+    """The certified residual without the residual iterate, against the
+    pair it replaces."""
+
+    @pytest.mark.parametrize("pair_limit, systems", [(None, 2000), (0, 400)],
+                             ids=["default-pair-limit", "arrays-and-grid"])
+    def test_random_systems_with_singular_maps(self, monkeypatch, pair_limit, systems):
+        """Maps with zero and proportional rows repeat points, grey maps that
+        jump at 1/2 erase parts, and starts that are not normal often lose
+        their top level; each system runs exact and as its float twin. With
+        a pair limit of 0, d_infinity takes its array path and the kernel its
+        grid on every pair."""
+        if pair_limit is not None:
+            monkeypatch.setattr(fuzzy, "_BRUTE_PAIR_LIMIT", pair_limit)
+            monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(systems):
+            dim = rng.choice((1, 2, 3))
+            system = integer_form_system(rng, dim)
+            u = random_fuzzy(rng, dim, normal=rng.random() < 0.5)
+            for s, v in ((system, u), (system.to_float(), u.to_float())):
+                got = assert_residual_is_the_reference(s, v)
+                seen.add(got[0] if isinstance(got, tuple) else type(got))
+        assert seen == {F, Radical, float, EmptyCutError, EmptySupportError}
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("greys, start, error", [
+        ((GreyLevelMap.identity(), STEP_AT_HALF), F(1, 4), None),
+        ((STEP_AT_HALF, STEP_AT_HALF), F(1, 4), EmptySupportError),
+        ((GreyLevelMap.identity(), ONE_AT_A_QUARTER), F(1, 2), EmptyCutError),
+    ], ids=["one-part-erased", "support-erased", "top-levels-differ"])
+    def test_erased_parts_and_top_levels(self, exact, greys, start, error):
+        half = ((F(1, 2), F(0)), (F(0), F(1, 2)))
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(
+                maps=(AffineMap(half, (F(0), F(0))), AffineMap(half, (F(1, 2), F(0)))),
+                contraction_constant=F(1, 2)),
+            grey_maps=greys,
+        )
+        u = FuzzySet([((F(0), F(0)), start), ((F(1), F(0)), start), ((F(3), F(1)), start)])
+        if not exact:
+            system, u = system.to_float(), u.to_float()
+        got = assert_residual_is_the_reference(system, u)
+        assert (got[0] if isinstance(got, tuple) else None) is error
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_small_residuals_take_the_dict_path(self, monkeypatch, exact):
+        """Two maps keep 2n images of n points. Up to _BRUTE_PAIR_LIMIT
+        pairs, 2n times n, the residual makes no array scan, as d_infinity
+        of a pair that small makes none; past it, it does."""
+        half = ((F(1, 2), F(0)), (F(0), F(1, 2)))
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(
+                maps=(AffineMap(half, (F(0), F(0))), AffineMap(half, (F(1, 2), F(0)))),
+                contraction_constant=F(1, 2)),
+            grey_maps=(GreyLevelMap.identity(), GreyLevelMap.identity()),
+        )
+        if not exact:
+            system = system.to_float()
+        scans = []
+        directed = fuzzy._directed
+        monkeypatch.setattr(fuzzy, "_directed", lambda *args: scans.append(1) or directed(*args))
+        for n, arrays in ((45, False), (46, True)):
+            assert (2 * n * n > fuzzy._BRUTE_PAIR_LIMIT) is arrays
+            u = FuzzySet([((F(k), F(k % 7)), F(1 + k % 3, 3)) for k in range(n)])
+            if not exact:
+                u = u.to_float()
+            scans.clear()
+            residual = system._residual(u)
+            assert bool(scans) is arrays
+            assert residual == d_infinity(system.step(u), u)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_band_for_ten_steps(self, exact):
+        scene = load_scene(Path(__file__).resolve().parent.parent / "scenes" / "dyadic_band.json")
+        system, u = scene.system, scene.initial
+        if not exact:
+            system, u = system.to_float(), u.to_float()
+        for n in range(10):
+            assert assert_residual_is_the_reference(system, u) == F(1, 2 ** (n + 1))
+            u = system.step(u)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_a_run_under_the_cap_makes_one_step_per_iteration(self, monkeypatch, exact):
+        """m steps, and none for the residual, in both stopping modes."""
+        calls = []
+        real_step = OrbitalFuzzySystem.step
+        monkeypatch.setattr(OrbitalFuzzySystem, "step",
+                            lambda self, u, cap=10_000_000: calls.append(len(u)) or real_step(self, u, cap))
+        system, u0 = reference_system(exact), band_start([0, F(1, 2), 1], exact)
+        _, report = system.iterate(u0, steps=4)
+        assert len(calls) == report.iterations == 4
+        calls.clear()
+        _, report = system.iterate(u0, tolerance=F(1, 100))
+        assert len(calls) == report.iterations == 8
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_images_past_the_cap_whose_points_fit(self, monkeypatch, exact):
+        """Two equal maps: the images of 9 points number 18, past a cap of 9,
+        while their distinct points are the 9 of one map. The residual makes
+        the step just for its cap check, which passes, and the run reports
+        what it reports without the cap."""
+        half = AffineMap(((F(1, 2),),), (F(1, 3),))
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(maps=(half, half), contraction_constant=F(1, 2)),
+            grey_maps=(GreyLevelMap.identity(), GreyLevelMap.identity()),
+        )
+        u0 = FuzzySet([((F(k),), F(1) if k == 0 else F(k, 9)) for k in range(9)])
+        if not exact:
+            system, u0 = system.to_float(), u0.to_float()
+        final, report = system.iterate(u0, steps=3)
+        calls = []
+        real_step = OrbitalFuzzySystem.step
+        monkeypatch.setattr(OrbitalFuzzySystem, "step",
+                            lambda self, u, cap: calls.append(cap) or real_step(self, u, cap))
+        capped_final, capped_report = system.iterate(u0, steps=3, support_cap=9)
+        assert capped_final == final and capped_report == report
+        assert calls == [9] * 4
+        assert report.certified_residual == d_infinity(real_step(system, final), final)
+
+
 def shifted_band(exact, shift=0, upper_offset=F(1, 2)):
     """The reference band system conjugated by x -> x + (shift, shift), with
     the upper map's y offset upper_offset, and its start on 17 base points
@@ -748,6 +893,7 @@ def test_numerators_past_int64(exact, shift, upper_offset, start, stepped_dtype)
         assert stepped.scaled()[2].dtype == stepped_dtype
         assert stepped == reference and stepped.items() == reference.items()
         assert d_infinity(u, stepped) == d_infinity(stepped, u) == d_infinity_level_sweep(u, stepped)
+        assert_residual_is_the_reference(system, u)
         u = stepped
     assert len(u) == 17 * 16
 
