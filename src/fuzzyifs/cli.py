@@ -9,7 +9,12 @@
 Exit codes: 0 success, 1 validation, parse or usage error, 2 verification
 failure, 3 resource cap exceeded or out of memory. verify exits 3 before
 any suite when the oracle's last iterate, 2^depth points, would pass the
-support cap, that is from --depth 24 on. A --bbox whose x0 is
+support cap, that is from --depth 24 on. verify runs its twelve jobs (the
+nine random suites, the decay, Cauchy and oracle checks) on one forked
+worker per CPU of the process's affinity mask. Its output, exit codes and
+the per-suite seeds derived from --seed are those of a run in one process,
+and a worker that dies, killed by a signal or the OOM killer, also exits 3
+with one line. A --bbox whose x0 is
 negative is written --bbox=-1,0,1,1, since argparse reads -1,... as an
 option. The render box and raster size, from the scene or from --bbox and
 --grid, are checked by `grid.RenderSpec` before any iteration. Output files
@@ -247,9 +252,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from concurrent.futures.process import BrokenProcessPool
+
     if args.trials < 1 or args.depth < 0:
         raise CliError("verify needs --trials >= 1 and --depth >= 0")
-    results = run_all(trials=args.trials, depth=args.depth, seed=args.seed)
+    try:
+        results = run_all(trials=args.trials, depth=args.depth, seed=args.seed)
+    except BrokenProcessPool as err:
+        # A worker that the kernel's OOM killer or a signal ended is out of
+        # a resource as much as a MemoryError is.
+        print(f"error: a worker process of the suites died ({err})", file=sys.stderr)
+        return EXIT_CAP
     failed = False
     for name, failures in results.items():
         if failures:

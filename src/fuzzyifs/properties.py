@@ -11,9 +11,10 @@ success; they back the CLI `verify` command and the acceptance tests.
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -402,6 +403,22 @@ def run_suite(name: str, rng: random.Random, trials: int) -> List[str]:
     return _collect(dict(_SUITES)[name], rng, trials)
 
 
+def _run_job(job: Tuple[str, Optional[int], int]) -> List[str]:
+    """The failures of one job of `run_all`, given as (name, seed, size).
+
+    The function is looked up by name in this module when the job runs, so
+    no callable crosses the pool, and a suite that a caller replaced before
+    `run_all` forked its workers is the one that runs."""
+    name, seed, size = job
+    if name == "geometric_decay":
+        return geometric_decay_failures(random.Random(seed), cases=size, n_max=6)
+    if name == "cauchy_bound":
+        return cauchy_bound_failures(m_max=size)
+    if name == "oracle_equivalence":
+        return oracle_equivalence_failures(size)
+    return run_suite(name, random.Random(seed), size)
+
+
 def run_all(trials: int = 200, depth: int = 8, seed: int = 0) -> Dict[str, List[str]]:
     """Every suite with per-suite RNGs derived from one seed.
 
@@ -410,17 +427,26 @@ def run_all(trials: int = 200, depth: int = 8, seed: int = 0) -> Dict[str, List[
     points, so a depth at which that passes the support cap raises
     SupportCapError before any suite runs; the comparison is by bit length,
     so a huge depth builds no huge integer.
+
+    No job reads another's state, so the twelve jobs run on a pool of
+    forked workers, one per CPU of the process's affinity mask, taken in
+    turn as each worker comes free. Every seed is drawn from the master
+    seed first, in the order of the result's keys, so the result is the
+    one a loop over the jobs in this process would return. An exception of
+    a job reaches the caller with its type and message; a worker that dies
+    raises the pool's BrokenProcessPool. The pool machinery is imported
+    here, not with the module, since a `run` never needs it.
     """
     if depth >= DEFAULT_SUPPORT_CAP.bit_length():
         raise SupportCapError(f"oracle depth {depth}: the last iterate would hold "
                               f"2^{depth} points, past the support cap of {DEFAULT_SUPPORT_CAP}")
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     master = random.Random(seed)
-    results: Dict[str, List[str]] = {}
-    for name, fn in _SUITES:
-        results[name] = _collect(fn, random.Random(master.randrange(2 ** 32)), trials)
-    results["geometric_decay"] = geometric_decay_failures(
-        random.Random(master.randrange(2 ** 32)), cases=max(5, trials // 20), n_max=6
-    )
-    results["cauchy_bound"] = cauchy_bound_failures(m_max=8)
-    results["oracle_equivalence"] = oracle_equivalence_failures(depth)
-    return results
+    jobs = [(name, master.randrange(2 ** 32), trials) for name in suite_names()]
+    jobs.append(("geometric_decay", master.randrange(2 ** 32), max(5, trials // 20)))
+    jobs += [("cauchy_bound", None, 8), ("oracle_equivalence", None, depth)]
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return dict(zip((name for name, _, _ in jobs), pool.map(_run_job, jobs, chunksize=1)))

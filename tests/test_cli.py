@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -546,6 +547,21 @@ def test_verify_runs_a_depth_under_the_support_cap(monkeypatch, capsys):
     monkeypatch.setattr(properties, "oracle_equivalence_failures", lambda depth: [])
     assert main(["verify", "--trials", "1", "--depth", "23"]) == 0
     assert "PASS oracle_equivalence" in capsys.readouterr().out
+
+
+def kill_own_worker(rng):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_worker_that_dies_is_exit_3(monkeypatch, capsys):
+    """A suite's worker ended by a signal, as the OOM killer ends one, is
+    a one-line error and exit 3, like a MemoryError, with no suite line."""
+    monkeypatch.setattr(properties, "_SUITES",
+                        properties._SUITES + (("killed", kill_own_worker),))
+    assert main(["verify", "--trials", "1", "--depth", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert err.startswith("error: a worker process of the suites died (") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 public function has a caller, every public class, every public function or
 class outside __all__, every field of a public dataclass and every public
-method has a reader, no module imports scipy, the package's names load on
-first use, and only the command line sets OpenBLAS's thread count."""
+method has a reader, no module imports scipy, a run loads neither scipy nor
+the process pool, the package's names load on first use, and only the
+command line sets OpenBLAS's thread count."""
 
 import ast
 import dataclasses
@@ -128,7 +129,6 @@ def test_every_public_class_is_read():
 # the code no longer needs fails the test too.
 ALLOWED_UNREAD_OUTSIDE_ALL = {
     "hausdorff_brute": "the brute-force Hausdorff oracle, a reference implementation kept for tests",
-    "run_suite": "acceptance criterion 6 runs each suite by name",
     "scene_to_dict": "the scene round-trip tests use it",
 }
 
@@ -228,13 +228,17 @@ def run_python(code: str, *args: str, **env: str) -> str:
     return result.stdout.splitlines()[-1]
 
 
-def test_a_band_run_leaves_scipy_unloaded():
-    """Not even lazily: after a full band run, scipy is not in sys.modules."""
+@pytest.mark.parametrize("package", ["scipy", "multiprocessing", "concurrent"])
+def test_a_band_run_leaves_a_package_unloaded(package):
+    """Not even lazily: after a full band run, the package is not in
+    sys.modules. Only verify's pool needs multiprocessing and concurrent,
+    and a run would pay for their import in its start-up."""
     band = PACKAGE.parent.parent / "scenes" / "dyadic_band.json"
     code = ("import sys; from fuzzyifs.cli import main; "
             "status = main(['run', sys.argv[1], '--steps', '6']); "
-            "print(status, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
-    assert run_python(code, str(band)) == "0 []"
+            "print(status, sorted(name for name in sys.modules "
+            "if name.split('.')[0] == sys.argv[2]))")
+    assert run_python(code, str(band), package) == "0 []"
 
 
 def test_importing_the_package_loads_no_module():
