@@ -1,10 +1,11 @@
 """Fuzzy iterated function systems with certified fixed-point iteration.
 
-Finite point sets carry the Hausdorff-Pompeiu metric, finitely supported
-fuzzy sets carry the sup-over-cuts metric, and an affine system paired with
-grey level maps drives the fuzzy set operator whose iterates converge to a
-fuzzy attractor. Everything runs in either exact rational arithmetic or
-floats, selected per scene.
+Finitely supported fuzzy sets carry the sup-over-cuts metric and their
+supports the Hausdorff-Pompeiu metric; a crisp point set is a fuzzy set
+whose every level is 1. An affine system paired with grey level maps drives
+the fuzzy set operator whose iterates converge to a fuzzy attractor.
+Everything runs in either exact rational arithmetic or floats, selected per
+scene.
 
 The public names load on first use (PEP 562): ``import fuzzyifs`` imports
 none of the package's modules, nor numpy, and ``fuzzyifs.FuzzySet`` or
@@ -20,8 +21,8 @@ _NAMES = {
     "fuzzy": ("EmptyCutError", "EmptySupportError", "FuzzySet", "GreyLevelMap", "GreyMapError",
               "alpha_cut", "apply_grey", "d_infinity", "d_infinity_level_sweep", "join",
               "zadeh_pushforward"),
-    "geometry": ("DimensionMismatchError", "EmptySetError", "FinitePointSet", "diameter",
-                 "directed_distance", "euclid", "hausdorff"),
+    "geometry": ("DimensionMismatchError", "diameter", "directed_distance", "euclid",
+                 "hausdorff"),
     "grid": ("GridFuzzySet", "RenderSpec", "parse_pgm"),
     "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "SupportCapError",
             "Word", "compose_word", "words_of_length", "words_up_to"),
@@ -57,9 +58,7 @@ __all__ = [
     "DEFAULT_TOL",
     "DimensionMismatchError",
     "EmptyCutError",
-    "EmptySetError",
     "EmptySupportError",
-    "FinitePointSet",
     "FuzzySet",
     "GreyLevelMap",
     "GreyMapError",

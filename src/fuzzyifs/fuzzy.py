@@ -10,9 +10,11 @@ n x d array of numerators over one common denominator (for a float set, the
 1e-12 grid of `geometry.grid_key`), its levels as an array of ranks in a
 table of the levels present (see `FuzzySet`). The numerators are int64 while
 their magnitude allows it and Python ints in object arrays beyond, and one
-numpy code path serves both. The step, `d_infinity`, the raster and the CSV
-work on that form; `items()`, `level()`, `support_set()` and
-`level_values()` show Fractions, or floats, at the boundary.
+numpy code path serves both. A crisp point set is a FuzzySet whose every
+level is 1: `alpha_cut` and `support_set()` give one, taken from the rows
+of the integer form, and `geometry.hausdorff` measures supports. The step,
+`d_infinity`, the cuts, the raster and the CSV work on that form; `items()`,
+`level()` and `level_values()` show Fractions, or floats, at the boundary.
 
 The metric `d_infinity` is the supremum over alpha of the Hausdorff distance
 between alpha-cuts. On finite supports the supremum is attained on the
@@ -21,7 +23,7 @@ levels), which gives the level-sweep reference implementation, kept as a
 test oracle. `d_infinity` uses the equivalent per-point form: for each
 support point x of u, the nearest point of v at level >= u(x), a prefix of
 v sorted by level, and symmetrically. It has one body for both numeric
-modes, built on the same nearest-neighbour kernel as the crisp
+modes, built on the same nearest-neighbour kernel as
 `geometry.hausdorff`, and its first side may be the pointwise maximum of
 several parts, which the operator's residual gives map by map; a pair is
 first brought onto one denominator and one level table. Pairs of at most
@@ -45,15 +47,15 @@ from .geometry import (
     GRID,
     INT64_BOUND,
     DimensionMismatchError,
-    FinitePointSet,
     Point,
+    _on_scale,
     _require_compatible,
     _scan_squared,
     as_point,
     directed_max_squared,
     grid_key,
     hausdorff,
-    magnitude,
+    int_array,
     point_is_exact,
 )
 from .numeric import DEFAULT_TOL, Scalar, is_exact, sqrt_exact
@@ -202,9 +204,9 @@ class FuzzySet:
     (`geometry.INT64_BOUND`), and Python ints in an object array otherwise.
     Equal sets hold the same rows and ranks up to their order, and `==`
     compares their values sorted, whatever the dtypes. `scaled()` gives
-    that form to the step, the metric and the writers; `items()`,
-    `level()`, `support_set()` and `level_values()` give Fractions, or
-    floats n / D.
+    that form to the step, the metric and the writers; `items()`, `level()`
+    and `level_values()` give Fractions, or floats n / D. A crisp set is a
+    FuzzySet whose level table is (0, 1).
     """
 
     __slots__ = ("_points", "_ranks", "_den", "_levels", "_items", "_index", "exact",
@@ -219,34 +221,35 @@ class FuzzySet:
             exact = point_is_exact(p0) and is_exact(l0)
         dimension = len(pairs[0][0])
         # One pass: the coordinates in order, and per point the id of its
-        # level in order of first appearance, so that each level is hashed
-        # once.
+        # level in order of first appearance. An exact level is hashed as
+        # given, since equal numbers hash alike whatever their type, and
+        # each distinct one becomes a Fraction once.
         coords, ids, first = [], [], {}
         for p, level in pairs:
             if len(p) != dimension:
                 raise DimensionMismatchError("support points of mixed dimension")
-            if level < 0 or level > 1:
+            if not (0 <= level <= 1):
                 raise ValueError(f"level {level!r} outside [0, 1]")
             if level:
                 if not exact:
                     level = float(level)
                     coords += grid_key(p)
                 else:
-                    if type(level) is not Fraction:
-                        level = Fraction(level)
                     coords += p
                 ids.append(first.setdefault(level, len(first)))
         if not ids:
             raise EmptySupportError("all levels were zero")
         if exact:
-            coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
+            # An int has a numerator and a denominator, as a Fraction has.
+            coords = [c if type(c) is Fraction or type(c) is int else Fraction(c) for c in coords]
             den = math.lcm(*{c.denominator for c in coords})
             coords = [c.numerator * (den // c.denominator) for c in coords]
+            distinct = [level if type(level) is Fraction else Fraction(level) for level in first]
         else:
             den = GRID
+            distinct = list(first)
         fits = -INT64_BOUND < min(coords) and max(coords) < INT64_BOUND
         points = np.array(coords, dtype=np.int64 if fits else object).reshape(len(ids), dimension)
-        distinct = list(first)
         order = sorted(range(len(distinct)), key=distinct.__getitem__)
         rank_of = [0] * len(order)
         for r, i in enumerate(order, 1):
@@ -279,9 +282,7 @@ class FuzzySet:
         points, ranks = _merge_rows(points, ranks)
         levels, ranks = _cut_levels(levels, ranks)
         if exact:
-            g = math.gcd(den, int(np.gcd.reduce(points, axis=None)))
-            if g > 1:
-                points, den = points // g, den // g
+            points, den = _least_terms(points, den)
         obj = object.__new__(cls)
         obj._init(points, ranks, den, levels, dimension, exact)
         return obj
@@ -317,8 +318,9 @@ class FuzzySet:
     def support_points(self) -> Tuple[Point, ...]:
         return tuple(p for p, _ in self.items())
 
-    def support_set(self) -> FinitePointSet:
-        return FinitePointSet(points=self.support_points(), exact=self.exact)
+    def support_set(self) -> "FuzzySet":
+        """The support as a crisp set: every point at level 1."""
+        return alpha_cut(self, 0)
 
     def level(self, p: Sequence) -> Scalar:
         """The level at p, 0 off the support; a float point is looked up at
@@ -412,6 +414,29 @@ def _merge_rows(points: np.ndarray, ranks: np.ndarray) -> Tuple[np.ndarray, np.n
     return points[first[keep]], top[keep]
 
 
+def _merged_levels(tables):
+    """The ascending union of ascending level tables, and per table the
+    list of the ranks of its levels in the union: one merge pass per
+    table, which compares levels and hashes none."""
+    merged, ranks = tables[0], [range(len(tables[0]))]
+    for table in tables[1:]:
+        union, old, new = [], [], []
+        a, b = (*merged, math.inf), (*table, math.inf)
+        i = j = 0
+        while i < len(merged) or j < len(table):
+            low = min(a[i], b[j])
+            if a[i] is low:
+                old.append(len(union))
+                i += 1
+            if b[j] is low or not low < b[j]:
+                new.append(len(union))
+                j += 1
+            union.append(low)
+        ranks = [[old[r] for r in rank] for rank in ranks] + [new]
+        merged = tuple(union)
+    return merged, ranks
+
+
 def _cut_levels(levels: Tuple[Scalar, ...], ranks: np.ndarray):
     """The table cut to the ranks in use, and the ranks renumbered to it in
     the rank dtype of the cut table."""
@@ -422,16 +447,38 @@ def _cut_levels(levels: Tuple[Scalar, ...], ranks: np.ndarray):
     return levels, np.cumsum(present, dtype=_rank_dtype(len(levels)))[ranks]
 
 
-def alpha_cut(u: FuzzySet, alpha: Scalar) -> FinitePointSet:
-    """Points at level >= alpha; alpha = 0 gives the support."""
+def _least_terms(points: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
+    """Rows of exact numerators over den, and den, both divided by their
+    gcd: one gcd over all numerators."""
+    g = math.gcd(den, int(np.gcd.reduce(points, axis=None)))
+    return (points // g, den // g) if g > 1 else (points, den)
+
+
+# The level table of a crisp set, per numeric mode.
+_CRISP_LEVELS = {True: (Fraction(0), Fraction(1)), False: (0.0, 1.0)}
+
+
+def alpha_cut(u: FuzzySet, alpha: Scalar) -> FuzzySet:
+    """The crisp set of u's points at level >= alpha, in support order;
+    alpha = 0 gives the support. Its rows are u's rows at the ranks that
+    reach alpha, and only a cut that drops rows takes the gcd that brings
+    an exact set back to its least denominator."""
     if not (0 <= alpha <= 1):
         raise ValueError(f"alpha {alpha!r} outside [0, 1]")
-    if alpha == 0:
-        return u.support_set()
-    pts = [p for p, l in u.items() if l >= alpha]
-    if not pts:
+    den, levels, points, ranks = u.scaled()
+    first = bisect.bisect_left(levels, alpha, 1) if alpha else 1
+    if first == len(levels):
         raise EmptyCutError(f"cut at level {alpha} is empty")
-    return FinitePointSet(points=tuple(pts), exact=u.exact)
+    if first == 1 and levels == _CRISP_LEVELS[u.exact]:
+        return u
+    if first > 1:
+        points = points[ranks >= first]
+        if u.exact:
+            points, den = _least_terms(points, den)
+    cut = object.__new__(FuzzySet)
+    cut._init(points, np.ones(len(points), dtype=np.uint8), den, _CRISP_LEVELS[u.exact],
+              u.dimension, u.exact)
+    return cut
 
 
 def zadeh_pushforward(f, u: FuzzySet) -> FuzzySet:
@@ -451,13 +498,23 @@ def apply_grey(rho: GreyLevelMap, u: FuzzySet) -> FuzzySet:
 
 
 def join(sets: Sequence[FuzzySet]) -> FuzzySet:
-    """Pointwise maximum of finitely many fuzzy sets."""
+    """Pointwise maximum of finitely many fuzzy sets: their rows on the lcm
+    of their denominators, ranked in the merged table of their levels and
+    concatenated in order, each distinct point keeping its first position
+    and its highest level (`FuzzySet._from_images`)."""
     if not sets:
         raise ValueError("join of an empty family")
     first = sets[0]
     for other in sets[1:]:
         _require_compatible(first, other)
-    return FuzzySet([pair for u in sets for pair in u.items()], exact=first.exact)
+    if len(sets) == 1:
+        return first
+    den = math.lcm(*(u._den for u in sets))
+    levels, tables = _merged_levels([u._levels for u in sets])
+    dtype = _rank_dtype(len(levels))
+    points = np.concatenate([_on_scale(u, den) for u in sets])
+    ranks = np.concatenate([np.array(rank, dtype=dtype)[u._ranks] for rank, u in zip(tables, sets)])
+    return FuzzySet._from_images(points, ranks, den, levels, first.dimension, first.exact)
 
 
 def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
@@ -482,7 +539,7 @@ def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: b
     """`_directed` for a small pair, each set a dict from its numerator
     tuples to their merged ranks: a point is looked up in the other set's
     dict, and the pending points' prefixes are scanned with Python ints in
-    exact mode, or handed to the kernel as float coordinates n / den."""
+    exact mode, or handed to the kernel as rows of grid keys over den."""
     pending = [p for p, r in u.items() if v.get(p, 0) < r]
     if not pending:
         return 0
@@ -491,8 +548,7 @@ def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: b
     limits = [len(ranks) - bisect.bisect_left(ranks, u[p]) for p in pending]
     if exact:
         return _scan_squared(pending, targets, limits)
-    return directed_max_squared(*([[n / den for n in p] for p in group] for group in (pending, targets)),
-                                None, False, limits)
+    return directed_max_squared(int_array(pending), int_array(targets), den, False, limits)
 
 
 def _uncovered(us: np.ndarray, ur: np.ndarray, vs: np.ndarray, vr: np.ndarray):
@@ -509,29 +565,6 @@ def _uncovered(us: np.ndarray, ur: np.ndarray, vs: np.ndarray, vr: np.ndarray):
     return np.flatnonzero(u_other < ur), np.flatnonzero(v_other < vr)
 
 
-def _scaled_rows(u: FuzzySet, den: int):
-    """The numerator tuples of a set over den, a multiple of its own
-    denominator, in Python ints."""
-    factor = den // u._den
-    rows = u._points.tolist()
-    if factor == 1:
-        return map(tuple, rows)
-    return (tuple([n * factor for n in p]) for p in rows)
-
-
-def _on_scale(u: FuzzySet, den: int) -> np.ndarray:
-    """The numerators of a set over den, a multiple of its own
-    denominator, in one multiplication; Python ints where int64 would pass
-    INT64_BOUND."""
-    factor = den // u._den
-    points = u._points
-    if factor == 1:
-        return points
-    if points.dtype != object and max(magnitude(points), 1) * factor >= INT64_BOUND:
-        points = points.astype(object)
-    return points * factor
-
-
 def _pair_scale(u_den: int, u_levels: Tuple[Scalar, ...], v_den: int,
                 v_levels: Tuple[Scalar, ...]):
     """The preamble of `d_infinity` for a pair given by its denominators
@@ -541,10 +574,9 @@ def _pair_scale(u_den: int, u_levels: Tuple[Scalar, ...], v_den: int,
     top_u, top_v = u_levels[-1], v_levels[-1]
     if top_u != top_v:
         raise EmptyCutError(f"no point of the other set at level >= {max(top_u, top_v)}")
-    rank = {level: i for i, level in enumerate(sorted(set(u_levels) | set(v_levels)))}
-    dtype = _rank_dtype(len(rank))
-    return math.lcm(u_den, v_den), *(np.array([rank[level] for level in levels], dtype=dtype)
-                                     for levels in (u_levels, v_levels))
+    levels, ranks = _merged_levels([u_levels, v_levels])
+    dtype = _rank_dtype(len(levels))
+    return math.lcm(u_den, v_den), *(np.array(rank, dtype=dtype) for rank in ranks)
 
 
 def _sup_distance(parts: Callable[[], Iterable[Tuple[np.ndarray, np.ndarray]]], size: int,
@@ -567,7 +599,7 @@ def _sup_distance(parts: Callable[[], Iterable[Tuple[np.ndarray, np.ndarray]]], 
             for p, r in zip(map(tuple, points.tolist()), ranks.tolist()):
                 if us.get(p, 0) < r:
                     us[p] = r
-        vs = dict(zip(_scaled_rows(v, den), v_rank[v._ranks].tolist()))
+        vs = dict(zip(map(tuple, _on_scale(v, den).tolist()), v_rank[v._ranks].tolist()))
         best = max(_directed_small(us, vs, den, exact), _directed_small(vs, us, den, exact))
     else:
         vs, vr = _on_scale(v, den), v_rank[v._ranks]

@@ -1,29 +1,28 @@
-"""Points in R^D, finite point sets and the Hausdorff-Pompeiu metric.
+"""Points in R^D and the Hausdorff-Pompeiu metric on the supports of sets.
 
-Compact sets are represented as finite, deduplicated point collections;
-float points are snapped to the 1e-12 grid of `grid_key`. The directed and
-Hausdorff distances come from one nearest-neighbour kernel,
+There is one set type, `fuzzy.FuzzySet`, a crisp set being one whose every
+level is 1. `hausdorff` and `directed_distance` measure the supports of two
+sets, their numerator rows brought onto the lcm of their denominators
+(`_on_scale`); float points are the keys of the 1e-12 grid of `grid_key`
+over 10^12. Both come from one nearest-neighbour kernel,
 `directed_max_squared`, which `fuzzy.d_infinity` shares with per-point
 prefix limits. It finds float nearest neighbours in numpy, from a uniform
 grid of cells whose size is certified by the distances it finds (the cell
 method of Bentley, Stanat & Williams, Inf. Process. Lett. 6(6), 1977),
 or by scanning where such cells would cost more: few points, or few
 targets for their dimension. Float mode takes their distances. Exact mode
-works on integers: the points of both operands are brought onto one
-common denominator D (`scale_points`), and the kernel compares integer
-squared distances over D^2, scanning every prefix for small inputs and
-checking the float nearest neighbours otherwise, so results stay exact.
-The kernel takes its points as n x d arrays: integer numerators are int64
-while they stay below 2^62 in magnitude, so that a sum or difference of two
-cannot overflow, and Python ints in object arrays beyond (`int_array`);
-the same numpy code serves both. The brute-force double loop is kept as a
-test oracle.
+compares integer squared distances over D^2, scanning every prefix for
+small inputs and checking the float nearest neighbours otherwise, so
+results stay exact. The kernel takes its points as n x d arrays: integer
+numerators are int64 while they stay below 2^62 in magnitude, so that a
+sum or difference of two cannot overflow, and Python ints in object arrays
+beyond (`int_array`); the same numpy code serves both. The brute-force
+double loop is kept as a test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -43,10 +42,6 @@ _BRUTE_PAIR_LIMIT = 4096
 
 class DimensionMismatchError(ValueError):
     """Operands live in spaces of different dimension."""
-
-
-class EmptySetError(ValueError):
-    """An operation that needs a nonempty point set received an empty one."""
 
 
 class GridRangeError(ValueError):
@@ -150,78 +145,21 @@ def euclid(p: Sequence, q: Sequence):
     return math.sqrt(sq)
 
 
-@dataclass(frozen=True)
-class FinitePointSet:
-    """Nonempty, deduplicated, ordered collection of same-dimension points."""
-
-    points: Tuple[Point, ...]
-    exact: bool
-
-    @classmethod
-    def from_points(cls, points: Iterable[Sequence], exact: Optional[bool] = None) -> "FinitePointSet":
-        raw = list(points)
-        if not raw:
-            raise EmptySetError("point set must be nonempty")
-        if exact is None:
-            exact = point_is_exact(raw[0])
-        dim = len(raw[0])
-        if any(len(p) != dim for p in raw):
-            raise DimensionMismatchError("points of mixed dimension")
-        return cls(points=tuple(dict.fromkeys(as_point(p, exact) for p in raw)), exact=exact)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.points[0])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def point_lookup(self) -> frozenset:
-        """Cached hash lookup of the points."""
-        lookup = self.__dict__.get("_lookup")
-        if lookup is None:
-            lookup = frozenset(self.points)
-            object.__setattr__(self, "_lookup", lookup)
-        return lookup
-
-    def contains(self, p: Sequence, tol: float = 0.0) -> bool:
-        key = as_point(p, self.exact)
-        if tol == 0.0:
-            return key in self.point_lookup()
-        return key in self.point_lookup() or any(euclid(key, q) <= tol for q in self.points)
-
-    def union(self, *others: "FinitePointSet") -> "FinitePointSet":
-        pts = list(self.points)
-        for o in others:
-            if o.exact != self.exact:
-                raise ValueError("cannot mix numeric modes in a union")
-            pts.extend(o.points)
-        return FinitePointSet.from_points(pts, exact=self.exact)
-
-    def issubset(self, other: "FinitePointSet") -> bool:
-        return other.point_lookup().issuperset(self.points)
-
-    def same_points(self, other: "FinitePointSet") -> bool:
-        return self.issubset(other) and other.issubset(self)
-
-
 def _require_compatible(a, b) -> None:
-    """Two sets, crisp or fuzzy, of one dimension and one numeric mode."""
+    """Two sets of one dimension and one numeric mode."""
     if a.dimension != b.dimension:
         raise DimensionMismatchError(f"dimension {a.dimension} vs {b.dimension}")
     if a.exact != b.exact:
         raise ValueError("cannot mix numeric modes")
 
 
-def directed_distance_brute(a: FinitePointSet, b: FinitePointSet):
-    """Reference double loop: max over a of min distance into b."""
+def directed_distance_brute(a, b):
+    """Reference double loop: max over supp a of min distance into supp b."""
     _require_compatible(a, b)
     best = None
-    for p in a.points:
-        closest = min(squared_distance(p, q) for q in b.points)
+    targets = b.support_points()
+    for p in a.support_points():
+        closest = min(squared_distance(p, q) for q in targets)
         if best is None or closest > best:
             best = closest
     if a.exact:
@@ -234,6 +172,19 @@ def _nn_radius_slack(query: np.ndarray, data: np.ndarray) -> float:
     # shortlist; scales with coordinate magnitude, the largest |entry|.
     magnitude = max(float(query.max()), -float(query.min()), float(data.max()), -float(data.min()))
     return 1e-9 * max(1.0, magnitude)
+
+
+def _on_scale(u, den: int) -> np.ndarray:
+    """The numerators of a set's support over den, a multiple of its own
+    denominator, in one multiplication; Python ints where int64 would pass
+    INT64_BOUND."""
+    own, _, points, _ = u.scaled()
+    factor = den // own
+    if factor == 1:
+        return points
+    if points.dtype != object and max(magnitude(points), 1) * factor >= INT64_BOUND:
+        points = points.astype(object)
+    return points * factor
 
 
 def scale_points(*groups: Sequence[Point]) -> Tuple[int, List[List[Tuple[int, ...]]]]:
@@ -506,27 +457,27 @@ def _float_columns(group: np.ndarray, index: np.ndarray, den: int,
     return columns
 
 
-def directed_max_squared(points, targets, den: Optional[int], exact: bool,
+def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exact: bool,
                          limits: Optional[Sequence[int]] = None,
                          rows: Optional[np.ndarray] = None, order: Optional[np.ndarray] = None):
     """Max over the points of the min squared distance into the targets,
     point i looking only at the prefix of the first limits[i] targets (all
-    of them when limits is None; every limit is at least 1). For arrays,
-    the index arrays rows and order select the points points[rows] and the
-    targets targets[order] (all rows, in order, when None); the kernel reads
-    them through the indices, a column or a block at a time, and holds no
+    of them when limits is None; every limit is at least 1). The index
+    arrays rows and order select the points points[rows] and the targets
+    targets[order] (all rows, in order, when None); the kernel reads them
+    through the indices, a column or a block at a time, and holds no
     gathered copy of either.
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
     and `d_infinity`, whose per-point limits are level-sorted prefixes. The
-    points are rows of an array, or a sequence of tuples converted to one:
-    float coordinates (`den` None) or integer numerators over the common
-    denominator `den`, int64 or Python ints (`int_array`). Every prefix is
-    answered from one uniform grid of cells per round (see
-    `_prefix_nearest`). In float mode the result is a float, the largest of
-    the nearest distances, each the square root of a sum of squared
-    differences. In exact mode the result is the integer numerator of the
-    squared distance over den^2, found with integer arithmetic only:
+    points and the targets are rows of integer numerators over the common
+    denominator `den` (float mode: grid keys over GRID), int64 or Python
+    ints (`int_array`). Every prefix is answered from one uniform grid of
+    cells per round (see `_prefix_nearest`). In float mode the result is a
+    float, the largest of the nearest distances between the floats n / den,
+    each the square root of a sum of squared differences. In exact mode the
+    result is the integer numerator of the squared distance over den^2,
+    found with integer arithmetic only:
 
     - when the pairs scanned (the sum of the limits) are few, without the
       grid, by `_scan_squared` on Python ints;
@@ -544,27 +495,18 @@ def directed_max_squared(points, targets, den: Optional[int], exact: bool,
     size = len(points) if rows is None else len(rows)
     count = len(targets) if order is None else len(order)
     if exact and (size * count if limits is None else int(np.sum(limits))) <= _BRUTE_PAIR_LIMIT:
-        if isinstance(points, np.ndarray):
-            points = (points if rows is None else points[rows]).tolist()
-            targets = (targets if order is None else targets[order]).tolist()
-        limits = [count] * size if limits is None else np.asarray(limits).tolist()
-        return _scan_squared(points, targets, limits)
-    if den is None:
-        points, targets = np.asarray(points, dtype=float), np.asarray(targets, dtype=float)
-    elif not isinstance(points, np.ndarray):
-        points, targets = int_array(points), int_array(targets)
+        return _scan_squared((points if rows is None else points[rows]).tolist(),
+                             (targets if order is None else targets[order]).tolist(),
+                             [count] * size if limits is None else np.asarray(limits).tolist())
     rows = np.arange(size) if rows is None else rows
     order = np.arange(count) if order is None else order
     limits = np.full(size, count) if limits is None else np.asarray(limits)
-    if den is None:
-        data, query = targets[order].T.copy(), points[rows].T.copy()
-    else:
-        origin = targets[order[0]] if exact else None
-        try:
-            data, query = (_float_columns(group, index, den, origin)
-                           for group, index in ((targets, order), (points, rows)))
-        except OverflowError:
-            raise GridRangeError("exact points too far apart for float coordinates") from None
+    origin = targets[order[0]] if exact else None
+    try:
+        data, query = (_float_columns(group, index, den, origin)
+                       for group, index in ((targets, order), (points, rows)))
+    except OverflowError:
+        raise GridRangeError("exact points too far apart for float coordinates") from None
     best, nearest = _prefix_nearest(query, data, limits)
     dist = np.sqrt(best, out=best)
     if not exact:
@@ -588,29 +530,30 @@ def directed_max_squared(points, targets, den: Optional[int], exact: bool,
     return worst
 
 
-def _max_squared(a: FinitePointSet, b: FinitePointSet, symmetric: bool):
-    """The kernel from a into b, and from b into a too when symmetric; exact
-    sets are scaled to their common denominator once for both."""
+def _max_squared(a, b, symmetric: bool):
+    """The kernel from the support of a into that of b, and from b into a
+    too when symmetric, on the lcm of their denominators."""
     _require_compatible(a, b)
     exact = a.exact
-    den, (points, targets) = scale_points(a.points, b.points) if exact else (None, (a.points, b.points))
+    den = math.lcm(a.scaled()[0], b.scaled()[0])
+    points, targets = _on_scale(a, den), _on_scale(b, den)
     best = directed_max_squared(points, targets, den, exact)
     if symmetric:
         best = max(best, directed_max_squared(targets, points, den, exact))
     return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
 
 
-def directed_distance(a: FinitePointSet, b: FinitePointSet):
-    """sup over a of inf distance into b. Not symmetric."""
+def directed_distance(a, b):
+    """sup over supp a of inf distance into supp b. Not symmetric."""
     return _max_squared(a, b, symmetric=False)
 
 
-def hausdorff(a: FinitePointSet, b: FinitePointSet):
-    """max of the two directed distances; a metric on exact point sets."""
+def hausdorff(a, b):
+    """max of the two directed distances; a metric on exact supports."""
     return _max_squared(a, b, symmetric=True)
 
 
-def hausdorff_brute(a: FinitePointSet, b: FinitePointSet):
+def hausdorff_brute(a, b):
     return max(directed_distance_brute(a, b), directed_distance_brute(b, a))
 
 

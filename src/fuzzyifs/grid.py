@@ -9,6 +9,7 @@ level per cell.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -19,6 +20,11 @@ from .geometry import as_float_array
 
 PGM_MAXVAL = 255
 
+# The bytes per cell that rendering touches: the float64 raster, the two
+# float64 arrays of `to_pgm` (the scaled levels and their rounding), its
+# uint8 pixels, their bytes and the image's bytes.
+RASTER_BYTES_PER_CELL = 8 + 8 + 8 + 1 + 1 + 1
+
 
 @dataclass(frozen=True)
 class RenderSpec:
@@ -26,7 +32,11 @@ class RenderSpec:
     corners and extents are finite, x0 < x1 and y0 < y1, and the width and
     height are positive ints. These rules live here alone: a scene's render
     block, the CLI's --bbox and --grid and every grid build a RenderSpec,
-    so a bad box fails where it is read, before any iteration."""
+    so a bad box fails where it is read, before any iteration. So does a
+    raster that cannot fit: RASTER_BYTES_PER_CELL times width times height
+    past physical memory (page size times pages, `os.sysconf`) raises
+    MemoryError. The size is compared, not allocated, since overcommit
+    would let a raster too large be allocated and fail only when filled."""
 
     bbox: Tuple[float, float, float, float]  # x0, y0, x1, y1
     width: int
@@ -41,6 +51,11 @@ class RenderSpec:
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
                    for n in (self.width, self.height)):
             raise ValueError("render width and height must be positive integers")
+        needed = RASTER_BYTES_PER_CELL * self.width * self.height
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if needed > memory:
+            raise MemoryError(f"a {self.width}x{self.height} raster needs {needed} bytes, "
+                              f"more than the {memory} bytes of physical memory")
 
 
 @dataclass(frozen=True, eq=False)

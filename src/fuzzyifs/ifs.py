@@ -5,6 +5,11 @@ Maps are restricted to affine form so exact-rational iteration stays closed
 and contractivity sampling is well defined. The contraction constant is a
 declared property of the system; `check_contractivity` only samples orbit
 pairs and never claims a proof.
+
+Sets are `fuzzy.FuzzySet`s, a crisp set one whose every level is 1. One
+routine, `IteratedFunctionSystem._image`, maps a set's integer form under
+one map in array operations, for the crisp step and orbit and for the
+fuzzy operator's step, residual and reach diameter in `system`.
 """
 
 from __future__ import annotations
@@ -14,13 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
 
-from .geometry import (
-    DimensionMismatchError,
-    FinitePointSet,
-    Point,
-    point_is_exact,
-    squared_distance,
-)
+import numpy as np
+
+from .fuzzy import FuzzySet, join
+from .geometry import (INT64_BOUND, DimensionMismatchError, Point, as_float_array, grid_keys,
+                       magnitude, point_is_exact, scale_points, squared_distance)
 from .numeric import DEFAULT_TOL, Scalar, sqrt_exact
 
 DEFAULT_SUPPORT_CAP = 10_000_000
@@ -151,6 +154,11 @@ class IteratedFunctionSystem:
 
     maps: Tuple[AffineMap, ...]
     contraction_constant: Scalar
+    # Exact systems: (L, ((linear map, offset), ...)), every map times the
+    # least common denominator L of all entries and offsets, in ints, its
+    # linear part an AffineMap with a zero offset whose plan is built here
+    # once; float: (1, ()).
+    _scaled_maps: tuple = field(init=False, repr=False, compare=False, default=(1, ()))
 
     def __post_init__(self):
         if not self.maps:
@@ -162,6 +170,13 @@ class IteratedFunctionSystem:
             raise ValueError("cannot mix numeric modes")
         if not (0 <= self.contraction_constant < 1):
             raise ValueError("contraction_constant out of range [0, 1)")
+        if self.exact:
+            den, (rows,) = scale_points([row for f in self.maps for row in (*f.linear, f.offset)])
+            d = self.dimension
+            zero = (0,) * d
+            maps = tuple((AffineMap(tuple(rows[k:k + d]), zero), rows[k + d])
+                         for k in range(0, len(rows), d + 1))
+            object.__setattr__(self, "_scaled_maps", (den, maps))
 
     @property
     def dimension(self) -> int:
@@ -177,21 +192,59 @@ class IteratedFunctionSystem:
             contraction_constant=float(self.contraction_constant),
         )
 
-    def step(self, k: FinitePointSet) -> FinitePointSet:
-        """Union of the images of k under every map, deduplicated."""
-        images = [f(p) for f in self.maps for p in k.points]
-        return FinitePointSet.from_points(images, exact=k.exact)
+    def _image(self, u: FuzzySet, k: int, rows=slice(None)) -> np.ndarray:
+        """The images under map k of u's rows after checking u's mode and
+        dimension: numerators over D*L for an exact map times L (see
+        `_scaled_maps`), its linear part applied to the numerators and its
+        offset times D added, in int64 while a bound on them allows; for a
+        float map, `grid_keys` of `AffineMap._apply` on the floats n / D."""
+        if u.exact != self.exact:
+            raise ValueError("fuzzy set and system use different numeric modes")
+        if u.dimension != self.dimension:
+            raise DimensionMismatchError(
+                f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
+        den, _, points, _ = u.scaled()
+        points = points[rows]
+        if u.exact:
+            plan, offset = self._scaled_maps[1][k]
+            # Every image numerator is below this bound.
+            top = max(magnitude(points), 1)
+            bound = max(top * sum(map(abs, row)) + abs(b) * den for row, b in zip(plan.linear, offset))
+            columns = list(points.astype(np.int64 if bound < INT64_BOUND else object, copy=False).T)
+            image = [c + b * den if b else c for c, b in zip(plan._apply(columns), offset)]
+        else:
+            columns = list(as_float_array(points, den).T)
+            image = self.maps[k]._apply(columns)
+        # A row of a map without linear terms gives a scalar component. The
+        # block is column-major, so that the merge's sort reads contiguous
+        # columns.
+        block = np.empty((len(points), u.dimension), dtype=columns[0].dtype, order="F")
+        for j, component in enumerate(image):
+            block[:, j] = component
+        return block if u.exact else grid_keys(block)
 
-    def orbit(self, base: FinitePointSet, depth: int,
-              support_cap: int = DEFAULT_SUPPORT_CAP) -> FinitePointSet:
-        """Images of the base under every word of length <= depth."""
+    def step(self, u: FuzzySet) -> FuzzySet:
+        """The images of u under every map, each keeping its point's level:
+        the images of u's rows, concatenated in map order, merged onto their
+        distinct rows in order of first occurrence, each with its highest
+        level. That is join([zadeh_pushforward(f, u) for f in maps]); a
+        crisp u gives the crisp set operator's image."""
+        den, levels, _, ranks = u.scaled()
+        points = np.concatenate([self._image(u, k) for k in range(len(self.maps))])
+        return FuzzySet._from_images(points, np.tile(ranks, len(self.maps)),
+                                     den * self._scaled_maps[0], levels, u.dimension, u.exact)
+
+    def orbit(self, base: FuzzySet, depth: int,
+              support_cap: int = DEFAULT_SUPPORT_CAP) -> FuzzySet:
+        """The crisp set of the images of the base's support under every
+        word of length <= depth, in order of first occurrence: the base's
+        points, then each crisp step's new points."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        level = base
-        acc = base
+        level = acc = base.support_set()
         for _ in range(depth):
             level = self.step(level)
-            acc = acc.union(level)
+            acc = join([acc, level])
             if len(acc) > support_cap:
                 raise SupportCapError(
                     f"orbit grew past the cap of {support_cap} points",
@@ -199,12 +252,12 @@ class IteratedFunctionSystem:
                 )
         return acc
 
-    def check_contractivity(self, base: FinitePointSet, depth: int) -> ContractivityReport:
+    def check_contractivity(self, base: FuzzySet, depth: int) -> ContractivityReport:
         """Sample orbit point pairs and compare image distances against the
         declared constant. A sampling check, not a proof."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        pts = list(self.orbit(base, depth))
+        pts = self.orbit(base, depth).support_points()
         if len(pts) > CONTRACTIVITY_SAMPLES:
             stride = (len(pts) - 1) / (CONTRACTIVITY_SAMPLES - 1)
             pts = [pts[round(i * stride)] for i in range(CONTRACTIVITY_SAMPLES)]

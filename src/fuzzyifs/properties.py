@@ -29,7 +29,7 @@ from .fuzzy import (
     join,
     zadeh_pushforward,
 )
-from .geometry import FinitePointSet, diameter, hausdorff, int_array, scale_points
+from .geometry import _on_scale, diameter, hausdorff
 from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
 from .system import ContractionViolationError, OrbitalFuzzySystem
 
@@ -49,9 +49,10 @@ def _point(rng: random.Random, dim: int):
     return tuple(_rational(rng) for _ in range(dim))
 
 
-def _point_set(rng: random.Random, dim: int, max_points: int = 5) -> FinitePointSet:
+def _point_set(rng: random.Random, dim: int, max_points: int = 5) -> FuzzySet:
+    """A crisp exact set: every point at level 1."""
     count = rng.randrange(1, max_points + 1)
-    return FinitePointSet.from_points([_point(rng, dim) for _ in range(count)], exact=True)
+    return FuzzySet([(_point(rng, dim), 1) for _ in range(count)], exact=True)
 
 
 def _fuzzy(rng: random.Random, dim: int, max_points: int = 4, normal: bool = True) -> FuzzySet:
@@ -114,13 +115,19 @@ def _collect(check: Callable[[random.Random], Optional[str]], rng: random.Random
 
 # --- geometry suites -------------------------------------------------------
 
+def _joint_diameter(a: FuzzySet, b: FuzzySet):
+    """diam(supp a union supp b), from the rows of both on one denominator."""
+    den = math.lcm(a.scaled()[0], b.scaled()[0])
+    return diameter(np.concatenate([_on_scale(a, den), _on_scale(b, den)]), den, True)
+
+
 def _union_bound(rng: random.Random) -> Optional[str]:
     """h(union A_i, union B_i) <= max_i h(A_i, B_i)."""
     dim = rng.choice((1, 2, 3))
     k = rng.randrange(1, 5)
     a_sets = [_point_set(rng, dim) for _ in range(k)]
     b_sets = [_point_set(rng, dim) for _ in range(k)]
-    lhs = hausdorff(a_sets[0].union(*a_sets[1:]), b_sets[0].union(*b_sets[1:]))
+    lhs = hausdorff(join(a_sets), join(b_sets))
     rhs = max(hausdorff(a, b) for a, b in zip(a_sets, b_sets))
     if not lhs <= rhs:
         return f"h(unions) = {lhs!r} > max = {rhs!r}"
@@ -133,8 +140,7 @@ def _diam_bound(rng: random.Random) -> Optional[str]:
     a = _point_set(rng, dim)
     b = _point_set(rng, dim)
     h = hausdorff(a, b)
-    den, (rows,) = scale_points(a.points + b.points)
-    d = diameter(int_array(rows), den, True)
+    d = _joint_diameter(a, b)
     if not h <= d:
         return f"h = {h!r} > diam = {d!r}"
     return None
@@ -165,8 +171,7 @@ def _dinf_diameter(rng: random.Random) -> Optional[str]:
     u = _fuzzy(rng, dim)
     v = _fuzzy(rng, dim)
     d = d_infinity(u, v)
-    den, (rows,) = scale_points(u.support_points() + v.support_points())
-    bound = diameter(int_array(rows), den, True)
+    bound = _joint_diameter(u, v)
     if not d <= bound:
         return f"d_infinity = {d!r} > diam = {bound!r}"
     return None
@@ -215,7 +220,7 @@ def _grey_cut_identity(rng: random.Random) -> Optional[str]:
             continue
         cut_left = alpha_cut(ru, alpha)
         cut_right = alpha_cut(u, beta)
-        if not cut_left.same_points(cut_right):
+        if cut_left != cut_right:
             return f"cut identity fails at alpha = {alpha}"
         if rv.max_level >= alpha:
             h = hausdorff(alpha_cut(ru, alpha), alpha_cut(rv, alpha))
@@ -233,7 +238,7 @@ def _support_image_inclusion(rng: random.Random) -> Optional[str]:
     u = _fuzzy(rng, dim)
     stepped = system.step(u)
     image = system.ifs.step(u.support_set())
-    if not stepped.support_set().issubset(image):
+    if join([stepped.support_set(), image]) != image:
         return "support of the stepped set escapes the image of the support"
     return None
 
@@ -303,8 +308,8 @@ def geometric_decay_failures(rng: random.Random, cases: int, n_max: int = 8) -> 
         n_maps = 1 if r < 0.35 else (2 if r < 0.95 else 3)
         c = rng.uniform(0.1, 0.9)
         system = _contractive_float_system(rng, n_maps, c)
-        base = FinitePointSet.from_points([(rng.uniform(-1, 1), rng.uniform(-1, 1))], exact=False)
-        orbit_pts = list(system.ifs.orbit(base, 3))
+        base = FuzzySet([((rng.uniform(-1, 1), rng.uniform(-1, 1)), 1.0)], exact=False)
+        orbit_pts = list(system.ifs.orbit(base, 3).support_points())
         size = rng.randrange(1, min(3, len(orbit_pts)) + 1)
         chosen = rng.sample(orbit_pts, size)
         pairs = [(p, rng.uniform(0.1, 1.0)) for p in chosen]

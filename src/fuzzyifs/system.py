@@ -41,7 +41,6 @@ from .fuzzy import (  # noqa: F401
     FuzzySet,
     GreyLevelMap,
     _merge_rows,
-    _on_scale,
     _pair_scale,
     _rank_dtype,
     _sup_distance,
@@ -50,18 +49,8 @@ from .fuzzy import (  # noqa: F401
     join,
     zadeh_pushforward,
 )
-from .geometry import (
-    GRID,
-    INT64_BOUND,
-    DimensionMismatchError,
-    FinitePointSet,
-    as_float_array,
-    diameter,
-    grid_keys,
-    magnitude,
-    scale_points,
-)
-from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
+from .geometry import GRID, _on_scale, diameter, euclid, magnitude
+from .ifs import DEFAULT_SUPPORT_CAP, IteratedFunctionSystem, SupportCapError
 from .numeric import DEFAULT_TOL, Radical, Scalar, _exact_square
 
 _MAX_TOLERANCE_STEPS = 10_000
@@ -113,11 +102,6 @@ class OrbitalFuzzySystem:
 
     ifs: IteratedFunctionSystem
     grey_maps: Tuple[GreyLevelMap, ...]
-    # Exact systems: (L, ((linear map, offset), ...)), every map times the
-    # least common denominator L of all entries and offsets, in ints, its
-    # linear part an AffineMap with a zero offset whose plan is built here
-    # once; float: (1, ()).
-    _scaled_maps: tuple = field(init=False, repr=False, compare=False, default=(1, ()))
     # The admissibility violations, found once; `validate` returns them and
     # every step and iteration raises on them.
     _violations: tuple = field(init=False, repr=False, compare=False, default=())
@@ -128,14 +112,6 @@ class OrbitalFuzzySystem:
         if any(g.exact != self.ifs.exact for g in self.grey_maps):
             raise ValueError("cannot mix numeric modes")
         object.__setattr__(self, "_violations", self._find_violations())
-        if self.exact:
-            den, (rows,) = scale_points([row for f in self.ifs.maps
-                                         for row in (*f.linear, f.offset)])
-            d = self.dimension
-            zero = (0,) * d
-            maps = tuple((AffineMap(tuple(rows[k:k + d]), zero), rows[k + d])
-                         for k in range(0, len(rows), d + 1))
-            object.__setattr__(self, "_scaled_maps", (den, maps))
 
     @property
     def exact(self) -> bool:
@@ -185,9 +161,10 @@ class OrbitalFuzzySystem:
         level of u's table, a point whose new level is 0 is not mapped, and
         the images of all maps, concatenated in map order, are merged with
         one stable lexsort, each point keeping its first position and its
-        highest level rank. Only the image differs (`_image`); an exact
-        result is cut back to its least denominator by one gcd, and a float
-        image off the grid raises GridRangeError. The result, support order
+        highest level rank. Only the image differs (the system's `_image`,
+        which the crisp step shares); an exact result is cut back to its
+        least denominator by one gcd, and a float image off the grid raises
+        GridRangeError. The result, support order
         included, equals join([apply_grey(g, zadeh_pushforward(f, u)) for
         f, g in ...]), the reference this step is tested against, except
         that a map whose part the grey map erases adds nothing instead of
@@ -211,7 +188,7 @@ class OrbitalFuzzySystem:
         # The parts go before the merge, whose sort needs about as much again.
         points, point_ranks = np.concatenate(parts), np.concatenate(part_ranks)
         del parts, part_ranks, image, image_ranks
-        return FuzzySet._from_images(points, point_ranks, u.scaled()[0] * self._scaled_maps[0],
+        return FuzzySet._from_images(points, point_ranks, u.scaled()[0] * self.ifs._scaled_maps[0],
                                      new_levels, u.dimension, u.exact)
 
     def _relit(self, u: FuzzySet) -> Tuple[Tuple[Scalar, ...], list]:
@@ -236,10 +213,10 @@ class OrbitalFuzzySystem:
             new = relit[ranks]
             count = np.count_nonzero(new)
             if count == len(new):
-                yield self._image(u, k), new
+                yield self.ifs._image(u, k), new
             elif count:
                 kept = np.flatnonzero(new)
-                yield self._image(u, k, kept), new[kept]
+                yield self.ifs._image(u, k, kept), new[kept]
 
     def _residual(self, u: FuzzySet, support_cap: int = DEFAULT_SUPPORT_CAP) -> Scalar:
         """d_infinity(self.step(u, support_cap), u), the same value of the
@@ -265,49 +242,18 @@ class OrbitalFuzzySystem:
             raise EmptySupportError("the operator erased the whole support")
         if kept > support_cap:
             self.step(u, support_cap)
-        den, image_rank, u_rank = _pair_scale(u_den * self._scaled_maps[0], new_levels,
+        den, image_rank, u_rank = _pair_scale(u_den * self.ifs._scaled_maps[0], new_levels,
                                               u_den, levels)
         relits = [image_rank[relit] for relit in relits]
         return _sup_distance(lambda: starmap(_merge_rows, self._images(u, relits)), kept,
                              u, u_rank, den, u.exact)
 
-    def _image(self, u: FuzzySet, k: int, rows=slice(None)) -> np.ndarray:
-        """The images under map k of u's rows after checking u's mode and
-        dimension: numerators over D*L for an exact map times L (see
-        `_scaled_maps`), its linear part applied to the numerators and its
-        offset times D added, in int64 while a bound on them allows; for a
-        float map, `grid_keys` of `AffineMap._apply` on the floats n / D."""
-        if u.exact != self.exact:
-            raise ValueError("fuzzy set and system use different numeric modes")
-        if u.dimension != self.dimension:
-            raise DimensionMismatchError(
-                f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
-        den, _, points, _ = u.scaled()
-        points = points[rows]
-        if u.exact:
-            plan, offset = self._scaled_maps[1][k]
-            # Every image numerator is below this bound.
-            top = max(magnitude(points), 1)
-            bound = max(top * sum(map(abs, row)) + abs(b) * den for row, b in zip(plan.linear, offset))
-            columns = list(points.astype(np.int64 if bound < INT64_BOUND else object, copy=False).T)
-            image = [c + b * den if b else c for c, b in zip(plan._apply(columns), offset)]
-        else:
-            columns = list(as_float_array(points, den).T)
-            image = self.ifs.maps[k]._apply(columns)
-        # A row of a map without linear terms gives a scalar component. The
-        # block is column-major, so that the merge's sort reads contiguous
-        # columns.
-        block = np.empty((len(points), u.dimension), dtype=columns[0].dtype, order="F")
-        for j, component in enumerate(image):
-            block[:, j] = component
-        return block if u.exact else grid_keys(block)
-
     def reach_diameter(self, u: FuzzySet) -> Scalar:
         """diam(supp(u) together with its image under every map): u's rows and
         the images of all of them, whatever their new level, each point once."""
-        den = u.scaled()[0] * self._scaled_maps[0]
+        den = u.scaled()[0] * self.ifs._scaled_maps[0]
         reach = np.concatenate([_on_scale(u, den),
-                                *(self._image(u, k) for k in range(len(self.ifs.maps)))])
+                                *(self.ifs._image(u, k) for k in range(len(self.ifs.maps)))])
         return diameter(_merge_rows(reach, np.zeros(len(reach), dtype=np.uint8))[0], den, self.exact)
 
     def bounds(self, diam: Scalar) -> Iterator[Scalar]:
@@ -422,7 +368,7 @@ class OrbitalFuzzySystem:
             raise ValueError("initial fuzzy set must be normal (some level 1)")
         if steps is not None and steps < 0:
             raise ValueError("steps must be >= 0")
-        if tolerance is not None and tolerance <= 0:
+        if tolerance is not None and not tolerance > 0:
             raise ValueError("tolerance must be positive")
         diam = self.reach_diameter(u0)
         if steps is None:
@@ -502,19 +448,20 @@ def invariant_domain_check(system: OrbitalFuzzySystem, u: FuzzySet, depth: int =
     level_one_points = [p for p, l in u.items() if l >= one]
     orbits: Dict = {}
 
-    def orbit_points(w):
+    def orbit_holds(w, p) -> bool:
+        """Whether the orbit of w holds p, or in float mode a point within
+        tol of it."""
         if w not in orbits:
-            base = FinitePointSet(points=(w,), exact=u.exact)
-            orbits[w] = system.ifs.orbit(base, depth)
-        return orbits[w]
+            orbits[w] = system.ifs.orbit(FuzzySet([(w, 1)], exact=u.exact), depth)
+        pts = orbits[w]
+        return bool(pts.level(p)) or tol > 0 and any(euclid(p, q) <= tol for q in pts.support_points())
 
     support = list(u.support_points())
     for x in support:
         witnesses = [x] + [w for w in support if w != x]
         found = False
         for w in witnesses:
-            pts = orbit_points(w)
-            if pts.contains(x, tol) and any(pts.contains(y, tol) for y in level_one_points):
+            if orbit_holds(w, x) and any(orbit_holds(w, y) for y in level_one_points):
                 found = True
                 break
         if not found:

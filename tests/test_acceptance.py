@@ -10,8 +10,8 @@ import time
 from fractions import Fraction
 
 from fuzzyifs.dyadic import band_start, reference_system, slice_start
-from fuzzyifs.fuzzy import GreyLevelMap
-from fuzzyifs.geometry import FinitePointSet, hausdorff
+from fuzzyifs.fuzzy import FuzzySet, GreyLevelMap
+from fuzzyifs.geometry import hausdorff
 from fuzzyifs.grid import GridFuzzySet, parse_pgm
 from fuzzyifs.properties import (
     cauchy_bound_failures,
@@ -71,13 +71,12 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_crisp_attractor():
     ifs = reference_system().ifs
-    samples = FinitePointSet.from_points(
-        [(F(1, 2), F(k, 4096)) for k in range(4097)])
+    samples = FuzzySet([((F(1, 2), F(k, 4096)), 1) for k in range(4097)])
     slack = F(1, 4096)
 
     def run():
         bad = []
-        current = FinitePointSet.from_points([(F(1, 2), F(0))])
+        current = FuzzySet([((F(1, 2), F(0)), 1)])
         for n in range(1, 13):
             current = ifs.step(current)
             h = hausdorff(current, samples)

@@ -654,17 +654,34 @@ def test_help_exits_0(capsys):
 
 
 def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
-    """A grid too large to allocate, as --grid 100000x100000 is under a
-    3 GB address space, ends the run with one line and exit 3."""
+    """A raster that fits in physical memory but cannot be allocated, as
+    under a small address space, ends the run with one line and exit 3."""
     def fail(*args):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
     monkeypatch.setattr(GridFuzzySet, "zeros", fail)
     report = tmp_path / "old.json"
     report.write_text("previous run\n")
-    assert main(["run", BAND, "--steps", "1", "--grid", "100000x100000",
+    assert main(["run", BAND, "--steps", "1", "--grid", "1000x1000",
                  "--out-image", str(tmp_path / "x.pgm"), "--report", str(report)]) == 3
     assert capsys.readouterr().err == \
         "error: out of memory (Unable to allocate 74.5 GiB for an array)\n"
     assert report.read_text() == "previous run\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["old.json"]
+
+
+def test_a_raster_past_physical_memory_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    """--grid 1000000x1000000 needs 27 B per cell, 27 TB in all: the render
+    window refuses it before the first step, with one line and exit 3, and
+    no limit on the address space is needed for that."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(OrbitalFuzzySystem, "iterate", forbidden)
+    image = tmp_path / "x.pgm"
+    assert main(["run", BAND, "--grid", "1000000x1000000", "--out-image", str(image)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory (a 1000000x1000000 raster needs "
+                          "27000000000000 bytes, more than the ")
+    assert err.endswith(" bytes of physical memory)\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -27,7 +27,6 @@ from fuzzyifs.fuzzy import (
 from fuzzyifs.geometry import (
     _BRUTE_PAIR_LIMIT,
     GRID,
-    FinitePointSet,
     GridRangeError,
     as_point,
     euclid,
@@ -230,6 +229,14 @@ class TestFuzzySet:
         with pytest.raises(EmptySupportError):
             FuzzySet([((F(0),), F(0))])
 
+    def test_nan_level_is_outside_the_unit_interval(self):
+        # NaN fails every comparison, so a test of level < 0 or level > 1
+        # lets it through
+        with pytest.raises(ValueError, match=r"level nan outside \[0, 1\]"):
+            FuzzySet([((0.0, 0.0), math.nan), ((1.0, 0.0), 1.0)], exact=False)
+        with pytest.raises(ValueError, match=r"level nan outside \[0, 1\]"):
+            FuzzySet([((F(0),), F(1)), ((F(1),), math.nan)], exact=True)
+
     def test_duplicate_points_max_combine(self):
         u = FuzzySet([((F(0),), F(1, 2)), ((F(0),), F(3, 4))])
         assert u.level((F(0),)) == F(3, 4)
@@ -311,6 +318,27 @@ class TestRankDtypes:
             assert GridFuzzySet.from_fuzzy(w, (0, 0), (1, 1), 4, 4).to_pgm() == pgm
 
 
+def test_merged_levels_match_the_sorted_union():
+    """The one-pass merge of level tables against sorting their union: the
+    same table and the same ranks, for exact and float tables that share,
+    interleave or nest their levels, and for tables that are one object."""
+    rng = random.Random(53)
+    for _ in range(400):
+        convert = F if rng.random() < 0.5 else float
+        tables = []
+        for _ in range(rng.randrange(1, 5)):
+            if tables and rng.random() < 0.2:
+                tables.append(rng.choice(tables))
+                continue
+            levels = {F(rng.randrange(1, d + 1), d) for d in rng.choices((2, 3, 4, 8), k=rng.randrange(6))}
+            tables.append(tuple(map(convert, (0, *sorted(levels)))))
+        union = sorted(set().union(*tables))
+        merged, ranks = fuzzy_module._merged_levels(tables)
+        assert merged == tuple(union)
+        assert [list(rank) for rank in ranks] == [[union.index(level) for level in table]
+                                                 for table in tables]
+
+
 class TestFloatGrid:
     """A float set holds the integer form of an exact one over D = 10^12."""
 
@@ -357,7 +385,7 @@ class TestFloatGrid:
         for c in (half, math.nextafter(half, 1), math.nextafter(half, 0),
                   half * (1 + 1e-16), half * (1 - 1e-16), -half, -7.5931668937805):
             snapped = grid_key((c,))[0] / GRID
-            assert FinitePointSet.from_points([(c, 0.0)]).points[0][0] == snapped
+            assert FuzzySet([((c, 0.0), 1)]).support_points()[0][0] == snapped
             assert FuzzySet([((c, 0.0), 1.0)], exact=False).items()[0][0][0] == snapped
             assert as_point((c,), False) == (snapped,)
         assert grid_key((half,)) == (123_456_789_012,)
@@ -370,14 +398,14 @@ class TestFloatGrid:
             with pytest.raises(GridRangeError, match=re.escape(f"float coordinate {bad} is off")):
                 FuzzySet([((0.0, bad), 1.0)], exact=False)
             with pytest.raises(GridRangeError):
-                FinitePointSet.from_points([(bad, 0.0)])
+                FuzzySet([((bad, 0.0), 1)])
 
     def test_exact_coordinates_past_float_range_are_off_the_grid(self):
         # float(c) itself overflows here, not only float(c) * 10^12
         huge = F(10 ** 400)
         off_grid = re.escape(f"float coordinate {huge} is off the 1e-12 grid")
         with pytest.raises(GridRangeError, match=off_grid):
-            FinitePointSet.from_points([(huge,)], exact=False)
+            FuzzySet([((huge,), 1)], exact=False)
         with pytest.raises(GridRangeError, match=off_grid):
             FuzzySet([((huge, F(0)), F(1))]).to_float()
 
@@ -386,15 +414,15 @@ class TestAlphaCut:
     def test_reference_start(self):
         u = slice_start(F(1, 2))
         cut = alpha_cut(u, 1)
-        assert list(cut) == [(F(1, 2), F(0))]
+        assert cut.support_points() == ((F(1, 2), F(0)),)
 
     def test_zero_cut_is_support(self):
         u = fuzzy(((0, 0), F(1, 2)), ((1, 1), 1))
-        assert alpha_cut(u, 0).same_points(u.support_set())
+        assert alpha_cut(u, 0) == u.support_set()
 
     def test_threshold(self):
         u = fuzzy(((0,), 1), ((1,), F(1, 2)))
-        assert list(alpha_cut(u, F(3, 4))) == [(F(0),)]
+        assert alpha_cut(u, F(3, 4)).support_points() == ((F(0),),)
         with pytest.raises(EmptyCutError):
             alpha_cut(fuzzy(((0,), F(1, 2))), F(3, 4))
         with pytest.raises(ValueError):

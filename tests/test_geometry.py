@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from fuzzyifs import geometry
-from fuzzyifs.fuzzy import FuzzySet, d_infinity
+from fuzzyifs.fuzzy import EmptySupportError, FuzzySet, d_infinity, join
 from fuzzyifs.geometry import (
     GRID,
     DimensionMismatchError,
-    EmptySetError,
-    FinitePointSet,
     GridRangeError,
     as_float_array,
+    as_point,
     diameter,
     directed_distance,
     directed_distance_brute,
@@ -35,8 +34,30 @@ from fuzzyifs.scene import load_scene
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
+def crisp(points, exact=None):
+    """A crisp set: every point at level 1."""
+    return FuzzySet([(p, 1) for p in points], exact=exact)
+
+
 def pts(*coords):
-    return FinitePointSet.from_points([tuple(Fraction(c) for c in p) for p in coords])
+    return crisp([tuple(Fraction(c) for c in p) for p in coords])
+
+
+def scaled(*groups):
+    """Groups of exact points as arrays of numerators over their least
+    common denominator."""
+    den, rows = scale_points(*groups)
+    return den, [int_array(group) for group in rows]
+
+
+def snapped(points):
+    """Float points on the 1e-12 grid, as a float set holds them."""
+    return [as_point(p, False) for p in points]
+
+
+def keys(points):
+    """The grid keys of float points, the kernel's rows over GRID."""
+    return int_array([grid_key(p) for p in points])
 
 
 def test_euclid_basic():
@@ -80,10 +101,10 @@ def float_diameter_oracle(arr):
                            for i in range(len(arr) - 1)), default=0.0), e)
 
 
-def exact_diameter(s: FinitePointSet):
+def exact_diameter(s: FuzzySet):
     """The diameter of an exact point set, on its integer form."""
-    den, (rows,) = scale_points(s.points)
-    return diameter(int_array(rows), den, True)
+    den, _, rows, _ = s.scaled()
+    return diameter(rows, den, True)
 
 
 def float_diameter(coords):
@@ -96,7 +117,7 @@ def test_diameter():
     assert exact_diameter(pts((0,), (3,))) == 3
     square = pts((0, 0), (0, 1), (1, 0), (1, 1))
     # oracle: largest of the six pairwise distances
-    corners = list(square)
+    corners = square.support_points()
     expected = max(
         euclid(p, q) for i, p in enumerate(corners) for q in corners[i + 1:]
     )
@@ -116,16 +137,16 @@ def test_diameter_matches_brute_double_loop():
 
     for dim in (1, 2, 3):
         for _ in range(2):
-            cloud = FinitePointSet.from_points(
+            cloud = crisp(
                 [[rng.uniform(-3, 3) for _ in range(dim)] for _ in range(rng.randint(257, 400))],
                 exact=False)
             assert len(cloud) > 256
-            assert float_diameter(cloud.points) == brute(cloud.points, False)
+            assert float_diameter(cloud.support_points()) == brute(cloud.support_points(), False)
         for n in range(1, 61, 3):
-            s = FinitePointSet.from_points(
+            s = crisp(
                 [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(dim)]
                  for _ in range(n)])
-            assert exact_diameter(s) == brute(s.points, True)
+            assert exact_diameter(s) == brute(s.support_points(), True)
 
 
 def test_float_diameter_past_the_square_range():
@@ -219,23 +240,23 @@ def test_float_diameter_matches_the_row_loop(offset):
 
 
 def test_empty_and_mode_errors():
-    with pytest.raises(EmptySetError):
-        FinitePointSet.from_points([])
+    with pytest.raises(EmptySupportError):
+        crisp([])
     with pytest.raises(ValueError):
-        pts((0, 0)).union(FinitePointSet.from_points([(0.0, 0.0)]))
+        join([pts((0, 0)), crisp([(0.0, 0.0)])])
 
 
 def test_dedup_exact_and_float():
     s = pts((1, 2), (1, 2), (3, 4))
     assert len(s) == 2
-    f = FinitePointSet.from_points([(0.1, 0.2), (0.1 + 1e-15, 0.2), (1.0, 1.0)])
+    f = crisp([(0.1, 0.2), (0.1 + 1e-15, 0.2), (1.0, 1.0)])
     assert len(f) == 2
     assert not f.exact
 
 
 def _random_set(rng, dim=2, max_points=50):
     n = rng.randrange(1, max_points + 1)
-    return FinitePointSet.from_points(
+    return crisp(
         [tuple(Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 4))) for _ in range(dim))
          for _ in range(n)]
     )
@@ -259,9 +280,9 @@ def test_accelerated_hausdorff_matches_brute_force_float():
     """The grid kernel's directed distance equals the double loop's."""
     rng = random.Random(7)
     for _ in range(25):
-        a = FinitePointSet.from_points(
+        a = crisp(
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
-        b = FinitePointSet.from_points(
+        b = crisp(
             [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 60))])
         # float mode always answers through the grid kernel
         assert directed_distance(a, b) == pytest.approx(
@@ -280,8 +301,8 @@ def test_exact_kernel_separates_float_ties(monkeypatch):
     origin = [(Fraction(0), Fraction(0))]
     for targets in ([far, near], [near, far]):
         for extra, limits in (([], None), ([nearest], [2])):
-            den, (points, scaled) = scale_points(origin, targets + extra)
-            best = directed_max_squared(points, scaled, den, True, limits)
+            den, (points, rows) = scaled(origin, targets + extra)
+            best = directed_max_squared(points, rows, den, True, limits)
             assert Fraction(best, den * den) == near[0] ** 2
 
 
@@ -352,17 +373,19 @@ def test_prefix_kernel_matches_brute_force_exact(monkeypatch, pair_limit, block)
     cases = []
     for _ in range(60):
         a, b = _random_set(rng), _random_set(rng)
-        cases.append((a.points, b.points, [rng.randrange(1, len(b) + 1) for _ in a.points]))
+        cases.append((a.support_points(), b.support_points(),
+                      [rng.randrange(1, len(b) + 1) for _ in range(len(a))]))
     for points, targets, limits in cases + list(_kernel_cases(rng)):
         den, (points, targets) = scale_points(points, targets)
-        assert directed_max_squared(points, targets, den, True, limits) == \
+        assert directed_max_squared(int_array(points), int_array(targets), den, True, limits) == \
             _prefix_brute(points, targets, limits)
 
 
 def test_prefix_kernel_matches_brute_force_float(monkeypatch):
     """Equal float distances, each the square root of the brute force's
     float squared distance, with the default pair limit and with none,
-    which takes every point through the grid's rounds."""
+    which takes every point through the grid's rounds. The points are
+    snapped to the 1e-12 grid, whose keys the kernel takes."""
     rng = random.Random(92)
     cases = []
     for _ in range(60):
@@ -376,7 +399,8 @@ def test_prefix_kernel_matches_brute_force_float(monkeypatch):
     for pair_limit in (geometry._BRUTE_PAIR_LIMIT, 0):
         monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
         for points, targets, limits in cases:
-            assert directed_max_squared(points, targets, None, False, limits) == \
+            points, targets = snapped(points), snapped(targets)
+            assert directed_max_squared(keys(points), keys(targets), GRID, False, limits) == \
                 math.sqrt(_prefix_brute(points, targets, limits)) ** 2
 
 
@@ -389,12 +413,14 @@ def test_prefix_kernel_matches_kd_tree(monkeypatch):
         monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
         for _ in range(20):
             points, targets = (
-                [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(rng.randrange(1, 200))]
+                snapped([(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                         for _ in range(rng.randrange(1, 200))])
                 for _ in range(2))
             limits = [rng.randrange(1, len(targets) + 1) for _ in points]
             trees = {k: spatial.cKDTree(targets[:k]) for k in set(limits)}
             nearest = max(trees[k].query(p)[0] for p, k in zip(points, limits))
-            assert directed_max_squared(points, targets, None, False, limits) == nearest ** 2
+            assert directed_max_squared(keys(points), keys(targets), GRID, False, limits) == \
+                nearest ** 2
 
 
 def _traced_peak(f, *args):
@@ -408,7 +434,7 @@ def _traced_peak(f, *args):
 
 
 def _peak_kernel_bytes(points, targets, limits):
-    return _traced_peak(directed_max_squared, points, targets, None, False, limits)
+    return _traced_peak(directed_max_squared, keys(points), keys(targets), GRID, False, limits)
 
 
 def test_grid_rounds_hold_few_pairs_at_once():
@@ -419,8 +445,9 @@ def test_grid_rounds_hold_few_pairs_at_once():
     8 MB, where holding every candidate pair of a round at once takes tens
     of MB."""
     rng = random.Random(96)
-    cluster = [(rng.uniform(0, 1e-3), rng.uniform(0, 1e-3)) for _ in range(2000)]
-    circle = [(math.cos(t), math.sin(t)) for t in (2 * math.pi * k / 2000 for k in range(2000))]
+    cluster = snapped([(rng.uniform(0, 1e-3), rng.uniform(0, 1e-3)) for _ in range(2000)])
+    circle = snapped([(math.cos(t), math.sin(t))
+                      for t in (2 * math.pi * k / 2000 for k in range(2000))])
     best, peak = _peak_kernel_bytes(cluster, [(1000.0, 1000.0)] + cluster, [1] * len(cluster))
     assert best == math.sqrt(max(squared_distance(p, (1000.0, 1000.0)) for p in cluster)) ** 2
     assert peak < 8e6
@@ -482,13 +509,13 @@ def test_exact_kernel_far_from_the_origin(monkeypatch):
     shift = Fraction(10 ** 400)
     for _ in range(20):
         a, b = _random_set(rng), _random_set(rng)
-        limits = [rng.randrange(1, len(b) + 1) for _ in a.points]
-        near = scale_points(a.points, b.points)
-        far = scale_points(*([tuple(c + shift for c in p) for p in s.points] for s in (a, b)))
+        limits = [rng.randrange(1, len(b) + 1) for _ in range(len(a))]
+        near = scaled(a.support_points(), b.support_points())
+        far = scaled(*([tuple(c + shift for c in p) for p in s.support_points()] for s in (a, b)))
         assert far[0] == near[0]
         assert directed_max_squared(*far[1], far[0], True, limits) == \
             directed_max_squared(*near[1], near[0], True, limits)
-    den, (points, targets) = scale_points([(Fraction(0), Fraction(0))], [(shift, Fraction(0))])
+    den, (points, targets) = scaled([(Fraction(0), Fraction(0))], [(shift, Fraction(0))])
     with pytest.raises(GridRangeError, match="too far apart"):
         directed_max_squared(points, targets, den, True)
 
@@ -529,11 +556,11 @@ def test_prefix_kernel_takes_each_round(kernel_counts, exact, case, queries, sca
     more, the points by float distance for the shortlist."""
     points, targets, expected = _rounds_case(case)
     if exact:
-        den, (points, targets) = scale_points(points, targets)
+        den, (points, targets) = scaled(points, targets)
         best = Fraction(directed_max_squared(points, targets, den, True), den * den)
     else:
-        points, targets = ([tuple(map(float, p)) for p in group] for group in (points, targets))
-        best = directed_max_squared(points, targets, None, False)
+        points, targets = (keys([tuple(map(float, p)) for p in group]) for group in (points, targets))
+        best = directed_max_squared(points, targets, GRID, False)
     assert best == expected
     assert kernel_counts.queries == queries and kernel_counts.scans == scans
     assert kernel_counts.sorts == 1 + 2 * len(queries) + exact
@@ -574,7 +601,7 @@ def test_metric_axioms_exact():
         c = _random_set(rng, max_points=6)
         hab = hausdorff(a, b)
         assert hab == hausdorff(b, a)
-        assert (hab == 0) == a.same_points(b)
+        assert (hab == 0) == (a == b)
         assert le_sum(hausdorff(a, c), hab, hausdorff(b, c))
 
 
@@ -584,6 +611,6 @@ def test_union_bound_and_diam_bound_small():
         k = rng.randrange(1, 4)
         As = [_random_set(rng, max_points=4) for _ in range(k)]
         Bs = [_random_set(rng, max_points=4) for _ in range(k)]
-        lhs = hausdorff(As[0].union(*As[1:]), Bs[0].union(*Bs[1:]))
+        lhs = hausdorff(join(As), join(Bs))
         assert lhs <= max(hausdorff(x, y) for x, y in zip(As, Bs))
-        assert hausdorff(As[0], Bs[0]) <= exact_diameter(As[0].union(Bs[0]))
+        assert hausdorff(As[0], Bs[0]) <= exact_diameter(join([As[0], Bs[0]]))

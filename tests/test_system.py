@@ -23,7 +23,6 @@ from fuzzyifs.fuzzy import (
 from fuzzyifs.geometry import (
     GRID,
     DimensionMismatchError,
-    FinitePointSet,
     diameter,
     grid_key,
     int_array,
@@ -149,6 +148,19 @@ class TestIterate:
         _, report = reference_system().iterate(slice_start(F(1, 2)), steps=6)
         for a, b in zip(report.d_history, report.d_history[1:]):
             assert b <= a * F(1, 2)
+
+    def test_nan_tolerance_is_refused_up_front(self, monkeypatch):
+        """NaN fails tolerance <= 0 as it fails every comparison; refused
+        before the reach diameter, not after a walk of every bound."""
+
+        def forbidden(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(OrbitalFuzzySystem, "reach_diameter", forbidden)
+        u0 = slice_start(F(1, 2))
+        for system, u in ((reference_system(), u0), (reference_system(exact=False), u0.to_float())):
+            with pytest.raises(ValueError, match="^tolerance must be positive$"):
+                system.iterate(u, tolerance=math.nan)
 
     def test_tolerance_mode_stops_at_the_bound(self):
         system = reference_system()
@@ -369,14 +381,16 @@ class TestBounds:
 
 
 def crisp_reach_diameter(system, u):
-    """diam(supp u together with ifs.step(supp u)): the reach set built from
-    point tuples by the crisp operator, measured on its integer form."""
-    supp = u.support_set()
-    reach = supp.union(system.ifs.step(supp))
+    """diam(supp u together with its image under every map): the reach set
+    built from point tuples, each map applied to one point at a time,
+    measured on its integer form."""
+    supp = u.support_points()
+    reach = FuzzySet([(p, 1) for p in (*supp, *(f(p) for f in system.ifs.maps for p in supp))],
+                     exact=u.exact).support_points()
     if u.exact:
-        den, (rows,) = scale_points(reach.points)
+        den, (rows,) = scale_points(reach)
         return diameter(int_array(rows), den, True)
-    return diameter(int_array([grid_key(p) for p in reach.points]), GRID, False)
+    return diameter(int_array([grid_key(p) for p in reach]), GRID, False)
 
 
 class TestReachDiameter:
@@ -400,15 +414,18 @@ class TestReachDiameter:
         assert erasing > 50
 
     def test_a_run_stays_on_the_integer_form(self, monkeypatch):
-        """iterate builds no FinitePointSet and never calls the crisp step."""
+        """iterate builds no set from point tuples, makes no set's tuple
+        view and never calls the crisp step."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a run left the integer form")
 
-        monkeypatch.setattr(FinitePointSet, "__init__", forbidden)
-        monkeypatch.setattr(IteratedFunctionSystem, "step", forbidden)
         system, u0 = reference_system(), band_start([F(k, 16) for k in range(17)])
-        for s, u, tol in ((system, u0, F(1, 100)), (system.to_float(), u0.to_float(), 0.01)):
+        runs = ((system, u0, F(1, 100)), (system.to_float(), u0.to_float(), 0.01))
+        monkeypatch.setattr(FuzzySet, "__init__", forbidden)
+        monkeypatch.setattr(FuzzySet, "items", forbidden)
+        monkeypatch.setattr(IteratedFunctionSystem, "step", forbidden)
+        for s, u, tol in runs:
             s.iterate(u, tolerance=tol)
             s.iterate(u, steps=3)
 
@@ -496,9 +513,9 @@ class TestDecompositionAndMembership:
     def test_orbit_restriction_decomposition(self):
         system = reference_system()
         u3, _ = system.iterate(slice_start(F(1, 2)), steps=3)
-        orbit_pts = system.ifs.orbit(FinitePointSet.from_points([(F(1, 2), F(0))]), 3)
+        orbit_pts = system.ifs.orbit(FuzzySet([((F(1, 2), F(0)), 1)]), 3)
         assert join([FuzzySet([pair]) for pair in u3.items()]) == u3
-        assert u3.support_set().issubset(orbit_pts)
+        assert join([u3.support_set(), orbit_pts]) == orbit_pts
 
     def test_join_step_exchange(self):
         system = reference_system()
