@@ -28,7 +28,11 @@ modes, built on the same nearest-neighbour kernel as
 several parts, which the operator's residual gives map by map; a pair is
 first brought onto one denominator and one level table. Pairs of at most
 `_BRUTE_PAIR_LIMIT` point pairs leave the arrays for Python lists and
-dicts, where numpy's fixed cost per call would dominate.
+dicts, where numpy's fixed cost per call would dominate. A run's pairs,
+for whose points the system carries witnesses at their level or above,
+skip the search: the distance to its witness bounds each point, and only
+the points whose bounds pass an exact query's minimum go to the kernel
+(`_witnessed`).
 """
 
 from __future__ import annotations
@@ -48,8 +52,11 @@ from .geometry import (
     INT64_BOUND,
     DimensionMismatchError,
     Point,
+    _nearest_square,
     _on_scale,
+    _paired_squares,
     _require_compatible,
+    _rescaled,
     _scan_squared,
     as_point,
     directed_max_squared,
@@ -273,19 +280,22 @@ class FuzzySet:
 
     @classmethod
     def _from_images(cls, points: np.ndarray, ranks: np.ndarray, den: int,
-                     levels: Tuple[Scalar, ...], dimension: int, exact: bool) -> "FuzzySet":
+                     levels: Tuple[Scalar, ...], dimension: int, exact: bool,
+                     slots: bool = False):
         """A set from rows of numerators over den, which may repeat, and
         their positive ranks in levels, an ascending table starting with 0:
         each point keeps its first position and its highest rank, the table
         is cut to the ranks in use, and an exact set's den to the least
-        common denominator with one gcd over all numerators."""
-        points, ranks = _merge_rows(points, ranks)
+        common denominator with one gcd over all numerators. With slots,
+        the set and the two tables of `_merge_rows`: the set's row of each
+        given row, and per row of the set a given row at its level."""
+        points, ranks, *tables = _merge_rows(points, ranks, slots)
         levels, ranks = _cut_levels(levels, ranks)
         if exact:
             points, den = _least_terms(points, den)
         obj = object.__new__(cls)
         obj._init(points, ranks, den, levels, dimension, exact)
-        return obj
+        return (obj, *tables) if slots else obj
 
     def __setattr__(self, *args):
         raise AttributeError("FuzzySet is immutable")
@@ -387,6 +397,13 @@ def _rank_dtype(size: int):
     return np.uint8 if size <= 256 else np.uint16 if size <= 65536 else np.intp
 
 
+def _index_dtype(size: int):
+    """The dtype of a run's row and occurrence indices below size, which it
+    carries from step to step: int32 below 2^30, so that the sum of two
+    fits, intp beyond."""
+    return np.int32 if size < 2 ** 30 else np.intp
+
+
 def _sorted_runs(columns) -> Tuple[np.ndarray, np.ndarray]:
     """The stable lexicographic order of rows given by their columns, the
     first column leading, and whether each row along it but the first
@@ -400,18 +417,36 @@ def _sorted_runs(columns) -> Tuple[np.ndarray, np.ndarray]:
     return order, same
 
 
-def _merge_rows(points: np.ndarray, ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _merge_rows(points: np.ndarray, ranks: np.ndarray, slots: bool = False):
     """The distinct rows of points in the order of their first occurrence,
     each with the highest of its ranks: one stable lexsort, so that a row's
-    first occurrence leads its run, and one maximum per run."""
+    first occurrence leads its run, and one maximum per run. With slots,
+    also the row of the result that each input row went to, and for each
+    result row the first input row that carries its highest rank (the
+    maximum gives the rank, not the row that reached it)."""
     order, same = _sorted_runs(list(points.T))
     if not same.any():
+        if slots:
+            rows = np.arange(len(points), dtype=_index_dtype(len(points)))
+            return points, ranks, rows, rows
         return points, ranks
-    start = np.flatnonzero(np.concatenate(([True], ~same)))
+    new_run = np.concatenate(([True], ~same))
+    start = np.flatnonzero(new_run)
     first = order[start]
-    top = np.maximum.reduceat(ranks[order], start)
+    sorted_ranks = ranks[order]
+    top = np.maximum.reduceat(sorted_ranks, start)
     keep = np.argsort(first)
-    return points[first[keep]], top[keep]
+    if not slots:
+        return points[first[keep]], top[keep]
+    dtype = _index_dtype(len(points))
+    run = np.cumsum(new_run) - 1
+    row_of_run = np.empty(len(keep), dtype=dtype)
+    row_of_run[keep] = np.arange(len(keep))
+    slot = np.empty(len(points), dtype=dtype)
+    slot[order] = row_of_run[run]
+    reached = np.flatnonzero(sorted_ranks == top[run])
+    leads = np.concatenate(([True], run[reached[1:]] != run[reached[:-1]]))
+    return points[first[keep]], top[keep], slot, order[reached[leads]][keep].astype(dtype)
 
 
 def _merged_levels(tables):
@@ -518,21 +553,25 @@ def join(sets: Sequence[FuzzySet]) -> FuzzySet:
 
 
 def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
-              target_ranks: np.ndarray, pending: np.ndarray, den: int, exact: bool):
+              target_ranks: np.ndarray, pending: np.ndarray, den: int, exact: bool,
+              floor: Scalar = 0, found: Optional[np.ndarray] = None):
     """Squared directed part of d_infinity from the pending points, those
-    that the other set does not hold at their level or above: one call of
-    the geometry kernel against the targets sorted by level, highest first,
-    each point limited to the prefix at its level or above; the kernel
-    answers every prefix from one grid of cells per round. Ranks are in the
-    pair's merged level table, unsigned, so the descending order sorts
-    top - ranks. The kernel reads the pending points and the sorted targets
-    from the sets' own arrays through their indices. The caller has checked
-    that both sets reach the same top level, so no prefix is empty."""
+    that the other set does not hold at their level or above, or floor when
+    that is larger: one call of the geometry kernel against the targets
+    sorted by level, highest first, each point limited to the prefix at its
+    level or above; the kernel answers every prefix from one grid of cells
+    per round, and writes into found the index of the target it found for
+    each point. Ranks are in the pair's merged level table, unsigned, so the
+    descending order sorts top - ranks. The kernel reads the pending points
+    and the sorted targets from the sets' own arrays through their indices.
+    The caller has checked that both sets reach the same top level, so no
+    prefix is empty."""
     if not len(pending):
-        return 0
+        return floor
     order = np.argsort(target_ranks.max() - target_ranks, kind="stable")
     limits = len(targets) - np.searchsorted(target_ranks[order][::-1], ranks[pending])
-    return directed_max_squared(points, targets, den, exact, limits, pending, order)
+    return directed_max_squared(points, targets, den, exact, limits, pending, order,
+                                floor=floor, found=found)
 
 
 def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: bool):
@@ -553,16 +592,61 @@ def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: b
 
 def _uncovered(us: np.ndarray, ur: np.ndarray, vs: np.ndarray, vr: np.ndarray):
     """The indices of the points of each set that the other set does not
-    hold at their rank or above. One lexsort of both sets finds the points
-    they share: a shared point's row in u directly precedes its row in v,
-    since a set holds each point once and the sort is stable. Both sets are
-    joined a column at a time, so that the sort reads contiguous columns."""
+    hold at their rank or above, and the rows of the points both sets hold,
+    in u and in v. One lexsort of both sets finds the points they share: a
+    shared point's row in u directly precedes its row in v, since a set
+    holds each point once and the sort is stable. Both sets are joined a
+    column at a time, so that the sort reads contiguous columns."""
     order, same = _sorted_runs([np.concatenate(pair) for pair in zip(us.T, vs.T)])
     shared = np.flatnonzero(same)
     in_u, in_v = order[shared], order[shared + 1] - len(us)
     u_other, v_other = np.zeros_like(ur), np.zeros_like(vr)
     u_other[in_u], v_other[in_v] = vr[in_v], ur[in_u]
-    return np.flatnonzero(u_other < ur), np.flatnonzero(v_other < vr)
+    return np.flatnonzero(u_other < ur), np.flatnonzero(v_other < vr), in_u, in_v
+
+
+def _seeds(ranks: np.ndarray, target_ranks: np.ndarray, rows: np.ndarray,
+           target_rows: np.ndarray) -> np.ndarray:
+    """For each point, the index of a target at its rank or above: for the
+    point rows[i], the target target_rows[i] at the same place where that
+    target's rank is no lower, and for every other point the first target
+    of the top rank, which both sets of a pair reach. The kernel then
+    writes its finds over the points it scans."""
+    seeds = np.full(len(ranks), np.argmax(target_ranks), dtype=_index_dtype(len(target_ranks)))
+    held = ranks[rows] <= target_ranks[target_rows]
+    seeds[rows[held]] = target_rows[held]
+    return seeds
+
+
+def _witnessed(points, ranks: np.ndarray, witness: np.ndarray, targets,
+               target_ranks: np.ndarray, den: int, exact: bool, worst: Scalar) -> Scalar:
+    """The larger of worst and the squared directed part of d_infinity from
+    points to targets, given for each point the index witness[i] of a target
+    at its rank or above: the exact squared distance to it bounds the
+    point's nearest (`geometry._paired_squares`), and a point whose bound is
+    no larger than worst cannot raise the maximum (Taha & Hanbury, IEEE
+    TPAMI 37(11), 2015). The point of the largest bound takes one exact
+    query of its prefix; only the points whose bounds still pass that go to
+    the kernel, in one call. Each queried point's nearest becomes its
+    witness. points and targets are arrays over den or lazy ones, such as
+    `geometry._Rescaled`, read through indices."""
+    upper = _paired_squares(points, targets, witness, den, exact)
+    if not exact:
+        # The carry rests on grey maps being nondecreasing, which float
+        # interpolation keeps only up to rounding: a witness that sits a
+        # level below its point bounds nothing.
+        upper[target_ranks[witness] < ranks] = np.inf
+    top = int(np.argmax(upper))
+    if not upper[top] > worst:
+        return worst
+    square, witness[top] = _nearest_square(points[top:top + 1], targets,
+                                          np.flatnonzero(target_ranks >= ranks[top]), den, exact)
+    worst = max(worst, square)
+    rest = np.flatnonzero(upper > worst)
+    del upper
+    if not len(rest):
+        return worst
+    return _directed(points[:], ranks, targets[:], target_ranks, rest, den, exact, worst, witness)
 
 
 def _pair_scale(u_den: int, u_levels: Tuple[Scalar, ...], v_den: int,
@@ -579,47 +663,83 @@ def _pair_scale(u_den: int, u_levels: Tuple[Scalar, ...], v_den: int,
     return math.lcm(u_den, v_den), *(np.array(rank, dtype=dtype) for rank in ranks)
 
 
-def _sup_distance(parts: Callable[[], Iterable[Tuple[np.ndarray, np.ndarray]]], size: int,
-                  v: FuzzySet, v_rank: np.ndarray, den: int, exact: bool):
+def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
+                  v_rank: np.ndarray, den: int, exact: bool, carried: Optional[tuple] = None,
+                  seed: bool = False):
     """The body of `d_infinity`: the distance between v and the pointwise
-    maximum of the parts that parts() gives, each (points, ranks) with
-    every point once, on den and in the merged table into which v_rank
-    ranks v's levels (`_pair_scale`); size is their points together. The
-    alpha-cut of a pointwise maximum is the union of the parts' alpha-cuts
-    (Cabrelli, Forte, Molter & Vrscay, J. Math. Anal. Appl. 171, 1992), so
-    the parts' side is the largest of their directed distances into v, and
-    a point of v that some part holds at its level or above contributes
-    zero. The points of v that no part holds are scanned against all parts
-    together, for which parts() is called again, only when such points
-    exist. Up to _BRUTE_PAIR_LIMIT point pairs, size times |v|, the parts
-    are joined into a dict and both directions go through Python dicts."""
+    maximum of the parts that parts() gives, each (points, ranks) on den
+    and in the merged table into which v_rank ranks v's levels
+    (`_pair_scale`); size is their points together. The alpha-cut of a
+    pointwise maximum is the union of the parts' alpha-cuts (Cabrelli,
+    Forte, Molter & Vrscay, J. Math. Anal. Appl. 171, 1992), so the parts'
+    side is the largest of their directed distances into v. Up to
+    _BRUTE_PAIR_LIMIT point pairs, size times |v|, the parts are joined
+    into a dict and both directions go through Python dicts. Larger pairs
+    take one of two array routes.
+
+    Without carried witnesses, every point of a part that v holds at its
+    level or above, found by one lexsort (`_uncovered`), contributes zero,
+    and so does a point of v that some part holds; the others go to the
+    kernel. The points of v that no part holds are scanned against all
+    parts together, for which parts() is called again, only when such
+    points exist. With seed, which a caller gives with a single part, this
+    also returns witnesses, for each of its points a row of v and for each
+    point of v a row of the part, each at the point's level or above: the
+    shared rows and the kernel's finds (`_seeds`).
+
+    With carried, each part comes with a third array, for each of its
+    points the row of v that witnesses it, and carried() gives, once the
+    parts are done, (up, targets, target_ranks): for each point of v the
+    index of its witness in targets, the points of all parts, and their
+    ranks. No lexsort is made: each side goes through `_witnessed`, which
+    updates the witnesses in place, with the largest distance so far as its
+    floor.
+
+    Returns the distance and the witnesses found, or None."""
     if size * len(v) <= _BRUTE_PAIR_LIMIT:
         us = {}
-        for points, ranks in parts():
+        for points, ranks, *_ in parts():
             for p, r in zip(map(tuple, points.tolist()), ranks.tolist()):
                 if us.get(p, 0) < r:
                     us[p] = r
         vs = dict(zip(map(tuple, _on_scale(v, den).tolist()), v_rank[v._ranks].tolist()))
         best = max(_directed_small(us, vs, den, exact), _directed_small(vs, us, den, exact))
-    else:
-        vs, vr = _on_scale(v, den), v_rank[v._ranks]
-        left = np.ones(len(vs), dtype=bool)
+        return _root(best, den, exact), None
+    vr = v_rank[v._ranks]
+    if carried is not None:
+        vs = _rescaled(v, den)
         best = 0
-        for points, ranks in parts():
-            pending, missed = _uncovered(points, ranks, vs, vr)
-            held = np.zeros_like(left)
-            held[missed] = True
-            left &= held
-            del missed, held
-            best = max(best, _directed(points, ranks, vs, vr, pending, den, exact))
-            del points, ranks, pending
-        missed = np.flatnonzero(left)
-        if len(missed):
-            every = list(parts())
-            points, ranks = every[0] if len(every) == 1 else map(np.concatenate, zip(*every))
-            del every
-            best = max(best, _directed(vs, vr, points, ranks, missed, den, exact))
-    return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
+        for points, ranks, witness in parts():
+            best = _witnessed(points, ranks, witness, vs, vr, den, exact, best)
+            del points, ranks, witness
+        up, targets, target_ranks = carried()
+        return _root(_witnessed(vs, vr, up, targets, target_ranks, den, exact, best), den, exact), None
+    vs = _on_scale(v, den)
+    left = np.ones(len(vs), dtype=bool)
+    best, down, up = 0, None, None
+    for points, ranks in parts():
+        pending, missed, in_u, in_v = _uncovered(points, ranks, vs, vr)
+        held = np.zeros_like(left)
+        held[missed] = True
+        left &= held
+        del missed, held
+        if seed:
+            down, up = _seeds(ranks, vr, in_u, in_v), _seeds(vr, ranks, in_v, in_u)
+        del in_u, in_v
+        best = max(best, _directed(points, ranks, vs, vr, pending, den, exact, found=down))
+        del points, ranks, pending
+    missed = np.flatnonzero(left)
+    if len(missed):
+        every = list(parts())
+        points, ranks = every[0] if len(every) == 1 else map(np.concatenate, zip(*every))
+        del every
+        best = max(best, _directed(vs, vr, points, ranks, missed, den, exact, found=up))
+    return _root(best, den, exact), None if up is None else (down, up)
+
+
+def _root(square: Scalar, den: int, exact: bool) -> Scalar:
+    """The distance whose square is square / den^2 in exact mode, or square."""
+    return sqrt_exact(Fraction(square, den * den)) if exact else math.sqrt(square)
 
 
 def d_infinity(u: FuzzySet, v: FuzzySet):
@@ -641,7 +761,7 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
     _require_compatible(u, v)
     den, u_rank, v_rank = _pair_scale(u._den, u._levels, v._den, v._levels)
     part = _on_scale(u, den), u_rank[u._ranks]
-    return _sup_distance(lambda: (part,), len(u), v, v_rank, den, u.exact)
+    return _sup_distance(lambda: (part,), len(u), v, v_rank, den, u.exact)[0]
 
 
 def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):

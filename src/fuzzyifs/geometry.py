@@ -84,15 +84,18 @@ def grid_keys(coords: np.ndarray) -> np.ndarray:
     same rounding (half to even) and the same GridRangeError: int64 while
     every key lies below INT64_BOUND in magnitude, Python ints in an object
     array otherwise. Each key is a rounded double, so it reads back exactly
-    as a float."""
+    as a float. Besides coords and the keys, one float array of their shape
+    is made, rounded in place."""
     with np.errstate(over="ignore", invalid="ignore"):
-        keys = np.rint(coords * GRID)
+        keys = coords * GRID
+        np.rint(keys, out=keys)
     finite = np.isfinite(keys)
     if not finite.all():
         bad = coords[~finite].flat[0]
         raise GridRangeError(
             f"float coordinate {bad} is off the 1e-12 grid: x * 10^12 must be finite")
-    if np.abs(keys).max() < INT64_BOUND:
+    del finite
+    if max(-keys.min(), keys.max()) < INT64_BOUND:
         return keys.astype(np.int64)
     return np.array([int(k) for k in keys.ravel().tolist()], dtype=object).reshape(keys.shape)
 
@@ -174,17 +177,38 @@ def _nn_radius_slack(query: np.ndarray, data: np.ndarray) -> float:
     return 1e-9 * max(1.0, magnitude)
 
 
+class _Rescaled:
+    """The rows of an integer array times a factor, made as they are read:
+    indexing it scales only the rows it gathers, so a set on a coarser
+    denominator is read on the pair's without a rescaled copy of it all.
+    Whether the products need Python ints, where int64 would pass
+    INT64_BOUND, is decided once, for all rows."""
+
+    __slots__ = ("points", "factor", "wide")
+
+    def __init__(self, points: np.ndarray, factor: int):
+        self.points, self.factor = points, factor
+        self.wide = points.dtype != object and max(magnitude(points), 1) * factor >= INT64_BOUND
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, index):
+        rows = self.points[index]
+        return (rows.astype(object) if self.wide else rows) * self.factor
+
+
+def _rescaled(u, den: int):
+    """A set's rows over den, a multiple of its own denominator: its own
+    array, or a `_Rescaled` view of it."""
+    own, _, points, _ = u.scaled()
+    return points if den == own else _Rescaled(points, den // own)
+
+
 def _on_scale(u, den: int) -> np.ndarray:
     """The numerators of a set's support over den, a multiple of its own
-    denominator, in one multiplication; Python ints where int64 would pass
-    INT64_BOUND."""
-    own, _, points, _ = u.scaled()
-    factor = den // own
-    if factor == 1:
-        return points
-    if points.dtype != object and max(magnitude(points), 1) * factor >= INT64_BOUND:
-        points = points.astype(object)
-    return points * factor
+    denominator, in one multiplication."""
+    return _rescaled(u, den)[:]
 
 
 def scale_points(*groups: Sequence[Point]) -> Tuple[int, List[List[Tuple[int, ...]]]]:
@@ -228,15 +252,18 @@ def _exact_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a - b
     if diff.dtype != object and magnitude(diff) > math.isqrt((2 ** 63 - 1) // diff.shape[-1]):
         diff = diff.astype(object)
-    return (diff * diff).sum(axis=-1)
+    # Summed a column at a time: a sum along a short last axis is slow.
+    total = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        total += diff[..., k] * diff[..., k]
+    return total
 
 
-def _scan_squared(points: Sequence, targets: Sequence, limits: Sequence[int]) -> int:
-    """The exact max over points of the min squared distance into the
-    prefix targets[:limits[i]], on rows of Python ints: each point scans
-    its prefix and stops once it has a target no farther than the largest
-    minimum so far, since it cannot raise it."""
-    worst = 0
+def _scan_squared(points: Sequence, targets: Sequence, limits: Sequence[int], worst: int = 0) -> int:
+    """The larger of worst and the exact max over points of the min squared
+    distance into the prefix targets[:limits[i]], on rows of Python ints:
+    each point scans its prefix and stops once it has a target no farther
+    than the largest minimum so far, since it cannot raise it."""
     for p, k in zip(points, limits):
         best = None
         for q in islice(targets, k):
@@ -259,6 +286,42 @@ def _squares(a: Iterable[np.ndarray], b: Iterable[np.ndarray]) -> np.ndarray:
         for x, y in zip(a, b):
             total = total + (x - y) ** 2
     return total
+
+
+def _block_squares(a: np.ndarray, b: np.ndarray, den: int, exact: bool) -> np.ndarray:
+    """Squared distances between the integer rows of a and b over den,
+    broadcast against each other: exact integers, or in float mode the
+    kernel's own `_squares` of the floats n / den, so that a float bound and
+    the kernel's distance of the same pair are the same number."""
+    if exact:
+        return _exact_squares(a, b)
+    return _squares(as_float_array(a, den).T, as_float_array(b, den).T)
+
+
+def _paired_squares(points, targets, witness: np.ndarray, den: int, exact: bool) -> np.ndarray:
+    """The squared distance from each row of points to its witness, the row
+    targets[witness[i]], both over den (see `_block_squares`); points and
+    targets are arrays or lazy ones such as `_Rescaled`, read a block of
+    _GRID_BLOCK rows at a time."""
+    return np.concatenate([
+        _block_squares(points[start:start + _GRID_BLOCK],
+                       targets[witness[start:start + _GRID_BLOCK]], den, exact)
+        for start in range(0, len(witness), _GRID_BLOCK)])
+
+
+def _nearest_square(point: np.ndarray, targets, prefix: np.ndarray, den: int, exact: bool):
+    """The least squared distance from one point, a 1 x d array, to the rows
+    targets[prefix] (see `_block_squares`), and the index in targets of a
+    row at that distance: one exact query, O(len(prefix)) vector work in
+    blocks of _GRID_BLOCK rows."""
+    best = index = None
+    for start in range(0, len(prefix), _GRID_BLOCK):
+        rows = prefix[start:start + _GRID_BLOCK]
+        squares = _block_squares(point, targets[rows], den, exact)
+        i = int(np.argmin(squares))
+        if best is None or squares[i] < best:
+            best, index = squares[i], int(rows[i])
+    return (int(best) if exact else float(best)), index
 
 
 def _scan(query: np.ndarray, data: np.ndarray, limits: np.ndarray):
@@ -459,14 +522,19 @@ def _float_columns(group: np.ndarray, index: np.ndarray, den: int,
 
 def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exact: bool,
                          limits: Optional[Sequence[int]] = None,
-                         rows: Optional[np.ndarray] = None, order: Optional[np.ndarray] = None):
+                         rows: Optional[np.ndarray] = None, order: Optional[np.ndarray] = None,
+                         floor: Scalar = 0, found: Optional[np.ndarray] = None):
     """Max over the points of the min squared distance into the targets,
     point i looking only at the prefix of the first limits[i] targets (all
-    of them when limits is None; every limit is at least 1). The index
-    arrays rows and order select the points points[rows] and the targets
-    targets[order] (all rows, in order, when None); the kernel reads them
-    through the indices, a column or a block at a time, and holds no
-    gathered copy of either.
+    of them when limits is None; every limit is at least 1), or floor when
+    that is larger: a point whose distances cannot pass the floor is not
+    checked exactly. The index arrays rows and order select the points
+    points[rows] and the targets targets[order] (all rows, in order, when
+    None); the kernel reads them through the indices, a column or a block
+    at a time, and holds no gathered copy of either. When the grid answers,
+    found[rows[i]] gets the index in targets of the target it found for
+    point i, which lies in the point's prefix; the scan of a small exact
+    input leaves found as it is.
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
     and `d_infinity`, whose per-point limits are level-sorted prefixes. The
@@ -497,7 +565,8 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     if exact and (size * count if limits is None else int(np.sum(limits))) <= _BRUTE_PAIR_LIMIT:
         return _scan_squared((points if rows is None else points[rows]).tolist(),
                              (targets if order is None else targets[order]).tolist(),
-                             [count] * size if limits is None else np.asarray(limits).tolist())
+                             [count] * size if limits is None else np.asarray(limits).tolist(),
+                             floor)
     rows = np.arange(size) if rows is None else rows
     order = np.arange(count) if order is None else order
     limits = np.full(size, count) if limits is None else np.asarray(limits)
@@ -508,19 +577,25 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     except OverflowError:
         raise GridRangeError("exact points too far apart for float coordinates") from None
     best, nearest = _prefix_nearest(query, data, limits)
+    if found is not None:
+        found[rows] = order[nearest]
     dist = np.sqrt(best, out=best)
     if not exact:
-        return float(dist.max()) ** 2
+        return max(floor, float(dist.max()) ** 2)
     slack = _nn_radius_slack(query, data)
 
     def exact_minimum(i: int) -> int:
         radius = dist[i] + slack
-        shortlist = np.flatnonzero(_squares(data[:, :limits[i]], query[:, i]) <= radius ** 2)
-        return int(_exact_squares(points[rows[i]], targets[order[shortlist]]).min())
+        shortlist = order[np.flatnonzero(_squares(data[:, :limits[i]], query[:, i]) <= radius ** 2)]
+        squares = _exact_squares(points[rows[i]], targets[shortlist])
+        j = int(np.argmin(squares))
+        if found is not None:
+            found[rows[i]] = shortlist[j]
+        return int(squares[j])
 
     by_distance = np.argsort(-dist, kind="stable")
-    worst = exact_minimum(by_distance[0])
-    for start in range(1, size, _GRID_BLOCK):
+    worst = floor
+    for start in range(0, size, _GRID_BLOCK):
         block = by_distance[start:start + _GRID_BLOCK]
         upper = _exact_squares(points[rows[block]], targets[order[nearest[block]]])
         ahead = np.flatnonzero(upper > worst)

@@ -221,6 +221,8 @@ class IteratedFunctionSystem:
         block = np.empty((len(points), u.dimension), dtype=columns[0].dtype, order="F")
         for j, component in enumerate(image):
             block[:, j] = component
+        # Only the block is alive while the float one becomes keys.
+        del columns, image, component
         return block if u.exact else grid_keys(block)
 
     def step(self, u: FuzzySet) -> FuzzySet:

@@ -18,9 +18,13 @@ operator contracts by C along the run, so a run checks that on its own
 distances, d_n <= C d_(n-1) at every step from the second on and for the
 residual, and raises ContractionViolationError where they rule C out.
 
-The residual d_infinity(T u_m, u_m) of the last iterate u_m is taken one
-map at a time (`_residual`), so a run of m steps makes m steps and never
-holds T u_m, whose N |u_m| image points would be its largest array.
+A run takes each d_n = d_infinity(u_(n-1), u_n) and the residual
+d_infinity(T u_m, u_m) from witnesses that it carries, for each point a row
+of the neighbouring iterate at its level or above, passed from pair to pair
+through the steps' slot tables (`_carried`); a pair then makes a few exact
+queries (`fuzzy._witnessed`). The residual is taken one map at a time
+(`_residual`), so a run of m steps makes m steps and never holds T u_m,
+whose N |u_m| image points would be its largest array.
 """
 
 from __future__ import annotations
@@ -28,18 +32,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, starmap
+from itertools import islice
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 # apply_grey, join and zadeh_pushforward are the step's reference, not its
-# implementation; they stay names of this module for perfbench/tracing.py,
-# which times them here.
+# implementation, and d_infinity is what a run's distances equal, not how it
+# takes them; they stay names of this module for perfbench/tracing.py, which
+# times them here.
 from .fuzzy import (  # noqa: F401
     EmptySupportError,
     FuzzySet,
     GreyLevelMap,
+    _index_dtype,
     _merge_rows,
     _pair_scale,
     _rank_dtype,
@@ -94,6 +100,53 @@ class ConvergenceReport:
     a_priori: Scalar
     certified_residual: Scalar
     diameter: Scalar
+
+
+def _carried(previous: tuple, width: int, slot: np.ndarray,
+             top: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The witnesses (down, up) of a run's pair (u, nxt) from those of the
+    pair before, previous = (|u_(n-1)|, slot, top, down, up), given
+    width = |u| and the tables slot and top of the step from u to nxt.
+
+    A grey map is nondecreasing, so a witness carries through the maps
+    (Cabrelli, Forte, Molter & Vrscay, J. Math. Anal. Appl. 171, 1992): if
+    t lies at y's level or above, the image of t under map k lies at the
+    level of y's image or above. Row x of nxt, at the level of the image of
+    u's row j under map k (top), is witnessed by the image under map k of
+    j's witness down[j] in u_(n-1): a row of u, found in the previous step's
+    slot table. Row y of u, the image of u_(n-1)'s row j under map k at y's
+    level (the previous top), is witnessed by the image under map k of j's
+    witness up[j] in u: a row of nxt, found in this step's slot table. No
+    coordinates are read, so float mode carries the same way."""
+    size, old_slot, old_top, down, up = previous
+    maps, rows = np.divmod(top, width)
+    down = old_slot[np.multiply(maps, size, dtype=np.intp) + down[rows]]
+    maps, rows = np.divmod(old_top, size)
+    return down, slot[np.multiply(maps, width, dtype=np.intp) + up[rows]]
+
+
+class _Images:
+    """The images of u's rows under every map as one array that is made
+    only where it is read: row k |u| + j is the image of u's row j under
+    map k (`IteratedFunctionSystem._image`). Indexing it by an index array
+    or a slice maps just those rows, one call per map."""
+
+    def __init__(self, ifs: IteratedFunctionSystem, u: FuzzySet):
+        self.ifs, self.u = ifs, u
+
+    def __len__(self):
+        return len(self.ifs.maps) * len(self.u)
+
+    def __getitem__(self, index):
+        ids = np.arange(len(self))[index] if isinstance(index, slice) else index
+        maps, rows = np.divmod(ids, len(self.u))
+        blocks, places = [], []
+        for k in range(len(self.ifs.maps)):
+            place = np.flatnonzero(maps == k)
+            if len(place):
+                blocks.append(self.ifs._image(self.u, k, rows[place]))
+                places.append(place)
+        return np.concatenate(blocks)[np.argsort(np.concatenate(places))]
 
 
 @dataclass(frozen=True)
@@ -171,16 +224,33 @@ class OrbitalFuzzySystem:
         raising: only an empty join raises. SupportCapError is raised as
         soon as the distinct points gathered after any map pass support_cap.
         """
+        return self._step(u, support_cap)[0]
+
+    def _step(self, u: FuzzySet, support_cap: int, carry: bool = False):
+        """`step`, and with carry its two tables (else None), which a run
+        carries its witnesses through. Occurrence k |u| + j is the image of
+        u's row j under map k. slot gives the row of the result that each
+        kept occurrence went to, composed through the cap's merges; top
+        gives for each row of the result an occurrence that reaches its
+        level."""
         self._require_admissible()
         new_levels, relits = self._relit(u)
         parts, part_ranks, gathered = [], [], 0
-        for image, image_ranks in self._images(u, relits):
+        if carry:
+            size, dtype = len(u), _index_dtype(len(relits) * len(u))
+            where, ids = np.zeros(len(relits) * size, dtype=dtype), []
+        for k, kept, image, image_ranks in self._images(u, relits):
             parts.append(image)
             part_ranks.append(image_ranks)
+            if carry:
+                ids.append((np.arange(size) if kept is None else kept).astype(dtype) + k * size)
+                where[ids[-1]] = np.arange(gathered, gathered + len(image))
             gathered += len(image)
             if gathered > support_cap:
-                merged = _merge_rows(np.concatenate(parts), np.concatenate(part_ranks))
+                merged = _merge_rows(np.concatenate(parts), np.concatenate(part_ranks), carry)
                 parts, part_ranks, gathered = [merged[0]], [merged[1]], len(merged[0])
+                if carry:
+                    where, ids = merged[2][where], [np.concatenate(ids)[merged[3]]]
                 if gathered > support_cap:
                     raise SupportCapError(f"support grew past the cap of {support_cap} points")
         if not parts:
@@ -188,8 +258,13 @@ class OrbitalFuzzySystem:
         # The parts go before the merge, whose sort needs about as much again.
         points, point_ranks = np.concatenate(parts), np.concatenate(part_ranks)
         del parts, part_ranks, image, image_ranks
-        return FuzzySet._from_images(points, point_ranks, u.scaled()[0] * self.ifs._scaled_maps[0],
-                                     new_levels, u.dimension, u.exact)
+        stepped = FuzzySet._from_images(points, point_ranks,
+                                        u.scaled()[0] * self.ifs._scaled_maps[0],
+                                        new_levels, u.dimension, u.exact, carry)
+        if not carry:
+            return stepped, None, None
+        stepped, slot, top = stepped
+        return stepped, slot[where], np.concatenate(ids)[top]
 
     def _relit(self, u: FuzzySet) -> Tuple[Tuple[Scalar, ...], list]:
         """The step's level tables: the ascending table of the new levels,
@@ -204,29 +279,38 @@ class OrbitalFuzzySystem:
         dtype = _rank_dtype(len(new_levels))
         return new_levels, [np.array([rank[level] for level in row], dtype=dtype) for row in grey]
 
-    def _images(self, u: FuzzySet, relits) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Per map, in map order, the images of u's points that its relit
-        table keeps (a point whose new rank is 0 is not mapped) and their
-        new ranks; a map that keeps no point yields nothing."""
+    def _images(self, u: FuzzySet, relits) -> Iterator[tuple]:
+        """Per map k, in map order: k, the rows of u that its relit table
+        keeps (None for all of them; a point whose new rank is 0 is not
+        mapped), their images and their new ranks; a map that keeps no
+        point yields nothing."""
         ranks = u.scaled()[3]
         for k, relit in enumerate(relits):
             new = relit[ranks]
             count = np.count_nonzero(new)
             if count == len(new):
-                yield self.ifs._image(u, k), new
+                yield k, None, self.ifs._image(u, k), new
             elif count:
                 kept = np.flatnonzero(new)
-                yield self.ifs._image(u, k, kept), new[kept]
+                yield k, kept, self.ifs._image(u, k, kept), new[kept]
 
-    def _residual(self, u: FuzzySet, support_cap: int = DEFAULT_SUPPORT_CAP) -> Scalar:
+    def _residual(self, u: FuzzySet, support_cap: int = DEFAULT_SUPPORT_CAP,
+                  carried: Optional[tuple] = None) -> Scalar:
         """d_infinity(self.step(u, support_cap), u), the same value of the
-        same type, taken without building the step's result: each map's
-        grey-relit images of u, merged onto their distinct rows, are one
-        part of the metric's body (`fuzzy._sup_distance`), made one at a
-        time, and made again only for the points of u that no map's image
-        holds at their level or above. The pair sits on D*L, the images'
-        denominator before the step cuts it, a multiple of the one that
-        d_infinity would take.
+        same type, taken without building the step's result: the images of
+        u under each map, grey-relit, are one part of the metric's body
+        (`fuzzy._sup_distance`), made one at a time. The pair sits on D*L,
+        the images' denominator before the step cuts it, a multiple of the
+        one that d_infinity would take.
+
+        With the witnesses that a run carries to u = u_m (`iterate`), the
+        image of u's row j under map k is witnessed by the image of
+        u_(m-1)'s row down[j] under map k, a row of u at its level or
+        above, and u's row z, the image of u_(m-1)'s row y under map k at
+        its level, by the image of up[y] under map k. Without them, each
+        map's images are merged onto their distinct rows, and made again
+        only for the points of u that no map's image holds at their level
+        or above.
 
         When the maps keep more than support_cap points together, the step
         is made just for its cap check, so SupportCapError comes where the
@@ -245,8 +329,25 @@ class OrbitalFuzzySystem:
         den, image_rank, u_rank = _pair_scale(u_den * self.ifs._scaled_maps[0], new_levels,
                                               u_den, levels)
         relits = [image_rank[relit] for relit in relits]
-        return _sup_distance(lambda: starmap(_merge_rows, self._images(u, relits)), kept,
-                             u, u_rank, den, u.exact)
+        if carried is None:
+            return _sup_distance(lambda: (_merge_rows(image, image_ranks) for *_, image, image_ranks
+                                          in self._images(u, relits)), kept, u, u_rank, den, u.exact)[0]
+        size, slot, top, down, up = carried
+
+        def parts():
+            for k, kept_rows, image, image_ranks in self._images(u, relits):
+                witness = down if kept_rows is None else down[kept_rows]
+                yield image, image_ranks, slot[np.add(witness, k * size, dtype=np.intp)]
+                # Let go of this map's images before the next map's are made.
+                del image, image_ranks, witness
+
+        def every():
+            maps, rows = np.divmod(top, size)
+            ids = np.multiply(maps, len(u), dtype=_index_dtype(len(relits) * len(u)))
+            ids += up[rows]
+            return ids, _Images(self.ifs, u), np.concatenate([relit[ranks] for relit in relits])
+
+        return _sup_distance(parts, kept, u, u_rank, den, u.exact, every)[0]
 
     def reach_diameter(self, u: FuzzySet) -> Scalar:
         """diam(supp(u) together with its image under every map): u's rows and
@@ -353,8 +454,13 @@ class OrbitalFuzzySystem:
         contraction constant C, so every distance d_n from step 2 on, the
         residual's included, is checked against C d_(n-1); a violation
         raises ContractionViolationError before the step reaches on_step.
-        The residual, d_infinity(self.step(u_m), u_m) for the last iterate
-        u_m, makes no step: `_residual` takes it one map at a time. A step
+        Each d_n equals d_infinity(u_(n-1), u_n) in value and type, and the
+        residual d_infinity(self.step(u_m), u_m) for the last iterate u_m;
+        neither is taken that way. From the first pair on that takes an
+        array route, the run carries witnesses through the steps' slot
+        tables (`_consecutive`), so a pair costs O(n) index and vector work
+        and a few exact queries, and the residual makes no step:
+        `_residual` takes it one map at a time. A step
         that passes support_cap raises SupportCapError with `partial` set to
         the last iterate and its report, whose certified_residual is None,
         and so does the residual when the step of u_m would pass it: when
@@ -375,22 +481,26 @@ class OrbitalFuzzySystem:
             m, bound = self._steps_for_tolerance(diam, tolerance)
         else:
             m, bound = steps, self.scaled_bound(diam, steps)
-        current = u0
+        current, carried = u0, None
         history = []
         # Float mode: the largest coordinate magnitude of the iterates so
         # far, which scales the audit's rounding slack.
         largest = 0.0 if self.exact else magnitude(u0.scaled()[2]) / GRID
         try:
             for n in range(1, m + 1):
-                nxt = self.step(current, support_cap)
-                history.append(d_infinity(current, nxt))
+                nxt, slot, top = self._step(current, support_cap, carry=True)
+                distance, carried = self._consecutive(current, nxt, slot, top, carried)
+                history.append(distance)
+                del slot, top
                 if not self.exact:
                     largest = max(largest, magnitude(nxt.scaled()[2]) / GRID)
                 self._check_decay(history, largest)
+                # The witnesses hold no coordinates of u_(n-1), so it goes
+                # before on_step sees u_n.
+                current = nxt
                 if on_step is not None:
                     on_step(n, nxt)
-                current = nxt
-            residual = self._residual(current, support_cap)
+            residual = self._residual(current, support_cap, carried)
             self._check_decay(history + [residual], largest)
         except SupportCapError as err:
             # Whether a step or the residual's cap check passed the cap, the
@@ -411,6 +521,30 @@ class OrbitalFuzzySystem:
             diameter=diam,
         )
         return current, report
+
+    def _consecutive(self, u: FuzzySet, nxt: FuzzySet, slot: np.ndarray, top: np.ndarray,
+                     carried: Optional[tuple]) -> Tuple[Scalar, Optional[tuple]]:
+        """d_infinity(u, nxt) for nxt the step of u with the tables slot and
+        top of `_step`, and the witnesses that the run carries on: None, or
+        (|u|, slot, top, down, up), down giving for each row of nxt a row
+        of u and up for each row of u a row of nxt, each at the row's level
+        or above.
+
+        With witnesses carried from the pair before (`_carried`), the pair
+        goes through the metric's carried route, one part nxt against u;
+        without them, the first array pair seeds them from the kernel's
+        finds.
+        """
+        nxt_den, nxt_levels, _, nxt_ranks = nxt.scaled()
+        den, nxt_rank, u_rank = _pair_scale(nxt_den, nxt_levels, u._den, u._levels)
+        part = _on_scale(nxt, den), nxt_rank[nxt_ranks]
+        witnesses = None if carried is None else _carried(carried, len(u), slot, top)
+        del carried
+        distance, seeds = _sup_distance(
+            lambda: (part if witnesses is None else (*part, witnesses[0]),), len(nxt), u, u_rank,
+            den, u.exact, witnesses and (lambda: (witnesses[1], *part)), seed=True)
+        witnesses = witnesses or seeds
+        return distance, witnesses and (len(u), slot, top, *witnesses)
 
     def fixed_point(
         self,

@@ -276,9 +276,9 @@ class TestRankDtypes:
         seen = []
         directed = fuzzy_module._directed
 
-        def spy(points, ranks, *args):
+        def spy(points, ranks, *args, **kwargs):
             seen.append(ranks.dtype)
-            return directed(points, ranks, *args)
+            return directed(points, ranks, *args, **kwargs)
 
         monkeypatch.setattr(fuzzy_module, "_directed", spy)
         assert d_infinity(u, v) == d_infinity(v, u) == d_infinity_level_sweep(u, v)
@@ -288,7 +288,8 @@ class TestRankDtypes:
         """The targets go highest rank first, ties in index order, over the
         whole table: negating an unsigned rank 0 would put it first."""
         seen = []
-        monkeypatch.setattr(fuzzy_module, "directed_max_squared", lambda *args: seen.append(args) or 0)
+        monkeypatch.setattr(fuzzy_module, "directed_max_squared",
+                            lambda *args, **kwargs: seen.append(args) or 0)
         ranks = np.array([2, 5, 0, 5, 3, 2, 1], dtype=np.uint8)
         points = np.zeros((7, 2), dtype=np.int64)
         fuzzy_module._directed(points, ranks, points, ranks, np.array([0, 1, 4, 6]), 1, True)

@@ -499,6 +499,27 @@ def test_residual_peaks_per_point_of_the_last_iterate(monkeypatch):
     assert peak <= 155 * len(u)
 
 
+@pytest.mark.parametrize("exact, parent_bytes", [(True, 151), (False, 135)],
+                         ids=["exact", "float"])
+def test_run_with_witnesses_peaks_per_point_of_the_last_iterate(monkeypatch, exact,
+                                                                parent_bytes):
+    """A 9-step run of the band from its start, the reach diameter stubbed,
+    traced: the witnesses, slot tables and occurrence tables it carries
+    keep its peak within what the run took before it carried them, 151.4 B
+    (exact) and 135.3 B (float) per point of its last iterate of 33,280.
+    With them it takes about 86 B (exact) and 93 B (float): the residual
+    no longer holds the kernel's arrays, the run's indices are int32, and a
+    float image holds one float block besides its keys."""
+    scene = load_scene(SCENES / "dyadic_band.json")
+    system, u0 = scene.system, scene.initial
+    if not exact:
+        system, u0 = system.to_float(), u0.to_float()
+    monkeypatch.setattr(type(system), "reach_diameter", lambda self, u: Fraction(1))
+    (final, report), peak = _traced_peak(system.iterate, u0, 9)
+    assert len(final) == 33280 and report.certified_residual == 2 ** -10
+    assert peak <= parent_bytes * len(final)
+
+
 def test_exact_kernel_far_from_the_origin(monkeypatch):
     """Moved by 10^400, the numerators lie past float range, yet the grid's
     shortlist gives the same squares: its floats are taken relative to a

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fuzzyifs import fuzzy, geometry
+from fuzzyifs import system as system_module
 from fuzzyifs.dyadic import band_start, reference_system, slice_start
 from fuzzyifs.fuzzy import (
     EmptyCutError,
@@ -810,7 +811,8 @@ class TestResidual:
             system = system.to_float()
         scans = []
         directed = fuzzy._directed
-        monkeypatch.setattr(fuzzy, "_directed", lambda *args: scans.append(1) or directed(*args))
+        monkeypatch.setattr(fuzzy, "_directed",
+                            lambda *args, **kwargs: scans.append(1) or directed(*args, **kwargs))
         for n, arrays in ((45, False), (46, True)):
             assert (2 * n * n > fuzzy._BRUTE_PAIR_LIMIT) is arrays
             u = FuzzySet([((F(k), F(k % 7)), F(1 + k % 3, 3)) for k in range(n)])
@@ -833,11 +835,13 @@ class TestResidual:
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_a_run_under_the_cap_makes_one_step_per_iteration(self, monkeypatch, exact):
-        """m steps, and none for the residual, in both stopping modes."""
+        """m steps, and none for the residual, in both stopping modes. Every
+        step, the public one's and the run's, goes through `_step`."""
         calls = []
-        real_step = OrbitalFuzzySystem.step
-        monkeypatch.setattr(OrbitalFuzzySystem, "step",
-                            lambda self, u, cap=10_000_000: calls.append(len(u)) or real_step(self, u, cap))
+        real_step = OrbitalFuzzySystem._step
+        monkeypatch.setattr(OrbitalFuzzySystem, "_step",
+                            lambda self, u, cap, carry=False: calls.append(len(u))
+                            or real_step(self, u, cap, carry))
         system, u0 = reference_system(exact), band_start([0, F(1, 2), 1], exact)
         _, report = system.iterate(u0, steps=4)
         assert len(calls) == report.iterations == 4
@@ -861,13 +865,153 @@ class TestResidual:
             system, u0 = system.to_float(), u0.to_float()
         final, report = system.iterate(u0, steps=3)
         calls = []
-        real_step = OrbitalFuzzySystem.step
-        monkeypatch.setattr(OrbitalFuzzySystem, "step",
-                            lambda self, u, cap: calls.append(cap) or real_step(self, u, cap))
+        real_step = OrbitalFuzzySystem._step
+        monkeypatch.setattr(OrbitalFuzzySystem, "_step",
+                            lambda self, u, cap, carry=False: calls.append(cap)
+                            or real_step(self, u, cap, carry))
         capped_final, capped_report = system.iterate(u0, steps=3, support_cap=9)
         assert capped_final == final and capped_report == report
         assert calls == [9] * 4
-        assert report.certified_residual == d_infinity(real_step(system, final), final)
+        assert report.certified_residual == d_infinity(system.step(final), final)
+
+
+def reference_run(system, u0, steps):
+    """A run's distances the long way: d_infinity of each pair of
+    consecutive public steps, and of the last iterate's step and itself."""
+    iterates = [u0]
+    for _ in range(steps):
+        iterates.append(system.step(iterates[-1]))
+    history = tuple(d_infinity(a, b) for a, b in zip(iterates, iterates[1:]))
+    return (*history, d_infinity(system.step(iterates[-1]), iterates[-1]))
+
+
+def run_matches_reference(system, u0, steps) -> bool:
+    """Whether iterate's history and residual equal `reference_run`'s,
+    value for value and type for type."""
+    _, report = system.iterate(u0, steps)
+    got = (*report.d_history, report.certified_residual)
+    expected = reference_run(system, u0, steps)
+    return [(d, type(d)) for d in got] == [(d, type(d)) for d in expected]
+
+
+def random_runs(seed, count, modes=(True, False)):
+    """Random runs of 0 to 5 steps from normal starts of 1 to 6 points:
+    `integer_form_system`'s maps repeat points (zero and proportional rows,
+    so images meet at equal top levels), shear and scale unequally, and its
+    grey maps that jump at 1/2 erase parts. Each system runs in the given
+    modes, exact and as its float twin."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.choice((1, 2, 3))
+        system = integer_form_system(rng, dim)
+        u0, steps = random_fuzzy(rng, dim, normal=True), rng.randrange(0, 6)
+        for exact in modes:
+            yield (system, u0, steps) if exact else (system.to_float(), u0.to_float(), steps)
+
+
+class TestCarriedWitnesses:
+    """A run takes d_n and the residual from witnesses it carries through
+    the steps' slot tables; these check the outcome against d_infinity of
+    the pairs the run stands for, and that the checks see planted mistakes.
+    The audit of the contraction constant is switched off: many random
+    maps expand, and the distances are what is compared."""
+
+    @pytest.fixture(autouse=True)
+    def no_audit(self, monkeypatch):
+        monkeypatch.setattr(OrbitalFuzzySystem, "_check_decay", lambda self, *args: None)
+
+    @pytest.mark.parametrize("pair_limit, runs, carried_sides", [(None, 200, 100), (0, 120, 200)],
+                             ids=["default-pair-limit", "arrays-and-grid"])
+    def test_random_runs_match_d_infinity(self, monkeypatch, pair_limit, runs, carried_sides):
+        """Both modes; with a pair limit of 0 every pair takes an array
+        route, so a run's second pair on is always a carried one. Each
+        carried pair or residual takes two sides."""
+        if pair_limit is not None:
+            monkeypatch.setattr(fuzzy, "_BRUTE_PAIR_LIMIT", pair_limit)
+            monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
+        carried = []
+        witnessed = fuzzy._witnessed
+        monkeypatch.setattr(fuzzy, "_witnessed",
+                            lambda *args: carried.append(args[0]) or witnessed(*args))
+        for system, u0, steps in random_runs(23, runs):
+            assert run_matches_reference(system, u0, steps)
+        assert len(carried) > carried_sides
+
+    def test_a_lower_occurrence_in_a_tie_is_caught(self, monkeypatch):
+        """A result row reached by several occurrences must carry one at
+        its top level; the first occurrence may be a lower one. Here two
+        constant maps and the identity, whose grey map keeps only levels
+        of 1/2 and above, put several images on one point."""
+        monkeypatch.setattr(fuzzy, "_BRUTE_PAIR_LIMIT", 0)
+        monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(maps=(
+                AffineMap(((F(0),),), (F(-7, 6),)), AffineMap(((F(0),),), (F(1, 3),)),
+                AffineMap.identity(1)), contraction_constant=F(1, 2)),
+            grey_maps=(GreyLevelMap.identity(), GreyLevelMap.linear_ramp(F(1, 2)), STEP_AT_HALF))
+        u0 = FuzzySet([((F(0),), F(1)), ((F(3, 4),), F(5, 8)), ((F(3, 2),), F(3, 8)),
+                       ((F(-3),), F(1, 2)), ((F(5),), F(7, 8))])
+        assert run_matches_reference(system, u0, 2)
+        merge = fuzzy._merge_rows
+
+        def first_occurrence(points, ranks, slots=False):
+            merged = merge(points, ranks, slots)
+            if not slots:
+                return merged
+            points, ranks, slot, _ = merged
+            first = np.full(len(points), len(slot))
+            np.minimum.at(first, slot, np.arange(len(slot)))
+            return points, ranks, slot, first
+
+        monkeypatch.setattr(fuzzy, "_merge_rows", first_occurrence)
+        assert not run_matches_reference(system, u0, 2)
+
+    def test_the_previous_slot_table_is_caught(self, monkeypatch):
+        """u's witnesses in nxt come through this step's slot table; the
+        previous step's, read in range, names rows of u instead."""
+        monkeypatch.setattr(fuzzy, "_BRUTE_PAIR_LIMIT", 0)
+        monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", 0)
+
+        def stale(previous, width, slot, top):
+            size, old_slot, old_top, down, up = previous
+            maps, rows = np.divmod(top, width)
+            down = old_slot[maps * size + down[rows]]
+            maps, rows = np.divmod(old_top, size)
+            return down, old_slot[np.minimum(maps * width + up[rows], len(old_slot) - 1)]
+
+        monkeypatch.setattr(system_module, "_carried", stale)
+        assert not all(run_matches_reference(*run) for run in random_runs(23, 120, modes=(True,)))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_band_pairs_after_the_first_query_once_per_direction(self, monkeypatch, exact):
+        """On the band at 9 steps, the first pair seeds the witnesses from
+        the kernel's grid; every later pair and the residual make no grid
+        round and no kernel call, and at most one exact query per
+        direction. Counted, not timed."""
+        counts = {"rounds": 0, "kernel": 0, "queries": 0}
+
+        def counting(name, f):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(geometry, "_grid_round", counting("rounds", geometry._grid_round))
+        monkeypatch.setattr(geometry, "_prefix_nearest", counting("kernel", geometry._prefix_nearest))
+        monkeypatch.setattr(fuzzy, "_nearest_square", counting("queries", fuzzy._nearest_square))
+        scene = load_scene(Path(__file__).resolve().parent.parent / "scenes" / "dyadic_band.json")
+        system, u0 = scene.system, scene.initial
+        if not exact:
+            system, u0 = system.to_float(), u0.to_float()
+        marks = [dict(counts)]
+        _, report = system.iterate(u0, 9, on_step=lambda n, u: marks.append(dict(counts)))
+        marks.append(dict(counts))
+        assert report.certified_residual == (F(1, 1024) if exact else 2.0 ** -10)
+        spent = [{name: after[name] - before[name] for name in counts}
+                 for before, after in zip(marks, marks[1:])]
+        assert len(spent) == 10 and spent[0]["kernel"] > 0
+        for pair in spent[1:]:
+            assert pair["rounds"] == pair["kernel"] == 0 and pair["queries"] <= 2
 
 
 def shifted_band(exact, shift=0, upper_offset=F(1, 2)):
@@ -900,9 +1044,11 @@ def test_numerators_past_int64(exact, shift, upper_offset, start, stepped_dtype)
     double, so n / 10^12 still reads the same as in Python. The iterates
     match the reference composition, support order included, and
     d_infinity the level sweep, from 34 points up to pairs of 136 and 272,
-    which take the array path."""
+    which take the array path, and so does a run's, which carries its
+    witnesses from the second pair on."""
     system, u = shifted_band(exact, shift, upper_offset)
     assert u.scaled()[2].dtype == start
+    assert run_matches_reference(system, u, 4)
     for _ in range(4):
         reference = join([apply_grey(g, zadeh_pushforward(f, u))
                           for f, g in zip(system.ifs.maps, system.grey_maps)])
