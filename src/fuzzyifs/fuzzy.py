@@ -23,16 +23,17 @@ levels), which gives the level-sweep reference implementation, kept as a
 test oracle. `d_infinity` uses the equivalent per-point form: for each
 support point x of u, the nearest point of v at level >= u(x), a prefix of
 v sorted by level, and symmetrically. It has one body for both numeric
-modes, built on the same nearest-neighbour kernel as
+modes (`_sup_distance`), built on the same nearest-neighbour kernel as
 `geometry.hausdorff`, and its first side may be the pointwise maximum of
 several parts, which the operator's residual gives map by map; a pair is
 first brought onto one denominator and one level table. Pairs of at most
 `_BRUTE_PAIR_LIMIT` point pairs leave the arrays for Python lists and
-dicts, where numpy's fixed cost per call would dominate. A run's pairs,
-for whose points the system carries witnesses at their level or above,
-skip the search: the distance to its witness bounds each point, and only
-the points whose bounds pass an exact query's minimum go to the kernel
-(`_witnessed`).
+dicts, where numpy's fixed cost per call would dominate. Every larger pair
+runs on witnesses, for each point a row of the other side at its level or
+above, which a run carries from pair to pair and any other pair seeds from
+the rows both sides share: the distance to its witness bounds each point,
+and only the points whose bounds pass an exact query's minimum go to the
+kernel (`_witnessed`).
 """
 
 from __future__ import annotations
@@ -335,7 +336,10 @@ class FuzzySet:
     def level(self, p: Sequence) -> Scalar:
         """The level at p, 0 off the support; a float point is looked up at
         its grid key. The first call builds a dict from numerator tuples to
-        ranks, which the set keeps, so each later call is one lookup."""
+        ranks, which the set keeps, so each later call is one lookup.
+        DimensionMismatchError for a point of another dimension."""
+        if len(p) != self.dimension:
+            raise DimensionMismatchError(f"point of dimension {len(p)}, set of {self.dimension}")
         if not self.exact:
             key = grid_key(p)
         else:
@@ -553,32 +557,30 @@ def join(sets: Sequence[FuzzySet]) -> FuzzySet:
 
 
 def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
-              target_ranks: np.ndarray, pending: np.ndarray, den: int, exact: bool,
+              target_ranks: np.ndarray, rows: np.ndarray, den: int, exact: bool,
               floor: Scalar = 0, found: Optional[np.ndarray] = None):
-    """Squared directed part of d_infinity from the pending points, those
-    that the other set does not hold at their level or above, or floor when
-    that is larger: one call of the geometry kernel against the targets
-    sorted by level, highest first, each point limited to the prefix at its
-    level or above; the kernel answers every prefix from one grid of cells
-    per round, and writes into found the index of the target it found for
-    each point. Ranks are in the pair's merged level table, unsigned, so the
-    descending order sorts top - ranks. The kernel reads the pending points
-    and the sorted targets from the sets' own arrays through their indices.
-    The caller has checked that both sets reach the same top level, so no
-    prefix is empty."""
-    if not len(pending):
-        return floor
+    """Squared directed part of d_infinity from the points of the given
+    rows, or floor when that is larger: one call of the geometry kernel
+    against the targets sorted by level, highest first, each point limited
+    to the prefix at its level or above; the kernel answers every prefix
+    from one grid of cells per round, and writes into found the index of
+    the target it found for each point. Ranks are in the pair's merged
+    level table, unsigned, so the descending order sorts top - ranks. The
+    kernel reads the points and the sorted targets from the sets' own
+    arrays through their indices. The caller has checked that both sets
+    reach the same top level, so no prefix is empty."""
     order = np.argsort(target_ranks.max() - target_ranks, kind="stable")
-    limits = len(targets) - np.searchsorted(target_ranks[order][::-1], ranks[pending])
-    return directed_max_squared(points, targets, den, exact, limits, pending, order,
+    limits = len(targets) - np.searchsorted(target_ranks[order][::-1], ranks[rows])
+    return directed_max_squared(points, targets, den, exact, limits, rows, order,
                                 floor=floor, found=found)
 
 
 def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: bool):
     """`_directed` for a small pair, each set a dict from its numerator
     tuples to their merged ranks: a point is looked up in the other set's
-    dict, and the pending points' prefixes are scanned with Python ints in
-    exact mode, or handed to the kernel as rows of grid keys over den."""
+    dict, and the prefixes of the points it does not hold at their level or
+    above are scanned with Python ints in exact mode, or handed to the
+    kernel as rows of grid keys over den."""
     pending = [p for p, r in u.items() if v.get(p, 0) < r]
     if not pending:
         return 0
@@ -590,31 +592,27 @@ def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: b
     return directed_max_squared(int_array(pending), int_array(targets), den, False, limits)
 
 
-def _uncovered(us: np.ndarray, ur: np.ndarray, vs: np.ndarray, vr: np.ndarray):
-    """The indices of the points of each set that the other set does not
-    hold at their rank or above, and the rows of the points both sets hold,
-    in u and in v. One lexsort of both sets finds the points they share: a
-    shared point's row in u directly precedes its row in v, since a set
-    holds each point once and the sort is stable. Both sets are joined a
-    column at a time, so that the sort reads contiguous columns."""
-    order, same = _sorted_runs([np.concatenate(pair) for pair in zip(us.T, vs.T)])
+def _shared_rows(points: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows that points and targets share, as their indices in each:
+    one stable lexsort of both, joined a column at a time so that the sort
+    reads contiguous columns. The targets hold each row once, so a run of
+    equal rows ends with the target's; the points may repeat a row (the
+    images of a map that is not injective), and only the last of them,
+    which directly precedes the target's, is paired with it."""
+    order, same = _sorted_runs([np.concatenate(pair) for pair in zip(points.T, targets.T)])
     shared = np.flatnonzero(same)
-    in_u, in_v = order[shared], order[shared + 1] - len(us)
-    u_other, v_other = np.zeros_like(ur), np.zeros_like(vr)
-    u_other[in_u], v_other[in_v] = vr[in_v], ur[in_u]
-    return np.flatnonzero(u_other < ur), np.flatnonzero(v_other < vr), in_u, in_v
+    shared = shared[order[shared + 1] >= len(points)]
+    return order[shared], order[shared + 1] - len(points)
 
 
-def _seeds(ranks: np.ndarray, target_ranks: np.ndarray, rows: np.ndarray,
-           target_rows: np.ndarray) -> np.ndarray:
-    """For each point, the index of a target at its rank or above: for the
-    point rows[i], the target target_rows[i] at the same place where that
-    target's rank is no lower, and for every other point the first target
-    of the top rank, which both sets of a pair reach. The kernel then
-    writes its finds over the points it scans."""
-    seeds = np.full(len(ranks), np.argmax(target_ranks), dtype=_index_dtype(len(target_ranks)))
+def _seeds(seeds: np.ndarray, ranks: np.ndarray, target_ranks: np.ndarray, rows: np.ndarray,
+           target_rows: np.ndarray, ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """seeds, each point rows[i] given the index of target_rows[i], a row at
+    the same place, where that target's rank is no lower than the point's:
+    ids[target_rows[i]] when ids maps the targets' rows to indices, else
+    target_rows[i]. The other points keep their seeds."""
     held = ranks[rows] <= target_ranks[target_rows]
-    seeds[rows[held]] = target_rows[held]
+    seeds[rows[held]] = target_rows[held] if ids is None else ids[target_rows[held]]
     return seeds
 
 
@@ -664,38 +662,26 @@ def _pair_scale(u_den: int, u_levels: Tuple[Scalar, ...], v_den: int,
 
 
 def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
-                  v_rank: np.ndarray, den: int, exact: bool, carried: Optional[tuple] = None,
-                  seed: bool = False):
+                  v_rank: np.ndarray, den: int, exact: bool, every: Callable[[], tuple]):
     """The body of `d_infinity`: the distance between v and the pointwise
-    maximum of the parts that parts() gives, each (points, ranks) on den
-    and in the merged table into which v_rank ranks v's levels
+    maximum of the parts that parts() gives, each (points, ranks, witness,
+    ids) on den and in the merged table into which v_rank ranks v's levels
     (`_pair_scale`); size is their points together. The alpha-cut of a
     pointwise maximum is the union of the parts' alpha-cuts (Cabrelli,
-    Forte, Molter & Vrscay, J. Math. Anal. Appl. 171, 1992), so the parts'
-    side is the largest of their directed distances into v. Up to
-    _BRUTE_PAIR_LIMIT point pairs, size times |v|, the parts are joined
-    into a dict and both directions go through Python dicts. Larger pairs
-    take one of two array routes.
+    Forte, Molter & Vrscay, J. Math. Anal. Appl. 171, 1992). Up to
+    _BRUTE_PAIR_LIMIT point pairs, size times |v|, both directions go
+    through Python dicts.
 
-    Without carried witnesses, every point of a part that v holds at its
-    level or above, found by one lexsort (`_uncovered`), contributes zero,
-    and so does a point of v that some part holds; the others go to the
-    kernel. The points of v that no part holds are scanned against all
-    parts together, for which parts() is called again, only when such
-    points exist. With seed, which a caller gives with a single part, this
-    also returns witnesses, for each of its points a row of v and for each
-    point of v a row of the part, each at the point's level or above: the
-    shared rows and the kernel's finds (`_seeds`).
-
-    With carried, each part comes with a third array, for each of its
-    points the row of v that witnesses it, and carried() gives, once the
-    parts are done, (up, targets, target_ranks): for each point of v the
-    index of its witness in targets, the points of all parts, and their
-    ranks. No lexsort is made: each side goes through `_witnessed`, which
-    updates the witnesses in place, with the largest distance so far as its
-    floor.
-
-    Returns the distance and the witnesses found, or None."""
+    Larger pairs run on witnesses at their points' level or above, each
+    side through `_witnessed`: a part's witness gives each of its points a
+    row of v, and every(), called once the parts are done, gives (up,
+    targets, target_ranks), up giving each point of v an index in targets,
+    the points of all parts. Witnesses given as None are seeded from the
+    rows each part shares with v (`_shared_rows`, `_seeds`), the part's
+    row i being targets[ids[i]], or targets[i] without ids; any other point
+    takes a target of the top rank, which both sides reach. Returns the
+    distance and the witnesses of the last part and of v, updated in place,
+    or None for a dict pair."""
     if size * len(v) <= _BRUTE_PAIR_LIMIT:
         us = {}
         for points, ranks, *_ in parts():
@@ -705,36 +691,31 @@ def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
         vs = dict(zip(map(tuple, _on_scale(v, den).tolist()), v_rank[v._ranks].tolist()))
         best = max(_directed_small(us, vs, den, exact), _directed_small(vs, us, den, exact))
         return _root(best, den, exact), None
-    vr = v_rank[v._ranks]
-    if carried is not None:
-        vs = _rescaled(v, den)
-        best = 0
-        for points, ranks, witness in parts():
-            best = _witnessed(points, ranks, witness, vs, vr, den, exact, best)
-            del points, ranks, witness
-        up, targets, target_ranks = carried()
-        return _root(_witnessed(vs, vr, up, targets, target_ranks, den, exact, best), den, exact), None
-    vs = _on_scale(v, den)
-    left = np.ones(len(vs), dtype=bool)
-    best, down, up = 0, None, None
-    for points, ranks in parts():
-        pending, missed, in_u, in_v = _uncovered(points, ranks, vs, vr)
-        held = np.zeros_like(left)
-        held[missed] = True
-        left &= held
-        del missed, held
-        if seed:
-            down, up = _seeds(ranks, vr, in_u, in_v), _seeds(vr, ranks, in_v, in_u)
-        del in_u, in_v
-        best = max(best, _directed(points, ranks, vs, vr, pending, den, exact, found=down))
-        del points, ranks, pending
-    missed = np.flatnonzero(left)
-    if len(missed):
-        every = list(parts())
-        points, ranks = every[0] if len(every) == 1 else map(np.concatenate, zip(*every))
-        del every
-        best = max(best, _directed(vs, vr, points, ranks, missed, den, exact, found=up))
-    return _root(best, den, exact), None if up is None else (down, up)
+    vs, vr = _rescaled(v, den), v_rank[v._ranks]
+    best, up = 0, None
+    for points, ranks, witness, ids in parts():
+        if witness is None:
+            # The sort reads v's rows on den, so they are made once here and
+            # the kernel reads the same copy.
+            vs = vs[:]
+            in_part, in_v = _shared_rows(points, vs)
+            witness = _seeds(np.full(len(ranks), np.argmax(vr), dtype=_index_dtype(len(vr))),
+                             ranks, vr, in_part, in_v)
+            if up is None:
+                up = np.full(len(vr), -1, dtype=_index_dtype(len(points)) if ids is None
+                             else ids.dtype)
+            _seeds(up, vr, ranks, in_v, in_part, ids)
+            del in_part, in_v
+        del ids
+        best = _witnessed(points, ranks, witness, vs, vr, den, exact, best)
+        del points, ranks
+    carried, targets, target_ranks = every()
+    if carried is None:
+        up[up < 0] = np.argmax(target_ranks)
+    else:
+        up = carried
+    best = _witnessed(vs, vr, up, targets, target_ranks, den, exact, best)
+    return _root(best, den, exact), (witness, up)
 
 
 def _root(square: Scalar, den: int, exact: bool) -> Scalar:
@@ -745,23 +726,29 @@ def _root(square: Scalar, den: int, exact: bool) -> Scalar:
 def d_infinity(u: FuzzySet, v: FuzzySet):
     """Supremum over alpha of the Hausdorff distance between alpha-cuts.
 
-    The pair is brought onto the lcm of its denominators and its ranks onto
-    the merged level table of both sets (`_pair_scale`), and u is the one
-    part of `_sup_distance`, the metric's body, which the operator's
-    residual shares. Points that the other set holds at their level or
-    above contribute zero and are skipped up front (Taha & Hanbury, IEEE
-    TPAMI 37(11), 2015), which makes consecutive-iterate distances cheap.
-    Each directed scan of the others is one kernel call with per-point
-    prefix limits, however many levels the sets carry. A pair of at most
-    _BRUTE_PAIR_LIMIT point pairs goes through Python lists and dicts,
-    where numpy's fixed costs would dominate; larger pairs stay in arrays.
+    A pair of at most _BRUTE_PAIR_LIMIT point pairs goes through Python
+    lists and dicts, where numpy's fixed costs would dominate. A larger one
+    seeds witnesses from the rows both sets share (`_pair_distance`): the
+    distance to its witness bounds each point, and only the points whose
+    bounds pass an exact query's minimum go to the kernel (`_witnessed`).
     Exact mode compares integer squares over the common denominator; float
     mode takes the kernel's float distances.
     """
     _require_compatible(u, v)
+    return _pair_distance(u, v)[0]
+
+
+def _pair_distance(u: FuzzySet, v: FuzzySet, witnesses: Optional[tuple] = None):
+    """d_infinity(u, v) on the lcm of their denominators and their merged
+    level table (`_pair_scale`), u the one part of `_sup_distance`, and its
+    witnesses (down, up): for each row of u a row of v, and for each row of
+    v a row of u, at the row's level or above; None for a dict pair. Given
+    witnesses, the pair runs on them and updates them in place."""
     den, u_rank, v_rank = _pair_scale(u._den, u._levels, v._den, v._levels)
-    part = _on_scale(u, den), u_rank[u._ranks]
-    return _sup_distance(lambda: (part,), len(u), v, v_rank, den, u.exact)[0]
+    points, ranks = _on_scale(u, den), u_rank[u._ranks]
+    down, up = witnesses or (None, None)
+    return _sup_distance(lambda: ((points, ranks, down, None),), len(u), v, v_rank, den,
+                         u.exact, lambda: (up, points, ranks))
 
 
 def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):

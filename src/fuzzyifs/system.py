@@ -19,12 +19,14 @@ distances, d_n <= C d_(n-1) at every step from the second on and for the
 residual, and raises ContractionViolationError where they rule C out.
 
 A run takes each d_n = d_infinity(u_(n-1), u_n) and the residual
-d_infinity(T u_m, u_m) from witnesses that it carries, for each point a row
-of the neighbouring iterate at its level or above, passed from pair to pair
-through the steps' slot tables (`_carried`); a pair then makes a few exact
-queries (`fuzzy._witnessed`). The residual is taken one map at a time
-(`_residual`), so a run of m steps makes m steps and never holds T u_m,
-whose N |u_m| image points would be its largest array.
+d_infinity(T u_m, u_m) from witnesses, for each point a row of the
+neighbouring iterate at its level or above: the first pair past the dict
+path seeds them from the rows it shares, as d_infinity does, and the run
+carries them from pair to pair through the steps' slot tables
+(`_carried`); a pair then makes a few exact queries (`fuzzy._witnessed`).
+The residual is taken one map at a time (`_residual`), so a run of m steps
+makes m steps and never holds T u_m, whose N |u_m| image points would be
+its largest array.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .fuzzy import (  # noqa: F401
     GreyLevelMap,
     _index_dtype,
     _merge_rows,
+    _pair_distance,
     _pair_scale,
     _rank_dtype,
     _sup_distance,
@@ -307,10 +310,11 @@ class OrbitalFuzzySystem:
         image of u's row j under map k is witnessed by the image of
         u_(m-1)'s row down[j] under map k, a row of u at its level or
         above, and u's row z, the image of u_(m-1)'s row y under map k at
-        its level, by the image of up[y] under map k. Without them, each
-        map's images are merged onto their distinct rows, and made again
-        only for the points of u that no map's image holds at their level
-        or above.
+        its level, by the image of up[y] under map k. Without them (a run
+        of 0 steps, or one whose pairs all took the dict path), each map's
+        images seed them from the rows they share with u, map by map, and
+        a point of u that no image holds at its level or above takes an
+        image of the top level.
 
         When the maps keep more than support_cap points together, the step
         is made just for its cap check, so SupportCapError comes where the
@@ -329,23 +333,31 @@ class OrbitalFuzzySystem:
         den, image_rank, u_rank = _pair_scale(u_den * self.ifs._scaled_maps[0], new_levels,
                                               u_den, levels)
         relits = [image_rank[relit] for relit in relits]
-        if carried is None:
-            return _sup_distance(lambda: (_merge_rows(image, image_ranks) for *_, image, image_ranks
-                                          in self._images(u, relits)), kept, u, u_rank, den, u.exact)[0]
-        size, slot, top, down, up = carried
+        size, slot, top, down, up = carried or (None,) * 5
+        dtype = _index_dtype(len(relits) * len(u))
 
         def parts():
             for k, kept_rows, image, image_ranks in self._images(u, relits):
-                witness = down if kept_rows is None else down[kept_rows]
-                yield image, image_ranks, slot[np.add(witness, k * size, dtype=np.intp)]
+                rows = slice(None) if kept_rows is None else kept_rows
+                # The ids and witnesses go unnamed, so that this frame does
+                # not hold them while the metric works on the map.
+                if carried is None:
+                    yield (image, image_ranks, None,
+                           np.arange(k * len(u), (k + 1) * len(u), dtype=dtype)[rows])
+                else:
+                    yield (image, image_ranks,
+                           slot[np.add(down[rows], k * size, dtype=np.intp)], None)
                 # Let go of this map's images before the next map's are made.
-                del image, image_ranks, witness
+                del image, image_ranks
 
         def every():
+            target_ranks = np.concatenate([relit[ranks] for relit in relits])
+            if carried is None:
+                return None, _Images(self.ifs, u), target_ranks
             maps, rows = np.divmod(top, size)
-            ids = np.multiply(maps, len(u), dtype=_index_dtype(len(relits) * len(u)))
+            ids = np.multiply(maps, len(u), dtype=dtype)
             ids += up[rows]
-            return ids, _Images(self.ifs, u), np.concatenate([relit[ranks] for relit in relits])
+            return ids, _Images(self.ifs, u), target_ranks
 
         return _sup_distance(parts, kept, u, u_rank, den, u.exact, every)[0]
 
@@ -456,11 +468,11 @@ class OrbitalFuzzySystem:
         raises ContractionViolationError before the step reaches on_step.
         Each d_n equals d_infinity(u_(n-1), u_n) in value and type, and the
         residual d_infinity(self.step(u_m), u_m) for the last iterate u_m;
-        neither is taken that way. From the first pair on that takes an
-        array route, the run carries witnesses through the steps' slot
-        tables (`_consecutive`), so a pair costs O(n) index and vector work
-        and a few exact queries, and the residual makes no step:
-        `_residual` takes it one map at a time. A step
+        neither is taken that way. The first pair past the dict path seeds
+        witnesses from the rows it shares, and the run carries them on
+        through the steps' slot tables (`_consecutive`), so a later pair
+        costs O(n) index and vector work and a few exact queries, and the
+        residual makes no step: `_residual` takes it one map at a time. A step
         that passes support_cap raises SupportCapError with `partial` set to
         the last iterate and its report, whose certified_residual is None,
         and so does the residual when the step of u_m would pass it: when
@@ -530,20 +542,13 @@ class OrbitalFuzzySystem:
         of u and up for each row of u a row of nxt, each at the row's level
         or above.
 
-        With witnesses carried from the pair before (`_carried`), the pair
-        goes through the metric's carried route, one part nxt against u;
-        without them, the first array pair seeds them from the kernel's
-        finds.
+        The pair is `fuzzy._pair_distance(nxt, u)`, which runs on the
+        witnesses carried from the pair before (`_carried`), or without
+        them seeds them as d_infinity does.
         """
-        nxt_den, nxt_levels, _, nxt_ranks = nxt.scaled()
-        den, nxt_rank, u_rank = _pair_scale(nxt_den, nxt_levels, u._den, u._levels)
-        part = _on_scale(nxt, den), nxt_rank[nxt_ranks]
         witnesses = None if carried is None else _carried(carried, len(u), slot, top)
         del carried
-        distance, seeds = _sup_distance(
-            lambda: (part if witnesses is None else (*part, witnesses[0]),), len(nxt), u, u_rank,
-            den, u.exact, witnesses and (lambda: (witnesses[1], *part)), seed=True)
-        witnesses = witnesses or seeds
+        distance, witnesses = _pair_distance(nxt, u, witnesses)
         return distance, witnesses and (len(u), slot, top, *witnesses)
 
     def fixed_point(

@@ -27,6 +27,7 @@ from fuzzyifs.fuzzy import (
 from fuzzyifs.geometry import (
     _BRUTE_PAIR_LIMIT,
     GRID,
+    DimensionMismatchError,
     GridRangeError,
     as_point,
     euclid,
@@ -244,6 +245,16 @@ class TestFuzzySet:
     def test_normal_flag(self):
         assert fuzzy(((0,), 1)).normal
         assert not fuzzy(((0,), F(1, 2))).normal
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_level_of_a_point_of_another_dimension(self, exact):
+        """A point of the wrong dimension raises, as an affine map's call
+        does, where it used to read as off the support."""
+        u = FuzzySet([((0, 0), 1)], exact=exact)
+        assert u.level((0, 0)) == 1 and u.level((1, 0)) == 0
+        for p in ((0,), (0, 0, 0)):
+            with pytest.raises(DimensionMismatchError, match=f"point of dimension {len(p)}, set of 2"):
+                u.level(p)
 
 
 class TestRankDtypes:
@@ -591,6 +602,36 @@ class TestDInfinity:
     def test_paths_agree_float_scaled(self, n, denominator, trials, min_pairs, min_groups):
         check_paths_agree_float(random.Random(24), (n, n), denominator, trials,
                                 min_pairs, min_groups)
+
+
+def test_seeds_pair_a_repeated_row_with_a_target():
+    """A part that repeats rows, as the images of a map that is not
+    injective do, against targets that hold each row once. Every pair of
+    shared rows is a row of the part and an equal row of the targets, and
+    every seed, in either direction, names a row at its point's rank or
+    above. Pairing the neighbours of the sort without looking at which set
+    each comes from would pair the part's two (0, 0) rows with each other."""
+    points = np.array([[0, 0], [1, 0], [0, 0], [2, 0], [1, 0], [0, 0]])
+    ranks = np.array([1, 2, 2, 1, 1, 1], dtype=np.uint8)
+    targets = np.array([[1, 0], [0, 0], [5, 5], [2, 0]])
+    target_ranks = np.array([1, 2, 2, 2], dtype=np.uint8)
+    in_part, in_v = fuzzy_module._shared_rows(points, targets)
+    assert sorted(zip(in_part.tolist(), in_v.tolist())) == [(3, 3), (4, 0), (5, 1)]
+    assert np.array_equal(points[in_part], targets[in_v])
+    down = fuzzy_module._seeds(np.full(len(points), 1), ranks, target_ranks, in_part, in_v)
+    up = fuzzy_module._seeds(np.full(len(targets), 1), target_ranks, ranks, in_v, in_part)
+    assert (target_ranks[down] >= ranks).all() and (ranks[up] >= target_ranks).all()
+    assert down.tolist() == [1, 1, 1, 3, 0, 1] and up.tolist() == [4, 1, 1, 1]
+
+
+def test_a_shared_row_below_the_level_seeds_nothing(monkeypatch):
+    """Both sets hold the same three rows, v one level lower at (0, 0): the
+    row v shares with u's (0, 0) is no witness of it, whose distance, 3,
+    is the pair's; every other point has its own row at its level."""
+    monkeypatch.setattr(fuzzy_module, "_BRUTE_PAIR_LIMIT", 0)
+    u = fuzzy(((0, 0), 1), ((3, 0), 1), ((10, 0), 1))
+    v = fuzzy(((0, 0), F(1, 2)), ((3, 0), 1), ((10, 0), 1))
+    assert d_infinity(u, v) == d_infinity(v, u) == d_infinity_level_sweep(u, v) == 3
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])

@@ -507,7 +507,7 @@ def test_run_with_witnesses_peaks_per_point_of_the_last_iterate(monkeypatch, exa
     traced: the witnesses, slot tables and occurrence tables it carries
     keep its peak within what the run took before it carried them, 151.4 B
     (exact) and 135.3 B (float) per point of its last iterate of 33,280.
-    With them it takes about 86 B (exact) and 93 B (float): the residual
+    With them it takes about 90 B (exact) and 93 B (float): the residual
     no longer holds the kernel's arrays, the run's indices are int32, and a
     float image holds one float block besides its keys."""
     scene = load_scene(SCENES / "dyadic_band.json")

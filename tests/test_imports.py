@@ -1,9 +1,10 @@
 """Every name a module of the package imports is used in that module, every
 public function has a caller, every public class, every public function or
-class outside __all__, every field of a public dataclass and every public
-method has a reader, no module imports scipy, a run loads neither scipy nor
-the process pool, the package's names load on first use, and only the
-command line sets OpenBLAS's thread count."""
+class outside __all__, every private function or class, every field of a
+public dataclass and every public method has a reader, no module imports
+scipy, a run loads neither scipy nor the process pool, the package's names
+load on first use, and only the command line sets OpenBLAS's thread
+count."""
 
 import ast
 import dataclasses
@@ -145,6 +146,18 @@ def test_every_public_name_outside_all_is_read():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_") and node.name not in fuzzyifs.__all__}
     assert defined - client_reads() == set(ALLOWED_UNREAD_OUTSIDE_ALL)
+
+
+def test_every_private_function_and_class_is_read():
+    """Each private function or class that a module of the package defines
+    at its top level is read by a module of the package, outside a
+    function of the same name, so a route that goes leaves no helper of
+    its own behind."""
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    defined = {node.name for source in sources for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    assert defined - set().union(*map(names_read, sources)) == set()
 
 
 # Fields of the public dataclasses that nothing reads, as "Class.field", and

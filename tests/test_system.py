@@ -985,9 +985,10 @@ class TestCarriedWitnesses:
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_band_pairs_after_the_first_query_once_per_direction(self, monkeypatch, exact):
         """On the band at 9 steps, the first pair seeds the witnesses from
-        the kernel's grid; every later pair and the residual make no grid
-        round and no kernel call, and at most one exact query per
-        direction. Counted, not timed."""
+        the rows it shares, and the kernel's grid improves them; every
+        later pair and the residual make no grid round and no kernel
+        call, and at most one exact query per direction. Counted, not
+        timed."""
         counts = {"rounds": 0, "kernel": 0, "queries": 0}
 
         def counting(name, f):
