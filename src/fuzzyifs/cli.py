@@ -38,12 +38,11 @@ if "numpy" not in sys.modules:
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import tempfile
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .fuzzy import FuzzySet
 from .grid import GridFuzzySet, RenderSpec
 from .ifs import SupportCapError
 from .numeric import format_scalar, parse_scalar
-from .properties import run_all
 from .scene import Scene, SceneParseError, StopRule, load_scene
 
 EXIT_OK = 0
@@ -157,15 +155,20 @@ def _ratio(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
+# The rows that `_CsvTrace` joins and writes at a time.
+_CSV_BLOCK = 4096
+
+
 class _CsvTrace:
     """Writes the x,y,level,iteration rows of each iterate as it arrives.
 
     Rows come from the integer form: a coordinate is n/D written by `_ratio`
-    in exact mode and the float n / D in float mode. Each distinct numerator
-    and each distinct level is formatted once per iterate, since a grid of
-    points repeats its x and y values across rows, and the columns are
-    picked from those strings by index. A row is joined from its fields
-    without the csv module: no numeral or fraction needs quoting."""
+    in exact mode and the float n / D in float mode. Each distinct value of
+    a column and each distinct level is formatted once per iterate, with
+    its separator attached, since a grid of points repeats its x and y
+    values across rows. A block of _CSV_BLOCK rows gathers its three fields
+    by index into one object array and goes out as one string, without the
+    csv module: no numeral or fraction needs quoting."""
 
     def __init__(self, fh):
         self._fh = fh
@@ -173,13 +176,20 @@ class _CsvTrace:
 
     def __call__(self, iteration, u: FuzzySet):
         den, levels, points, ranks = u.scaled()
-        values, index = np.unique(points, return_inverse=True)
-        text = [_ratio(n, den) for n in values.tolist()] if u.exact else \
-            [format_scalar(n / den) for n in values.tolist()]
-        x, y = np.array(text, dtype=object)[index.reshape(points.shape)].T.tolist()
-        tails = np.array([f",{format_scalar(level)},{iteration}\n" for level in levels],
-                         dtype=object)
-        self._fh.writelines(map("".join, zip(x, repeat(","), y, tails[ranks].tolist())))
+        text = (lambda n: _ratio(n, den)) if u.exact else (lambda n: format_scalar(n / den))
+        columns = []
+        for k, end in enumerate((",", "")):
+            values, index = np.unique(points[:, k], return_inverse=True)
+            strings = np.array([text(n) + end for n in values.tolist()], dtype=object)
+            columns.append((strings, index))
+        tails = [f",{format_scalar(level)},{iteration}\n" for level in levels]
+        columns.append((np.array(tails, dtype=object), ranks))
+        block = np.empty((min(len(ranks), _CSV_BLOCK), 3), dtype=object)
+        for start in range(0, len(ranks), _CSV_BLOCK):
+            rows = block[:len(ranks) - start]
+            for k, (strings, index) in enumerate(columns):
+                rows[:, k] = strings[index[start:start + _CSV_BLOCK]]
+            self._fh.write("".join(rows.ravel().tolist()))
 
 
 def _write_image(path, u: FuzzySet, spec: RenderSpec):
@@ -251,6 +261,15 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def run_all(**kwargs):
+    """`properties.run_all`, whose module, and through it `dyadic`, is
+    imported on the first call, so that run and render do not load the
+    suites."""
+    from . import properties
+
+    return properties.run_all(**kwargs)
+
+
 def _cmd_verify(args) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
@@ -276,6 +295,8 @@ def _cmd_verify(args) -> int:
 
 
 def _load_csv_points(path):
+    import csv
+
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:

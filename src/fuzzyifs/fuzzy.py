@@ -617,7 +617,8 @@ def _seeds(seeds: np.ndarray, ranks: np.ndarray, target_ranks: np.ndarray, rows:
 
 
 def _witnessed(points, ranks: np.ndarray, witness: np.ndarray, targets,
-               target_ranks: np.ndarray, den: int, exact: bool, worst: Scalar) -> Scalar:
+               target_ranks: np.ndarray, den: int, exact: bool, worst: Scalar,
+               bounded: Optional[np.ndarray] = None) -> Scalar:
     """The larger of worst and the squared directed part of d_infinity from
     points to targets, given for each point the index witness[i] of a target
     at its rank or above: the exact squared distance to it bounds the
@@ -627,21 +628,32 @@ def _witnessed(points, ranks: np.ndarray, witness: np.ndarray, targets,
     query of its prefix; only the points whose bounds still pass that go to
     the kernel, in one call. Each queried point's nearest becomes its
     witness. points and targets are arrays over den or lazy ones, such as
-    `geometry._Rescaled`, read through indices."""
-    upper = _paired_squares(points, targets, witness, den, exact)
-    if not exact:
-        # The carry rests on grey maps being nondecreasing, which float
-        # interpolation keeps only up to rounding: a witness that sits a
-        # level below its point bounds nothing.
-        upper[target_ranks[witness] < ranks] = np.inf
+    `geometry._Rescaled`, read through indices. Seeded witnesses come with
+    bounded, the indices of the points whose witness is not their own row:
+    the others lie at distance 0 from theirs, and take no bound."""
+    if bounded is None:
+        upper = _paired_squares(points, targets, witness, den, exact)
+        if not exact:
+            # The carry rests on grey maps being nondecreasing, which float
+            # interpolation keeps only up to rounding: a witness that sits a
+            # level below its point bounds nothing. A seed never does.
+            upper[target_ranks[witness] < ranks] = np.inf
+    elif len(bounded):
+        upper = _paired_squares(points, targets, witness, den, exact, bounded)
+    else:
+        return worst
     top = int(np.argmax(upper))
     if not upper[top] > worst:
         return worst
+    if bounded is not None:
+        top = int(bounded[top])
     square, witness[top] = _nearest_square(points[top:top + 1], targets,
                                           np.flatnonzero(target_ranks >= ranks[top]), den, exact)
     worst = max(worst, square)
     rest = np.flatnonzero(upper > worst)
     del upper
+    if bounded is not None:
+        rest = bounded[rest]
     if not len(rest):
         return worst
     return _directed(points[:], ranks, targets[:], target_ranks, rest, den, exact, worst, witness)
@@ -679,7 +691,8 @@ def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
     the points of all parts. Witnesses given as None are seeded from the
     rows each part shares with v (`_shared_rows`, `_seeds`), the part's
     row i being targets[ids[i]], or targets[i] without ids; any other point
-    takes a target of the top rank, which both sides reach. Returns the
+    takes a target of the top rank, which both sides reach, and only these
+    points take a witness bound, the others being at distance 0. Returns the
     distance and the witnesses of the last part and of v, updated in place,
     or None for a dict pair."""
     if size * len(v) <= _BRUTE_PAIR_LIMIT:
@@ -694,27 +707,31 @@ def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
     vs, vr = _rescaled(v, den), v_rank[v._ranks]
     best, up = 0, None
     for points, ranks, witness, ids in parts():
+        bounded = None
         if witness is None:
             # The sort reads v's rows on den, so they are made once here and
             # the kernel reads the same copy.
             vs = vs[:]
             in_part, in_v = _shared_rows(points, vs)
-            witness = _seeds(np.full(len(ranks), np.argmax(vr), dtype=_index_dtype(len(vr))),
+            witness = _seeds(np.full(len(ranks), -1, dtype=_index_dtype(len(vr))),
                              ranks, vr, in_part, in_v)
+            bounded = np.flatnonzero(witness < 0)
+            witness[bounded] = np.argmax(vr)
             if up is None:
                 up = np.full(len(vr), -1, dtype=_index_dtype(len(points)) if ids is None
                              else ids.dtype)
             _seeds(up, vr, ranks, in_v, in_part, ids)
             del in_part, in_v
         del ids
-        best = _witnessed(points, ranks, witness, vs, vr, den, exact, best)
-        del points, ranks
+        best = _witnessed(points, ranks, witness, vs, vr, den, exact, best, bounded)
+        del points, ranks, bounded
     carried, targets, target_ranks = every()
     if carried is None:
-        up[up < 0] = np.argmax(target_ranks)
+        bounded = np.flatnonzero(up < 0)
+        up[bounded] = np.argmax(target_ranks)
     else:
-        up = carried
-    best = _witnessed(vs, vr, up, targets, target_ranks, den, exact, best)
+        up, bounded = carried, None
+    best = _witnessed(vs, vr, up, targets, target_ranks, den, exact, best, bounded)
     return _root(best, den, exact), (witness, up)
 
 

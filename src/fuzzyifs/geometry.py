@@ -298,15 +298,20 @@ def _block_squares(a: np.ndarray, b: np.ndarray, den: int, exact: bool) -> np.nd
     return _squares(as_float_array(a, den).T, as_float_array(b, den).T)
 
 
-def _paired_squares(points, targets, witness: np.ndarray, den: int, exact: bool) -> np.ndarray:
+def _paired_squares(points, targets, witness: np.ndarray, den: int, exact: bool,
+                    rows: Optional[np.ndarray] = None) -> np.ndarray:
     """The squared distance from each row of points to its witness, the row
-    targets[witness[i]], both over den (see `_block_squares`); points and
+    targets[witness[i]], both over den (see `_block_squares`), or only from
+    the given rows, a nonempty index array, in their order; points and
     targets are arrays or lazy ones such as `_Rescaled`, read a block of
     _GRID_BLOCK rows at a time."""
-    return np.concatenate([
-        _block_squares(points[start:start + _GRID_BLOCK],
-                       targets[witness[start:start + _GRID_BLOCK]], den, exact)
-        for start in range(0, len(witness), _GRID_BLOCK)])
+    squares = []
+    for start in range(0, len(witness) if rows is None else len(rows), _GRID_BLOCK):
+        block = slice(start, start + _GRID_BLOCK)
+        if rows is not None:
+            block = rows[block]
+        squares.append(_block_squares(points[block], targets[witness[block]], den, exact))
+    return np.concatenate(squares)
 
 
 def _nearest_square(point: np.ndarray, targets, prefix: np.ndarray, den: int, exact: bool):
@@ -614,7 +619,9 @@ def _max_squared(a, b, symmetric: bool):
     points, targets = _on_scale(a, den), _on_scale(b, den)
     best = directed_max_squared(points, targets, den, exact)
     if symmetric:
-        best = max(best, directed_max_squared(targets, points, den, exact))
+        # The first direction's maximum is a floor: a point of b no farther
+        # than it from a cannot raise the result, and is not checked exactly.
+        best = directed_max_squared(targets, points, den, exact, floor=best)
     return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
 
 

@@ -273,10 +273,13 @@ class OrbitalFuzzySystem:
         """The step's level tables: the ascending table of the new levels,
         preceded by 0, and per map the rank in it of each level of u's
         table under the map's grey map, each grey map evaluated once per
-        level."""
-        levels = u.scaled()[1]
-        convert = Fraction if u.exact else float
-        grey = [[convert(g(level)) for level in levels] for g in self.grey_maps]
+        positive level: level 0 goes to 0 on an admissible system, which
+        the callers have required. A value already of the mode's type, a
+        Fraction or a float, is taken as it is."""
+        kind = Fraction if u.exact else float
+        levels, zero = u.scaled()[1][1:], kind(0)
+        grey = [[zero, *(value if type(value) is kind else kind(value) for value in map(g, levels))]
+                for g in self.grey_maps]
         new_levels = tuple(sorted({level for row in grey for level in row}))
         rank = {level: i for i, level in enumerate(new_levels)}
         dtype = _rank_dtype(len(new_levels))

@@ -588,6 +588,59 @@ def test_csv_rows_follow_the_support_order(tmp_path, mode):
     assert last != sorted(last)
 
 
+def reference_csv(iterates, exact: bool) -> bytes:
+    """The CSV of a run's (iteration, iterate) pairs written a row at a time
+    from each iterate's items(): str of each Fraction in exact mode,
+    format_scalar of each float in float mode."""
+    text = str if exact else format_scalar
+    lines = ["x,y,level,iteration\n"]
+    for n, u in iterates:
+        lines += [f"{text(x)},{text(y)},{text(level)},{n}\n" for (x, y), level in u.items()]
+    return "".join(lines).encode()
+
+
+def flattening_scene(tmp_path) -> str:
+    """A 9 x 9 grid at four levels under a map that halves it and one that
+    flattens it onto a line at y = 1/2, starting at x = 1/3: the second is
+    not injective, so its images merge, and x and y values repeat across
+    rows. A third of a unit and the level ramp of 2/3 make floats that
+    take 17 digits."""
+    doc = json.loads(Path(SLICE).read_text())
+    doc.update(initial=[[[f"{i}/8", f"{j}/8"], f"{1 + (i + j) % 4}/4"]
+                        for i in range(9) for j in range(9)],
+               maps=[{"linear": [["1/2", "0"], ["0", "1/2"]], "offset": ["0", "0"]},
+                     {"linear": [["1/2", "0"], ["0", "0"]], "offset": ["1/3", "1/2"]}],
+               grey_maps=[{"breakpoints": [["0", "0"], ["1", "1"]]},
+                          {"breakpoints": [["0", "0"], ["1", "2/3"]]}])
+    path = tmp_path / "flattening.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("scene, steps", [(lambda tmp_path: BAND, 8), (flattening_scene, 10)],
+                         ids=["band", "flattening"])
+def test_csv_is_the_row_by_row_reference(tmp_path, mode, scene, steps):
+    """The CSV a run writes block by block is, byte for byte, the one a
+    writer of one row at a time from items() would write, on last iterates
+    of more rows than a block (16,640 on the band, 9,288 on the flattening
+    scene)."""
+    from fuzzyifs.cli import _CSV_BLOCK
+
+    path = scene(tmp_path)
+    loaded = load_scene(path, mode_override=mode)
+    iterates = [(0, loaded.initial)]
+    loaded.system.iterate(loaded.initial, steps=steps,
+                          on_step=lambda n, u: iterates.append((n, u)))
+    last = iterates[-1][1].items()
+    assert len(last) > _CSV_BLOCK
+    xs, ys = zip(*(point for point, _ in last))
+    assert len(set(xs)) < len(last) and len(set(ys)) < len(last)
+    out = tmp_path / "trace.csv"
+    assert main(["run", path, "--steps", str(steps), "--mode", mode, "--out-csv", str(out)]) == 0
+    assert out.read_bytes() == reference_csv(iterates, mode == "exact")
+
+
 def test_violated_contraction_constant_is_a_one_line_error(tmp_path, capsys):
     """The band declaring C = 1/4, while its steps halve the distance: its
     a-priori bound would certify a tolerance that its residual misses. The

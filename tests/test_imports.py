@@ -2,9 +2,9 @@
 public function has a caller, every public class, every public function or
 class outside __all__, every private function or class, every field of a
 public dataclass and every public method has a reader, no module imports
-scipy, a run loads neither scipy nor the process pool, the package's names
-load on first use, and only the command line sets OpenBLAS's thread
-count."""
+scipy, a run loads neither scipy, the process pool nor the property
+suites, the package's names load on first use, and only the command line
+sets OpenBLAS's thread count."""
 
 import ast
 import dataclasses
@@ -253,6 +253,21 @@ def test_a_band_run_leaves_a_package_unloaded(package):
             "print(status, sorted(name for name in sys.modules "
             "if name.split('.')[0] == sys.argv[2]))")
     assert run_python(code, str(band), package) == "0 []"
+
+
+def test_a_band_run_loads_no_property_suite():
+    """Importing the command line and a band run load neither the property
+    suites nor `dyadic`, which they import, nor the csv module, which only
+    render reads with: verify imports the suites on its first call, through
+    `cli.run_all`. That stays a function of the module's own, which
+    perfbench/tracing.py wraps by name and the tests replace."""
+    band = PACKAGE.parent.parent / "scenes" / "dyadic_band.json"
+    code = ("import sys, types, fuzzyifs.cli; "
+            "status = fuzzyifs.cli.main(['run', sys.argv[1], '--steps', '2']); "
+            "print(status, sorted(set(sys.modules) & "
+            "{'fuzzyifs.properties', 'fuzzyifs.dyadic', 'csv'}), "
+            "type(vars(fuzzyifs.cli)['run_all']) is types.FunctionType)")
+    assert run_python(code, str(band)) == "0 [] True"
 
 
 def test_importing_the_package_loads_no_module():
