@@ -30,10 +30,11 @@ first brought onto one denominator and one level table. Pairs of at most
 `_BRUTE_PAIR_LIMIT` point pairs leave the arrays for Python lists and
 dicts, where numpy's fixed cost per call would dominate. Every larger pair
 runs on witnesses, for each point a row of the other side at its level or
-above, which a run carries from pair to pair and any other pair seeds from
-the rows both sides share: the distance to its witness bounds each point,
-and only the points whose bounds pass an exact query's minimum go to the
-kernel (`_witnessed`).
+above. A run carries them from pair to pair: the distance to its witness
+bounds each point, and only the points whose bounds pass an exact query's
+minimum go to the kernel (`_witnessed`). Any other pair seeds them from
+the rows both sides share: a point held at its level or above is done, and
+the rest go to the kernel, which finds their witnesses.
 """
 
 from __future__ import annotations
@@ -617,46 +618,30 @@ def _seeds(seeds: np.ndarray, ranks: np.ndarray, target_ranks: np.ndarray, rows:
 
 
 def _witnessed(points, ranks: np.ndarray, witness: np.ndarray, targets,
-               target_ranks: np.ndarray, den: int, exact: bool, worst: Scalar,
-               bounded: Optional[np.ndarray] = None) -> Scalar:
-    """The larger of worst and the squared directed part of d_infinity from
-    points to targets, given for each point the index witness[i] of a target
-    at its rank or above: the exact squared distance to it bounds the
-    point's nearest (`geometry._paired_squares`), and a point whose bound is
-    no larger than worst cannot raise the maximum (Taha & Hanbury, IEEE
-    TPAMI 37(11), 2015). The point of the largest bound takes one exact
-    query of its prefix; only the points whose bounds still pass that go to
-    the kernel, in one call. Each queried point's nearest becomes its
-    witness. points and targets are arrays over den or lazy ones, such as
-    `geometry._Rescaled`, read through indices. Seeded witnesses come with
-    bounded, the indices of the points whose witness is not their own row:
-    the others lie at distance 0 from theirs, and take no bound."""
-    if bounded is None:
-        upper = _paired_squares(points, targets, witness, den, exact)
-        if not exact:
-            # The carry rests on grey maps being nondecreasing, which float
-            # interpolation keeps only up to rounding: a witness that sits a
-            # level below its point bounds nothing. A seed never does.
-            upper[target_ranks[witness] < ranks] = np.inf
-    elif len(bounded):
-        upper = _paired_squares(points, targets, witness, den, exact, bounded)
-    else:
-        return worst
+               target_ranks: np.ndarray, den: int, exact: bool, worst: Scalar):
+    """The larger of worst and a lower bound of the squared directed part of
+    d_infinity from points to targets, and the rows of points that may
+    still pass it, given for each point the index witness[i] of a target at
+    its rank or above: the exact squared distance to it bounds the point's
+    nearest (`geometry._paired_squares`), and a point whose bound is no
+    larger than worst cannot raise the maximum (Taha & Hanbury, IEEE TPAMI
+    37(11), 2015). The point of the largest bound takes one exact query of
+    its prefix, whose nearest becomes its witness. points and targets are
+    arrays over den or lazy ones, such as `geometry._Rescaled`, read
+    through indices."""
+    upper = _paired_squares(points, targets, witness, den, exact)
+    if not exact:
+        # The carry rests on grey maps being nondecreasing, which float
+        # interpolation keeps only up to rounding: a witness that sits a
+        # level below its point bounds nothing.
+        upper[target_ranks[witness] < ranks] = np.inf
     top = int(np.argmax(upper))
-    if not upper[top] > worst:
-        return worst
-    if bounded is not None:
-        top = int(bounded[top])
-    square, witness[top] = _nearest_square(points[top:top + 1], targets,
-                                          np.flatnonzero(target_ranks >= ranks[top]), den, exact)
-    worst = max(worst, square)
-    rest = np.flatnonzero(upper > worst)
-    del upper
-    if bounded is not None:
-        rest = bounded[rest]
-    if not len(rest):
-        return worst
-    return _directed(points[:], ranks, targets[:], target_ranks, rest, den, exact, worst, witness)
+    if upper[top] > worst:
+        square, witness[top] = _nearest_square(points[top:top + 1], targets,
+                                              np.flatnonzero(target_ranks >= ranks[top]), den,
+                                              exact)
+        worst = max(worst, square)
+    return worst, np.flatnonzero(upper > worst)
 
 
 def _pair_scale(u_den: int, u_levels: Tuple[Scalar, ...], v_den: int,
@@ -684,17 +669,19 @@ def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
     _BRUTE_PAIR_LIMIT point pairs, size times |v|, both directions go
     through Python dicts.
 
-    Larger pairs run on witnesses at their points' level or above, each
-    side through `_witnessed`: a part's witness gives each of its points a
-    row of v, and every(), called once the parts are done, gives (up,
-    targets, target_ranks), up giving each point of v an index in targets,
-    the points of all parts. Witnesses given as None are seeded from the
-    rows each part shares with v (`_shared_rows`, `_seeds`), the part's
-    row i being targets[ids[i]], or targets[i] without ids; any other point
-    takes a target of the top rank, which both sides reach, and only these
-    points take a witness bound, the others being at distance 0. Returns the
-    distance and the witnesses of the last part and of v, updated in place,
-    or None for a dict pair."""
+    Larger pairs run on witnesses at their points' level or above: a part's
+    witness gives each of its points a row of v, and every(), called once
+    the parts are done, gives (up, targets, target_ranks), up giving each
+    point of v an index in targets, the points of all parts. A carried side
+    takes its pending rows from `_witnessed`. A part whose witness array
+    comes filled with -1, and v's side when up is None, are seeded from the
+    rows each part shares with v (`_shared_rows`, `_seeds`), the part's row
+    i being targets[ids[i]], or targets[i] without ids: a row held at its
+    level or above is at distance 0, and every other row pends. Each side
+    makes one kernel call on its pending rows (`_directed`), which writes
+    their witnesses in place. The caller owns the parts' witness arrays, so
+    none outlives its part here. Returns the distance and v's witnesses, or
+    None for a dict pair."""
     if size * len(v) <= _BRUTE_PAIR_LIMIT:
         us = {}
         for points, ranks, *_ in parts():
@@ -707,32 +694,36 @@ def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
     vs, vr = _rescaled(v, den), v_rank[v._ranks]
     best, up = 0, None
     for points, ranks, witness, ids in parts():
-        bounded = None
-        if witness is None:
+        if witness[0] < 0:
             # The sort reads v's rows on den, so they are made once here and
             # the kernel reads the same copy.
             vs = vs[:]
             in_part, in_v = _shared_rows(points, vs)
-            witness = _seeds(np.full(len(ranks), -1, dtype=_index_dtype(len(vr))),
-                             ranks, vr, in_part, in_v)
-            bounded = np.flatnonzero(witness < 0)
-            witness[bounded] = np.argmax(vr)
+            pending = np.flatnonzero(_seeds(witness, ranks, vr, in_part, in_v) < 0)
+            # A row of the top rank, which every point may take, stays the
+            # witness only where a small exact scan writes none.
+            witness[pending] = np.argmax(vr)
             if up is None:
                 up = np.full(len(vr), -1, dtype=_index_dtype(len(points)) if ids is None
                              else ids.dtype)
             _seeds(up, vr, ranks, in_v, in_part, ids)
             del in_part, in_v
+        else:
+            best, pending = _witnessed(points, ranks, witness, vs, vr, den, exact, best)
         del ids
-        best = _witnessed(points, ranks, witness, vs, vr, den, exact, best, bounded)
-        del points, ranks, bounded
+        if len(pending):
+            best = _directed(points[:], ranks, vs[:], vr, pending, den, exact, best, witness)
+        del points, ranks, witness, pending
     carried, targets, target_ranks = every()
     if carried is None:
-        bounded = np.flatnonzero(up < 0)
-        up[bounded] = np.argmax(target_ranks)
+        pending = np.flatnonzero(up < 0)
+        up[pending] = np.argmax(target_ranks)
     else:
-        up, bounded = carried, None
-    best = _witnessed(vs, vr, up, targets, target_ranks, den, exact, best, bounded)
-    return _root(best, den, exact), (witness, up)
+        up = carried
+        best, pending = _witnessed(vs, vr, up, targets, target_ranks, den, exact, best)
+    if len(pending):
+        best = _directed(vs[:], vr, targets[:], target_ranks, pending, den, exact, best, up)
+    return _root(best, den, exact), up
 
 
 def _root(square: Scalar, den: int, exact: bool) -> Scalar:
@@ -744,10 +735,10 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
     """Supremum over alpha of the Hausdorff distance between alpha-cuts.
 
     A pair of at most _BRUTE_PAIR_LIMIT point pairs goes through Python
-    lists and dicts, where numpy's fixed costs would dominate. A larger one
-    seeds witnesses from the rows both sets share (`_pair_distance`): the
-    distance to its witness bounds each point, and only the points whose
-    bounds pass an exact query's minimum go to the kernel (`_witnessed`).
+    lists and dicts, where numpy's fixed costs would dominate. In a larger
+    one, a point that the other set holds at its level or above is at
+    distance 0, and the other points of each side go to the kernel in one
+    call (`_sup_distance`, through `_pair_distance`).
     Exact mode compares integer squares over the common denominator; float
     mode takes the kernel's float distances.
     """
@@ -760,12 +751,17 @@ def _pair_distance(u: FuzzySet, v: FuzzySet, witnesses: Optional[tuple] = None):
     level table (`_pair_scale`), u the one part of `_sup_distance`, and its
     witnesses (down, up): for each row of u a row of v, and for each row of
     v a row of u, at the row's level or above; None for a dict pair. Given
-    witnesses, the pair runs on them and updates them in place."""
+    witnesses, the pair runs on them and updates them in place; else it
+    seeds them."""
     den, u_rank, v_rank = _pair_scale(u._den, u._levels, v._den, v._levels)
     points, ranks = _on_scale(u, den), u_rank[u._ranks]
     down, up = witnesses or (None, None)
-    return _sup_distance(lambda: ((points, ranks, down, None),), len(u), v, v_rank, den,
-                         u.exact, lambda: (up, points, ranks))
+    if down is None and len(u) * len(v) > _BRUTE_PAIR_LIMIT:
+        # A pair on the dict path takes no witnesses, so it makes none.
+        down = np.full(len(u), -1, dtype=_index_dtype(len(v)))
+    distance, up = _sup_distance(lambda: ((points, ranks, down, None),), len(u), v, v_rank, den,
+                                 u.exact, lambda: (up, points, ranks))
+    return distance, None if up is None else (down, up)
 
 
 def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):

@@ -298,18 +298,14 @@ def _block_squares(a: np.ndarray, b: np.ndarray, den: int, exact: bool) -> np.nd
     return _squares(as_float_array(a, den).T, as_float_array(b, den).T)
 
 
-def _paired_squares(points, targets, witness: np.ndarray, den: int, exact: bool,
-                    rows: Optional[np.ndarray] = None) -> np.ndarray:
+def _paired_squares(points, targets, witness: np.ndarray, den: int, exact: bool) -> np.ndarray:
     """The squared distance from each row of points to its witness, the row
-    targets[witness[i]], both over den (see `_block_squares`), or only from
-    the given rows, a nonempty index array, in their order; points and
+    targets[witness[i]], both over den (see `_block_squares`); points and
     targets are arrays or lazy ones such as `_Rescaled`, read a block of
     _GRID_BLOCK rows at a time."""
     squares = []
-    for start in range(0, len(witness) if rows is None else len(rows), _GRID_BLOCK):
+    for start in range(0, len(witness), _GRID_BLOCK):
         block = slice(start, start + _GRID_BLOCK)
-        if rows is not None:
-            block = rows[block]
         squares.append(_block_squares(points[block], targets[witness[block]], den, exact))
     return np.concatenate(squares)
 
@@ -539,7 +535,8 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     at a time, and holds no gathered copy of either. When the grid answers,
     found[rows[i]] gets the index in targets of the target it found for
     point i, which lies in the point's prefix; the scan of a small exact
-    input leaves found as it is.
+    input leaves found as it is, so a caller that needs an index for every
+    point fills found with valid ones first.
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
     and `d_infinity`, whose per-point limits are level-sorted prefixes. The

@@ -49,14 +49,14 @@ def _point(rng: random.Random, dim: int):
     return tuple(_rational(rng) for _ in range(dim))
 
 
-def _point_set(rng: random.Random, dim: int, max_points: int = 5) -> FuzzySet:
-    """A crisp exact set: every point at level 1."""
-    count = rng.randrange(1, max_points + 1)
+def _point_set(rng: random.Random, dim: int) -> FuzzySet:
+    """A crisp exact set of 1 to 5 points: every point at level 1."""
+    count = rng.randrange(1, 6)
     return FuzzySet([(_point(rng, dim), 1) for _ in range(count)], exact=True)
 
 
-def _fuzzy(rng: random.Random, dim: int, max_points: int = 4, normal: bool = True) -> FuzzySet:
-    count = rng.randrange(1, max_points + 1)
+def _fuzzy(rng: random.Random, dim: int, normal: bool = True) -> FuzzySet:
+    count = rng.randrange(1, 5)
     pairs = [(_point(rng, dim), _level(rng)) for _ in range(count)]
     if normal:
         k = rng.randrange(len(pairs))
@@ -81,9 +81,9 @@ def _grey(rng: random.Random, reach_one: bool = False) -> GreyLevelMap:
     return GreyLevelMap.from_breakpoints(points, exact=True)
 
 
-def _affine(rng: random.Random, dim: int, singular_chance: float = 0.25) -> AffineMap:
+def _affine(rng: random.Random, dim: int) -> AffineMap:
     rows = [[_rational(rng, span=4) for _ in range(dim)] for _ in range(dim)]
-    if rng.random() < singular_chance and dim > 1:
+    if rng.random() < 0.25 and dim > 1:
         factor = _rational(rng, span=2)
         rows[-1] = [factor * v for v in rows[0]]
     return AffineMap(
@@ -92,8 +92,8 @@ def _affine(rng: random.Random, dim: int, singular_chance: float = 0.25) -> Affi
     )
 
 
-def _system(rng: random.Random, dim: int, max_maps: int = 3) -> OrbitalFuzzySystem:
-    n = rng.randrange(1, max_maps + 1)
+def _system(rng: random.Random, dim: int) -> OrbitalFuzzySystem:
+    n = rng.randrange(1, 4)
     maps = tuple(_affine(rng, dim) for _ in range(n))
     greys = tuple(_grey(rng, reach_one=(i == 0)) for i in range(n))
     ifs = IteratedFunctionSystem(maps=maps, contraction_constant=Fraction(1, 2))

@@ -315,9 +315,10 @@ class OrbitalFuzzySystem:
         above, and u's row z, the image of u_(m-1)'s row y under map k at
         its level, by the image of up[y] under map k. Without them (a run
         of 0 steps, or one whose pairs all took the dict path), each map's
-        images seed them from the rows they share with u, map by map, and
-        a point of u that no image holds at its level or above takes an
-        image of the top level.
+        images seed them from the rows they share with u, map by map, so
+        T(u) is never built either: an image that u does not hold at its
+        level or above goes to that map's one kernel call, and a point of u
+        that no image holds at its level or above goes to u's side's one.
 
         When the maps keep more than support_cap points together, the step
         is made just for its cap check, so SupportCapError comes where the
@@ -345,7 +346,7 @@ class OrbitalFuzzySystem:
                 # The ids and witnesses go unnamed, so that this frame does
                 # not hold them while the metric works on the map.
                 if carried is None:
-                    yield (image, image_ranks, None,
+                    yield (image, image_ranks, np.full(len(image), -1, dtype=_index_dtype(len(u))),
                            np.arange(k * len(u), (k + 1) * len(u), dtype=dtype)[rows])
                 else:
                     yield (image, image_ranks,

@@ -635,6 +635,27 @@ def test_a_shared_row_below_the_level_seeds_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_every_seeded_witness_lies_at_its_level_or_above(exact):
+    """u is v and one point more, the one point of either side that the
+    other does not hold; its exact kernel call is a scan small enough to
+    find no witness, and it keeps a row of v's top level. Every witness
+    that the seeded pair hands a run names a row at its point's level or
+    above."""
+    rng = random.Random(43)
+    pairs = [((F(k), F(rng.randrange(9))), F(rng.randrange(1, 5), 4)) for k in range(70)]
+    u, v = FuzzySet(pairs + [((F(-5), F(0)), F(1))]), FuzzySet(pairs)
+    if not exact:
+        u, v = u.to_float(), v.to_float()
+    assert len(u) * len(v) > _BRUTE_PAIR_LIMIT
+    distance, (down, up) = fuzzy_module._pair_distance(u, v)
+    assert distance == d_infinity_level_sweep(u, v)
+    u_levels, v_levels = ([level for _, level in s.items()] for s in (u, v))
+    assert (down >= 0).all() and (up >= 0).all()
+    assert all(v_levels[j] >= level for j, level in zip(down.tolist(), u_levels))
+    assert all(u_levels[j] >= level for j, level in zip(up.tolist(), v_levels))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_d_infinity_sorts_once_per_round(kernel_counts, exact):
     """The "levels" case looks at 65 or more prefix lengths in one
     direction, yet each directed scan is one kernel call that answers them

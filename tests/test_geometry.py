@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzyifs import geometry
+from fuzzyifs import fuzzy, geometry
 from fuzzyifs.fuzzy import EmptySupportError, FuzzySet, d_infinity, join
 from fuzzyifs.geometry import (
     GRID,
@@ -486,6 +486,31 @@ def test_residual_pair_peaks_per_point():
     assert peak <= 67 * (len(u) + len(stepped))
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_seeded_pair_sends_only_its_unheld_points_to_the_kernel(monkeypatch, exact):
+    """d_infinity(T u_9, u_9) on the band: a point that the other set holds
+    at its level or above is done, and the 33,280 points of T u_9 that u_9
+    does not hold go to one kernel call, with no witness bound and no exact
+    query; u_9 holds every point of its own side."""
+    system, u = _band_after_nine_steps()
+    if not exact:
+        system, u = system.to_float(), u.to_float()
+    stepped = system.step(u)
+    held = dict(u.items())
+    unheld = [i for i, (p, level) in enumerate(stepped.items()) if held.get(p, 0) < level]
+    calls = {"_paired_squares": 0, "_nearest_square": 0}
+    for name, f in [(name, getattr(fuzzy, name)) for name in calls]:
+        monkeypatch.setattr(fuzzy, name, lambda *args, name=name, f=f:
+                            calls.__setitem__(name, calls[name] + 1) or f(*args))
+    rows = []
+    directed = fuzzy._directed
+    monkeypatch.setattr(fuzzy, "_directed",
+                        lambda *args: rows.append(args[4].tolist()) or directed(*args))
+    assert d_infinity(stepped, u) == (Fraction(1, 1024) if exact else 2.0 ** -10)
+    assert calls == {"_paired_squares": 0, "_nearest_square": 0}
+    assert len(unheld) == 33280 and rows == [unheld]
+
+
 def test_residual_peaks_per_point_of_the_last_iterate(monkeypatch):
     """The residual of a run whose last iterate is the band after 9 steps,
     traced above that iterate, peaks within 155 B per point of it: taken
@@ -507,9 +532,24 @@ def test_run_with_witnesses_peaks_per_point_of_the_last_iterate(monkeypatch, exa
     traced: the witnesses, slot tables and occurrence tables it carries
     keep its peak within what the run took before it carried them, 151.4 B
     (exact) and 135.3 B (float) per point of its last iterate of 33,280.
-    With them it takes about 90 B (exact) and 93 B (float): the residual
+    With them it takes about 86 B (exact) and 93 B (float): the residual
     no longer holds the kernel's arrays, the run's indices are int32, and a
     float image holds one float block besides its keys."""
+    final, peak = _traced_band_run(monkeypatch, exact)
+    assert peak <= parent_bytes * len(final)
+
+
+def test_a_run_lets_go_of_each_maps_witnesses(monkeypatch):
+    """The exact run of the test above peaks within 88 B per point of its
+    last iterate: the residual drops each map's witnesses once that map is
+    done. Holding the last map's through u's side took 89.7 B."""
+    final, peak = _traced_band_run(monkeypatch, True)
+    assert peak <= 88 * len(final)
+
+
+def _traced_band_run(monkeypatch, exact):
+    """The last iterate of a 9-step run of the band from its start, the
+    reach diameter stubbed, and the run's traced peak."""
     scene = load_scene(SCENES / "dyadic_band.json")
     system, u0 = scene.system, scene.initial
     if not exact:
@@ -517,7 +557,7 @@ def test_run_with_witnesses_peaks_per_point_of_the_last_iterate(monkeypatch, exa
     monkeypatch.setattr(type(system), "reach_diameter", lambda self, u: Fraction(1))
     (final, report), peak = _traced_peak(system.iterate, u0, 9)
     assert len(final) == 33280 and report.certified_residual == 2 ** -10
-    assert peak <= parent_bytes * len(final)
+    return final, peak
 
 
 def test_exact_kernel_far_from_the_origin(monkeypatch):

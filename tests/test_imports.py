@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 public function has a caller, every public class, every public function or
 class outside __all__, every private function or class, every field of a
-public dataclass and every public method has a reader, no module imports
+public dataclass and every public method has a reader, every optional
+parameter of a private function is passed by some call, no module imports
 scipy, a run loads neither scipy, the process pool nor the property
 suites, the package's names load on first use, and only the command line
 sets OpenBLAS's thread count."""
@@ -158,6 +159,97 @@ def test_every_private_function_and_class_is_read():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")}
     assert defined - set().union(*map(names_read, sources)) == set()
+
+
+# Optional parameters of private functions and methods that no call in the
+# package passes, as "function.parameter", and why each stays. An allowance
+# the code no longer needs fails the test too.
+ALLOWED_UNPASSED = {}
+
+
+def optional_parameters(tree: ast.Module) -> set:
+    """(name, parameter, place) for each optional parameter of a private
+    function or method that the module defines, dunders left out: place is
+    the parameter's index among a call's positional arguments, after the
+    self or cls of a method, or None for a keyword-only one."""
+    found = set()
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if name.startswith("_") and not name.startswith("__"):
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    bound = in_class and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in child.decorator_list)
+                    for i in range(len(positional) - len(args.defaults), len(positional)):
+                        found.add((name, positional[i].arg, i - bound))
+                    found.update((name, arg.arg, None)
+                                 for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                                 if default is not None)
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return found
+
+
+def passes(call: ast.Call, parameter: str, place) -> bool:
+    """Whether a call passes the parameter by keyword, at its place among
+    the positional arguments, or through a * or ** argument."""
+    if any(keyword.arg in (None, parameter) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return place is not None
+    return place is not None and len(call.args) > place
+
+
+def unpassed_parameters(sources) -> set:
+    """The optional parameters of private functions and methods of sources
+    that no call among them, to a function or an attribute of that name,
+    passes."""
+    trees = [ast.parse(source) for source in sources]
+    calls = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append(node)
+    return {f"{name}.{parameter}" for tree in trees
+            for name, parameter, place in optional_parameters(tree)
+            if not any(passes(call, parameter, place) for call in calls.get(name, ()))}
+
+
+def test_every_optional_parameter_of_a_private_function_is_passed():
+    """Each optional parameter of a private function or method of the
+    package is passed, by keyword or by position, by some call in the
+    package: a setting that no caller sets is a constant."""
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    assert unpassed_parameters(sources) == set(ALLOWED_UNPASSED)
+
+
+def test_an_unpassed_optional_parameter_is_caught():
+    source = """
+def _f(a, b=1, *, c=2):
+    return a + b + c
+
+class K:
+    def _m(self, x, y=0):
+        return x + y
+
+    @staticmethod
+    def _s(x, y=0):
+        return x + y
+
+_f(1, 2)
+K()._m(1, 2)
+K._s(1)
+"""
+    assert unpassed_parameters([source]) == {"_f.c", "_s.y"}
+    assert unpassed_parameters([source + "_f(1, c=3)\nK._s(1, 2)\n"]) == set()
+    assert unpassed_parameters([source.replace("K()._m(1, 2)", "K()._m(1)")]) == \
+        {"_f.c", "_m.y", "_s.y"}
 
 
 # Fields of the public dataclasses that nothing reads, as "Class.field", and
