@@ -18,20 +18,21 @@ __version__ = "0.1.0"
 
 # The public names that each module of the package defines.
 _NAMES = {
+    "dyadic": ("Word", "compose_word", "words_of_length", "words_up_to"),
     "fuzzy": ("EmptyCutError", "EmptySupportError", "FuzzySet", "GreyLevelMap", "GreyMapError",
-              "alpha_cut", "apply_grey", "d_infinity", "d_infinity_level_sweep", "join",
-              "zadeh_pushforward"),
+              "alpha_cut", "apply_grey", "d_infinity", "join", "zadeh_pushforward"),
     "geometry": ("DimensionMismatchError", "diameter", "directed_distance", "euclid",
                  "hausdorff"),
     "grid": ("GridFuzzySet", "RenderSpec", "parse_pgm"),
-    "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "SupportCapError",
-            "Word", "compose_word", "words_of_length", "words_up_to"),
+    "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "SupportCapError"),
     "numeric": ("DEFAULT_TOL", "Radical", "le_sum", "sqrt_exact"),
+    "properties": ("d_infinity_level_sweep", "invariant_domain_check"),
     "scene": ("Scene", "SceneError", "SceneParseError", "StopRule", "load_scene"),
     "system": ("AdmissibilityError", "ContractionViolationError", "ConvergenceReport",
-               "OrbitalFuzzySystem", "UnreachableToleranceError", "invariant_domain_check"),
+               "OrbitalFuzzySystem", "UnreachableToleranceError"),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
@@ -47,49 +48,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
-
-
-__all__ = [
-    "AffineMap",
-    "AdmissibilityError",
-    "ContractionViolationError",
-    "ContractivityReport",
-    "ConvergenceReport",
-    "DEFAULT_TOL",
-    "DimensionMismatchError",
-    "EmptyCutError",
-    "EmptySupportError",
-    "FuzzySet",
-    "GreyLevelMap",
-    "GreyMapError",
-    "GridFuzzySet",
-    "IteratedFunctionSystem",
-    "OrbitalFuzzySystem",
-    "Radical",
-    "RenderSpec",
-    "Scene",
-    "SceneError",
-    "SceneParseError",
-    "StopRule",
-    "SupportCapError",
-    "UnreachableToleranceError",
-    "Word",
-    "alpha_cut",
-    "apply_grey",
-    "compose_word",
-    "d_infinity",
-    "d_infinity_level_sweep",
-    "diameter",
-    "directed_distance",
-    "euclid",
-    "hausdorff",
-    "invariant_domain_check",
-    "join",
-    "le_sum",
-    "load_scene",
-    "parse_pgm",
-    "sqrt_exact",
-    "words_of_length",
-    "words_up_to",
-    "zadeh_pushforward",
-]

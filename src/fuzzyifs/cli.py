@@ -117,9 +117,16 @@ def _staged_outputs(paths):
     """Yield a temporary path next to each output path (None stays None).
 
     The temporary files exist before the block runs, so an unwritable target
-    fails before any work. They replace their targets only when the block
-    succeeds and are removed otherwise.
+    fails before any work, as do two paths that name one file, where the
+    last output to move into place would replace the others. They replace
+    their targets only when the block succeeds and are removed otherwise.
     """
+    named = {}
+    for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in named:
+            raise CliError(f"cannot write {path!r}: {named[real]!r} names the same file")
+        named[real] = path
     mask = os.umask(0)
     os.umask(mask)
     staged = []

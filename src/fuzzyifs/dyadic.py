@@ -1,4 +1,5 @@
-"""The bundled two-map reference system and its word-enumeration oracle.
+"""The bundled two-map reference system, finite words over the map indices
+{1..N} and the word-enumeration oracle.
 
 The system keeps the first coordinate fixed and maps the second through
 y -> y/2 and y -> y/2 + 1/2, with grey maps t -> t and t -> 3t/4 and
@@ -12,15 +13,40 @@ the operator engine, so the two can be checked against each other exactly.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .fuzzy import FuzzySet, GreyLevelMap
-from .ifs import AffineMap, IteratedFunctionSystem, Word, words_up_to
+from .ifs import AffineMap, IteratedFunctionSystem
 from .system import OrbitalFuzzySystem
 
 REFERENCE_DECAY = Fraction(3, 4)
 REFERENCE_CONTRACTION = Fraction(1, 2)
+
+Word = Tuple[int, ...]
+
+
+def words_of_length(alphabet_size: int, length: int) -> Iterator[Word]:
+    return itertools.product(range(1, alphabet_size + 1), repeat=length)
+
+
+def words_up_to(alphabet_size: int, max_length: int) -> Iterator[Word]:
+    for n in range(max_length + 1):
+        yield from words_of_length(alphabet_size, n)
+
+
+def compose_word(maps: Sequence[AffineMap], word: Word) -> AffineMap:
+    """Composite of the indexed maps along a word; the first letter's map is
+    applied last. The empty word composes to the identity."""
+    if not maps:
+        raise ValueError("need at least one map")
+    composed = AffineMap.identity(maps[0].dimension, exact=maps[0].exact)
+    for letter in word:
+        if not 1 <= letter <= len(maps):
+            raise ValueError(f"letter {letter} outside 1..{len(maps)}")
+        composed = composed.compose(maps[letter - 1])
+    return composed
 
 
 def _scalar(value, exact: bool):

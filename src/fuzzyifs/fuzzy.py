@@ -19,8 +19,8 @@ of the integer form, and `geometry.hausdorff` measures supports. The step,
 The metric `d_infinity` is the supremum over alpha of the Hausdorff distance
 between alpha-cuts. On finite supports the supremum is attained on the
 finite set of occurring levels (cuts are constant between consecutive
-levels), which gives the level-sweep reference implementation, kept as a
-test oracle. `d_infinity` uses the equivalent per-point form: for each
+levels), which gives the level-sweep reference implementation, a test
+oracle in `properties`. `d_infinity` uses the equivalent per-point form: for each
 support point x of u, the nearest point of v at level >= u(x), a prefix of
 v sorted by level, and symmetrically. It has one body for both numeric
 modes (`_sup_distance`), built on the same nearest-neighbour kernel as
@@ -63,7 +63,6 @@ from .geometry import (
     as_point,
     directed_max_squared,
     grid_key,
-    hausdorff,
     int_array,
     point_is_exact,
 )
@@ -762,14 +761,3 @@ def _pair_distance(u: FuzzySet, v: FuzzySet, witnesses: Optional[tuple] = None):
     distance, up = _sup_distance(lambda: ((points, ranks, down, None),), len(u), v, v_rank, den,
                                  u.exact, lambda: (up, points, ranks))
     return distance, None if up is None else (down, up)
-
-
-def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):
-    """Reference implementation: scan the occurring levels."""
-    _require_compatible(u, v)
-    best = None
-    for alpha in sorted(set(u.level_values()) | set(v.level_values())):
-        h = hausdorff(alpha_cut(u, alpha), alpha_cut(v, alpha))
-        if best is None or h > best:
-            best = h
-    return best

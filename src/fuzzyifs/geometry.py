@@ -16,8 +16,8 @@ small inputs and checking the float nearest neighbours otherwise, so
 results stay exact. The kernel takes its points as n x d arrays: integer
 numerators are int64 while they stay below 2^62 in magnitude, so that a
 sum or difference of two cannot overflow, and Python ints in object arrays
-beyond (`int_array`); the same numpy code serves both. The brute-force
-double loop is kept as a test oracle.
+beyond (`int_array`); the same numpy code serves both. The tests check it
+against a brute-force double loop of their own.
 """
 
 from __future__ import annotations
@@ -156,23 +156,9 @@ def _require_compatible(a, b) -> None:
         raise ValueError("cannot mix numeric modes")
 
 
-def directed_distance_brute(a, b):
-    """Reference double loop: max over supp a of min distance into supp b."""
-    _require_compatible(a, b)
-    best = None
-    targets = b.support_points()
-    for p in a.support_points():
-        closest = min(squared_distance(p, q) for q in targets)
-        if best is None or closest > best:
-            best = closest
-    if a.exact:
-        return sqrt_exact(best)
-    return math.sqrt(best)
-
-
 def _nn_radius_slack(query: np.ndarray, data: np.ndarray) -> float:
-    # Absolute slack dominating every float rounding error in the candidate
-    # shortlist; scales with coordinate magnitude, the largest |entry|.
+    # Absolute slack dominating every float rounding error in a comparison
+    # of float distances; scales with coordinate magnitude, the largest |entry|.
     magnitude = max(float(query.max()), -float(query.min()), float(data.max()), -float(data.min()))
     return 1e-9 * max(1.0, magnitude)
 
@@ -555,12 +541,11 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
       the coordinates taken relative to the first target so that only the
       spread of the points must fit a float. Its exact squared distance
       bounds the point's minimum from above, so only a point whose bound
-      exceeds the largest minimum so far compares exactly with the prefix
-      targets within the rounding slack of its float distance, which hold
-      its true nearest. Points go in decreasing float distance, so few of
-      them do, and their bounds are computed a block of _GRID_BLOCK points
-      at a time, from just the rows of the points and of their near
-      neighbours. A spread too large for floats raises GridRangeError.
+      exceeds the largest minimum so far takes one exact query over its
+      whole prefix (`_nearest_square`), which also gives its found index.
+      Points go in decreasing float distance, so few of them do, and their
+      bounds are computed a block of _GRID_BLOCK points at a time, from
+      just the rows of the points and of their near neighbours. A spread too large for floats raises GridRangeError.
     """
     size = len(points) if rows is None else len(rows)
     count = len(targets) if order is None else len(order)
@@ -584,17 +569,6 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     dist = np.sqrt(best, out=best)
     if not exact:
         return max(floor, float(dist.max()) ** 2)
-    slack = _nn_radius_slack(query, data)
-
-    def exact_minimum(i: int) -> int:
-        radius = dist[i] + slack
-        shortlist = order[np.flatnonzero(_squares(data[:, :limits[i]], query[:, i]) <= radius ** 2)]
-        squares = _exact_squares(points[rows[i]], targets[shortlist])
-        j = int(np.argmin(squares))
-        if found is not None:
-            found[rows[i]] = shortlist[j]
-        return int(squares[j])
-
     by_distance = np.argsort(-dist, kind="stable")
     worst = floor
     for start in range(0, size, _GRID_BLOCK):
@@ -603,7 +577,12 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
         ahead = np.flatnonzero(upper > worst)
         for i, bound in zip(block[ahead].tolist(), upper[ahead].tolist()):
             if bound > worst:
-                worst = max(worst, exact_minimum(i))
+                row = rows[i]
+                square, index = _nearest_square(points[row:row + 1], targets, order[:limits[i]],
+                                                den, exact)
+                if found is not None:
+                    found[row] = index
+                worst = max(worst, square)
     return worst
 
 
@@ -630,10 +609,6 @@ def directed_distance(a, b):
 def hausdorff(a, b):
     """max of the two directed distances; a metric on exact supports."""
     return _max_squared(a, b, symmetric=True)
-
-
-def hausdorff_brute(a, b):
-    return max(directed_distance_brute(a, b), directed_distance_brute(b, a))
 
 
 def diameter(points: np.ndarray, den: int, exact: bool) -> Scalar:

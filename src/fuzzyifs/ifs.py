@@ -1,5 +1,5 @@
-"""Affine self-maps, iterated function systems, orbits, the crisp set
-operator, and finite words over the map indices {1..N}.
+"""Affine self-maps, iterated function systems, orbits and the crisp set
+operator.
 
 Maps are restricted to affine form so exact-rational iteration stays closed
 and contractivity sampling is well defined. The contraction constant is a
@@ -14,10 +14,9 @@ fuzzy operator's step, residual and reach diameter in `system`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -30,8 +29,6 @@ DEFAULT_SUPPORT_CAP = 10_000_000
 
 # check_contractivity compares every pair of at most this many orbit points.
 CONTRACTIVITY_SAMPLES = 64
-
-Word = Tuple[int, ...]
 
 
 class SupportCapError(RuntimeError):
@@ -118,28 +115,6 @@ class AffineMap:
             linear=tuple(tuple(float(v) for v in row) for row in self.linear),
             offset=tuple(float(v) for v in self.offset),
         )
-
-
-def words_of_length(alphabet_size: int, length: int) -> Iterator[Word]:
-    return itertools.product(range(1, alphabet_size + 1), repeat=length)
-
-
-def words_up_to(alphabet_size: int, max_length: int) -> Iterator[Word]:
-    for n in range(max_length + 1):
-        yield from words_of_length(alphabet_size, n)
-
-
-def compose_word(maps: Sequence[AffineMap], word: Word) -> AffineMap:
-    """Composite of the indexed maps along a word; the first letter's map is
-    applied last. The empty word composes to the identity."""
-    if not maps:
-        raise ValueError("need at least one map")
-    composed = AffineMap.identity(maps[0].dimension, exact=maps[0].exact)
-    for letter in word:
-        if not 1 <= letter <= len(maps):
-            raise ValueError(f"letter {letter} outside 1..{len(maps)}")
-        composed = composed.compose(maps[letter - 1])
-    return composed
 
 
 @dataclass(frozen=True)

@@ -85,13 +85,14 @@ class Radical:
         self.square = square
 
     def __float__(self):
-        try:
-            return math.sqrt(float(self.square))
-        except OverflowError:
-            # A square past float range whose root may not be: the root of
-            # square / 4^k, near 1, times 2^k.
-            k = (self.square.numerator.bit_length() - self.square.denominator.bit_length()) // 2
-            return math.ldexp(math.sqrt(float(self.square / 4 ** k)), k)
+        # The root of square / 4^k, near 1, times 2^k, so that a square
+        # above or below float range gives its root when the root is a
+        # float. Scaling by 4^k is exact and int division rounds correctly,
+        # so for a normal float(square) this is sqrt(float(square)).
+        num, den = self.square.numerator, self.square.denominator
+        k = (num.bit_length() - den.bit_length()) // 2
+        near_one = num / (den << 2 * k) if k >= 0 else (num << -2 * k) / den
+        return math.ldexp(math.sqrt(near_one), k)
 
     def __repr__(self):
         return f"sqrt({self.square})"
@@ -106,13 +107,16 @@ class Radical:
         """Return (self_key, other_key) comparable exactly, or None."""
         if isinstance(other, Radical):
             return self.square, other.square
-        if is_exact(other):
-            if other < 0:
-                return Fraction(1), Fraction(0)  # self >= 0 > other
-            return self.square, Fraction(other) ** 2
         if isinstance(other, float):
-            return float(self), other
-        return None
+            if not math.isfinite(other):
+                # Any finite value orders as self does against inf, -inf
+                # and NaN.
+                return 0.0, other
+        elif not is_exact(other):
+            return None
+        if other < 0:
+            return Fraction(1), Fraction(0)  # self >= 0 > other
+        return self.square, Fraction(other) ** 2
 
     def __eq__(self, other):
         keys = self._compare(other)

@@ -1,4 +1,7 @@
-"""Randomized property suites and the closed-form oracle equivalence check.
+"""Randomized property suites, the closed-form oracle equivalence check and
+two reference implementations that no run calls: the level sweep of
+d_infinity, which the suites and the tests check the engine against, and
+the invariant-domain test of an orbital system.
 
 Every suite runs in exact arithmetic, so the inequalities under test are
 theorems and any reported failure is a genuine bug, not rounding noise. A
@@ -25,12 +28,12 @@ from .fuzzy import (
     alpha_cut,
     apply_grey,
     d_infinity,
-    d_infinity_level_sweep,
     join,
     zadeh_pushforward,
 )
-from .geometry import _on_scale, diameter, hausdorff
+from .geometry import _on_scale, _require_compatible, diameter, euclid, hausdorff
 from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
+from .numeric import DEFAULT_TOL
 from .system import ContractionViolationError, OrbitalFuzzySystem
 
 _MAX_REPORTED = 8
@@ -111,6 +114,56 @@ def _collect(check: Callable[[random.Random], Optional[str]], rng: random.Random
             if len(failures) >= _MAX_REPORTED:
                 break
     return failures
+
+
+# --- reference implementations ---------------------------------------------
+
+def d_infinity_level_sweep(u: FuzzySet, v: FuzzySet):
+    """Reference implementation: scan the occurring levels."""
+    _require_compatible(u, v)
+    best = None
+    for alpha in sorted(set(u.level_values()) | set(v.level_values())):
+        h = hausdorff(alpha_cut(u, alpha), alpha_cut(v, alpha))
+        if best is None or h > best:
+            best = h
+    return best
+
+
+def invariant_domain_check(system: OrbitalFuzzySystem, u: FuzzySet, depth: int = 6) -> str:
+    """Best-effort test that every positive-level point sits in an orbit
+    closure that also carries a level-1 point; a float set's points match
+    within DEFAULT_TOL.
+
+    Returns "yes" when witnesses were found for every support point, "no" on
+    a certified obstruction (a non-normal set cannot qualify) and "unknown"
+    when the search was inconclusive at this depth.
+    """
+    if not u.normal:
+        return "no"
+    tol = 0.0 if u.exact else DEFAULT_TOL
+    one = Fraction(1) if u.exact else 1.0 - DEFAULT_TOL
+    level_one_points = [p for p, l in u.items() if l >= one]
+    orbits: Dict = {}
+
+    def orbit_holds(w, p) -> bool:
+        """Whether the orbit of w holds p, or in float mode a point within
+        tol of it."""
+        if w not in orbits:
+            orbits[w] = system.ifs.orbit(FuzzySet([(w, 1)], exact=u.exact), depth)
+        pts = orbits[w]
+        return bool(pts.level(p)) or tol > 0 and any(euclid(p, q) <= tol for q in pts.support_points())
+
+    support = list(u.support_points())
+    for x in support:
+        witnesses = [x] + [w for w in support if w != x]
+        found = False
+        for w in witnesses:
+            if orbit_holds(w, x) and any(orbit_holds(w, y) for y in level_one_points):
+                found = True
+                break
+        if not found:
+            return "unknown"
+    return "yes"
 
 
 # --- geometry suites -------------------------------------------------------

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +58,9 @@ from .fuzzy import (  # noqa: F401
     join,
     zadeh_pushforward,
 )
-from .geometry import GRID, _on_scale, diameter, euclid, magnitude
+from .geometry import GRID, _on_scale, diameter, magnitude
 from .ifs import DEFAULT_SUPPORT_CAP, IteratedFunctionSystem, SupportCapError
-from .numeric import DEFAULT_TOL, Radical, Scalar, _exact_square
+from .numeric import Radical, Scalar, _exact_square
 
 _MAX_TOLERANCE_STEPS = 10_000
 
@@ -574,39 +574,3 @@ class OrbitalFuzzySystem:
                 n, ratio, self.ifs.contraction_constant)
         return final, report
 
-
-def invariant_domain_check(system: OrbitalFuzzySystem, u: FuzzySet, depth: int = 6) -> str:
-    """Best-effort test that every positive-level point sits in an orbit
-    closure that also carries a level-1 point; a float set's points match
-    within DEFAULT_TOL.
-
-    Returns "yes" when witnesses were found for every support point, "no" on
-    a certified obstruction (a non-normal set cannot qualify) and "unknown"
-    when the search was inconclusive at this depth.
-    """
-    if not u.normal:
-        return "no"
-    tol = 0.0 if u.exact else DEFAULT_TOL
-    one = Fraction(1) if u.exact else 1.0 - DEFAULT_TOL
-    level_one_points = [p for p, l in u.items() if l >= one]
-    orbits: Dict = {}
-
-    def orbit_holds(w, p) -> bool:
-        """Whether the orbit of w holds p, or in float mode a point within
-        tol of it."""
-        if w not in orbits:
-            orbits[w] = system.ifs.orbit(FuzzySet([(w, 1)], exact=u.exact), depth)
-        pts = orbits[w]
-        return bool(pts.level(p)) or tol > 0 and any(euclid(p, q) <= tol for q in pts.support_points())
-
-    support = list(u.support_points())
-    for x in support:
-        witnesses = [x] + [w for w in support if w != x]
-        found = False
-        for w in witnesses:
-            if orbit_holds(w, x) and any(orbit_holds(w, y) for y in level_one_points):
-                found = True
-                break
-        if not found:
-            return "unknown"
-    return "yes"

@@ -369,6 +369,30 @@ def test_output_options_checked_before_iterating(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["line.json", "norender.json"]
 
 
+def test_two_outputs_naming_one_file_are_refused(tmp_path, monkeypatch, capsys):
+    """The later output would replace the earlier one, so the run exits 1
+    with one line before iterating, and the file stays as it was."""
+    from fuzzyifs.system import OrbitalFuzzySystem
+
+    def fail(*args, **kwargs):
+        raise AssertionError("iterate reached with two outputs naming one file")
+
+    monkeypatch.setattr(OrbitalFuzzySystem, "iterate", fail)
+    target = tmp_path / "out"
+    target.write_text("kept\n")
+    (tmp_path / "link").symlink_to(target)
+    for csv_path, report in ((target, target), (target, tmp_path / "link"),
+                             (target, tmp_path / "." / "out")):
+        assert main(["run", BAND, "--out-csv", str(csv_path), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "names the same file" in err
+    path = str(target)
+    assert main(["run", BAND, "--out-image", path, "--report", path]) == 1
+    assert "names the same file" in capsys.readouterr().err
+    assert target.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "out"]
+
+
 def test_float_and_exact_csv_rows_agree(tmp_path):
     # every value of the band is dyadic, so exact in floats
     rows = {}

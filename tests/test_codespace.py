@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzyifs.dyadic import reference_system
-from fuzzyifs.ifs import compose_word, words_up_to
+from fuzzyifs.dyadic import compose_word, reference_system, words_up_to
 
 
 def test_compose_word_identity_and_reference_maps():

@@ -8,8 +8,8 @@ from fuzzyifs.dyadic import (
     dyadic_value,
     enumerated_levels,
     reference_system,
+    words_up_to,
 )
-from fuzzyifs.ifs import words_up_to
 from fuzzyifs.properties import oracle_equivalence_failures
 
 F = Fraction

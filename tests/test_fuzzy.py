@@ -20,7 +20,6 @@ from fuzzyifs.fuzzy import (
     alpha_cut,
     apply_grey,
     d_infinity,
-    d_infinity_level_sweep,
     join,
     zadeh_pushforward,
 )
@@ -33,12 +32,13 @@ from fuzzyifs.geometry import (
     euclid,
     grid_key,
     hausdorff,
-    hausdorff_brute,
 )
 from fuzzyifs.grid import GridFuzzySet
 from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem
-from fuzzyifs.properties import _contractive_float_system, _grey
+from fuzzyifs.properties import _contractive_float_system, _grey, d_infinity_level_sweep
 from fuzzyifs.system import OrbitalFuzzySystem
+
+from brute import hausdorff_brute
 
 F = Fraction
 

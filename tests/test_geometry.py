@@ -17,12 +17,10 @@ from fuzzyifs.geometry import (
     as_point,
     diameter,
     directed_distance,
-    directed_distance_brute,
     directed_max_squared,
     euclid,
     grid_key,
     hausdorff,
-    hausdorff_brute,
     int_array,
     scale_points,
     squared_distance,
@@ -30,6 +28,8 @@ from fuzzyifs.geometry import (
 from fuzzyifs.numeric import le_sum, sqrt_exact
 from fuzzyifs.properties import _contractive_float_system
 from fuzzyifs.scene import load_scene
+
+from brute import directed_distance_brute, hausdorff_brute
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 

@@ -3,17 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzyifs.dyadic import dyadic_value, reference_system
+from fuzzyifs.dyadic import (compose_word, dyadic_value, reference_system, words_of_length,
+                             words_up_to)
 from fuzzyifs.fuzzy import FuzzySet, alpha_cut, join, zadeh_pushforward
 from fuzzyifs.geometry import as_point, hausdorff
-from fuzzyifs.ifs import (
-    AffineMap,
-    IteratedFunctionSystem,
-    SupportCapError,
-    compose_word,
-    words_of_length,
-    words_up_to,
-)
+from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem, SupportCapError
 
 F = Fraction
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,12 @@ def test_radical_float_of_a_square_past_float_range():
         float(Radical(Fraction(10 ** 800) + 1))
 
 
+def test_radical_float_of_a_square_below_float_range():
+    """The root of a square too small for a float, when the root is normal."""
+    assert float(sqrt_exact(Fraction(2, 10 ** 400))) == pytest.approx(2 ** 0.5 * 1e-200, rel=1e-15,
+                                                                      abs=0)
+
+
 def test_radical_comparisons_are_exact():
     r2 = sqrt_exact(Fraction(2))
     r3 = sqrt_exact(Fraction(3))
@@ -39,6 +46,19 @@ def test_radical_comparisons_are_exact():
     assert Fraction(7, 5) < r2  # reflected comparison
     assert max(Fraction(1), r2, Fraction(1, 2)) == r2
     assert r2 > -1  # nonnegative beats any negative rational
+
+
+def test_radical_comparisons_with_floats_are_exact():
+    """A finite float is a rational, so the comparison is exact: the float
+    nearest a root lies on one side of it."""
+    assert not Radical(3) <= 1.7320508075688772
+    assert Radical(3) > 1.7320508075688772
+    assert Radical(2) != math.sqrt(2.0)
+    assert Radical(2) < math.sqrt(2.0)
+    assert Radical(4) == 2.0 and Radical(Fraction(1, 4)) <= 0.5
+    assert Radical(2) > -1.5
+    assert Radical(10 ** 800) < math.inf and Radical(2) > -math.inf
+    assert not (Radical(2) <= math.nan or Radical(2) >= math.nan or Radical(2) == math.nan)
 
 
 def test_radical_arithmetic():

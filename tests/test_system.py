@@ -17,7 +17,6 @@ from fuzzyifs.fuzzy import (
     GreyLevelMap,
     apply_grey,
     d_infinity,
-    d_infinity_level_sweep,
     join,
     zadeh_pushforward,
 )
@@ -31,14 +30,9 @@ from fuzzyifs.geometry import (
 )
 from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem, SupportCapError
 from fuzzyifs.numeric import Radical, sqrt_exact
-from fuzzyifs.properties import _grey
+from fuzzyifs.properties import _grey, d_infinity_level_sweep, invariant_domain_check
 from fuzzyifs.scene import Scene, StopRule, load_scene, load_scene_dict, scene_to_dict
-from fuzzyifs.system import (
-    AdmissibilityError,
-    ContractionViolationError,
-    OrbitalFuzzySystem,
-    invariant_domain_check,
-)
+from fuzzyifs.system import AdmissibilityError, ContractionViolationError, OrbitalFuzzySystem
 
 F = Fraction
 
@@ -353,6 +347,21 @@ class TestBounds:
             assert report.iterations == m
             assert report.a_priori <= tol
             assert report.a_priori == system.scaled_bound(report.diameter, m)
+
+    def test_exact_certificate_against_a_float_tolerance(self):
+        """An exact bound compares exactly with a float tolerance: the float
+        nearest sqrt(104) lies below it, so m = 0 does not certify it."""
+        half = AffineMap(linear=((F(1, 2), F(0)), (F(0), F(1, 2))), offset=(F(0), F(0)))
+        system = OrbitalFuzzySystem(
+            ifs=IteratedFunctionSystem(maps=(half,), contraction_constant=F(1, 2)),
+            grey_maps=(GreyLevelMap.identity(),),
+        )
+        u0 = FuzzySet([((F(0), F(0)), F(1)), ((F(1), F(5)), F(1))])
+        tol = 10.198039027185569
+        assert tol == float(sqrt_exact(F(104)))
+        _, report = system.iterate(u0, tolerance=tol)
+        assert report.iterations == 1
+        assert report.a_priori == sqrt_exact(F(26)) and report.a_priori <= tol
 
     def test_constant_maps_give_zero_bound(self):
         const = AffineMap(linear=((F(0), F(0)), (F(0), F(0))), offset=(F(1), F(1)))
