@@ -19,10 +19,11 @@ __version__ = "0.1.0"
 # The public names that each module of the package defines.
 _NAMES = {
     "dyadic": ("Word", "compose_word", "words_of_length", "words_up_to"),
-    "fuzzy": ("EmptyCutError", "EmptySupportError", "FuzzySet", "GreyLevelMap", "GreyMapError",
-              "alpha_cut", "apply_grey", "d_infinity", "join", "zadeh_pushforward"),
+    "fuzzy": ("EmptyCutError", "EmptySupportError", "FuzzySet", "alpha_cut", "apply_grey",
+              "d_infinity", "join", "zadeh_pushforward"),
     "geometry": ("DimensionMismatchError", "diameter", "directed_distance", "euclid",
                  "hausdorff"),
+    "grey": ("GreyLevelMap", "GreyMapError"),
     "grid": ("GridFuzzySet", "RenderSpec", "parse_pgm"),
     "ifs": ("AffineMap", "ContractivityReport", "IteratedFunctionSystem", "SupportCapError"),
     "numeric": ("DEFAULT_TOL", "Radical", "le_sum", "sqrt_exact"),

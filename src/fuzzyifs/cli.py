@@ -182,14 +182,14 @@ class _CsvTrace:
         fh.write("x,y,level,iteration\n")
 
     def __call__(self, iteration, u: FuzzySet):
-        den, levels, points, ranks = u.scaled()
+        den, _, points, ranks = u.scaled()
         text = (lambda n: _ratio(n, den)) if u.exact else (lambda n: format_scalar(n / den))
         columns = []
         for k, end in enumerate((",", "")):
             values, index = np.unique(points[:, k], return_inverse=True)
             strings = np.array([text(n) + end for n in values.tolist()], dtype=object)
             columns.append((strings, index))
-        tails = [f",{format_scalar(level)},{iteration}\n" for level in levels]
+        tails = [f",{format_scalar(level)},{iteration}\n" for level in (0, *u.level_values())]
         columns.append((np.array(tails, dtype=object), ranks))
         block = np.empty((min(len(ranks), _CSV_BLOCK), 3), dtype=object)
         for start in range(0, len(ranks), _CSV_BLOCK):

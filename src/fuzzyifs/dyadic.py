@@ -17,7 +17,8 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
-from .fuzzy import FuzzySet, GreyLevelMap
+from .fuzzy import FuzzySet
+from .grey import GreyLevelMap
 from .ifs import AffineMap, IteratedFunctionSystem
 from .system import OrbitalFuzzySystem
 

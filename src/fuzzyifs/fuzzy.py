@@ -1,5 +1,5 @@
-"""Finitely supported fuzzy sets, grey level maps and the sup-over-cuts
-metric.
+"""Finitely supported fuzzy sets, the grey reweighting of their levels
+(the maps are in `grey`) and the sup-over-cuts metric.
 
 A fuzzy set stores only its strictly positive levels; level zero means "not
 in the support". Finitely supported functions are automatically upper
@@ -8,13 +8,15 @@ semicontinuous, so no continuity bookkeeping is needed.
 A set of either numeric mode is held in integer arrays: its points as an
 n x d array of numerators over one common denominator (for a float set, the
 1e-12 grid of `geometry.grid_key`), its levels as an array of ranks in a
-table of the levels present (see `FuzzySet`). The numerators are int64 while
-their magnitude allows it and Python ints in object arrays beyond, and one
-numpy code path serves both. A crisp point set is a FuzzySet whose every
-level is 1: `alpha_cut` and `support_set()` give one, taken from the rows
-of the integer form, and `geometry.hausdorff` measures supports. The step,
-`d_infinity`, the cuts, the raster and the CSV work on that form; `items()`,
-`level()` and `level_values()` show Fractions, or floats, at the boundary.
+table of the levels present, in exact mode numerators over one level
+denominator (see `FuzzySet`). The numerators are int64 while their magnitude
+allows it and Python ints in object arrays beyond, and one numpy code path
+serves both. A crisp point set is a FuzzySet whose every level is 1:
+`alpha_cut` and `support_set()` give one, taken from the rows of the integer
+form, and `geometry.hausdorff` measures supports. The step, `d_infinity`,
+the cuts, the raster and the CSV compare levels as ints; `items()`,
+`level()`, `level_values()` and `max_level` show Fractions, or floats, at
+the boundary.
 
 The metric `d_infinity` is the supremum over alpha of the Hausdorff distance
 between alpha-cuts. On finite supports the supremum is attained on the
@@ -27,8 +29,8 @@ modes (`_sup_distance`), built on the same nearest-neighbour kernel as
 `geometry.hausdorff`, and its first side may be the pointwise maximum of
 several parts, which the operator's residual gives map by map; a pair is
 first brought onto one denominator and one level table. Pairs of at most
-`_BRUTE_PAIR_LIMIT` point pairs leave the arrays for Python lists and
-dicts, where numpy's fixed cost per call would dominate. Every larger pair
+`_BRUTE_PAIR_LIMIT` point pairs are built as Python lists and dicts, where
+numpy's fixed cost per call would dominate. Every larger pair
 runs on witnesses, for each point a row of the other side at its level or
 above. A run carries them from pair to pair: the distance to its witness
 bounds each point, and only the points whose bounds pass an exact query's
@@ -41,9 +43,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +59,7 @@ from .geometry import (
     _paired_squares,
     _require_compatible,
     _rescaled,
+    _rows,
     _scan_squared,
     as_point,
     directed_max_squared,
@@ -66,7 +67,8 @@ from .geometry import (
     int_array,
     point_is_exact,
 )
-from .numeric import DEFAULT_TOL, Scalar, is_exact, sqrt_exact
+from .grey import GreyLevelMap, GreyMapError
+from .numeric import DEFAULT_TOL, Scalar, exact_root, is_exact
 
 
 class EmptyCutError(ValueError):
@@ -77,123 +79,17 @@ class EmptySupportError(ValueError):
     """A fuzzy set lost its entire support."""
 
 
-class GreyMapError(ValueError):
-    """Invalid grey level map data or evaluation outside [0, 1]."""
-
-
-def _check_unit_interval(value, what: str):
-    if not (0 <= value <= 1):
-        raise GreyMapError(f"{what} {value!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class GreyLevelMap:
-    """Nondecreasing right-continuous map of [0, 1] into itself.
-
-    Stored as its breakpoints ((t, v), ...), nondecreasing in t and in v,
-    from t = 0 to t = 1. A jump is two breakpoints sharing the same t, and
-    the value at the jump point is the second one's v. Between breakpoints
-    the graph is linear. Build instances through `from_breakpoints`, which
-    validates them and drops exact duplicates.
-    """
-
-    breakpoints: Tuple[Tuple[Scalar, Scalar], ...]
-
-    @classmethod
-    def from_breakpoints(cls, breakpoints: Sequence[Sequence], exact: bool = True) -> "GreyLevelMap":
-        pts = [(Fraction(t), Fraction(v)) if exact else (float(t), float(v)) for t, v in breakpoints]
-        if len(pts) < 2:
-            raise GreyMapError("need at least breakpoints at t=0 and t=1")
-        ts = [t for t, _ in pts]
-        vs = [v for _, v in pts]
-        for t in ts:
-            _check_unit_interval(t, "breakpoint position")
-        for v in vs:
-            _check_unit_interval(v, "breakpoint value")
-        if ts[0] != 0 or ts[-1] != 1:
-            raise GreyMapError("breakpoints must start at t=0 and end at t=1")
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise GreyMapError("breakpoint positions must be nondecreasing")
-        if any(b < a for a, b in zip(vs, vs[1:])):
-            raise GreyMapError("breakpoint values must be nondecreasing")
-        for a, c in zip(ts, ts[2:]):
-            if a == c:
-                raise GreyMapError(f"more than two breakpoints share t={a}")
-        return cls(breakpoints=tuple(dict.fromkeys(pts)))
-
-    @classmethod
-    def identity(cls, exact: bool = True) -> "GreyLevelMap":
-        return cls.from_breakpoints([(0, 0), (1, 1)], exact=exact)
-
-    @classmethod
-    def linear_ramp(cls, top, exact: bool = True) -> "GreyLevelMap":
-        """t -> top * t."""
-        return cls.from_breakpoints([(0, 0), (1, top)], exact=exact)
-
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.breakpoints[0][0])
-
-    @property
-    def value_at_zero(self) -> Scalar:
-        return self(0)
-
-    @property
-    def value_at_one(self) -> Scalar:
-        return self.breakpoints[-1][1]
-
-    def to_float(self) -> "GreyLevelMap":
-        return GreyLevelMap(breakpoints=tuple((float(t), float(v)) for t, v in self.breakpoints))
-
-    def __call__(self, t: Scalar) -> Scalar:
-        # Rounding noise within 1e-12 of [0, 1] is clamped; the float bounds
-        # are tested only outside [0, 1], since comparing a Fraction with a
-        # float converts the float to a Fraction first.
-        if not (0 <= t <= 1):
-            if -1e-12 <= t < 0:
-                t = 0
-            elif 1 < t <= 1 + 1e-12:
-                t = 1
-            else:
-                raise GreyMapError(f"grey map evaluated at {t!r}, outside [0, 1]")
-        pts = self.breakpoints
-        # The last breakpoint at or before t: at a jump, the right value.
-        k = bisect.bisect_right(pts, t, key=itemgetter(0)) - 1
-        tk, vk = pts[k]
-        if t == tk:
-            return vk
-        tn, vn = pts[k + 1]
-        value = vk + (vn - vk) * (t - tk) / (tn - tk)
-        return min(max(value, 0), 1)
-
-    def level_preimage(self, alpha: Scalar) -> Scalar:
-        """Smallest argument whose value reaches alpha.
-
-        Right continuity makes the infimum attained: the returned beta
-        satisfies rho(beta) >= alpha while rho(gamma) < alpha for gamma <
-        beta. In float mode the line through the breakpoints can round beta
-        just below the preimage, so beta is stepped up one float at a time
-        until rho(beta) >= alpha; it stays within a few ulps of the exact
-        preimage of the same breakpoints.
-        """
-        if not (0 < alpha <= 1):
-            raise GreyMapError(f"threshold {alpha!r} outside (0, 1]")
-        pts = self.breakpoints
-        if pts[-1][1] < alpha:
-            raise GreyMapError(f"grey map never reaches {alpha}")
-        # The first breakpoint reaching alpha. Unless it is the first one, the
-        # graph rises to it from the previous one, which lies below alpha;
-        # at a jump prev_t == t, and the line gives t itself.
-        k = bisect.bisect_left(pts, alpha, key=itemgetter(1))
-        t, v = pts[k]
-        if k == 0:
-            return t
-        prev_t, prev_v = pts[k - 1]
-        beta = prev_t + (alpha - prev_v) * (t - prev_t) / (v - prev_v)
-        if not is_exact(beta):
-            while self(beta) < alpha:
-                beta = math.nextafter(beta, math.inf)
-        return beta
+def _unit_key(value, what: str, exact: bool):
+    """value checked to lie in [0, 1], else ValueError naming what: in
+    exact mode as the ints (numerator, denominator), compared as ints when
+    value is an int or a Fraction; in float mode as a float."""
+    if exact and (type(value) is Fraction or type(value) is int):
+        key = value.numerator, value.denominator
+        if 0 <= key[0] <= key[1]:
+            return key
+    elif 0 <= value <= 1:
+        return Fraction(value).as_integer_ratio() if exact else float(value)
+    raise ValueError(f"{what} {value!r} outside [0, 1]")
 
 
 class FuzzySet:
@@ -202,22 +98,25 @@ class FuzzySet:
     Both numeric modes hold the same integer form: an n x d array of point
     numerators over one common denominator D, one row per support point in
     support order (the order in which the points first came), and an array
-    of the ranks of their levels in an ascending table of exactly the levels
-    present, preceded by 0 at rank 0. Ranks take the smallest unsigned
-    dtype that holds the table (`_rank_dtype`): uint8 up to 256 entries, so
-    one byte per point, then uint16, then intp. Exact sets take the least D
-    (the lcm of the reduced denominators of their coordinates); float sets
-    take D = 10^12 and the keys of `geometry.grid_key`. The numerators are
-    int64 while every one lies below 2^62 in magnitude
-    (`geometry.INT64_BOUND`), and Python ints in an object array otherwise.
-    Equal sets hold the same rows and ranks up to their order, and `==`
-    compares their values sorted, whatever the dtypes. `scaled()` gives
-    that form to the step, the metric and the writers; `items()`, `level()`
-    and `level_values()` give Fractions, or floats n / D. A crisp set is a
-    FuzzySet whose level table is (0, 1).
+    of the ranks of their levels in a level table (L, levels): levels is an
+    ascending tuple of exactly the levels present, preceded by 0 at rank 0,
+    each a numerator over one level denominator L in exact mode, and a float
+    over L = 1 in float mode. Ranks take the smallest unsigned dtype that
+    holds the table (`_rank_dtype`): uint8 up to 256 entries, so one byte
+    per point, then uint16, then intp. Exact sets take the least D and the
+    least L (the lcm of the reduced denominators of their coordinates, and
+    of their levels); float sets take D = 10^12 and the keys of
+    `geometry.grid_key`. The numerators are int64 while every one lies
+    below 2^62 in magnitude (`geometry.INT64_BOUND`), and Python ints in an
+    object array otherwise. Equal sets hold the same rows, ranks and table
+    up to the order of the rows, and `==` compares their values sorted,
+    whatever the dtypes. `scaled()` gives that form to the step, the metric
+    and the writers, which compare levels as ints; `items()`, `level()`,
+    `level_values()` and `max_level` give Fractions, or floats n / D. A
+    crisp set is a FuzzySet whose level table is (1, (0, 1)).
     """
 
-    __slots__ = ("_points", "_ranks", "_den", "_levels", "_items", "_index", "exact",
+    __slots__ = ("_points", "_ranks", "_den", "_table", "_items", "_index", "exact",
                  "dimension")
 
     def __init__(self, pairs: Iterable[Tuple[Sequence, Scalar]], exact: Optional[bool] = None):
@@ -228,88 +127,84 @@ class FuzzySet:
             p0, l0 = pairs[0]
             exact = point_is_exact(p0) and is_exact(l0)
         dimension = len(pairs[0][0])
+        if not dimension:
+            raise DimensionMismatchError("support points of dimension 0")
         # One pass: the coordinates in order, and per point the id of its
-        # level in order of first appearance. An exact level is hashed as
-        # given, since equal numbers hash alike whatever their type, and
-        # each distinct one becomes a Fraction once.
+        # level in order of first appearance, keyed by (numerator,
+        # denominator) in exact mode.
         coords, ids, first = [], [], {}
         for p, level in pairs:
             if len(p) != dimension:
                 raise DimensionMismatchError("support points of mixed dimension")
-            if not (0 <= level <= 1):
-                raise ValueError(f"level {level!r} outside [0, 1]")
-            if level:
-                if not exact:
-                    level = float(level)
-                    coords += grid_key(p)
-                else:
-                    coords += p
-                ids.append(first.setdefault(level, len(first)))
+            key = _unit_key(level, "level", exact)
+            if key[0] if exact else key:
+                coords += p if exact else grid_key(p)
+                ids.append(first.setdefault(key, len(first)))
         if not ids:
             raise EmptySupportError("all levels were zero")
         if exact:
-            # An int has a numerator and a denominator, as a Fraction has.
-            coords = [c if type(c) is Fraction or type(c) is int else Fraction(c) for c in coords]
-            den = math.lcm(*{c.denominator for c in coords})
-            coords = [c.numerator * (den // c.denominator) for c in coords]
-            distinct = [level if type(level) is Fraction else Fraction(level) for level in first]
+            # An int has an integer ratio, as a Fraction has.
+            ratios = [(c if type(c) is Fraction or type(c) is int else Fraction(c)).as_integer_ratio()
+                      for c in coords]
+            den = math.lcm(*{d for _, d in ratios})
+            coords = [n * (den // d) for n, d in ratios]
+            lden = math.lcm(*(d for _, d in first))
+            distinct = [n * (lden // d) for n, d in first]
         else:
-            den = GRID
-            distinct = list(first)
+            den, lden, distinct = GRID, 1, list(first)
         fits = -INT64_BOUND < min(coords) and max(coords) < INT64_BOUND
         points = np.array(coords, dtype=np.int64 if fits else object).reshape(len(ids), dimension)
-        order = sorted(range(len(distinct)), key=distinct.__getitem__)
-        rank_of = [0] * len(order)
-        for r, i in enumerate(order, 1):
-            rank_of[i] = r
-        levels = (Fraction(0) if exact else 0.0, *(distinct[i] for i in order))
-        ranks = np.array([rank_of[i] for i in ids], dtype=_rank_dtype(len(levels)))
+        levels = sorted(distinct)
+        rank = {level: r for r, level in enumerate(levels, 1)}
+        table = (lden, (0 if exact else 0.0, *levels))
+        ranks = np.array([rank[distinct[i]] for i in ids], dtype=_rank_dtype(len(table[1])))
         if len(set(zip(*[iter(coords)] * dimension))) < len(ids):
             points, ranks = _merge_rows(points, ranks)
-            levels, ranks = _cut_levels(levels, ranks)
-        self._init(points, ranks, den, levels, dimension, exact)
+            table, ranks = _cut_levels(table, ranks)
+        self._init(points, ranks, den, table, dimension, exact)
 
-    def _init(self, points, ranks, den, levels, dimension, exact) -> None:
+    def _init(self, points, ranks, den, table, dimension, exact) -> None:
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_ranks", ranks)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "dimension", dimension)
 
     @classmethod
-    def _from_images(cls, points: np.ndarray, ranks: np.ndarray, den: int,
-                     levels: Tuple[Scalar, ...], dimension: int, exact: bool,
-                     slots: bool = False):
+    def _from_images(cls, points: np.ndarray, ranks: np.ndarray, den: int, table: tuple,
+                     dimension: int, exact: bool, slots: bool = False):
         """A set from rows of numerators over den, which may repeat, and
-        their positive ranks in levels, an ascending table starting with 0:
-        each point keeps its first position and its highest rank, the table
-        is cut to the ranks in use, and an exact set's den to the least
-        common denominator with one gcd over all numerators. With slots,
-        the set and the two tables of `_merge_rows`: the set's row of each
-        given row, and per row of the set a given row at its level."""
+        their positive ranks in a level table (L, levels), levels ascending
+        from 0: each point keeps its first position and its highest rank,
+        the table is cut to the ranks in use (`_cut_levels`), and an exact
+        set's den to the least common denominator with one gcd over all
+        numerators. With slots, the set and the two tables of `_merge_rows`:
+        the set's row of each given row, and per row of the set a given row
+        at its level."""
         points, ranks, *tables = _merge_rows(points, ranks, slots)
-        levels, ranks = _cut_levels(levels, ranks)
+        table, ranks = _cut_levels(table, ranks)
         if exact:
             points, den = _least_terms(points, den)
         obj = object.__new__(cls)
-        obj._init(points, ranks, den, levels, dimension, exact)
+        obj._init(points, ranks, den, table, dimension, exact)
         return (obj, *tables) if slots else obj
 
     def __setattr__(self, *args):
         raise AttributeError("FuzzySet is immutable")
 
-    def scaled(self) -> Tuple[int, Tuple[Scalar, ...], np.ndarray, np.ndarray]:
-        """The integer form: (D, levels, points, ranks), where points is the
-        n x d array of the support's numerators over D in support order
+    def scaled(self) -> Tuple[int, tuple, np.ndarray, np.ndarray]:
+        """The integer form: (D, (L, levels), points, ranks), where points is
+        the n x d array of the support's numerators over D in support order
         (int64, or Python ints in an object array), ranks the array of the
         index of each point's level in levels, the ascending table of the
-        levels present preceded by 0: uint8 for a table of at most 256
-        entries, uint16 up to 65,536, intp beyond. The arrays are the set's
-        own; do not modify them."""
-        return self._den, self._levels, self._points, self._ranks
+        levels present preceded by 0, as numerators over L in exact mode
+        and floats over L = 1 in float mode: uint8 for a table of at most
+        256 entries, uint16 up to 65,536, intp beyond. The arrays are the
+        set's own; do not modify them."""
+        return self._den, self._table, self._points, self._ranks
 
     def items(self):
         """(point, level) pairs in support order, built on the first call and
@@ -321,7 +216,7 @@ class FuzzySet:
                 points = [tuple([Fraction(n, den) for n in p]) for p in self._points.tolist()]
             else:
                 points = list(map(tuple, (self._points / den).tolist()))
-            levels = self._levels
+            levels = [_level_value(level, self._table[0]) for level in self._table[1]]
             object.__setattr__(self, "_items", tuple(
                 zip(points, [levels[r] for r in self._ranks.tolist()])))
         return self._items
@@ -347,26 +242,29 @@ class FuzzySet:
             for c in as_point(p, True):
                 n, rest = divmod(c.numerator * self._den, c.denominator)
                 if rest:
-                    return self._levels[0]
+                    return Fraction(0)
                 key.append(n)
         if self._index is None:
             object.__setattr__(self, "_index", dict(zip(
                 map(tuple, self._points.tolist()), self._ranks.tolist())))
-        return self._levels[self._index.get(tuple(key), 0)]
+        lden, levels = self._table
+        return _level_value(levels[self._index.get(tuple(key), 0)], lden)
 
     def level_values(self):
         """Distinct occurring levels, ascending."""
-        return list(self._levels[1:])
+        lden, levels = self._table
+        return [_level_value(level, lden) for level in levels[1:]]
 
     @property
     def max_level(self) -> Scalar:
-        return self._levels[-1]
+        return _level_value(self._table[1][-1], self._table[0])
 
     @property
     def normal(self) -> bool:
+        lden, levels = self._table
         if self.exact:
-            return self.max_level == 1
-        return self.max_level >= 1.0 - DEFAULT_TOL
+            return levels[-1] == lden
+        return levels[-1] >= 1.0 - DEFAULT_TOL
 
     def to_float(self) -> "FuzzySet":
         if not self.exact:
@@ -382,7 +280,7 @@ class FuzzySet:
         if not isinstance(other, FuzzySet):
             return NotImplemented
         if not (self.exact == other.exact and self.dimension == other.dimension
-                and self._den == other._den and self._levels == other._levels
+                and self._den == other._den and self._table == other._table
                 and len(self) == len(other)):
             return False
         (p, r), (q, s) = self._sorted(), other._sorted()
@@ -393,6 +291,12 @@ class FuzzySet:
 
     def __repr__(self):
         return f"FuzzySet({len(self)} points, max level {self.max_level})"
+
+
+def _level_value(level, lden: int) -> Scalar:
+    """An entry of a level table at the boundary: the Fraction level / L of
+    an exact table's int, a float table's float as it is."""
+    return Fraction(level, lden) if type(level) is int else level
 
 
 def _rank_dtype(size: int):
@@ -454,36 +358,29 @@ def _merge_rows(points: np.ndarray, ranks: np.ndarray, slots: bool = False):
 
 
 def _merged_levels(tables):
-    """The ascending union of ascending level tables, and per table the
-    list of the ranks of its levels in the union: one merge pass per
-    table, which compares levels and hashes none."""
-    merged, ranks = tables[0], [range(len(tables[0]))]
-    for table in tables[1:]:
-        union, old, new = [], [], []
-        a, b = (*merged, math.inf), (*table, math.inf)
-        i = j = 0
-        while i < len(merged) or j < len(table):
-            low = min(a[i], b[j])
-            if a[i] is low:
-                old.append(len(union))
-                i += 1
-            if b[j] is low or not low < b[j]:
-                new.append(len(union))
-                j += 1
-            union.append(low)
-        ranks = [[old[r] for r in rank] for rank in ranks] + [new]
-        merged = tuple(union)
-    return merged, ranks
+    """The union of level tables (L, levels) on the lcm of their L, and per
+    table the list of the ranks of its levels in the union."""
+    lden = math.lcm(*(own for own, _ in tables))
+    tables = [levels if own == lden else [n * (lden // own) for n in levels] for own, levels in tables]
+    merged = sorted(set().union(*tables))
+    rank = {level: i for i, level in enumerate(merged)}
+    return (lden, tuple(merged)), [[rank[level] for level in levels] for levels in tables]
 
 
-def _cut_levels(levels: Tuple[Scalar, ...], ranks: np.ndarray):
-    """The table cut to the ranks in use, and the ranks renumbered to it in
+def _cut_levels(table: tuple, ranks: np.ndarray):
+    """The level table (L, levels) cut to the ranks in use, on the least L
+    that holds the levels left (one gcd), and the ranks renumbered to it in
     the rank dtype of the cut table."""
+    lden, levels = table
     present = np.bincount(ranks, minlength=len(levels)) > 0
     if np.count_nonzero(present) == len(levels) - 1:
-        return levels, ranks
+        return table, ranks
     levels = (levels[0], *(level for level, kept in zip(levels[1:], present[1:].tolist()) if kept))
-    return levels, np.cumsum(present, dtype=_rank_dtype(len(levels)))[ranks]
+    # A float table has L = 1, and so has an exact one with no level below 1.
+    common = math.gcd(lden, *levels) if lden > 1 else 1
+    if common > 1:
+        lden, levels = lden // common, tuple(n // common for n in levels)
+    return (lden, levels), np.cumsum(present, dtype=_rank_dtype(len(levels)))[ranks]
 
 
 def _least_terms(points: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
@@ -494,21 +391,23 @@ def _least_terms(points: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
 
 
 # The level table of a crisp set, per numeric mode.
-_CRISP_LEVELS = {True: (Fraction(0), Fraction(1)), False: (0.0, 1.0)}
+_CRISP_LEVELS = {True: (1, (0, 1)), False: (1, (0.0, 1.0))}
 
 
 def alpha_cut(u: FuzzySet, alpha: Scalar) -> FuzzySet:
     """The crisp set of u's points at level >= alpha, in support order;
     alpha = 0 gives the support. Its rows are u's rows at the ranks that
-    reach alpha, and only a cut that drops rows takes the gcd that brings
-    an exact set back to its least denominator."""
-    if not (0 <= alpha <= 1):
-        raise ValueError(f"alpha {alpha!r} outside [0, 1]")
-    den, levels, points, ranks = u.scaled()
-    first = bisect.bisect_left(levels, alpha, 1) if alpha else 1
+    reach alpha, found in an exact table by a bisect for ceil(alpha L), and
+    only a cut that drops rows takes the gcd that brings an exact set back
+    to its least denominator."""
+    key = _unit_key(alpha, "alpha", u.exact)
+    den, table, points, ranks = u.scaled()
+    lden, levels = table
+    key = -(-key[0] * lden // key[1]) if u.exact else alpha
+    first = bisect.bisect_left(levels, key, 1) if key else 1
     if first == len(levels):
         raise EmptyCutError(f"cut at level {alpha} is empty")
-    if first == 1 and levels == _CRISP_LEVELS[u.exact]:
+    if first == 1 and table == _CRISP_LEVELS[u.exact]:
         return u
     if first > 1:
         points = points[ranks >= first]
@@ -540,7 +439,9 @@ def join(sets: Sequence[FuzzySet]) -> FuzzySet:
     """Pointwise maximum of finitely many fuzzy sets: their rows on the lcm
     of their denominators, ranked in the merged table of their levels and
     concatenated in order, each distinct point keeping its first position
-    and its highest level (`FuzzySet._from_images`)."""
+    and its highest level (`_merge_rows`). Every set is on least terms, so
+    its rows share no factor with its denominator, and the union, which
+    holds them all, shares none with the lcm: no gcd is taken."""
     if not sets:
         raise ValueError("join of an empty family")
     first = sets[0]
@@ -549,11 +450,15 @@ def join(sets: Sequence[FuzzySet]) -> FuzzySet:
     if len(sets) == 1:
         return first
     den = math.lcm(*(u._den for u in sets))
-    levels, tables = _merged_levels([u._levels for u in sets])
-    dtype = _rank_dtype(len(levels))
+    table, tables = _merged_levels([u._table for u in sets])
+    dtype = _rank_dtype(len(table[1]))
     points = np.concatenate([_on_scale(u, den) for u in sets])
     ranks = np.concatenate([np.array(rank, dtype=dtype)[u._ranks] for rank, u in zip(tables, sets)])
-    return FuzzySet._from_images(points, ranks, den, levels, first.dimension, first.exact)
+    points, ranks = _merge_rows(points, ranks)
+    table, ranks = _cut_levels(table, ranks)
+    union = object.__new__(FuzzySet)
+    union._init(points, ranks, den, table, first.dimension, first.exact)
+    return union
 
 
 def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
@@ -575,21 +480,27 @@ def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
                                 floor=floor, found=found)
 
 
-def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: bool):
+def _directed_small(u: Dict[tuple, int], v: Dict[tuple, int], den: int, exact: bool,
+                    floor: Scalar):
     """`_directed` for a small pair, each set a dict from its numerator
-    tuples to their merged ranks: a point is looked up in the other set's
-    dict, and the prefixes of the points it does not hold at their level or
-    above are scanned with Python ints in exact mode, or handed to the
-    kernel as rows of grid keys over den."""
+    tuples to their merged ranks, or floor when that is larger: a point is
+    looked up in the other set's dict, and the prefixes of the points it
+    does not hold at their level or above are scanned with Python ints in
+    exact mode, or handed to the kernel as rows of grid keys over den. The
+    points go highest level first: their prefixes are the shortest, and
+    the minima they find raise the floor below which a later point's scan
+    stops."""
     pending = [p for p, r in u.items() if v.get(p, 0) < r]
     if not pending:
-        return 0
+        return floor
+    pending.sort(key=u.__getitem__, reverse=True)
     targets = sorted(v, key=v.__getitem__, reverse=True)
     ranks = sorted(v.values())
     limits = [len(ranks) - bisect.bisect_left(ranks, u[p]) for p in pending]
     if exact:
-        return _scan_squared(pending, targets, limits)
-    return directed_max_squared(int_array(pending), int_array(targets), den, False, limits)
+        return _scan_squared(pending, targets, limits, floor)
+    return directed_max_squared(int_array(pending), int_array(targets), den, False, limits,
+                                floor=floor)
 
 
 def _shared_rows(points: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -643,18 +554,30 @@ def _witnessed(points, ranks: np.ndarray, witness: np.ndarray, targets,
     return worst, np.flatnonzero(upper > worst)
 
 
-def _pair_scale(u_den: int, u_levels: Tuple[Scalar, ...], v_den: int,
-                v_levels: Tuple[Scalar, ...]):
+def _pair_scale(u_den: int, u_table: tuple, v_den: int, v_table: tuple):
     """The preamble of `d_infinity` for a pair given by its denominators
-    and level tables: EmptyCutError unless both tables reach the same top
-    level, then the lcm of the denominators and each table's ranks in the
-    merged table of both, as arrays of the merged table's rank dtype."""
-    top_u, top_v = u_levels[-1], v_levels[-1]
-    if top_u != top_v:
-        raise EmptyCutError(f"no point of the other set at level >= {max(top_u, top_v)}")
-    levels, ranks = _merged_levels([u_levels, v_levels])
-    dtype = _rank_dtype(len(levels))
-    return math.lcm(u_den, v_den), *(np.array(rank, dtype=dtype) for rank in ranks)
+    and level tables (L, levels): EmptyCutError unless both tables reach
+    the same top level, then the lcm of the denominators, the rank dtype of
+    the merged table of both (`_merged_levels`) and each table's ranks in
+    it, as lists."""
+    (lden, levels), (u_rank, v_rank) = _merged_levels([u_table, v_table])
+    if u_rank[-1] != v_rank[-1]:
+        top = _level_value(levels[max(u_rank[-1], v_rank[-1])], lden)
+        raise EmptyCutError(f"no point of the other set at level >= {top}")
+    return math.lcm(u_den, v_den), _rank_dtype(len(levels)), u_rank, v_rank
+
+
+def _row_ranks(u: FuzzySet, den: int, rank: Sequence[int]) -> Dict[tuple, int]:
+    """A small set's rows over den (`geometry._rows`), each mapped to its
+    rank in a merged table, rank[r] for its own rank r."""
+    return dict(zip(_rows(u, den), [rank[r] for r in u._ranks.tolist()]))
+
+
+def _dict_distance(us: Dict[tuple, int], vs: Dict[tuple, int], den: int, exact: bool) -> Scalar:
+    """d_infinity of a pair of dicts from rows to merged ranks: the first
+    direction's maximum is the second's floor."""
+    best = _directed_small(vs, us, den, exact, _directed_small(us, vs, den, exact, 0))
+    return _root(best, den, exact)
 
 
 def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
@@ -687,9 +610,7 @@ def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
             for p, r in zip(map(tuple, points.tolist()), ranks.tolist()):
                 if us.get(p, 0) < r:
                     us[p] = r
-        vs = dict(zip(map(tuple, _on_scale(v, den).tolist()), v_rank[v._ranks].tolist()))
-        best = max(_directed_small(us, vs, den, exact), _directed_small(vs, us, den, exact))
-        return _root(best, den, exact), None
+        return _dict_distance(us, _row_ranks(v, den, v_rank.tolist()), den, exact), None
     vs, vr = _rescaled(v, den), v_rank[v._ranks]
     best, up = 0, None
     for points, ranks, witness, ids in parts():
@@ -727,7 +648,7 @@ def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
 
 def _root(square: Scalar, den: int, exact: bool) -> Scalar:
     """The distance whose square is square / den^2 in exact mode, or square."""
-    return sqrt_exact(Fraction(square, den * den)) if exact else math.sqrt(square)
+    return exact_root(square, den) if exact else math.sqrt(square)
 
 
 def d_infinity(u: FuzzySet, v: FuzzySet):
@@ -747,17 +668,21 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
 
 def _pair_distance(u: FuzzySet, v: FuzzySet, witnesses: Optional[tuple] = None):
     """d_infinity(u, v) on the lcm of their denominators and their merged
-    level table (`_pair_scale`), u the one part of `_sup_distance`, and its
-    witnesses (down, up): for each row of u a row of v, and for each row of
-    v a row of u, at the row's level or above; None for a dict pair. Given
-    witnesses, the pair runs on them and updates them in place; else it
+    level table (`_pair_scale`), and its witnesses (down, up): for each row
+    of u a row of v, and for each row of v a row of u, at the row's level or
+    above; None for a dict pair, which is built from row and rank lists
+    without arrays. Else u is the one part of `_sup_distance`: given
+    witnesses, the pair runs on them and updates them in place, or it
     seeds them."""
-    den, u_rank, v_rank = _pair_scale(u._den, u._levels, v._den, v._levels)
-    points, ranks = _on_scale(u, den), u_rank[u._ranks]
+    den, dtype, u_rank, v_rank = _pair_scale(u._den, u._table, v._den, v._table)
+    if len(u) * len(v) <= _BRUTE_PAIR_LIMIT:
+        return _dict_distance(_row_ranks(u, den, u_rank), _row_ranks(v, den, v_rank), den,
+                              u.exact), None
+    points, ranks = _on_scale(u, den), np.array(u_rank, dtype=dtype)[u._ranks]
     down, up = witnesses or (None, None)
-    if down is None and len(u) * len(v) > _BRUTE_PAIR_LIMIT:
-        # A pair on the dict path takes no witnesses, so it makes none.
+    if down is None:
         down = np.full(len(u), -1, dtype=_index_dtype(len(v)))
-    distance, up = _sup_distance(lambda: ((points, ranks, down, None),), len(u), v, v_rank, den,
-                                 u.exact, lambda: (up, points, ranks))
-    return distance, None if up is None else (down, up)
+    distance, up = _sup_distance(lambda: ((points, ranks, down, None),), len(u), v,
+                                 np.array(v_rank, dtype=dtype), den, u.exact,
+                                 lambda: (up, points, ranks))
+    return distance, (down, up)

@@ -3,8 +3,9 @@
 There is one set type, `fuzzy.FuzzySet`, a crisp set being one whose every
 level is 1. `hausdorff` and `directed_distance` measure the supports of two
 sets, their numerator rows brought onto the lcm of their denominators
-(`_on_scale`); float points are the keys of the 1e-12 grid of `grid_key`
-over 10^12. Both come from one nearest-neighbour kernel,
+(`_on_scale`), or for a small exact pair scanned as rows of Python ints
+(`_rows`, `_scan_squared`); float points are the keys of the 1e-12 grid of
+`grid_key` over 10^12. Both come from one nearest-neighbour kernel,
 `directed_max_squared`, which `fuzzy.d_infinity` shares with per-point
 prefix limits. It finds float nearest neighbours in numpy, from a uniform
 grid of cells whose size is certified by the distances it finds (the cell
@@ -29,7 +30,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numeric import DEDUP_DECIMALS, Scalar, is_exact, sqrt_exact
+from .numeric import DEDUP_DECIMALS, Scalar, exact_root, is_exact, sqrt_exact
 
 Point = Tuple[Scalar, ...]
 
@@ -195,6 +196,16 @@ def _on_scale(u, den: int) -> np.ndarray:
     """The numerators of a set's support over den, a multiple of its own
     denominator, in one multiplication."""
     return _rescaled(u, den)[:]
+
+
+def _rows(u, den: int) -> List[Tuple[int, ...]]:
+    """`_on_scale` as tuples of Python ints, for small sets, where numpy's
+    fixed costs would dominate."""
+    own, _, points, _ = u.scaled()
+    if den == own:
+        return list(map(tuple, points.tolist()))
+    factor = den // own
+    return [tuple([n * factor for n in row]) for row in points.tolist()]
 
 
 def scale_points(*groups: Sequence[Point]) -> Tuple[int, List[List[Tuple[int, ...]]]]:
@@ -535,8 +546,9 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     result is the integer numerator of the squared distance over den^2,
     found with integer arithmetic only:
 
-    - when the pairs scanned (the sum of the limits) are few, without the
-      grid, by `_scan_squared` on Python ints;
+    - when the pairs scanned (the sum of the given limits) are few, without
+      the grid, by `_scan_squared` on Python ints (`hausdorff` scans a small
+      pair without limits itself);
     - otherwise through a float near neighbour of each point in its prefix,
       the coordinates taken relative to the first target so that only the
       spread of the points must fit a float. Its exact squared distance
@@ -549,11 +561,10 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     """
     size = len(points) if rows is None else len(rows)
     count = len(targets) if order is None else len(order)
-    if exact and (size * count if limits is None else int(np.sum(limits))) <= _BRUTE_PAIR_LIMIT:
+    if exact and limits is not None and int(np.sum(limits)) <= _BRUTE_PAIR_LIMIT:
         return _scan_squared((points if rows is None else points[rows]).tolist(),
                              (targets if order is None else targets[order]).tolist(),
-                             [count] * size if limits is None else np.asarray(limits).tolist(),
-                             floor)
+                             np.asarray(limits).tolist(), floor)
     rows = np.arange(size) if rows is None else rows
     order = np.arange(count) if order is None else order
     limits = np.full(size, count) if limits is None else np.asarray(limits)
@@ -588,17 +599,24 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
 
 def _max_squared(a, b, symmetric: bool):
     """The kernel from the support of a into that of b, and from b into a
-    too when symmetric, on the lcm of their denominators."""
+    too when symmetric, on the lcm of their denominators; a small exact
+    pair is scanned on rows of Python ints."""
     _require_compatible(a, b)
     exact = a.exact
     den = math.lcm(a.scaled()[0], b.scaled()[0])
+    if exact and len(a) * len(b) <= _BRUTE_PAIR_LIMIT:
+        points, targets = _rows(a, den), _rows(b, den)
+        best = _scan_squared(points, targets, [len(targets)] * len(points))
+        if symmetric:
+            best = _scan_squared(targets, points, [len(points)] * len(targets), best)
+        return exact_root(best, den)
     points, targets = _on_scale(a, den), _on_scale(b, den)
     best = directed_max_squared(points, targets, den, exact)
     if symmetric:
         # The first direction's maximum is a floor: a point of b no farther
         # than it from a cannot raise the result, and is not checked exactly.
         best = directed_max_squared(targets, points, den, exact, floor=best)
-    return sqrt_exact(Fraction(best, den * den)) if exact else math.sqrt(best)
+    return exact_root(best, den) if exact else math.sqrt(best)
 
 
 def directed_distance(a, b):
@@ -647,4 +665,4 @@ def diameter(points: np.ndarray, den: int, exact: bool) -> Scalar:
     slack = 0 if exact else _nn_radius_slack(centred * scale, centred[b] * scale)
     for i in np.flatnonzero(lengths(2 * centred, centred[b]) > best - slack).tolist():
         best = max(best, lengths(coords, coords[i]).max())
-    return sqrt_exact(Fraction(int(best), den * den)) if exact else math.ldexp(float(best), e)
+    return exact_root(int(best), den) if exact else math.ldexp(float(best), e)

@@ -94,12 +94,13 @@ class GridFuzzySet:
         g = cls.zeros(lo, hi, width, height)
         x0, y0 = g.lo
         x1, y1 = g.hi
-        den, table, points, ranks = u.scaled()
+        den, (lden, table), points, ranks = u.scaled()
         if points.dtype == object:  # a point whose float is infinite is outside every box
             near = (np.abs(points) < den * (2 ** 1024 - 2 ** 970)).all(axis=1)
             points, ranks = points[near], ranks[near]
         xy = as_float_array(points, den)
-        level = np.array([float(level) for level in table])[ranks]
+        # Int true division rounds correctly, as float(Fraction(n, L)) does.
+        level = np.array([n / lden for n in table])[ranks]
         x, y = xy[:, 0], xy[:, 1]
         inside = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
         x, y, level = x[inside], y[inside], level[inside]

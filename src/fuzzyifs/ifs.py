@@ -167,17 +167,21 @@ class IteratedFunctionSystem:
             contraction_constant=float(self.contraction_constant),
         )
 
+    def _check(self, u: FuzzySet) -> None:
+        """ValueError unless u has the system's mode and dimension."""
+        if u.exact != self.exact:
+            raise ValueError("fuzzy set and system use different numeric modes")
+        if u.dimension != self.dimension:
+            raise DimensionMismatchError(
+                f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
+
     def _image(self, u: FuzzySet, k: int, rows=slice(None)) -> np.ndarray:
         """The images under map k of u's rows after checking u's mode and
         dimension: numerators over D*L for an exact map times L (see
         `_scaled_maps`), its linear part applied to the numerators and its
         offset times D added, in int64 while a bound on them allows; for a
         float map, `grid_keys` of `AffineMap._apply` on the floats n / D."""
-        if u.exact != self.exact:
-            raise ValueError("fuzzy set and system use different numeric modes")
-        if u.dimension != self.dimension:
-            raise DimensionMismatchError(
-                f"fuzzy set of dimension {u.dimension}, system of {self.dimension}")
+        self._check(u)
         den, _, points, _ = u.scaled()
         points = points[rows]
         if u.exact:

@@ -68,12 +68,13 @@ def _exact_square(value) -> Fraction:
 class Radical:
     """Exact square root of a nonnegative rational.
 
-    Construct through `sqrt_exact`, which returns a plain Fraction when the
-    root is rational, or directly from a square known not to be a rational
-    square. Comparisons against rationals and other radicals are exact
-    (performed on squares). There is no arithmetic: sums leave the
-    representation, and products and quotients are taken on `square` by the
-    caller; `le_sum` covers the triangle-inequality checks the tests need.
+    Construct through `sqrt_exact` or `exact_root`, which return a plain
+    Fraction when the root is rational, or directly; a Radical of a rational
+    square equals its root and hashes like it. Comparisons against
+    rationals and other radicals are exact (performed on squares, as
+    ints). There is no arithmetic: sums leave the representation, and
+    products and quotients are taken on `square` by the caller; `le_sum`
+    covers the triangle-inequality checks the tests need.
     """
 
     __slots__ = ("square",)
@@ -98,25 +99,31 @@ class Radical:
         return f"sqrt({self.square})"
 
     def __hash__(self):
-        return hash(("Radical", self.square))
+        # A Radical equal to a rational hashes like it, as Fraction does.
+        root = sqrt_exact(self.square)
+        return hash(root if type(root) is Fraction else ("Radical", self.square))
 
     def __bool__(self):
         return bool(self.square)
 
     def _compare(self, other):
-        """Return (self_key, other_key) comparable exactly, or None."""
+        """Return (self_key, other_key) comparable exactly, or None: the
+        squares as ints over one denominator, for square = n/d and a
+        rational other = a/b >= 0 the ints n b^2 and a^2 d."""
+        num, den = self.square.numerator, self.square.denominator
         if isinstance(other, Radical):
-            return self.square, other.square
+            return num * other.square.denominator, other.square.numerator * den
         if isinstance(other, float):
             if not math.isfinite(other):
                 # Any finite value orders as self does against inf, -inf
                 # and NaN.
                 return 0.0, other
+            other = Fraction(other)
         elif not is_exact(other):
             return None
-        if other < 0:
-            return Fraction(1), Fraction(0)  # self >= 0 > other
-        return self.square, Fraction(other) ** 2
+        if other.numerator < 0:
+            return 1, 0  # self >= 0 > other
+        return num * other.denominator ** 2, other.numerator ** 2 * den
 
     def __eq__(self, other):
         keys = self._compare(other)
@@ -150,17 +157,24 @@ class Radical:
 
 
 def sqrt_exact(value) -> Union[Fraction, Radical]:
-    """Exact square root of a nonnegative rational."""
+    """Exact square root of a nonnegative rational n/d on least terms: that
+    of n d over d (`exact_root`), a Fraction when n and d are squares."""
     q = Fraction(value)
     if q < 0:
         raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0)
-    root_num = math.isqrt(q.numerator)
-    root_den = math.isqrt(q.denominator)
-    if root_num * root_num == q.numerator and root_den * root_den == q.denominator:
-        return Fraction(root_num, root_den)
-    return Radical(q)
+    return exact_root(q.numerator * q.denominator, q.denominator)
+
+
+def exact_root(square: int, den: int) -> Union[Fraction, Radical]:
+    """sqrt(square) / den for ints square >= 0 and den > 0: Fraction(r, den)
+    when square is r^2, else the Radical of square / den^2 without the checks
+    of `Radical.__init__`, since the root of a non-square int is irrational."""
+    root = math.isqrt(square)
+    if root * root == square:
+        return Fraction(root, den)
+    radical = object.__new__(Radical)
+    radical.square = Fraction(square, den * den)
+    return radical
 
 
 def le_sum(a, b, c) -> bool:

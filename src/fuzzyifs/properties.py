@@ -22,16 +22,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .dyadic import band_start, enumerated_levels, reference_system, slice_start
-from .fuzzy import (
-    FuzzySet,
-    GreyLevelMap,
-    alpha_cut,
-    apply_grey,
-    d_infinity,
-    join,
-    zadeh_pushforward,
-)
+from .fuzzy import FuzzySet, alpha_cut, apply_grey, d_infinity, join, zadeh_pushforward
 from .geometry import _on_scale, _require_compatible, diameter, euclid, hausdorff
+from .grey import GreyLevelMap
 from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
 from .numeric import DEFAULT_TOL
 from .system import ContractionViolationError, OrbitalFuzzySystem

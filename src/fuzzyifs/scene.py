@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .fuzzy import FuzzySet, GreyLevelMap, GreyMapError
+from .fuzzy import FuzzySet
+from .grey import GreyLevelMap, GreyMapError
 from .grid import RenderSpec
 from .ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem
 from .numeric import Scalar, parse_scalar

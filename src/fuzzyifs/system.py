@@ -46,7 +46,6 @@ import numpy as np
 from .fuzzy import (  # noqa: F401
     EmptySupportError,
     FuzzySet,
-    GreyLevelMap,
     _index_dtype,
     _merge_rows,
     _pair_distance,
@@ -59,6 +58,7 @@ from .fuzzy import (  # noqa: F401
     zadeh_pushforward,
 )
 from .geometry import GRID, _on_scale, diameter, magnitude
+from .grey import GreyLevelMap
 from .ifs import DEFAULT_SUPPORT_CAP, IteratedFunctionSystem, SupportCapError
 from .numeric import Radical, Scalar, _exact_square
 
@@ -237,7 +237,7 @@ class OrbitalFuzzySystem:
         gives for each row of the result an occurrence that reaches its
         level."""
         self._require_admissible()
-        new_levels, relits = self._relit(u)
+        table, relits = self._relit(u)
         parts, part_ranks, gathered = [], [], 0
         if carry:
             size, dtype = len(u), _index_dtype(len(relits) * len(u))
@@ -263,27 +263,32 @@ class OrbitalFuzzySystem:
         del parts, part_ranks, image, image_ranks
         stepped = FuzzySet._from_images(points, point_ranks,
                                         u.scaled()[0] * self.ifs._scaled_maps[0],
-                                        new_levels, u.dimension, u.exact, carry)
+                                        table, u.dimension, u.exact, carry)
         if not carry:
             return stepped, None, None
         stepped, slot, top = stepped
         return stepped, slot[where], np.concatenate(ids)[top]
 
-    def _relit(self, u: FuzzySet) -> Tuple[Tuple[Scalar, ...], list]:
-        """The step's level tables: the ascending table of the new levels,
-        preceded by 0, and per map the rank in it of each level of u's
-        table under the map's grey map, each grey map evaluated once per
-        positive level: level 0 goes to 0 on an admissible system, which
-        the callers have required. A value already of the mode's type, a
-        Fraction or a float, is taken as it is."""
-        kind = Fraction if u.exact else float
-        levels, zero = u.scaled()[1][1:], kind(0)
-        grey = [[zero, *(value if type(value) is kind else kind(value) for value in map(g, levels))]
-                for g in self.grey_maps]
+    def _relit(self, u: FuzzySet) -> Tuple[tuple, list]:
+        """The step's level tables: the table (L, levels) of the new levels,
+        and per map the rank in it of each level of u's table under the
+        map's grey map, each grey map evaluated once per positive level (on
+        ints in exact mode, `GreyLevelMap._ratio_at`): level 0 goes to 0 on
+        an admissible system, which the callers have required."""
+        self.ifs._check(u)
+        lden, levels = u.scaled()[1]
+        if u.exact:
+            grey = [[g._ratio_at(n, lden) for n in levels[1:]] for g in self.grey_maps]
+            lden = math.lcm(*(d for row in grey for _, d in row))
+            grey = [[0, *(n * (lden // d) for n, d in row)] for row in grey]
+        else:
+            grey = [[0.0, *(value if type(value) is float else float(value)
+                            for value in map(g, levels[1:]))] for g in self.grey_maps]
         new_levels = tuple(sorted({level for row in grey for level in row}))
         rank = {level: i for i, level in enumerate(new_levels)}
         dtype = _rank_dtype(len(new_levels))
-        return new_levels, [np.array([rank[level] for level in row], dtype=dtype) for row in grey]
+        return (lden, new_levels), [np.array([rank[level] for level in row], dtype=dtype)
+                                    for row in grey]
 
     def _images(self, u: FuzzySet, relits) -> Iterator[tuple]:
         """Per map k, in map order: k, the rows of u that its relit table
@@ -327,15 +332,16 @@ class OrbitalFuzzySystem:
         not reach, comes before any image is made.
         """
         self._require_admissible()
-        new_levels, relits = self._relit(u)
-        u_den, levels, _, ranks = u.scaled()
+        table, relits = self._relit(u)
+        u_den, u_table, _, ranks = u.scaled()
         kept = sum(int(np.count_nonzero(relit[ranks])) for relit in relits)
         if not kept:
             raise EmptySupportError("the operator erased the whole support")
         if kept > support_cap:
             self.step(u, support_cap)
-        den, image_rank, u_rank = _pair_scale(u_den * self.ifs._scaled_maps[0], new_levels,
-                                              u_den, levels)
+        den, dtype, image_rank, u_rank = _pair_scale(u_den * self.ifs._scaled_maps[0], table,
+                                                     u_den, u_table)
+        image_rank, u_rank = np.array(image_rank, dtype=dtype), np.array(u_rank, dtype=dtype)
         relits = [image_rank[relit] for relit in relits]
         size, slot, top, down, up = carried or (None,) * 5
         dtype = _index_dtype(len(relits) * len(u))

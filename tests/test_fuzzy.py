@@ -23,12 +23,14 @@ from fuzzyifs.fuzzy import (
     join,
     zadeh_pushforward,
 )
+from fuzzyifs import geometry
 from fuzzyifs.geometry import (
     _BRUTE_PAIR_LIMIT,
     GRID,
     DimensionMismatchError,
     GridRangeError,
     as_point,
+    directed_distance,
     euclid,
     grid_key,
     hausdorff,
@@ -38,7 +40,7 @@ from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem
 from fuzzyifs.properties import _contractive_float_system, _grey, d_infinity_level_sweep
 from fuzzyifs.system import OrbitalFuzzySystem
 
-from brute import hausdorff_brute
+from brute import directed_distance_brute, hausdorff_brute
 
 F = Fraction
 
@@ -230,6 +232,12 @@ class TestFuzzySet:
         with pytest.raises(EmptySupportError):
             FuzzySet([((F(0),), F(0))])
 
+    def test_points_of_dimension_zero_are_refused(self):
+        with pytest.raises(DimensionMismatchError, match="^support points of dimension 0$"):
+            FuzzySet([((), 1)])
+        with pytest.raises(DimensionMismatchError, match="dimension 0"):
+            FuzzySet([((), 0.5)], exact=False)
+
     def test_nan_level_is_outside_the_unit_interval(self):
         # NaN fails every comparison, so a test of level < 0 or level > 1
         # lets it through
@@ -265,7 +273,7 @@ class TestRankDtypes:
             [np.uint8, np.uint8, np.uint16, np.uint16, np.intp]
         pairs = [((F(i), F(0)), F(i + 1, 300)) for i in range(300)]
         u = FuzzySet(pairs)
-        assert len(u.scaled()[1]) == 301 and u.scaled()[3].dtype == np.uint16
+        assert len(u.scaled()[1][1]) == 301 and u.scaled()[3].dtype == np.uint16
         assert [u.level(p) for p, _ in pairs] == [level for _, level in pairs]
         assert FuzzySet(pairs[:255]).scaled()[3].dtype == np.uint8
 
@@ -331,24 +339,34 @@ class TestRankDtypes:
 
 
 def test_merged_levels_match_the_sorted_union():
-    """The one-pass merge of level tables against sorting their union: the
-    same table and the same ranks, for exact and float tables that share,
-    interleave or nest their levels, and for tables that are one object."""
+    """The merge of level tables (L, levels) against sorting the union of
+    their values: the same table and the same ranks, for exact tables on
+    unlike L and float tables (L = 1) that share, interleave or nest their
+    levels, and for tables that are one object."""
     rng = random.Random(53)
     for _ in range(400):
-        convert = F if rng.random() < 0.5 else float
-        tables = []
+        exact = rng.random() < 0.5
+        tables, values = [], []
         for _ in range(rng.randrange(1, 5)):
             if tables and rng.random() < 0.2:
-                tables.append(rng.choice(tables))
+                k = rng.randrange(len(tables))
+                tables.append(tables[k])
+                values.append(values[k])
                 continue
-            levels = {F(rng.randrange(1, d + 1), d) for d in rng.choices((2, 3, 4, 8), k=rng.randrange(6))}
-            tables.append(tuple(map(convert, (0, *sorted(levels)))))
-        union = sorted(set().union(*tables))
-        merged, ranks = fuzzy_module._merged_levels(tables)
-        assert merged == tuple(union)
+            levels = [0, *sorted({F(rng.randrange(1, d + 1), d)
+                                  for d in rng.choices((2, 3, 4, 8), k=rng.randrange(6))})]
+            if exact:
+                lden = math.lcm(*(level.denominator for level in levels))
+                tables.append((lden, tuple(int(level * lden) for level in levels)))
+            else:
+                levels = list(map(float, levels))
+                tables.append((1, tuple(levels)))
+            values.append(levels)
+        union = sorted(set().union(*values))
+        (lden, merged), ranks = fuzzy_module._merged_levels(tables)
+        assert [F(level, lden) if exact else level for level in merged] == union
         assert [list(rank) for rank in ranks] == [[union.index(level) for level in table]
-                                                 for table in tables]
+                                                 for table in values]
 
 
 class TestFloatGrid:
@@ -356,9 +374,9 @@ class TestFloatGrid:
 
     def test_integer_form(self):
         u = FuzzySet([((0.1, -2.5), 0.5), ((1 / 3, 0.0), 1.0), ((0.1, -2.5), 0.25)], exact=False)
-        den, levels, points, ranks = u.scaled()
+        den, (lden, levels), points, ranks = u.scaled()
         assert den == GRID == 10 ** 12
-        assert levels == (0.0, 0.5, 1.0)
+        assert lden == 1 and levels == (0.0, 0.5, 1.0)
         assert points.tolist() == [[100_000_000_000, -2_500_000_000_000], [333_333_333_333, 0]]
         assert ranks.tolist() == [1, 2]
         assert u.items() == tuple(
@@ -381,7 +399,7 @@ class TestFloatGrid:
             ifs=IteratedFunctionSystem(maps=(half, half), contraction_constant=0.5),
             grey_maps=(GreyLevelMap.identity(exact=False), GreyLevelMap.linear_ramp(0.5, exact=False)))
         u = system.step(FuzzySet([((0.0,), 1.0), ((1.0,), 0.5)], exact=False))
-        assert u.scaled()[1] == (0.0, 0.5, 1.0)
+        assert u.scaled()[1] == (1, (0.0, 0.5, 1.0))
         assert FuzzySet(u.items(), exact=False) == u
         rng = random.Random(11)
         for _ in range(20):
@@ -726,3 +744,137 @@ def test_pushforward_join_exchange_small():
         ]
         assert zadeh_pushforward(f, join(family)) == join(
             [zadeh_pushforward(f, u) for u in family])
+
+
+def small_exact_pairs(rng, count):
+    """count pairs of exact sets of 1 to 8 points in 1 to 3 dimensions,
+    drawn from one pool of points, so that they share some, with unlike
+    coordinate and level denominators and one point of each at level 1; in
+    about a third of them the numerators pass 2^62."""
+    for _ in range(count):
+        dim = rng.choice((1, 2, 3))
+        span = 2 ** 64 if rng.random() < 0.3 else 12
+        pool = [tuple(F(rng.randrange(-span, span + 1), rng.choice((1, 3, 4, 7)))
+                      for _ in range(dim)) for _ in range(10)]
+
+        def mk():
+            pairs = [(rng.choice(pool), F(rng.randrange(1, 7), 6) / rng.choice((1, 2, 5)))
+                     for _ in range(rng.randrange(1, 9))]
+            pairs[0] = (pairs[0][0], F(1))
+            return FuzzySet(pairs)
+
+        yield mk(), mk()
+
+
+def swept_brute(u, v):
+    """d_infinity(u, v) by the level sweep over the brute-force Hausdorff
+    distance."""
+    levels = sorted(set(u.level_values()) | set(v.level_values()))
+    return max(hausdorff_brute(alpha_cut(u, a), alpha_cut(v, a)) for a in levels)
+
+
+def test_small_exact_pairs_match_the_references(monkeypatch):
+    """Small exact pairs take lists of Python ints in hausdorff,
+    directed_distance and d_infinity; _BRUTE_PAIR_LIMIT = 0 sends them to the
+    arrays. Both agree with the brute-force loops of tests/brute.py and the
+    level sweep in value and in type (Fraction or Radical), on 1-3-D pairs
+    with unlike denominators, some held in object arrays."""
+    cases = list(small_exact_pairs(random.Random(91), 150))
+    assert any(u.scaled()[2].dtype == object for pair in cases for u in pair)
+    assert max(len(u) * len(v) for u, v in cases) <= _BRUTE_PAIR_LIMIT
+    results = []
+    for limit in (_BRUTE_PAIR_LIMIT, 0):
+        monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", limit)
+        monkeypatch.setattr(fuzzy_module, "_BRUTE_PAIR_LIMIT", limit)
+        results.append([(hausdorff(a, b), directed_distance(a, b), directed_distance(b, a),
+                         d_infinity(u, v), d_infinity(v, u), d_infinity_level_sweep(u, v))
+                        for u, v in cases for a, b in [(u.support_set(), v.support_set())]])
+    for (u, v), *paths in zip(cases, *results):
+        a, b = u.support_set(), v.support_set()
+        swept = swept_brute(u, v)
+        expected = (hausdorff_brute(a, b), directed_distance_brute(a, b),
+                    directed_distance_brute(b, a), swept, swept, swept)
+        for got in paths:
+            assert got == expected
+            assert [type(x) for x in got] == [type(x) for x in expected]
+
+
+class TestIntegerLevels:
+    """An exact set holds its levels as int numerators over the least level
+    denominator L, and shows Fractions only at the boundary."""
+
+    def test_unlike_denominators_show_the_given_fractions(self):
+        levels = [F(1, 3), F(2, 5), F(7, 15), F(2, 5)]
+        pairs = [((F(k), F(1, k + 1)), level) for k, level in enumerate(levels)]
+        u = FuzzySet(pairs)
+        assert u.scaled()[1] == (15, (0, 5, 6, 7))
+        assert u.items() == tuple(pairs) and u.level_values() == [F(1, 3), F(2, 5), F(7, 15)]
+        assert [u.level(p) for p, _ in pairs] == levels and u.level((F(9), F(9))) == 0
+        assert u.max_level == F(7, 15) and not u.normal
+        shown = [level for _, level in u.items()] + u.level_values() + [u.max_level]
+        assert all(type(level) is F for level in shown)
+        assert all(type(u.level(p)) is F for p in ((F(0), F(1)), (F(9), F(9)), (F(1, 7), F(0))))
+        # Lifting the 1/3 and 7/15 points to 1 leaves 2/5 and 1: L falls to 5.
+        top = FuzzySet([(pairs[0][0], 1), (pairs[2][0], 1)])
+        w = join([u, top])
+        assert w.scaled()[1] == (5, (0, 2, 5)) and w.max_level == 1 and w.normal
+        assert w == FuzzySet(w.items()) and alpha_cut(w, F(1, 2)) == top
+
+    def test_join_and_cut_stay_on_least_terms(self):
+        """join takes no gcd: sets on least terms have a union on least
+        terms. A cut that drops rows takes one. Either equals the set built
+        from its pairs, whose form is the least."""
+        rng = random.Random(92)
+        for _ in range(300):
+            dim = rng.choice((1, 2, 3))
+            sets = []
+            for _ in range(rng.randrange(2, 4)):
+                den = rng.choice((1, 2, 6, 10, 35))
+                pairs = [(tuple(F(rng.randrange(-20, 21), den) for _ in range(dim)),
+                          F(rng.randrange(1, 13), 12)) for _ in range(rng.randrange(1, 7))]
+                sets.append(FuzzySet(pairs))
+            union = join(sets)
+            assert union == FuzzySet([pair for u in sets for pair in u.items()])
+            alpha = F(rng.randrange(0, 13), 12)
+            cuts = [alpha_cut(u, alpha) for u in (union, *sets) if u.max_level >= alpha]
+            for w in (union, *cuts):
+                den, (lden, levels), points, _ = w.scaled()
+                assert math.gcd(den, *points.ravel().tolist()) == 1
+                assert math.gcd(lden, *levels) == 1
+                assert w == FuzzySet(w.items())
+
+    def test_small_exact_calls_make_no_fractions_but_the_root(self, monkeypatch):
+        """Counted, not timed: a small exact d_infinity makes one Fraction,
+        its root (or a Radical's square), and alpha_cut makes none."""
+        u = FuzzySet([((F(1, 3), F(2)), F(1, 3)), ((F(0), F(1, 2)), 1), ((F(5), F(-1, 4)), F(2, 5))])
+        v = FuzzySet([((F(1, 3), F(2)), F(7, 15)), ((F(3, 2), F(1)), 1), ((F(-2), F(0)), F(1, 6))])
+        alphas = [0, F(1, 3), F(2, 5), F(1, 2), 1]
+        made = []
+        original = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        for a, b in ((u, v), (v, u), (u, u)):
+            made.clear()
+            d_infinity(a, b)
+            assert len(made) <= 1
+        made.clear()
+        cuts = [alpha_cut(w, alpha) for w in (u, v) for alpha in alphas]
+        assert made == []
+        monkeypatch.undo()
+        assert d_infinity(u, v) == d_infinity_level_sweep(u, v)
+        assert [len(cut) for cut in cuts] == [3, 3, 2, 1, 1, 3, 2, 2, 1, 1]
+
+    def test_exact_grey_values_are_fractions_on_integers(self):
+        """An exact map evaluated at an int or a Fraction in [0, 1] gives
+        the Fraction of the linear scan, and `_ratio_at` its reduced ratio."""
+        rng = random.Random(93)
+        for g in _grey_maps_both_modes(94)[:302]:
+            pts = g.breakpoints
+            for t in [0, 1, *(t for t, _ in pts), *(F(rng.randrange(0, 97), 96) for _ in range(16))]:
+                value = g(t)
+                assert type(value) is F and value == _scan_value(pts, t)
+                assert g._ratio_at(t.numerator, t.denominator) == value.as_integer_ratio()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzyifs.numeric import Radical, format_scalar, le_sum, parse_scalar, sqrt_exact
+from fuzzyifs.numeric import Radical, exact_root, format_scalar, le_sum, parse_scalar, sqrt_exact
 
 
 def test_sqrt_exact_rational_roots():
@@ -59,6 +59,25 @@ def test_radical_comparisons_with_floats_are_exact():
     assert Radical(2) > -1.5
     assert Radical(10 ** 800) < math.inf and Radical(2) > -math.inf
     assert not (Radical(2) <= math.nan or Radical(2) >= math.nan or Radical(2) == math.nan)
+
+
+def test_radical_of_a_rational_square_hashes_like_its_root():
+    """Equal numbers hash alike: a Radical built from a rational square
+    equals its root, so a set holds one of them."""
+    assert len({Radical(4), Fraction(2), 2.0}) == 1
+    assert hash(Radical(Fraction(9, 4))) == hash(Fraction(3, 2))
+    assert hash(Radical(10 ** 800)) == hash(10 ** 400)
+    assert Radical(2) in {sqrt_exact(Fraction(2))} and Radical(2) not in {Fraction(2)}
+
+
+def test_exact_root_is_sqrt_exact_of_the_quotient():
+    """sqrt(square) / den, in value and type: a Fraction for a perfect
+    square, else the Radical of square / den^2 on least terms."""
+    for square in (0, 1, 2, 4, 12, 36, 10 ** 40 + 1, (3 ** 50) ** 2):
+        for den in (1, 2, 6, 3 ** 40):
+            root, reference = exact_root(square, den), sqrt_exact(Fraction(square, den * den))
+            assert type(root) is type(reference) and root == reference
+            assert repr(root) == repr(reference) and hash(root) == hash(reference)
 
 
 def test_radical_arithmetic():

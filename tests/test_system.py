@@ -679,16 +679,19 @@ def integer_form_system(rng, dim):
 
 def check_integer_form(u):
     """The integer form of u is the canonical one and shows through the
-    Fraction-valued accessors: D is the lcm of the reduced denominators of
-    the support, the table holds exactly the levels present, every point is
-    its numerators over D, and rebuilding u from its pairs gives u."""
-    den, levels, points, ranks = u.scaled()
+    Fraction-valued accessors: D and L are the lcms of the reduced
+    denominators of the support and of the levels, the table holds exactly
+    the levels present as numerators over L, every point is its numerators
+    over D, and rebuilding u from its pairs gives u."""
+    den, (lden, levels), points, ranks = u.scaled()
     pairs = list(u.items())
     assert den == math.lcm(*(c.denominator for p, _ in pairs for c in p))
-    assert levels[0] == 0 and list(levels[1:]) == sorted({level for _, level in pairs})
-    assert u.level_values() == list(levels[1:])
+    assert lden == math.lcm(*(level.denominator for _, level in pairs))
+    values = [F(n, lden) for n in levels]
+    assert levels[0] == 0 and values[1:] == sorted({level for _, level in pairs})
+    assert u.level_values() == values[1:]
     assert points.tolist() == [[int(c * den) for c in p] for p, _ in pairs]
-    assert [levels[r] for r in ranks.tolist()] == [level for _, level in pairs]
+    assert [values[r] for r in ranks.tolist()] == [level for _, level in pairs]
     assert FuzzySet(pairs) == u
 
 
