@@ -28,10 +28,11 @@ v sorted by level, and symmetrically. It has one body for both numeric
 modes (`_sup_distance`), built on the same nearest-neighbour kernel as
 `geometry.hausdorff`, and its first side may be the pointwise maximum of
 several parts, which the operator's residual gives map by map; a pair is
-first brought onto one denominator and one level table. Pairs of at most
-`_BRUTE_PAIR_LIMIT` point pairs are built as Python lists and dicts, where
-numpy's fixed cost per call would dominate. Every larger pair
-runs on witnesses, for each point a row of the other side at its level or
+first brought onto one denominator and one level table. Pairs of the
+public `d_infinity` of at most `_BRUTE_PAIR_LIMIT` point pairs are built as
+Python lists and dicts, where numpy's fixed cost per call would dominate.
+Every larger pair, and every pair of a run whatever its size, runs on
+witnesses, for each point a row of the other side at its level or
 above. A run carries them from pair to pair: the distance to its witness
 bounds each point, and only the points whose bounds pass an exact query's
 minimum go to the kernel (`_witnessed`). Any other pair seeds them from
@@ -463,7 +464,7 @@ def join(sets: Sequence[FuzzySet]) -> FuzzySet:
 
 def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
               target_ranks: np.ndarray, rows: np.ndarray, den: int, exact: bool,
-              floor: Scalar = 0, found: Optional[np.ndarray] = None):
+              floor: Scalar, found: np.ndarray):
     """Squared directed part of d_infinity from the points of the given
     rows, or floor when that is larger: one call of the geometry kernel
     against the targets sorted by level, highest first, each point limited
@@ -567,50 +568,28 @@ def _pair_scale(u_den: int, u_table: tuple, v_den: int, v_table: tuple):
     return math.lcm(u_den, v_den), _rank_dtype(len(levels)), u_rank, v_rank
 
 
-def _row_ranks(u: FuzzySet, den: int, rank: Sequence[int]) -> Dict[tuple, int]:
-    """A small set's rows over den (`geometry._rows`), each mapped to its
-    rank in a merged table, rank[r] for its own rank r."""
-    return dict(zip(_rows(u, den), [rank[r] for r in u._ranks.tolist()]))
+def _sup_distance(parts: Callable[[], Iterable[tuple]], v: FuzzySet, v_rank: np.ndarray,
+                  den: int, exact: bool, every: Callable[[], tuple]):
+    """The body of `d_infinity` on witnesses: the distance between v and
+    the pointwise maximum of the parts that parts() gives, each (points,
+    ranks, witness, ids) on den and in the merged table into which v_rank
+    ranks v's levels (`_pair_scale`). The alpha-cut of a pointwise maximum
+    is the union of the parts' alpha-cuts (Cabrelli, Forte, Molter &
+    Vrscay, J. Math. Anal. Appl. 171, 1992).
 
-
-def _dict_distance(us: Dict[tuple, int], vs: Dict[tuple, int], den: int, exact: bool) -> Scalar:
-    """d_infinity of a pair of dicts from rows to merged ranks: the first
-    direction's maximum is the second's floor."""
-    best = _directed_small(vs, us, den, exact, _directed_small(us, vs, den, exact, 0))
-    return _root(best, den, exact)
-
-
-def _sup_distance(parts: Callable[[], Iterable[tuple]], size: int, v: FuzzySet,
-                  v_rank: np.ndarray, den: int, exact: bool, every: Callable[[], tuple]):
-    """The body of `d_infinity`: the distance between v and the pointwise
-    maximum of the parts that parts() gives, each (points, ranks, witness,
-    ids) on den and in the merged table into which v_rank ranks v's levels
-    (`_pair_scale`); size is their points together. The alpha-cut of a
-    pointwise maximum is the union of the parts' alpha-cuts (Cabrelli,
-    Forte, Molter & Vrscay, J. Math. Anal. Appl. 171, 1992). Up to
-    _BRUTE_PAIR_LIMIT point pairs, size times |v|, both directions go
-    through Python dicts.
-
-    Larger pairs run on witnesses at their points' level or above: a part's
-    witness gives each of its points a row of v, and every(), called once
-    the parts are done, gives (up, targets, target_ranks), up giving each
-    point of v an index in targets, the points of all parts. A carried side
-    takes its pending rows from `_witnessed`. A part whose witness array
-    comes filled with -1, and v's side when up is None, are seeded from the
-    rows each part shares with v (`_shared_rows`, `_seeds`), the part's row
-    i being targets[ids[i]], or targets[i] without ids: a row held at its
+    Witnesses lie at their points' level or above: a part's witness gives
+    each of its points a row of v, and every(), called once the parts are
+    done, gives (up, targets, target_ranks), up giving each point of v an
+    index in targets, the points of all parts. A carried side takes its
+    pending rows from `_witnessed`. A part whose witness array comes
+    filled with -1, and v's side when up is None, are seeded from the rows
+    each part shares with v (`_shared_rows`, `_seeds`), the part's row i
+    being targets[ids[i]], or targets[i] without ids: a row held at its
     level or above is at distance 0, and every other row pends. Each side
     makes one kernel call on its pending rows (`_directed`), which writes
-    their witnesses in place. The caller owns the parts' witness arrays, so
-    none outlives its part here. Returns the distance and v's witnesses, or
-    None for a dict pair."""
-    if size * len(v) <= _BRUTE_PAIR_LIMIT:
-        us = {}
-        for points, ranks, *_ in parts():
-            for p, r in zip(map(tuple, points.tolist()), ranks.tolist()):
-                if us.get(p, 0) < r:
-                    us[p] = r
-        return _dict_distance(us, _row_ranks(v, den, v_rank.tolist()), den, exact), None
+    their witnesses in place. The caller owns the parts' witness arrays,
+    so none outlives its part here. Returns the distance and v's
+    witnesses."""
     vs, vr = _rescaled(v, den), v_rank[v._ranks]
     best, up = 0, None
     for points, ranks, witness, ids in parts():
@@ -655,34 +634,39 @@ def d_infinity(u: FuzzySet, v: FuzzySet):
     """Supremum over alpha of the Hausdorff distance between alpha-cuts.
 
     A pair of at most _BRUTE_PAIR_LIMIT point pairs goes through Python
-    lists and dicts, where numpy's fixed costs would dominate. In a larger
-    one, a point that the other set holds at its level or above is at
-    distance 0, and the other points of each side go to the kernel in one
-    call (`_sup_distance`, through `_pair_distance`).
-    Exact mode compares integer squares over the common denominator; float
-    mode takes the kernel's float distances.
+    lists and dicts, where numpy's fixed costs would dominate: each set a
+    dict from its rows on the pair's denominator (`geometry._rows`) to
+    their ranks in the merged table, the first direction's maximum the
+    second's floor (`_directed_small`).
+    In a larger one, a point that the other set holds at its level or
+    above is at distance 0, and the other points of each side go to the
+    kernel in one call (`_pair_distance`). Exact mode compares integer
+    squares over the common denominator; float mode takes the kernel's
+    float distances.
     """
     _require_compatible(u, v)
-    return _pair_distance(u, v)[0]
+    if len(u) * len(v) > _BRUTE_PAIR_LIMIT:
+        return _pair_distance(u, v)[0]
+    den, _, u_rank, v_rank = _pair_scale(u._den, u._table, v._den, v._table)
+    us, vs = (dict(zip(_rows(s, den), [rank[r] for r in s._ranks.tolist()]))
+              for s, rank in ((u, u_rank), (v, v_rank)))
+    best = _directed_small(vs, us, den, u.exact, _directed_small(us, vs, den, u.exact, 0))
+    return _root(best, den, u.exact)
 
 
 def _pair_distance(u: FuzzySet, v: FuzzySet, witnesses: Optional[tuple] = None):
     """d_infinity(u, v) on the lcm of their denominators and their merged
-    level table (`_pair_scale`), and its witnesses (down, up): for each row
-    of u a row of v, and for each row of v a row of u, at the row's level or
-    above; None for a dict pair, which is built from row and rank lists
-    without arrays. Else u is the one part of `_sup_distance`: given
-    witnesses, the pair runs on them and updates them in place, or it
-    seeds them."""
+    level table (`_pair_scale`), whatever the pair's size, and its
+    witnesses (down, up): for each row of u a row of v, and for each row
+    of v a row of u, at the row's level or above. u is the one part of
+    `_sup_distance`: given witnesses, the pair runs on them and updates
+    them in place, or it seeds them."""
     den, dtype, u_rank, v_rank = _pair_scale(u._den, u._table, v._den, v._table)
-    if len(u) * len(v) <= _BRUTE_PAIR_LIMIT:
-        return _dict_distance(_row_ranks(u, den, u_rank), _row_ranks(v, den, v_rank), den,
-                              u.exact), None
     points, ranks = _on_scale(u, den), np.array(u_rank, dtype=dtype)[u._ranks]
     down, up = witnesses or (None, None)
     if down is None:
         down = np.full(len(u), -1, dtype=_index_dtype(len(v)))
-    distance, up = _sup_distance(lambda: ((points, ranks, down, None),), len(u), v,
+    distance, up = _sup_distance(lambda: ((points, ranks, down, None),), v,
                                  np.array(v_rank, dtype=dtype), den, u.exact,
                                  lambda: (up, points, ranks))
     return distance, (down, up)

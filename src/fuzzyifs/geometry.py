@@ -547,8 +547,9 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     found with integer arithmetic only:
 
     - when the pairs scanned (the sum of the given limits) are few, without
-      the grid, by `_scan_squared` on Python ints (`hausdorff` scans a small
-      pair without limits itself);
+      the grid, by `_scan_squared` on Python ints, which only the targets
+      of the longest prefix become (`hausdorff` scans a small pair without
+      limits itself);
     - otherwise through a float near neighbour of each point in its prefix,
       the coordinates taken relative to the first target so that only the
       spread of the points must fit a float. Its exact squared distance
@@ -562,9 +563,11 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     size = len(points) if rows is None else len(rows)
     count = len(targets) if order is None else len(order)
     if exact and limits is not None and int(np.sum(limits)) <= _BRUTE_PAIR_LIMIT:
+        limits = np.asarray(limits).tolist()
+        prefix = max(limits, default=0)
         return _scan_squared((points if rows is None else points[rows]).tolist(),
-                             (targets if order is None else targets[order]).tolist(),
-                             np.asarray(limits).tolist(), floor)
+                             targets[slice(prefix) if order is None else order[:prefix]].tolist(),
+                             limits, floor)
     rows = np.arange(size) if rows is None else rows
     order = np.arange(count) if order is None else order
     limits = np.full(size, count) if limits is None else np.asarray(limits)

@@ -60,7 +60,7 @@ def _fuzzy(rng: random.Random, dim: int, normal: bool = True) -> FuzzySet:
     return FuzzySet(pairs, exact=True)
 
 
-def _grey(rng: random.Random, reach_one: bool = False) -> GreyLevelMap:
+def _grey(rng: random.Random, reach_one: bool) -> GreyLevelMap:
     """Random admissible-style map: rho(0) = 0, nondecreasing, optional jump."""
     interior = sorted({Fraction(rng.randrange(1, 16), 16) for _ in range(rng.randrange(0, 3))})
     ts = [Fraction(0)] + interior + [Fraction(1)]

@@ -20,10 +20,11 @@ residual, and raises ContractionViolationError where they rule C out.
 
 A run takes each d_n = d_infinity(u_(n-1), u_n) and the residual
 d_infinity(T u_m, u_m) from witnesses, for each point a row of the
-neighbouring iterate at its level or above: the first pair past the dict
-path seeds them from the rows it shares, as d_infinity does, and the run
-carries them from pair to pair through the steps' slot tables
-(`_carried`); a pair then makes a few exact queries (`fuzzy._witnessed`).
+neighbouring iterate at its level or above, whatever the pair's size: the
+first pair seeds them from the rows it shares, as a large pair of
+d_infinity does, and the run carries them from pair to pair through the
+steps' slot tables (`_carried`); a pair then makes a few exact queries
+(`fuzzy._witnessed`).
 The residual is taken one map at a time (`_residual`), so a run of m steps
 makes m steps and never holds T u_m, whose N |u_m| image points would be
 its largest array.
@@ -305,8 +306,7 @@ class OrbitalFuzzySystem:
                 kept = np.flatnonzero(new)
                 yield k, kept, self.ifs._image(u, k, kept), new[kept]
 
-    def _residual(self, u: FuzzySet, support_cap: int = DEFAULT_SUPPORT_CAP,
-                  carried: Optional[tuple] = None) -> Scalar:
+    def _residual(self, u: FuzzySet, support_cap: int, carried: Optional[tuple]) -> Scalar:
         """d_infinity(self.step(u, support_cap), u), the same value of the
         same type, taken without building the step's result: the images of
         u under each map, grey-relit, are one part of the metric's body
@@ -319,11 +319,11 @@ class OrbitalFuzzySystem:
         u_(m-1)'s row down[j] under map k, a row of u at its level or
         above, and u's row z, the image of u_(m-1)'s row y under map k at
         its level, by the image of up[y] under map k. Without them (a run
-        of 0 steps, or one whose pairs all took the dict path), each map's
-        images seed them from the rows they share with u, map by map, so
-        T(u) is never built either: an image that u does not hold at its
-        level or above goes to that map's one kernel call, and a point of u
-        that no image holds at its level or above goes to u's side's one.
+        of 0 steps), each map's images seed them from the rows they share
+        with u, map by map, so T(u) is never built either: an image that u
+        does not hold at its level or above goes to that map's one kernel
+        call, and a point of u that no image holds at its level or above
+        goes to u's side's one.
 
         When the maps keep more than support_cap points together, the step
         is made just for its cap check, so SupportCapError comes where the
@@ -369,7 +369,7 @@ class OrbitalFuzzySystem:
             ids += up[rows]
             return ids, _Images(self.ifs, u), target_ranks
 
-        return _sup_distance(parts, kept, u, u_rank, den, u.exact, every)[0]
+        return _sup_distance(parts, u, u_rank, den, u.exact, every)[0]
 
     def reach_diameter(self, u: FuzzySet) -> Scalar:
         """diam(supp(u) together with its image under every map): u's rows and
@@ -436,7 +436,7 @@ class OrbitalFuzzySystem:
         error = 1 / GRID + (d + 4) * 2.0 ** -52 * ((1 + a) * largest + b)
         return 2 * math.sqrt(d) * error
 
-    def _check_decay(self, distances, largest: float = 0.0) -> None:
+    def _check_decay(self, distances, largest: float) -> None:
         """The audit of the certificate: ContractionViolationError unless
         the last of the consecutive iterate distances d_1, ..., d_n obeys
         d_n <= C d_(n-1). Exact mode compares exactly, on squares; float
@@ -478,11 +478,12 @@ class OrbitalFuzzySystem:
         raises ContractionViolationError before the step reaches on_step.
         Each d_n equals d_infinity(u_(n-1), u_n) in value and type, and the
         residual d_infinity(self.step(u_m), u_m) for the last iterate u_m;
-        neither is taken that way. The first pair past the dict path seeds
-        witnesses from the rows it shares, and the run carries them on
-        through the steps' slot tables (`_consecutive`), so a later pair
-        costs O(n) index and vector work and a few exact queries, and the
-        residual makes no step: `_residual` takes it one map at a time. A step
+        neither is taken that way. Every pair runs on witnesses, whatever
+        its size: the first seeds them from the rows it shares, and the
+        run carries them on through the steps' slot tables
+        (`_consecutive`), so a later pair costs O(n) index and vector work
+        and a few exact queries, and the residual makes no step:
+        `_residual` takes it one map at a time. A step
         that passes support_cap raises SupportCapError with `partial` set to
         the last iterate and its report, whose certified_residual is None,
         and so does the residual when the step of u_m would pass it: when
@@ -545,21 +546,22 @@ class OrbitalFuzzySystem:
         return current, report
 
     def _consecutive(self, u: FuzzySet, nxt: FuzzySet, slot: np.ndarray, top: np.ndarray,
-                     carried: Optional[tuple]) -> Tuple[Scalar, Optional[tuple]]:
+                     carried: Optional[tuple]) -> Tuple[Scalar, tuple]:
         """d_infinity(u, nxt) for nxt the step of u with the tables slot and
-        top of `_step`, and the witnesses that the run carries on: None, or
+        top of `_step`, and the witnesses that the run carries on,
         (|u|, slot, top, down, up), down giving for each row of nxt a row
         of u and up for each row of u a row of nxt, each at the row's level
         or above.
 
-        The pair is `fuzzy._pair_distance(nxt, u)`, which runs on the
-        witnesses carried from the pair before (`_carried`), or without
-        them seeds them as d_infinity does.
+        The pair is `fuzzy._pair_distance(nxt, u)`, whatever its size,
+        which runs on the witnesses carried from the pair before
+        (`_carried`), or for the run's first pair, carried None, seeds them
+        as d_infinity does.
         """
         witnesses = None if carried is None else _carried(carried, len(u), slot, top)
         del carried
         distance, witnesses = _pair_distance(nxt, u, witnesses)
-        return distance, witnesses and (len(u), slot, top, *witnesses)
+        return distance, (len(u), slot, top, *witnesses)
 
     def fixed_point(
         self,

@@ -311,7 +311,8 @@ class TestRankDtypes:
                             lambda *args, **kwargs: seen.append(args) or 0)
         ranks = np.array([2, 5, 0, 5, 3, 2, 1], dtype=np.uint8)
         points = np.zeros((7, 2), dtype=np.int64)
-        fuzzy_module._directed(points, ranks, points, ranks, np.array([0, 1, 4, 6]), 1, True)
+        fuzzy_module._directed(points, ranks, points, ranks, np.array([0, 1, 4, 6]), 1, True, 0,
+                               np.full(7, -1))
         (*_, limits, rows, order), = seen
         assert order.tolist() == [1, 3, 4, 0, 5, 6, 2]
         assert order.tolist() == np.argsort(-ranks.astype(np.intp), kind="stable").tolist()

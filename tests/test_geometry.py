@@ -381,6 +381,39 @@ def test_prefix_kernel_matches_brute_force_exact(monkeypatch, pair_limit, block)
             _prefix_brute(points, targets, limits)
 
 
+class _GatherLog:
+    """Rows of an array that log the index of every row read from them."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.read = rows, set()
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        self.read.update(np.arange(len(self.rows))[index].tolist())
+        return self.rows[index]
+
+
+@pytest.mark.parametrize("ordered", [True, False], ids=["order", "no-order"])
+def test_a_small_exact_scan_reads_only_the_longest_prefix(ordered):
+    """20 points whose prefixes reach at most 200 of 1,000 targets: the
+    scan of Python ints reads the targets of the longest prefix alone, and
+    finds the brute force's maximum."""
+    rng = random.Random(95)
+    den, (points, targets) = scale_points(*(
+        [(Fraction(rng.randrange(-99, 100), 8), Fraction(rng.randrange(-99, 100), 8))
+         for _ in range(size)] for size in (20, 1000)))
+    limits = [rng.randrange(1, 201) for _ in points]
+    order = np.array(rng.sample(range(len(targets)), len(targets))) if ordered else None
+    logged = _GatherLog(int_array(targets))
+    best = directed_max_squared(int_array(points), logged, den, True, limits, order=order)
+    prefix = order[:max(limits)].tolist() if ordered else range(max(limits))
+    assert logged.read and logged.read <= set(prefix)
+    in_order = [targets[i] for i in order.tolist()] if ordered else targets
+    assert best == _prefix_brute(points, in_order, limits)
+
+
 def test_prefix_kernel_matches_brute_force_float(monkeypatch):
     """Equal float distances, each the square root of the brute force's
     float squared distance, with the default pair limit and with none,

@@ -2,7 +2,8 @@
 public function has a caller, every public class, every public function or
 class outside __all__, every private function or class, every field of a
 public dataclass and every public method has a reader, every optional
-parameter of a private function is passed by some call, no module imports
+parameter of a private function is passed by some call and left out by
+another, no module imports
 scipy, a run loads neither scipy, the process pool, the property suites
 nor any reference implementation, the package's names load on first use,
 and only the command line sets OpenBLAS's thread count."""
@@ -204,10 +205,10 @@ def passes(call: ast.Call, parameter: str, place) -> bool:
     return place is not None and len(call.args) > place
 
 
-def unpassed_parameters(sources) -> set:
-    """The optional parameters of private functions and methods of sources
-    that no call among them, to a function or an attribute of that name,
-    passes."""
+def passed_counts(sources) -> dict:
+    """For each optional parameter of a private function or method of
+    sources, as "function.parameter", the calls among them to a function or
+    an attribute of that name, and how many of those pass it."""
     trees = [ast.parse(source) for source in sources]
     calls = {}
     for node in (node for tree in trees for node in ast.walk(tree)):
@@ -215,9 +216,25 @@ def unpassed_parameters(sources) -> set:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             calls.setdefault(name, []).append(node)
-    return {f"{name}.{parameter}" for tree in trees
-            for name, parameter, place in optional_parameters(tree)
-            if not any(passes(call, parameter, place) for call in calls.get(name, ()))}
+    return {f"{name}.{parameter}": (len(calls.get(name, ())),
+                                    sum(passes(call, parameter, place)
+                                        for call in calls.get(name, ())))
+            for tree in trees for name, parameter, place in optional_parameters(tree)}
+
+
+def unpassed_parameters(sources) -> set:
+    """The optional parameters of private functions and methods of sources
+    that no call among them, to a function or an attribute of that name,
+    passes."""
+    return {name for name, (_, passed) in passed_counts(sources).items() if not passed}
+
+
+def always_passed_parameters(sources) -> set:
+    """The optional parameters of private functions and methods of sources
+    that every call among them, to a function or an attribute of that
+    name, passes, there being at least one."""
+    return {name for name, (calls, passed) in passed_counts(sources).items()
+            if passed == calls > 0}
 
 
 def test_every_optional_parameter_of_a_private_function_is_passed():
@@ -249,6 +266,42 @@ K._s(1)
     assert unpassed_parameters([source + "_f(1, c=3)\nK._s(1, 2)\n"]) == set()
     assert unpassed_parameters([source.replace("K()._m(1, 2)", "K()._m(1)")]) == \
         {"_f.c", "_m.y", "_s.y"}
+
+
+# Optional parameters of private functions and methods that every call in
+# the package passes, as "function.parameter", and why each keeps its
+# default. An allowance the code no longer needs fails the test too.
+ALLOWED_ALWAYS_PASSED = {}
+
+
+def test_no_private_function_defaults_a_parameter_every_call_passes():
+    """A default that no call in the package takes is no setting: the
+    parameter is required."""
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    assert always_passed_parameters(sources) == set(ALLOWED_ALWAYS_PASSED)
+
+
+def test_an_always_passed_optional_parameter_is_caught():
+    source = """
+def _f(a, b=1, *, c=2):
+    return a + b + c
+
+class K:
+    def _m(self, x, y=0):
+        return x + y
+
+def _g(z=0):
+    return z
+
+_f(1, 2)
+_f(1, 2, c=3)
+K()._m(1, 2)
+K()._m(1)
+"""
+    assert always_passed_parameters([source]) == {"_f.b"}
+    assert always_passed_parameters([source.replace("_f(1, 2)\n", "_f(1, *[2], **{'c': 3})\n")]) \
+        == {"_f.b", "_f.c"}
+    assert always_passed_parameters([source + "_f(1)\n"]) == set()
 
 
 # Fields of the public dataclasses that nothing reads, as "Class.field", and

@@ -28,7 +28,7 @@ from fuzzyifs.geometry import (
     int_array,
     scale_points,
 )
-from fuzzyifs.ifs import AffineMap, IteratedFunctionSystem, SupportCapError
+from fuzzyifs.ifs import DEFAULT_SUPPORT_CAP, AffineMap, IteratedFunctionSystem, SupportCapError
 from fuzzyifs.numeric import Radical, sqrt_exact
 from fuzzyifs.properties import _grey, d_infinity_level_sweep, invariant_domain_check
 from fuzzyifs.scene import Scene, StopRule, load_scene, load_scene_dict, scene_to_dict
@@ -753,7 +753,7 @@ def assert_residual_is_the_reference(system, u, support_cap=10_000_000):
     value of the same type, or the same error with the same message. Returns
     the outcome."""
     expected = _outcome(lambda: d_infinity(system.step(u, support_cap), u))
-    got = _outcome(system._residual, u, support_cap)
+    got = _outcome(system._residual, u, support_cap, None)
     assert got == expected and type(got) is type(expected)
     return got
 
@@ -808,10 +808,11 @@ class TestResidual:
         assert (got[0] if isinstance(got, tuple) else None) is error
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-    def test_small_residuals_take_the_dict_path(self, monkeypatch, exact):
-        """Two maps keep 2n images of n points. Up to _BRUTE_PAIR_LIMIT
-        pairs, 2n times n, the residual makes no array scan, as d_infinity
-        of a pair that small makes none; past it, it does."""
+    def test_small_residuals_run_on_arrays(self, monkeypatch, exact):
+        """Two maps keep 2n images of n points. On either side of
+        _BRUTE_PAIR_LIMIT pairs, 2n times n, the residual runs on the
+        metric's array body, whose kernel calls go through `_directed`,
+        never on d_infinity's lists, and equals d_infinity of the pair."""
         half = ((F(1, 2), F(0)), (F(0), F(1, 2)))
         system = OrbitalFuzzySystem(
             ifs=IteratedFunctionSystem(
@@ -824,16 +825,18 @@ class TestResidual:
         scans = []
         directed = fuzzy._directed
         monkeypatch.setattr(fuzzy, "_directed",
-                            lambda *args, **kwargs: scans.append(1) or directed(*args, **kwargs))
-        for n, arrays in ((45, False), (46, True)):
-            assert (2 * n * n > fuzzy._BRUTE_PAIR_LIMIT) is arrays
+                            lambda *args: scans.append(1) or directed(*args))
+        for n, small in ((45, True), (46, False)):
+            assert (2 * n * n <= fuzzy._BRUTE_PAIR_LIMIT) is small
             u = FuzzySet([((F(k), F(k % 7)), F(1 + k % 3, 3)) for k in range(n)])
             if not exact:
                 u = u.to_float()
             scans.clear()
-            residual = system._residual(u)
-            assert bool(scans) is arrays
-            assert residual == d_infinity(system.step(u), u)
+            with monkeypatch.context() as patch:
+                patch.setattr(fuzzy, "_directed_small", refuse_the_list_path)
+                residual = system._residual(u, DEFAULT_SUPPORT_CAP, None)
+            expected = d_infinity(system.step(u), u)
+            assert scans and residual == expected and type(residual) is type(expected)
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_band_for_ten_steps(self, exact):
@@ -897,13 +900,20 @@ def reference_run(system, u0, steps):
     return (*history, d_infinity(system.step(iterates[-1]), iterates[-1]))
 
 
+def typed_run(system, u0, steps) -> list:
+    """iterate's history and residual, each with its type."""
+    _, report = system.iterate(u0, steps)
+    return [(d, type(d)) for d in (*report.d_history, report.certified_residual)]
+
+
 def run_matches_reference(system, u0, steps) -> bool:
     """Whether iterate's history and residual equal `reference_run`'s,
     value for value and type for type."""
-    _, report = system.iterate(u0, steps)
-    got = (*report.d_history, report.certified_residual)
-    expected = reference_run(system, u0, steps)
-    return [(d, type(d)) for d in got] == [(d, type(d)) for d in expected]
+    return typed_run(system, u0, steps) == [(d, type(d)) for d in reference_run(system, u0, steps)]
+
+
+def refuse_the_list_path(*args):
+    raise AssertionError("a run's distance took d_infinity's list path")
 
 
 def random_runs(seed, count, modes=(True, False)):
@@ -948,6 +958,22 @@ class TestCarriedWitnesses:
         for system, u0, steps in random_runs(23, runs):
             assert run_matches_reference(system, u0, steps)
         assert len(carried) > carried_sides
+
+    def test_a_run_never_takes_the_list_path(self, monkeypatch):
+        """At the default pair limit, where d_infinity takes most of these
+        pairs as Python lists, the run takes every pair and the residual
+        on witnesses, in both modes, and equals `reference_run`."""
+        small = []
+        directed_small = fuzzy._directed_small
+        with monkeypatch.context() as patch:
+            patch.setattr(fuzzy, "_directed_small",
+                          lambda *args: small.append(1) or directed_small(*args))
+            runs = [(run, [(d, type(d)) for d in reference_run(*run)])
+                    for run in random_runs(23, 200)]
+        assert len(small) > 1000
+        monkeypatch.setattr(fuzzy, "_directed_small", refuse_the_list_path)
+        for run, expected in runs:
+            assert typed_run(*run) == expected
 
     def test_a_lower_occurrence_in_a_tie_is_caught(self, monkeypatch):
         """A result row reached by several occurrences must carry one at
