@@ -25,10 +25,9 @@ levels), which gives the level-sweep reference implementation, a test
 oracle in `properties`. `d_infinity` uses the equivalent per-point form: for each
 support point x of u, the nearest point of v at level >= u(x), a prefix of
 v sorted by level, and symmetrically. It has one body for both numeric
-modes (`_sup_distance`), built on the same nearest-neighbour kernel as
-`geometry.hausdorff`, and its first side may be the pointwise maximum of
-several parts, which the operator's residual gives map by map; a pair is
-first brought onto one denominator and one level table. Pairs of the
+modes, built on the same nearest-neighbour kernel as `geometry.hausdorff`:
+a pair is first brought onto one denominator and one level table, and
+each of its two sides makes one kernel call (`_side`). Pairs of the
 public `d_infinity` of at most `_BRUTE_PAIR_LIMIT` point pairs are built as
 Python lists and dicts, where numpy's fixed cost per call would dominate.
 Every larger pair, and every pair of a run whatever its size, runs on
@@ -36,8 +35,10 @@ witnesses, for each point a row of the other side at its level or
 above. A run carries them from pair to pair: the distance to its witness
 bounds each point, and only the points whose bounds pass an exact query's
 minimum go to the kernel (`_witnessed`). Any other pair seeds them from
-the rows both sides share: a point held at its level or above is done, and
-the rest go to the kernel, which finds their witnesses.
+the rows both sides share (`_seeded`): a point held at its level or above
+is done, and the rest go to the kernel, which finds their witnesses. The
+operator's residual runs the same sides map by map (`system`), and the
+kernel reads lazy rows through index arrays, so none is made whole.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -472,9 +473,9 @@ def _directed(points: np.ndarray, ranks: np.ndarray, targets: np.ndarray,
     from one grid of cells per round, and writes into found the index of
     the target it found for each point. Ranks are in the pair's merged
     level table, unsigned, so the descending order sorts top - ranks. The
-    kernel reads the points and the sorted targets from the sets' own
-    arrays through their indices. The caller has checked that both sets
-    reach the same top level, so no prefix is empty."""
+    kernel reads the points and the sorted targets, arrays or lazy ones,
+    through index arrays. The caller has checked that both sets reach the
+    same top level, so no prefix is empty."""
     order = np.argsort(target_ranks.max() - target_ranks, kind="stable")
     limits = len(targets) - np.searchsorted(target_ranks[order][::-1], ranks[rows])
     return directed_max_squared(points, targets, den, exact, limits, rows, order,
@@ -568,61 +569,35 @@ def _pair_scale(u_den: int, u_table: tuple, v_den: int, v_table: tuple):
     return math.lcm(u_den, v_den), _rank_dtype(len(levels)), u_rank, v_rank
 
 
-def _sup_distance(parts: Callable[[], Iterable[tuple]], v: FuzzySet, v_rank: np.ndarray,
-                  den: int, exact: bool, every: Callable[[], tuple]):
-    """The body of `d_infinity` on witnesses: the distance between v and
-    the pointwise maximum of the parts that parts() gives, each (points,
-    ranks, witness, ids) on den and in the merged table into which v_rank
-    ranks v's levels (`_pair_scale`). The alpha-cut of a pointwise maximum
-    is the union of the parts' alpha-cuts (Cabrelli, Forte, Molter &
-    Vrscay, J. Math. Anal. Appl. 171, 1992).
-
-    Witnesses lie at their points' level or above: a part's witness gives
-    each of its points a row of v, and every(), called once the parts are
-    done, gives (up, targets, target_ranks), up giving each point of v an
-    index in targets, the points of all parts. A carried side takes its
-    pending rows from `_witnessed`. A part whose witness array comes
-    filled with -1, and v's side when up is None, are seeded from the rows
-    each part shares with v (`_shared_rows`, `_seeds`), the part's row i
-    being targets[ids[i]], or targets[i] without ids: a row held at its
-    level or above is at distance 0, and every other row pends. Each side
-    makes one kernel call on its pending rows (`_directed`), which writes
-    their witnesses in place. The caller owns the parts' witness arrays,
-    so none outlives its part here. Returns the distance and v's
-    witnesses."""
-    vs, vr = _rescaled(v, den), v_rank[v._ranks]
-    best, up = 0, None
-    for points, ranks, witness, ids in parts():
-        if witness[0] < 0:
-            # The sort reads v's rows on den, so they are made once here and
-            # the kernel reads the same copy.
-            vs = vs[:]
-            in_part, in_v = _shared_rows(points, vs)
-            pending = np.flatnonzero(_seeds(witness, ranks, vr, in_part, in_v) < 0)
-            # A row of the top rank, which every point may take, stays the
-            # witness only where a small exact scan writes none.
-            witness[pending] = np.argmax(vr)
-            if up is None:
-                up = np.full(len(vr), -1, dtype=_index_dtype(len(points)) if ids is None
-                             else ids.dtype)
-            _seeds(up, vr, ranks, in_v, in_part, ids)
-            del in_part, in_v
-        else:
-            best, pending = _witnessed(points, ranks, witness, vs, vr, den, exact, best)
-        del ids
-        if len(pending):
-            best = _directed(points[:], ranks, vs[:], vr, pending, den, exact, best, witness)
-        del points, ranks, witness, pending
-    carried, targets, target_ranks = every()
-    if carried is None:
-        pending = np.flatnonzero(up < 0)
-        up[pending] = np.argmax(target_ranks)
+def _side(points, ranks: np.ndarray, witness: np.ndarray, targets, target_ranks: np.ndarray,
+          den: int, exact: bool, best: Scalar, pending: Optional[np.ndarray]) -> Scalar:
+    """The larger of best and the squared directed part of d_infinity from
+    points to targets, given for each point the index witness[i] of a
+    target at its level or above. A carried side (pending None) takes its
+    pending rows from `_witnessed`; a seeded side's pending rows take a
+    target of the top rank, which stays their witness where a small exact
+    scan writes none. The pending rows go to one kernel call (`_directed`),
+    which writes their witnesses in place."""
+    if pending is None:
+        best, pending = _witnessed(points, ranks, witness, targets, target_ranks, den, exact, best)
     else:
-        up = carried
-        best, pending = _witnessed(vs, vr, up, targets, target_ranks, den, exact, best)
+        witness[pending] = np.argmax(target_ranks)
     if len(pending):
-        best = _directed(vs[:], vr, targets[:], target_ranks, pending, den, exact, best, up)
-    return _root(best, den, exact), up
+        best = _directed(points, ranks, targets, target_ranks, pending, den, exact, best, witness)
+    return best
+
+
+def _seeded(points, ranks: np.ndarray, witness: np.ndarray, targets: np.ndarray,
+            target_ranks: np.ndarray, up: np.ndarray, ids: Optional[np.ndarray] = None):
+    """The pending rows of points, given the rows that points and targets
+    share (`_shared_rows`): witness, filled with -1, gets for each point
+    that targets hold at its level or above that row, and up, the targets'
+    witnesses, for each target that points hold at its level or above the
+    index of that row, ids[i] for points' row i when ids is given
+    (`_seeds`). A point held is at distance 0; every other one pends."""
+    in_points, in_targets = _shared_rows(points, targets)
+    _seeds(up, target_ranks, ranks, in_targets, in_points, ids)
+    return np.flatnonzero(_seeds(witness, ranks, target_ranks, in_points, in_targets) < 0)
 
 
 def _root(square: Scalar, den: int, exact: bool) -> Scalar:
@@ -658,15 +633,22 @@ def _pair_distance(u: FuzzySet, v: FuzzySet, witnesses: Optional[tuple] = None):
     """d_infinity(u, v) on the lcm of their denominators and their merged
     level table (`_pair_scale`), whatever the pair's size, and its
     witnesses (down, up): for each row of u a row of v, and for each row
-    of v a row of u, at the row's level or above. u is the one part of
-    `_sup_distance`: given witnesses, the pair runs on them and updates
-    them in place, or it seeds them."""
+    of v a row of u, at the row's level or above. Given witnesses, each
+    side runs on them and updates them in place (`_side`); else they are
+    seeded from the rows the pair shares (`_seeded`)."""
     den, dtype, u_rank, v_rank = _pair_scale(u._den, u._table, v._den, v._table)
     points, ranks = _on_scale(u, den), np.array(u_rank, dtype=dtype)[u._ranks]
-    down, up = witnesses or (None, None)
-    if down is None:
-        down = np.full(len(u), -1, dtype=_index_dtype(len(v)))
-    distance, up = _sup_distance(lambda: ((points, ranks, down, None),), v,
-                                 np.array(v_rank, dtype=dtype), den, u.exact,
-                                 lambda: (up, points, ranks))
-    return distance, (down, up)
+    targets, target_ranks = _rescaled(v, den), np.array(v_rank, dtype=dtype)[v._ranks]
+    seeded = witnesses is None
+    if seeded:
+        # The sort reads v's rows on den, so they are made once here and
+        # the kernel reads the same copy.
+        targets = targets[:]
+        witnesses = (np.full(len(u), -1, dtype=_index_dtype(len(v))),
+                     np.full(len(v), -1, dtype=_index_dtype(len(u))))
+    down, up = witnesses
+    best = _side(points, ranks, down, targets, target_ranks, den, u.exact, 0,
+                 _seeded(points, ranks, down, targets, target_ranks, up) if seeded else None)
+    best = _side(targets, target_ranks, up, points, ranks, den, u.exact, best,
+                 np.flatnonzero(up < 0) if seeded else None)
+    return _root(best, den, u.exact), witnesses

@@ -504,17 +504,16 @@ def _prefix_nearest(query: np.ndarray, data: np.ndarray, limits: np.ndarray):
     return best, nearest
 
 
-def _float_columns(group: np.ndarray, index: np.ndarray, den: int,
-                   origin: Optional[np.ndarray]) -> np.ndarray:
+def _float_columns(group, index: np.ndarray, den: int, origin: Optional[np.ndarray]) -> np.ndarray:
     """The float coordinates (n - origin) / den of the rows group[index] of
     integer numerators over den, origin an integer point (0 when None), as
-    a d x n array built one column at a time by `as_float_array`."""
-    columns = np.empty((group.shape[1], len(index)))
-    for k, column in enumerate(columns):
-        # A one-entry slice of the origin, not its entry: an int64 column
-        # minus a Python int past int64 overflows, where arrays of int64 and
-        # Python ints subtract in Python ints.
-        column[:] = as_float_array(group[index, k], den, None if origin is None else origin[k:k + 1])
+    a d x n array made by `as_float_array` from blocks of _GRID_BLOCK rows."""
+    columns = None
+    for start in range(0, len(index), _GRID_BLOCK):
+        rows = group[index[start:start + _GRID_BLOCK]]
+        if columns is None:
+            columns = np.empty((rows.shape[1], len(index)))
+        columns[:, start:start + len(rows)] = as_float_array(rows, den, origin).T
     return columns
 
 
@@ -528,12 +527,12 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     that is larger: a point whose distances cannot pass the floor is not
     checked exactly. The index arrays rows and order select the points
     points[rows] and the targets targets[order] (all rows, in order, when
-    None); the kernel reads them through the indices, a column or a block
-    at a time, and holds no gathered copy of either. When the grid answers,
-    found[rows[i]] gets the index in targets of the target it found for
-    point i, which lies in the point's prefix; the scan of a small exact
-    input leaves found as it is, so a caller that needs an index for every
-    point fills found with valid ones first.
+    None); the kernel reads them through index arrays alone, a block at a
+    time, so given rows and order they may be lazy, such as `_Rescaled`.
+    When the grid answers, found[rows[i]] gets the index in targets of the
+    target it found for point i, which lies in the point's prefix; the scan
+    of a small exact input leaves found as it is, so a caller that needs an
+    index for every point fills found with valid ones first.
 
     The one nearest-neighbour kernel behind `directed_distance`, `hausdorff`
     and `d_infinity`, whose per-point limits are level-sorted prefixes. The
@@ -571,7 +570,7 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
     rows = np.arange(size) if rows is None else rows
     order = np.arange(count) if order is None else order
     limits = np.full(size, count) if limits is None else np.asarray(limits)
-    origin = targets[order[0]] if exact else None
+    origin = targets[order[:1]][0] if exact else None
     try:
         data, query = (_float_columns(group, index, den, origin)
                        for group, index in ((targets, order), (points, rows)))
@@ -591,11 +590,10 @@ def directed_max_squared(points: np.ndarray, targets: np.ndarray, den: int, exac
         ahead = np.flatnonzero(upper > worst)
         for i, bound in zip(block[ahead].tolist(), upper[ahead].tolist()):
             if bound > worst:
-                row = rows[i]
-                square, index = _nearest_square(points[row:row + 1], targets, order[:limits[i]],
-                                                den, exact)
+                square, index = _nearest_square(points[rows[i:i + 1]], targets,
+                                                order[:limits[i]], den, exact)
                 if found is not None:
-                    found[row] = index
+                    found[rows[i]] = index
                 worst = max(worst, square)
     return worst
 

@@ -25,7 +25,8 @@ first pair seeds them from the rows it shares, as a large pair of
 d_infinity does, and the run carries them from pair to pair through the
 steps' slot tables (`_carried`); a pair then makes a few exact queries
 (`fuzzy._witnessed`).
-The residual is taken one map at a time (`_residual`), so a run of m steps
+The residual is taken one map at a time (`_residual`), and its kernel reads
+the images of u_m through index arrays (`_Images`), so a run of m steps
 makes m steps and never holds T u_m, whose N |u_m| image points would be
 its largest array.
 """
@@ -52,13 +53,15 @@ from .fuzzy import (  # noqa: F401
     _pair_distance,
     _pair_scale,
     _rank_dtype,
-    _sup_distance,
+    _root,
+    _seeded,
+    _side,
     apply_grey,
     d_infinity,
     join,
     zadeh_pushforward,
 )
-from .geometry import GRID, _on_scale, diameter, magnitude
+from .geometry import GRID, _on_scale, _rescaled, diameter, magnitude
 from .grey import GreyLevelMap
 from .ifs import DEFAULT_SUPPORT_CAP, IteratedFunctionSystem, SupportCapError
 from .numeric import Radical, Scalar, _exact_square
@@ -133,7 +136,7 @@ class _Images:
     """The images of u's rows under every map as one array that is made
     only where it is read: row k |u| + j is the image of u's row j under
     map k (`IteratedFunctionSystem._image`). Indexing it by an index array
-    or a slice maps just those rows, one call per map."""
+    maps just those rows, one call per map."""
 
     def __init__(self, ifs: IteratedFunctionSystem, u: FuzzySet):
         self.ifs, self.u = ifs, u
@@ -142,8 +145,7 @@ class _Images:
         return len(self.ifs.maps) * len(self.u)
 
     def __getitem__(self, index):
-        ids = np.arange(len(self))[index] if isinstance(index, slice) else index
-        maps, rows = np.divmod(ids, len(self.u))
+        maps, rows = np.divmod(index, len(self.u))
         blocks, places = [], []
         for k in range(len(self.ifs.maps)):
             place = np.flatnonzero(maps == k)
@@ -309,10 +311,11 @@ class OrbitalFuzzySystem:
     def _residual(self, u: FuzzySet, support_cap: int, carried: Optional[tuple]) -> Scalar:
         """d_infinity(self.step(u, support_cap), u), the same value of the
         same type, taken without building the step's result: the images of
-        u under each map, grey-relit, are one part of the metric's body
-        (`fuzzy._sup_distance`), made one at a time. The pair sits on D*L,
-        the images' denominator before the step cuts it, a multiple of the
-        one that d_infinity would take.
+        u under each map, grey-relit, make one side (`fuzzy._side`), one map
+        at a time, and u's side reads them all through index arrays
+        (`_Images`): the alpha-cut of a pointwise maximum is the union of
+        the alpha-cuts. The pair sits on D*L, the images' denominator
+        before the step cuts it, a multiple of d_infinity's.
 
         With the witnesses that a run carries to u = u_m (`iterate`), the
         image of u's row j under map k is witnessed by the image of
@@ -320,10 +323,10 @@ class OrbitalFuzzySystem:
         above, and u's row z, the image of u_(m-1)'s row y under map k at
         its level, by the image of up[y] under map k. Without them (a run
         of 0 steps), each map's images seed them from the rows they share
-        with u, map by map, so T(u) is never built either: an image that u
-        does not hold at its level or above goes to that map's one kernel
-        call, and a point of u that no image holds at its level or above
-        goes to u's side's one.
+        with u (`fuzzy._seeded`), so T(u) is never built either: an image
+        that u does not hold at its level or above goes to that map's one
+        kernel call, and a point of u that no image holds at its level or
+        above goes to u's side's one.
 
         When the maps keep more than support_cap points together, the step
         is made just for its cap check, so SupportCapError comes where the
@@ -343,33 +346,38 @@ class OrbitalFuzzySystem:
                                                      u_den, u_table)
         image_rank, u_rank = np.array(image_rank, dtype=dtype), np.array(u_rank, dtype=dtype)
         relits = [image_rank[relit] for relit in relits]
-        size, slot, top, down, up = carried or (None,) * 5
+        targets, target_ranks = _rescaled(u, den), u_rank[ranks]
         dtype = _index_dtype(len(relits) * len(u))
-
-        def parts():
-            for k, kept_rows, image, image_ranks in self._images(u, relits):
-                rows = slice(None) if kept_rows is None else kept_rows
-                # The ids and witnesses go unnamed, so that this frame does
-                # not hold them while the metric works on the map.
-                if carried is None:
-                    yield (image, image_ranks, np.full(len(image), -1, dtype=_index_dtype(len(u))),
-                           np.arange(k * len(u), (k + 1) * len(u), dtype=dtype)[rows])
-                else:
-                    yield (image, image_ranks,
-                           slot[np.add(down[rows], k * size, dtype=np.intp)], None)
-                # Let go of this map's images before the next map's are made.
-                del image, image_ranks
-
-        def every():
-            target_ranks = np.concatenate([relit[ranks] for relit in relits])
+        if carried is None:
+            # The sort reads u's rows on den, so they are made once here
+            # and the kernel reads the same copy.
+            targets = targets[:]
+            up = np.full(len(u), -1, dtype=dtype)
+        else:
+            size, slot, top, down, up = carried
+        best = 0
+        for k, kept_rows, image, image_ranks in self._images(u, relits):
+            rows = slice(None) if kept_rows is None else kept_rows
             if carried is None:
-                return None, _Images(self.ifs, u), target_ranks
+                witness = np.full(len(image), -1, dtype=_index_dtype(len(u)))
+                pending = _seeded(image, image_ranks, witness, targets, target_ranks, up,
+                                  np.arange(k * len(u), (k + 1) * len(u), dtype=dtype)[rows])
+            else:
+                witness, pending = slot[np.add(down[rows], k * size, dtype=np.intp)], None
+            best = _side(image, image_ranks, witness, targets, target_ranks, den, u.exact, best,
+                         pending)
+            # Let go of this map's images and witnesses before the next
+            # map's are made.
+            del image, image_ranks, witness, pending
+        if carried is not None:
             maps, rows = np.divmod(top, size)
-            ids = np.multiply(maps, len(u), dtype=dtype)
-            ids += up[rows]
-            return ids, _Images(self.ifs, u), target_ranks
-
-        return _sup_distance(parts, u, u_rank, den, u.exact, every)[0]
+            up, rows = np.multiply(maps, len(u), dtype=dtype), up[rows]
+            up += rows
+            del maps, rows
+        best = _side(targets, target_ranks, up, _Images(self.ifs, u),
+                     np.concatenate([relit[ranks] for relit in relits]), den, u.exact, best,
+                     np.flatnonzero(up < 0) if carried is None else None)
+        return _root(best, den, u.exact)
 
     def reach_diameter(self, u: FuzzySet) -> Scalar:
         """diam(supp(u) together with its image under every map): u's rows and

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fuzzyifs import fuzzy, geometry
+from fuzzyifs import system as system_module
 from fuzzyifs.fuzzy import EmptySupportError, FuzzySet, d_infinity, join
 from fuzzyifs.geometry import (
     GRID,
@@ -542,6 +543,62 @@ def test_a_seeded_pair_sends_only_its_unheld_points_to_the_kernel(monkeypatch, e
     assert d_infinity(stepped, u) == (Fraction(1, 1024) if exact else 2.0 ** -10)
     assert calls == {"_paired_squares": 0, "_nearest_square": 0}
     assert len(unheld) == 33280 and rows == [unheld]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_seeded_residual_sends_only_each_maps_unheld_images_to_the_kernel(monkeypatch,
+                                                                            exact):
+    """The residual of a run of 0 steps from the band after 9 steps seeds
+    each map's images against u_9: the images that u_9 holds at their
+    level or above are done, and each map's kernel call gets exactly that
+    map's others, with no witness bound and no exact query; u_9's own
+    points are all held."""
+    system, u = _band_after_nine_steps()
+    if not exact:
+        system, u = system.to_float(), u.to_float()
+    den = u.scaled()[0] * system.ifs._scaled_maps[0]
+    levels = [level for _, level in u.items()]
+    held = dict(zip(map(tuple, geometry._on_scale(u, den).tolist()), levels))
+    unheld = [[j for j, (image, level) in enumerate(zip(system.ifs._image(u, k).tolist(), levels))
+               if held.get(tuple(image), 0) < g(level)] for k, g in enumerate(system.grey_maps)]
+    calls = {"_paired_squares": 0, "_nearest_square": 0}
+    for name, f in [(name, getattr(fuzzy, name)) for name in calls]:
+        monkeypatch.setattr(fuzzy, name, lambda *args, name=name, f=f:
+                            calls.__setitem__(name, calls[name] + 1) or f(*args))
+    rows = []
+    directed = fuzzy._directed
+    monkeypatch.setattr(fuzzy, "_directed",
+                        lambda *args: rows.append(args[4].tolist()) or directed(*args))
+    _, report = system.iterate(u, 0)
+    assert report.certified_residual == (Fraction(1, 1024) if exact else 2.0 ** -10)
+    assert calls == {"_paired_squares": 0, "_nearest_square": 0}
+    assert all(unheld) and rows == unheld
+
+
+def test_a_residual_reads_its_images_through_indices(monkeypatch):
+    """A 0-step residual of 8,500 random exact points on the band's
+    system: no point of u is the image of another at its level, so every
+    one goes to u's side's kernel call against the 17,000 images, past
+    _GRID_BLOCK rows. The kernel reads them through index arrays, a block
+    of at most _GRID_BLOCK rows at a time, never as one slice of all, and
+    the residual is d_infinity of the step and u."""
+    system = load_scene(SCENES / "dyadic_band.json").system
+    rng = random.Random(97)
+    u = FuzzySet([((Fraction(rng.randrange(4096), 4096), Fraction(rng.randrange(4096), 4096)),
+                   Fraction(1) if i == 0 else Fraction(rng.randrange(1, 5), 4))
+                  for i in range(8500)])
+    reads = []
+    images = system_module._Images.__getitem__
+    monkeypatch.setattr(system_module._Images, "__getitem__",
+                        lambda self, index: reads.append(index) or images(self, index))
+    _, report = system.iterate(u, 0)
+    assert 2 * len(u) > geometry._GRID_BLOCK
+    assert not any(isinstance(index, slice) for index in reads)
+    assert sum(len(index) for index in reads) >= 2 * len(u)
+    assert max(len(index) for index in reads) <= geometry._GRID_BLOCK
+    expected = d_infinity(system.step(u), u)
+    assert report.certified_residual == expected
+    assert type(report.certified_residual) is type(expected)
 
 
 def test_residual_peaks_per_point_of_the_last_iterate(monkeypatch):

@@ -3,7 +3,8 @@ public function has a caller, every public class, every public function or
 class outside __all__, every private function or class, every field of a
 public dataclass and every public method has a reader, every optional
 parameter of a private function is passed by some call and left out by
-another, no module imports
+another, every private or test name in backticks in the README and in the
+package's docstrings and comments is defined, no module imports
 scipy, a run loads neither scipy, the process pool, the property suites
 nor any reference implementation, the package's names load on first use,
 and only the command line sets OpenBLAS's thread count."""
@@ -11,10 +12,12 @@ and only the command line sets OpenBLAS's thread count."""
 import ast
 import dataclasses
 import inspect
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -347,6 +350,80 @@ def test_every_public_method_is_read():
               if not name.startswith("_") and name not in read
               and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))}
     assert unread == {*ALLOWED_UNREAD_METHODS, *ALLOWED_SELF_READ_METHODS}
+
+
+def defined_names(paths) -> dict:
+    """For each module among paths, by its stem, the names it defines:
+    functions, classes and methods, the names and attributes it assigns,
+    parameters and imported names."""
+    defined = {}
+    for path in paths:
+        names = defined[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+    return defined
+
+
+def doc_texts() -> list:
+    """README.md without its code blocks, and the docstrings and comments
+    of the package's modules."""
+    texts = [re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"),
+                    flags=re.DOTALL)]
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        texts += [token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                  if token.type == tokenize.COMMENT]
+        texts += [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))]
+    return texts
+
+
+def stale_references(texts, defined: dict, tests: set) -> set:
+    """The names in backticks in texts that name nothing: a private name
+    (a leading underscore, dunders left out) that no module of defined, by
+    stem, defines, or not the module that prefixes it when one does; a
+    test_* or Test* name that is not in tests."""
+    everywhere = set().union(*defined.values())
+    stale = set()
+    for span in (span for text in texts for span in re.findall(r"`+([^`]+)`+", text)):
+        for dotted in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", span):
+            parts = dotted.split(".")
+            for before, name in zip([None, *parts], parts):
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    if name not in defined.get(before, everywhere):
+                        stale.add(dotted)
+                elif re.match(r"test_|Test[A-Z]", name) and name not in tests:
+                    stale.add(dotted)
+    return stale
+
+
+def test_every_name_in_backticks_is_defined():
+    """A private name that the README or a docstring or comment of the
+    package quotes, optionally after its module, names something of src/,
+    and a quoted test name a test module, function or class of tests/, so
+    a name that a change removes leaves no stale mention behind."""
+    tests = {name for stem, names in defined_names((ROOT / "tests").glob("*.py")).items()
+             for name in (stem, *names)}
+    assert stale_references(doc_texts(), defined_names(PACKAGE.glob("*.py")), tests) == set()
+
+
+def test_a_stale_name_in_backticks_is_caught():
+    defined = {"fuzzy": {"_side", "FuzzySet"}, "system": {"_Images", "_residual"}}
+    texts = ["`fuzzy._side` and `system._residual(u, cap, None)` run on `_Images`,",
+             "not on `fuzzy._Images` or `_sup_distance`; `__init__` and `_side` stay.",
+             "`tests/test_kept.py::TestKept::test_gone` and `test_kept`"]
+    assert stale_references(texts, defined, {"test_kept", "TestKept"}) == \
+        {"fuzzy._Images", "_sup_distance", "test_gone"}
 
 
 def imported_modules(source: str) -> set:

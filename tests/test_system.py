@@ -24,6 +24,7 @@ from fuzzyifs.geometry import (
     GRID,
     DimensionMismatchError,
     diameter,
+    directed_max_squared,
     grid_key,
     int_array,
     scale_points,
@@ -888,6 +889,42 @@ class TestResidual:
         assert capped_final == final and capped_report == report
         assert calls == [9] * 4
         assert report.certified_residual == d_infinity(system.step(final), final)
+
+
+@pytest.mark.parametrize("pair_limit", [None, 0], ids=["default-pair-limit", "grid"])
+def test_the_kernel_reads_lazy_rows_as_their_arrays(monkeypatch, pair_limit):
+    """`directed_max_squared` on the lazy rows that a residual hands it,
+    the images of `_Images` and a set's rows rescaled by `geometry._Rescaled`,
+    as points and as targets: the same value and the same found indices as
+    on the arrays they stand for, on random 1-3-D sets in both modes. At
+    the default pair limit a small exact call scans Python ints; with none,
+    every call takes the grid and, in exact mode, its exact check."""
+    if pair_limit is not None:
+        monkeypatch.setattr(geometry, "_BRUTE_PAIR_LIMIT", pair_limit)
+    rng = random.Random(37)
+    for _ in range(40):
+        dim = rng.choice((1, 2, 3))
+        exact_system = integer_form_system(rng, dim)
+        exact_u = FuzzySet([(tuple(F(rng.randrange(-40, 41), rng.choice((1, 2, 3, 8)))
+                                   for _ in range(dim)), F(1))
+                            for _ in range(rng.randrange(1, 40))])
+        for system, u in ((exact_system, exact_u), (exact_system.to_float(), exact_u.to_float())):
+            own, _, points, _ = u.scaled()
+            factor = system.ifs._scaled_maps[0]
+            lazy = [geometry._Rescaled(points, factor), system_module._Images(system.ifs, u)]
+            arrays = [group[np.arange(len(group))] for group in lazy]
+            for a, b in ((0, 1), (1, 0), (1, 1)):
+                rows = np.array(sorted(rng.sample(range(len(arrays[a])),
+                                                  rng.randrange(1, len(arrays[a]) + 1))))
+                order = np.array(rng.sample(range(len(arrays[b])), len(arrays[b])))
+                limits = [rng.randrange(1, len(order) + 1) for _ in rows]
+                results = []
+                for groups in (lazy, arrays):
+                    found = np.full(len(arrays[a]), -1)
+                    value = directed_max_squared(groups[a], groups[b], own * factor, u.exact,
+                                                 limits, rows, order, floor=0, found=found)
+                    results.append((value, type(value), found.tolist()))
+                assert results[0] == results[1]
 
 
 def reference_run(system, u0, steps):
